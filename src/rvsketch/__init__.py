@@ -31,7 +31,7 @@ from .lsh import (ExceedanceResult, IndexVector, empirical_rv_distance,
                   gen_index_vector, rv_distance_samples, sample_bits,
                   similarity)
 from .recover import (RecoveryReport, enumerate_errors, error_vector_at_rank,
-                      recover_fixed, recover_fixed_partitioned, recover_sweep)
+                      recover_fixed, recover_sweep)
 from .sketch import (ParamsReport, Sketch, SketchDebug, SketchFormatError,
                      SketchParams, dump_sketch, load_sketch, load_sketch_file,
                      make_sketch, sample_error, save_sketch, validate_params)

@@ -17,9 +17,8 @@ from typing import Tuple, Union
 RationalLike = Union[Fraction, int, str, float]
 
 
-def _frac(x: RationalLike) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(x)
+def as_fraction(x: RationalLike) -> Fraction:
+    """Exact rational from Fraction/int/'a/b' text; floats convert exactly."""
     return Fraction(x)
 
 
@@ -48,7 +47,7 @@ def hoeffding_bound(n: int, eps: RationalLike) -> float:
 
 def support_size(k_star: int, eps: RationalLike) -> Tuple[int, float]:
     """(exact, bound): C(k*, floor(k* eps)) and its 2^(k* h2(eps)) envelope."""
-    eps = _frac(eps)
+    eps = as_fraction(eps)
     if not 0 <= eps <= Fraction(1, 2):
         raise ValueError(f"eps = {eps} outside [0, 1/2]")
     weight = int(k_star * eps)
@@ -82,7 +81,7 @@ class Thresholds:
 def thresholds(k_star: int, n: int, xi: RationalLike,
                eps_ss: RationalLike) -> Thresholds:
     """t_max = n(xi-eps), t_min = n(xi+eps) and the k*-space analogues."""
-    xi, eps_ss = _frac(xi), _frac(eps_ss)
+    xi, eps_ss = as_fraction(xi), as_fraction(eps_ss)
     if not 0 <= eps_ss <= xi <= Fraction(1, 2):
         raise ValueError(
             f"need 0 <= eps_ss <= xi <= 1/2, got eps_ss={eps_ss}, xi={xi}")
@@ -169,7 +168,7 @@ def rate_bounds(k_star: int, k: int, n_star: int, eps_ss: RationalLike,
     delta = k - n_star
     if not 1 <= delta <= k_star:
         raise ValueError(f"need 1 <= k-n* <= k*, got {delta}")
-    two_eps = 2 * _frac(eps_ss)
+    two_eps = 2 * as_fraction(eps_ss)
     if two_eps > 1:
         raise ValueError("2*eps_ss exceeds 1")
     return RateBounds(
@@ -227,7 +226,7 @@ def iteration_budget_check(k_star: int, eps_ss: RationalLike, k: int,
     delta = k - n_star
     if delta < 1:
         raise ValueError("need k > n*")
-    support_bound = 2.0 ** (k_star * binary_entropy(2 * _frac(eps_ss)))
+    support_bound = 2.0 ** (k_star * binary_entropy(2 * as_fraction(eps_ss)))
     prefix_states = 2 ** delta
     return IterationBudget(
         holds=support_bound <= prefix_states,
@@ -245,6 +244,6 @@ def min_sketch_len_for_budget(k_star: int, eps_ss: RationalLike) -> Tuple[int, i
     The returned n grows exponentially in k* for any fixed eps_ss > 0,
     which is what makes the poly-in-n efficiency framing vacuous in k*.
     """
-    m_prime = math.ceil(k_star * binary_entropy(2 * _frac(eps_ss)))
+    m_prime = math.ceil(k_star * binary_entropy(2 * as_fraction(eps_ss)))
     m_prime = max(m_prime, 1)
     return m_prime, 2 ** m_prime - 1

@@ -43,7 +43,7 @@ class BitString:
         if isinstance(bits, BitString):
             arr = bits._bits
         elif isinstance(bits, str):
-            if bits and not _TEXT_RE.match(bits):
+            if bits and not _TEXT_RE.fullmatch(bits):
                 raise ParameterError(f"bitstring text must match ^[01]+$, got {bits!r}")
             arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
         else:

@@ -25,12 +25,12 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 from scipy.stats import binomtest
 
-from .analysis import binary_entropy, false_accept_rate
+from .analysis import as_fraction, binary_entropy, false_accept_rate
 from .bitcore import BitString, ParameterError, SeededRng
 from .codes import code_from_spec, random_linear_code
 from .lsh import gen_index_vector
 from .recover import recover_fixed, recover_sweep
-from .sketch import SketchParams, as_fraction, make_sketch
+from .sketch import SketchParams, make_sketch
 
 CSV_SCHEMA = "rvsketch-experiment-csv v1"
 

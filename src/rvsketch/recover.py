@@ -1,19 +1,20 @@
 """Enumeration-based recovery: trial error vectors, outer decode with the
 zero-prefix acceptance test, then inner decode.
 
-Candidates are enumerated in lexicographic order of their support sets and
-the first acceptance wins, so identical inputs always yield identical
-reports. A zero-prefix pass whose inner decode fails is counted as an
-observed false accept; a completed recovery of a wrong secret cannot be
-detected here and is only measurable by an experiment holding the ground
-truth.
+One scan serves both entry points: recover_fixed tries the single weight
+floor(k* eps_rec), recover_sweep tries weights 0, 1, ..., max_weight in
+turn. Within a weight, candidates are enumerated in lexicographic order of
+their support sets, and the first acceptance ends the whole scan, so
+identical inputs always yield identical reports. A zero-prefix pass whose
+inner decode fails is counted as an observed false accept; a completed
+recovery of a wrong secret cannot be detected here and is only measurable
+by an experiment holding the ground truth.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -21,9 +22,10 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .analysis import RationalLike, as_fraction
 from .bitcore import BitString, DimensionError, ParameterError
 from .codes import LinearCode
-from .sketch import RationalLike, Sketch, as_fraction
+from .sketch import Sketch
 
 
 @dataclass
@@ -89,18 +91,6 @@ def _support_at_rank(k_star: int, weight: int, rank: int) -> List[int]:
     return supp
 
 
-def _next_support(supp: List[int], k_star: int) -> Optional[List[int]]:
-    supp = list(supp)
-    w = len(supp)
-    for i in reversed(range(w)):
-        if supp[i] < k_star - (w - i):
-            supp[i] += 1
-            for j in range(i + 1, w):
-                supp[j] = supp[j - 1] + 1
-            return supp
-    return None
-
-
 def error_vector_at_rank(k_star: int, weight: int, rank: int) -> BitString:
     """The rank-th vector of enumerate_errors(k_star, weight), rank 0-based."""
     if not 0 <= weight <= k_star:
@@ -151,64 +141,54 @@ class _Pipeline:
         return _ACCEPT, self.inner._invert_bits(c_star)
 
 
-def _scan_weight(pipe: _Pipeline, wp_bits: np.ndarray, weight: int,
-                 start_rank: int = 0, count: Optional[int] = None,
-                 record_events: bool = False):
+def _scan_weight(pipe: _Pipeline, wp_bits: np.ndarray, weight: int):
     """Scan one weight class in rank order, stopping at the first acceptance.
 
-    Returns (accept, scanned, outer_fails, inner_fails, fail_ranks, fa_ranks)
-    where accept is None or (rank, w_bits).
+    Returns (w_bits or None, scanned, outer_fails, inner_fails).
     """
-    k_star = pipe.k_star
-    total = math.comb(k_star, weight)
-    if count is None:
-        count = total - start_rank
     outer_fails = inner_fails = scanned = 0
-    fail_ranks: List[int] = []
-    fa_ranks: List[int] = []
-
-    if weight == 0:
-        supports: Iterator[Sequence[int]] = iter(
-            [()] if start_rank == 0 and count > 0 else [])
-    elif start_rank == 0:
-        supports = combinations(range(k_star), weight)
-    else:
-        def _resumed():
-            supp = _support_at_rank(k_star, weight, start_rank)
-            while supp is not None:
-                yield supp
-                supp = _next_support(supp, k_star)
-        supports = _resumed()
-
-    rank = start_rank
-    for supp in supports:
-        if scanned >= count:
-            break
+    for scanned, supp in enumerate(combinations(range(pipe.k_star), weight), 1):
         we = wp_bits.copy()
-        if weight:
-            we[list(supp)] ^= 1
+        we[list(supp)] ^= 1
         status, w_bits = pipe.attempt(we)
-        scanned += 1
         if status == _ACCEPT:
-            return (rank, w_bits), scanned, outer_fails, inner_fails, fail_ranks, fa_ranks
+            return w_bits, scanned, outer_fails, inner_fails
         if status == _OUTER_FAIL:
             outer_fails += 1
-            if record_events:
-                fail_ranks.append(rank)
         elif status == _INNER_FAIL:
             inner_fails += 1
-            if record_events:
-                fa_ranks.append(rank)
-        rank += 1
-    return None, scanned, outer_fails, inner_fails, fail_ranks, fa_ranks
+    return None, scanned, outer_fails, inner_fails
 
 
-def _weight_from_eps(k_star: int, eps_rec: RationalLike,
-                     lo: Fraction, hi: Fraction) -> int:
-    eps = as_fraction(eps_rec)
-    if not lo <= eps <= hi:
-        raise ParameterError(f"eps_rec = {eps} outside [{lo}, {hi}]")
-    return int(k_star * eps)
+def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
+             outer: LinearCode, weights: Sequence[int]) -> RecoveryReport:
+    """Scan the weight classes in the given order; the first accept wins."""
+    t0 = time.perf_counter()
+    k_star = sk.params.k_star
+    if len(w_prime) != k_star:
+        raise DimensionError(f"w' length {len(w_prime)} != k* = {k_star}")
+    pipe = _Pipeline(sk, inner, outer)
+    iterations = ofail_total = ifail_total = 0
+    outcome = accepted_weight = None
+    for weight in weights:
+        w_bits, scanned, ofail, ifail = _scan_weight(pipe, w_prime.bits, weight)
+        iterations += scanned
+        ofail_total += ofail
+        ifail_total += ifail
+        if w_bits is not None:
+            outcome = BitString._wrap(np.ascontiguousarray(w_bits, dtype=np.uint8))
+            accepted_weight = weight
+            break
+    assert iterations <= sum(math.comb(k_star, w) for w in weights), \
+        "enumeration overran its counting bound"
+    return RecoveryReport(
+        outcome=outcome,
+        iterations_used=iterations,
+        accepted_weight=accepted_weight,
+        first_decode_failures=ofail_total,
+        false_accepts_observed=ifail_total,
+        wall_time_ms=(time.perf_counter() - t0) * 1e3,
+    )
 
 
 def recover_fixed(sk: Sketch, w_prime: BitString, eps_rec: RationalLike,
@@ -220,29 +200,12 @@ def recover_fixed(sk: Sketch, w_prime: BitString, eps_rec: RationalLike,
     candidate is within the outer radius, unless an earlier iteration
     false-accepts (per-iteration rate about 2^-(k-n*)).
     """
-    t0 = time.perf_counter()
-    p = sk.params
-    if len(w_prime) != p.k_star:
-        raise DimensionError(
-            f"w' length {len(w_prime)} != k* = {p.k_star}")
-    weight = _weight_from_eps(p.k_star, eps_rec,
-                              Fraction(1, 2 * p.k_star), Fraction(1, 2))
-    pipe = _Pipeline(sk, inner, outer)
-    accept, scanned, ofail, ifail, _, _ = _scan_weight(pipe, w_prime.bits, weight)
-    budget = math.comb(p.k_star, weight)
-    assert scanned <= budget, "enumeration overran its counting bound"
-    outcome = accepted_weight = None
-    if accept is not None:
-        outcome = BitString._wrap(np.ascontiguousarray(accept[1], dtype=np.uint8))
-        accepted_weight = weight
-    return RecoveryReport(
-        outcome=outcome,
-        iterations_used=scanned,
-        accepted_weight=accepted_weight,
-        first_decode_failures=ofail,
-        false_accepts_observed=ifail,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    k_star = sk.params.k_star
+    eps = as_fraction(eps_rec)
+    lo, hi = Fraction(1, 2 * k_star), Fraction(1, 2)
+    if not lo <= eps <= hi:
+        raise ParameterError(f"eps_rec = {eps} outside [{lo}, {hi}]")
+    return _recover(sk, w_prime, inner, outer, [int(k_star * eps)])
 
 
 def recover_sweep(sk: Sketch, w_prime: BitString, inner: LinearCode,
@@ -252,88 +215,9 @@ def recover_sweep(sk: Sketch, w_prime: BitString, inner: LinearCode,
     max_weight defaults to floor(k*/2), the worst-case tolerance cap, and
     may not exceed it. Iterations accumulate across weights.
     """
-    t0 = time.perf_counter()
-    p = sk.params
-    if len(w_prime) != p.k_star:
-        raise DimensionError(
-            f"w' length {len(w_prime)} != k* = {p.k_star}")
-    cap = p.k_star // 2
+    cap = sk.params.k_star // 2
     if max_weight is None:
         max_weight = cap
     if not 0 <= max_weight <= cap:
         raise ParameterError(f"max_weight {max_weight} outside [0, {cap}]")
-    pipe = _Pipeline(sk, inner, outer)
-    iterations = ofail_total = ifail_total = 0
-    outcome = accepted_weight = None
-    for weight in range(max_weight + 1):
-        accept, scanned, ofail, ifail, _, _ = _scan_weight(pipe, w_prime.bits, weight)
-        iterations += scanned
-        ofail_total += ofail
-        ifail_total += ifail
-        if accept is not None:
-            outcome = BitString._wrap(np.ascontiguousarray(accept[1], dtype=np.uint8))
-            accepted_weight = weight
-            break
-    assert iterations <= sum(math.comb(p.k_star, w) for w in range(max_weight + 1))
-    return RecoveryReport(
-        outcome=outcome,
-        iterations_used=iterations,
-        accepted_weight=accepted_weight,
-        first_decode_failures=ofail_total,
-        false_accepts_observed=ifail_total,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
-
-
-def recover_fixed_partitioned(sk: Sketch, w_prime: BitString, eps_rec: RationalLike,
-                              inner: LinearCode, outer: LinearCode,
-                              workers: int = 4) -> RecoveryReport:
-    """Same contract as recover_fixed, with the enumeration split in ranges.
-
-    Workers race over contiguous rank ranges; the minimum accepting rank
-    wins and event counts are merged for ranks before it, so the report
-    equals the sequential one.
-    """
-    t0 = time.perf_counter()
-    p = sk.params
-    if len(w_prime) != p.k_star:
-        raise DimensionError(
-            f"w' length {len(w_prime)} != k* = {p.k_star}")
-    weight = _weight_from_eps(p.k_star, eps_rec,
-                              Fraction(1, 2 * p.k_star), Fraction(1, 2))
-    if workers < 1:
-        raise ParameterError("workers must be positive")
-    pipe = _Pipeline(sk, inner, outer)
-    total = math.comb(p.k_star, weight)
-    workers = min(workers, total) or 1
-    bounds = np.linspace(0, total, workers + 1, dtype=int)
-    wp_bits = w_prime.bits
-
-    def job(lo: int, hi: int):
-        if hi <= lo:
-            return None, 0, 0, 0, [], []
-        return _scan_weight(pipe, wp_bits, weight, start_rank=lo,
-                            count=hi - lo, record_events=True)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda b: job(*b), zip(bounds[:-1], bounds[1:])))
-
-    accepts = [r[0] for r in results if r[0] is not None]
-    best = min(accepts, key=lambda a: a[0]) if accepts else None
-    horizon = best[0] if best is not None else total
-    ofail = sum(sum(1 for r_ in fr if r_ < horizon) for _, _, _, _, fr, _ in results)
-    ifail = sum(sum(1 for r_ in fa if r_ < horizon) for _, _, _, _, _, fa in results)
-    outcome = accepted_weight = None
-    iterations = horizon
-    if best is not None:
-        outcome = BitString._wrap(np.ascontiguousarray(best[1], dtype=np.uint8))
-        accepted_weight = weight
-        iterations = horizon + 1
-    return RecoveryReport(
-        outcome=outcome,
-        iterations_used=iterations,
-        accepted_weight=accepted_weight,
-        first_decode_failures=ofail,
-        false_accepts_observed=ifail,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return _recover(sk, w_prime, inner, outer, range(max_weight + 1))

@@ -26,21 +26,13 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .analysis import binary_entropy
+from .analysis import (BoundCheck, RationalLike, as_fraction,
+                       efficiency_bound_check, error_floor_check,
+                       hoeffding_bound)
 from .bitcore import (BitString, DimensionError, ParameterError, SeededRng,
                       zero_pad_prefix)
 from .codes import LinearCode, code_from_text, code_to_text, encode
 from .lsh import IndexVector, sample_bits
-
-RationalLike = Union[Fraction, int, str, float]
-
-
-def as_fraction(x: RationalLike) -> Fraction:
-    """Exact rational from Fraction/int/'a/b' text; floats convert exactly."""
-    if isinstance(x, float):
-        return Fraction(x)
-    return Fraction(x)
-
 
 @dataclass(frozen=True)
 class SketchParams:
@@ -78,13 +70,6 @@ class SketchParams:
 
 
 @dataclass(frozen=True)
-class PredicateCheck:
-    holds: bool
-    lhs: float
-    rhs: float
-
-
-@dataclass(frozen=True)
 class ParamsReport:
     """Validation outcome: fatal violations plus two advisory predicates.
 
@@ -95,8 +80,8 @@ class ParamsReport:
     """
 
     violations: List[str]
-    error_floor: PredicateCheck
-    enumeration_budget: PredicateCheck
+    error_floor: BoundCheck
+    enumeration_budget: BoundCheck
     eps_rec_used: Fraction
 
     @property
@@ -125,15 +110,17 @@ def validate_params(params: SketchParams,
         violations.append(
             f"eps_ss = {p.eps_ss} outside [{lo}, {hi}]")
 
-    delta = p.k - p.n_star
-    floor_lhs = math.exp(-2.0 * p.n * float(p.eps_ss) ** 2)
-    floor_rhs = 2.0 ** (-delta) if delta > 0 else float("inf")
     eps_rec = as_fraction(eps_rec) if eps_rec is not None else 2 * p.eps_ss
-    budget_lhs = p.k_star * binary_entropy(eps_rec)
+    budget = efficiency_bound_check(p.k_star, eps_rec, p.k, p.n_star)
+    if p.k > p.n_star:
+        floor = error_floor_check(p.n, p.eps_ss, p.k, p.n_star)
+    else:
+        # error_floor_check needs k > n*; with no zero prefix the floor is vacuous
+        floor = BoundCheck(True, hoeffding_bound(p.n, p.eps_ss), math.inf)
     return ParamsReport(
         violations=violations,
-        error_floor=PredicateCheck(floor_lhs <= floor_rhs, floor_lhs, floor_rhs),
-        enumeration_budget=PredicateCheck(budget_lhs <= delta, budget_lhs, float(delta)),
+        error_floor=floor,
+        enumeration_budget=budget,
         eps_rec_used=eps_rec,
     )
 
@@ -250,6 +237,17 @@ def dump_sketch(sk: Sketch) -> bytes:
 
 
 def load_sketch(data: bytes) -> Sketch:
+    """Parse sketch bytes; malformed input raises SketchFormatError only."""
+    try:
+        return _parse_sketch(data)
+    except SketchFormatError:
+        raise
+    except (UnicodeDecodeError, ParameterError, DimensionError) as exc:
+        # ParameterError covers CapacityError and the code/index validators
+        raise SketchFormatError(f"malformed sketch: {exc}") from exc
+
+
+def _parse_sketch(data: bytes) -> Sketch:
     view = memoryview(data)
 
     def take(fmt):

@@ -82,32 +82,48 @@ def min_n_direct_search(delta: int, eps: float, start: int = 1) -> int:
     return n
 
 
-def first_accepting_candidate(sk, w_prime, weight, inner, outer):
-    """Re-run one weight class of the recovery loop through the public API.
+def scan_report(sk, w_prime, weights, inner, outer):
+    """Re-run the recovery loop over the given weights through the public API.
 
-    Uses sample_bits/decode/invert_message and plain python slicing only;
-    returns (rank, recovered_bitstring) or None. Independent of the
-    recover module's scanning machinery.
+    Uses sample_bits/decode/invert_message and plain python slicing only,
+    independent of the recover module's scanning machinery. Returns
+    (iterations, outer_fails, inner_fails, accepted_weight, outcome), the
+    last two None when no candidate is accepted.
     """
     from rvsketch import (BitString, decode, invert_message, sample_bits,
                           zero_pad_prefix)
 
     p = sk.params
     prefix_len = p.k - p.n_star
-    rank = 0
-    for supp in combinations(range(p.k_star), weight):
-        bits = w_prime.bits.copy()
-        for j in supp:
-            bits[j] ^= 1
-        we = BitString(bits)
-        phi = sample_bits(we, sk.N)
-        c = decode(outer, sk.ss ^ phi)
-        if c is not None:
+    iterations = outer_fails = inner_fails = 0
+    for weight in weights:
+        for supp in combinations(range(p.k_star), weight):
+            iterations += 1
+            bits = w_prime.bits.copy()
+            for j in supp:
+                bits[j] ^= 1
+            we = BitString(bits)
+            phi = sample_bits(we, sk.N)
+            c = decode(outer, sk.ss ^ phi)
+            if c is None:
+                outer_fails += 1
+                continue
             v_star = invert_message(outer, c)
-            if v_star.prefix(prefix_len).weight == 0:
-                v_syn = v_star.suffix(p.n_star)
-                c_star = decode(inner, v_syn ^ zero_pad_prefix(we, p.n_star - p.k_star))
-                if c_star is not None:
-                    return rank, invert_message(inner, c_star)
-        rank += 1
-    return None
+            if v_star.prefix(prefix_len).weight != 0:
+                continue
+            v_syn = v_star.suffix(p.n_star)
+            c_star = decode(inner, v_syn ^ zero_pad_prefix(we, p.n_star - p.k_star))
+            if c_star is None:
+                inner_fails += 1
+                continue
+            return (iterations, outer_fails, inner_fails, weight,
+                    invert_message(inner, c_star))
+    return iterations, outer_fails, inner_fails, None, None
+
+
+def first_accepting_candidate(sk, w_prime, weight, inner, outer):
+    """(rank, recovered_bitstring) of the first accept in one weight class,
+    or None; the single-weight case of scan_report.
+    """
+    iterations, _, _, _, outcome = scan_report(sk, w_prime, [weight], inner, outer)
+    return None if outcome is None else (iterations - 1, outcome)

@@ -104,6 +104,11 @@ class TestBitString:
         with pytest.raises(ParameterError):
             BitString("01x0")
 
+    @pytest.mark.parametrize("text", ["01\n", "0\n1"])
+    def test_rejects_embedded_newline(self, text):
+        with pytest.raises(ParameterError):
+            BitString(text)
+
     def test_rejects_non_binary_values(self):
         with pytest.raises(ParameterError):
             BitString([0, 2, 1])

@@ -5,12 +5,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import first_accepting_candidate
+from oracles import first_accepting_candidate, scan_report
 from rvsketch import (BitString, DimensionError, IndexVector, ParameterError,
                       SeededRng, SketchParams, bch_code, enumerate_errors,
                       error_vector_at_rank, gen_index_vector, make_sketch,
-                      random_linear_code, recover_fixed,
-                      recover_fixed_partitioned, recover_sweep)
+                      random_linear_code, recover_fixed, recover_sweep)
 
 
 @pytest.fixture(scope="module")
@@ -238,27 +237,28 @@ class TestAcceptanceSoundness:
                 assert encode(outer, zero_pad_prefix(v_syn, 1)) == c
 
 
-class TestPartitionedEquivalence:
-    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
-    def test_accepting_case(self, codes, workers):
+def _counts(report):
+    return (report.iterations_used, report.first_decode_failures,
+            report.false_accepts_observed, report.accepted_weight,
+            report.outcome)
+
+
+class TestScanOracleEquivalence:
+    def test_accepting_case(self, codes):
         w, sk = _sketch(codes, seed=3)
         wp_bits = w.bits.copy()
         wp_bits[4] ^= 1
         wp = BitString(wp_bits)
-        seq = recover_fixed(sk, wp, Fraction(1, 7), *codes)
-        par = recover_fixed_partitioned(sk, wp, Fraction(1, 7), *codes,
-                                        workers=workers)
-        assert seq == par
+        report = recover_fixed(sk, wp, Fraction(1, 7), *codes)
+        assert report.outcome == w
+        assert _counts(report) == scan_report(sk, wp, [1], *codes)
 
-    @pytest.mark.parametrize("workers", [2, 5])
-    def test_event_heavy_case(self, codes, workers):
+    def test_event_heavy_case(self, codes):
         # far probe at weight 3: plenty of decode failures and prefix events
         w, sk = _sketch(codes, seed=9)
         wp = BitString(1 - w.bits)
-        seq = recover_fixed(sk, wp, Fraction(3, 7), *codes)
-        par = recover_fixed_partitioned(sk, wp, Fraction(3, 7), *codes,
-                                        workers=workers)
-        assert seq == par
+        report = recover_fixed(sk, wp, Fraction(3, 7), *codes)
+        assert _counts(report) == scan_report(sk, wp, [3], *codes)
 
     def test_exhausting_case(self, codes):
         inner = codes[0]
@@ -269,7 +269,15 @@ class TestPartitionedEquivalence:
         N = gen_index_vector(7, 40, rng.spawn(2))
         sk = make_sketch(w, N, Fraction(1, 14), params, rng.spawn(3))
         wp = BitString(1 - w.bits)
-        seq = recover_fixed(sk, wp, Fraction(2, 7), inner, outer)
-        par = recover_fixed_partitioned(sk, wp, Fraction(2, 7), inner, outer,
-                                        workers=4)
-        assert seq == par and seq.outcome is None
+        report = recover_fixed(sk, wp, Fraction(2, 7), inner, outer)
+        assert report.outcome is None
+        assert _counts(report) == scan_report(sk, wp, [2], inner, outer)
+
+    def test_sweep_crosses_weight_classes(self, codes):
+        w, sk = _sketch(codes, seed=2003)
+        wp_bits = w.bits.copy()
+        wp_bits[[0, 2, 4, 6]] ^= 1
+        wp = BitString(wp_bits)
+        report = recover_sweep(sk, wp, *codes, max_weight=3)
+        assert report.accepted_weight >= 2
+        assert _counts(report) == scan_report(sk, wp, range(4), *codes)

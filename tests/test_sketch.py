@@ -210,6 +210,39 @@ class TestSketchFile:
         with pytest.raises(SketchFormatError):
             load_sketch(blob + b"\x00")
 
+    def test_bad_utf8_in_rng_id(self):
+        blob = bytearray(dump_sketch(self._make()))
+        blob[32] = 0xFF          # first byte of the rng id after its u16 length
+        with pytest.raises(SketchFormatError) as exc:
+            load_sketch(bytes(blob))
+        assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+
+    def test_bad_code_blob(self):
+        blob = dump_sketch(self._make())
+        bad = blob.replace(b"linear-code v1", b"linear-code v9", 1)
+        with pytest.raises(SketchFormatError) as exc:
+            load_sketch(bad)
+        assert isinstance(exc.value.__cause__, ParameterError)
+
+    def test_out_of_range_index(self):
+        blob = bytearray(dump_sketch(self._make()))
+        first = len(blob) - 4 - 2 * 31   # N sits before the 4 packed ss bytes
+        blob[first:first + 2] = (8).to_bytes(2, "little")   # k* = 7
+        with pytest.raises(SketchFormatError) as exc:
+            load_sketch(bytes(blob))
+        assert isinstance(exc.value.__cause__, ParameterError)
+
+    def test_single_bit_flips_load_or_raise_format_error(self):
+        blob = dump_sketch(self._make())
+        rng = np.random.default_rng(0)
+        for pos in rng.choice(8 * len(blob), size=300, replace=False):
+            flipped = bytearray(blob)
+            flipped[pos // 8] ^= 1 << (pos % 8)
+            try:
+                load_sketch(bytes(flipped))
+            except SketchFormatError:
+                pass
+
     def test_loaded_sketch_still_recovers(self):
         from rvsketch import recover_fixed
         inner = bch_code(4, 2)
