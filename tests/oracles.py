@@ -85,10 +85,24 @@ def min_n_direct_search(delta: int, eps: float, start: int = 1) -> int:
 def scan_report(sk, w_prime, weights, inner, outer):
     """Re-run the recovery loop over the given weights through the public API.
 
-    Uses sample_bits/decode/invert_message and plain python slicing only,
-    independent of the recover module's scanning machinery. Returns
+    Candidates are the weight classes in turn, each in lexicographic order
+    of its support sets (itertools.combinations). Returns
     (iterations, outer_fails, inner_fails, accepted_weight, outcome), the
     last two None when no candidate is accepted.
+    """
+    k_star = sk.params.k_star
+    return scan_supports(sk, w_prime,
+                         ((weight, supp) for weight in weights
+                          for supp in combinations(range(k_star), weight)),
+                         inner, outer)
+
+
+def scan_supports(sk, w_prime, candidates, inner, outer):
+    """The recovery loop over explicit (weight, support) candidates, in order.
+
+    Uses sample_bits/decode/invert_message and plain python slicing only,
+    independent of the recover module's scanning machinery. Returns the
+    same tuple as scan_report.
     """
     from rvsketch import (BitString, decode, invert_message, sample_bits,
                           zero_pad_prefix)
@@ -96,28 +110,27 @@ def scan_report(sk, w_prime, weights, inner, outer):
     p = sk.params
     prefix_len = p.k - p.n_star
     iterations = outer_fails = inner_fails = 0
-    for weight in weights:
-        for supp in combinations(range(p.k_star), weight):
-            iterations += 1
-            bits = w_prime.bits.copy()
-            for j in supp:
-                bits[j] ^= 1
-            we = BitString(bits)
-            phi = sample_bits(we, sk.N)
-            c = decode(outer, sk.ss ^ phi)
-            if c is None:
-                outer_fails += 1
-                continue
-            v_star = invert_message(outer, c)
-            if v_star.prefix(prefix_len).weight != 0:
-                continue
-            v_syn = v_star.suffix(p.n_star)
-            c_star = decode(inner, v_syn ^ zero_pad_prefix(we, p.n_star - p.k_star))
-            if c_star is None:
-                inner_fails += 1
-                continue
-            return (iterations, outer_fails, inner_fails, weight,
-                    invert_message(inner, c_star))
+    for weight, supp in candidates:
+        iterations += 1
+        bits = w_prime.bits.copy()
+        for j in supp:
+            bits[j] ^= 1
+        we = BitString(bits)
+        phi = sample_bits(we, sk.N)
+        c = decode(outer, sk.ss ^ phi)
+        if c is None:
+            outer_fails += 1
+            continue
+        v_star = invert_message(outer, c)
+        if v_star.prefix(prefix_len).weight != 0:
+            continue
+        v_syn = v_star.suffix(p.n_star)
+        c_star = decode(inner, v_syn ^ zero_pad_prefix(we, p.n_star - p.k_star))
+        if c_star is None:
+            inner_fails += 1
+            continue
+        return (iterations, outer_fails, inner_fails, weight,
+                invert_message(inner, c_star))
     return iterations, outer_fails, inner_fails, None, None
 
 

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import first_accepting_candidate, scan_report
+from oracles import first_accepting_candidate, scan_report, scan_supports
 from rvsketch import (BitString, DimensionError, IndexVector, ParameterError,
                       SeededRng, SketchParams, bch_code, enumerate_errors,
                       error_vector_at_rank, gen_index_vector, make_sketch,
@@ -243,8 +243,32 @@ def _counts(report):
             report.outcome)
 
 
-class TestScanOracleEquivalence:
-    def test_accepting_case(self, codes):
+def _merged_chunks(sk, w_prime, weight, inner, outer, parts):
+    """Scan one weight class as `parts` contiguous rank ranges, each rebuilt
+    independently from error_vector_at_rank, and merge them in rank order:
+    counts add up to and including the first range that accepts."""
+    k_star = sk.params.k_star
+    total = math.comb(k_star, weight)
+    cuts = [total * i // parts for i in range(parts + 1)]
+    iterations = outer_fails = inner_fails = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        supports = ((weight, np.flatnonzero(
+            error_vector_at_rank(k_star, weight, r).bits)) for r in range(lo, hi))
+        it, of, inf, aw, out = scan_supports(sk, w_prime, supports, inner, outer)
+        iterations += it
+        outer_fails += of
+        inner_fails += inf
+        if out is not None:
+            return iterations, outer_fails, inner_fails, aw, out
+    return iterations, outer_fails, inner_fails, None, None
+
+
+class TestPartitionedEquivalence:
+    """recover_fixed's report equals the scan_report oracle and the
+    rank-ordered merge of the same weight class split into `parts` ranges."""
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 7])
+    def test_accepting_case(self, codes, parts):
         w, sk = _sketch(codes, seed=3)
         wp_bits = w.bits.copy()
         wp_bits[4] ^= 1
@@ -252,13 +276,16 @@ class TestScanOracleEquivalence:
         report = recover_fixed(sk, wp, Fraction(1, 7), *codes)
         assert report.outcome == w
         assert _counts(report) == scan_report(sk, wp, [1], *codes)
+        assert _counts(report) == _merged_chunks(sk, wp, 1, *codes, parts)
 
-    def test_event_heavy_case(self, codes):
+    @pytest.mark.parametrize("parts", [2, 5])
+    def test_event_heavy_case(self, codes, parts):
         # far probe at weight 3: plenty of decode failures and prefix events
         w, sk = _sketch(codes, seed=9)
         wp = BitString(1 - w.bits)
         report = recover_fixed(sk, wp, Fraction(3, 7), *codes)
         assert _counts(report) == scan_report(sk, wp, [3], *codes)
+        assert _counts(report) == _merged_chunks(sk, wp, 3, *codes, parts)
 
     def test_exhausting_case(self, codes):
         inner = codes[0]
@@ -272,6 +299,7 @@ class TestScanOracleEquivalence:
         report = recover_fixed(sk, wp, Fraction(2, 7), inner, outer)
         assert report.outcome is None
         assert _counts(report) == scan_report(sk, wp, [2], inner, outer)
+        assert _counts(report) == _merged_chunks(sk, wp, 2, inner, outer, 4)
 
     def test_sweep_crosses_weight_classes(self, codes):
         w, sk = _sketch(codes, seed=2003)
