@@ -1,8 +1,9 @@
 """Binary linear codes: BCH and random-generator constructions.
 
 Every code carries a generator matrix G (n x k), a parity-check matrix H
-((n-k) x n) derived from it, and a precomputed left inverse of G for
-message recovery. Codes with t >= 1 get a coset-leader syndrome table at
+((n-k) x n) and a left inverse L of G for message recovery; one GF(2)
+elimination of [G^T | I_k] yields both H and L and rejects a
+rank-deficient G. Codes with t >= 1 get a coset-leader syndrome table at
 construction and decode by table lookup; t = 0 codes decode by exact
 membership. Codewords are BitStrings of length n; position i of a word is
 coefficient x^(i-1) in the polynomial view used by the BCH construction.
@@ -25,66 +26,50 @@ class InversionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# GF(2) dense matrix helpers (uint8 arrays, XOR row ops)
+# GF(2) linear algebra
 
-def gf2_rref(M: np.ndarray, augment: int = 0):
-    """Reduced row echelon form over GF(2).
+def _parity_and_left_inverse(G: np.ndarray):
+    """(H, L) for an n x k generator G, from one elimination of [G^T | I_k].
 
-    Pivots are searched in all but the last `augment` columns; row
-    operations apply to the full width. Returns (R, pivot_cols).
+    Each row of [G^T | I_k] is packed into a Python int (column c -> bit
+    c), and Gauss-Jordan elimination pivots only in the G^T block. The
+    reduced G^T block gives H, one row per non-pivot column f with a 1 at f
+    (so H G = 0); the identity block records the row operations, so its
+    row r is column p_r of L (so L G = I_k). Raises ParameterError when G
+    has rank below k.
     """
-    R = (np.asarray(M, dtype=np.uint8) & 1).copy()
-    rows, cols = R.shape
-    pivot_cols = []
-    r = 0
-    for c in range(cols - augment):
-        hit = np.nonzero(R[r:, c])[0]
-        if hit.size == 0:
-            continue
-        p = r + hit[0]
-        if p != r:
-            R[[r, p]] = R[[p, r]]
-        others = np.nonzero(R[:, c])[0]
-        for o in others:
-            if o != r:
-                R[o] ^= R[r]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    return R, pivot_cols
-
-
-def gf2_rank(M: np.ndarray) -> int:
-    _, pivots = gf2_rref(M)
-    return len(pivots)
-
-
-def gf2_nullspace(A: np.ndarray) -> np.ndarray:
-    """Basis of {x : A x = 0} over GF(2), one vector per row."""
-    A = np.asarray(A, dtype=np.uint8)
-    _, n = A.shape
-    R, pivots = gf2_rref(A)
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.uint8)
-    for idx, f in enumerate(free):
-        basis[idx, f] = 1
-        for r, p in enumerate(pivots):
-            basis[idx, p] = R[r, f]
-    return basis
-
-
-def gf2_left_inverse(G: np.ndarray) -> np.ndarray:
-    """L with L G = I_k for a full-column-rank n x k matrix G."""
     n, k = G.shape
-    aug = np.concatenate([G.T, np.eye(k, dtype=np.uint8)], axis=1)
-    R, pivots = gf2_rref(aug, augment=k)
+    packed = np.packbits(G.T, axis=1, bitorder="little")
+    rows = [int.from_bytes(packed[r].tobytes(), "little") | (1 << (n + r))
+            for r in range(k)]
+    pivots = []
+    for c in range(n):
+        if len(pivots) == k:
+            break
+        bit = 1 << c
+        r = len(pivots)
+        p = next((i for i in range(r, k) if rows[i] & bit), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        for i in range(k):
+            if i != r and rows[i] & bit:
+                rows[i] ^= rows[r]
+        pivots.append(c)
     if len(pivots) != k:
         raise ParameterError("generator matrix is rank deficient")
+    width = (n + k + 7) // 8
+    R = np.unpackbits(
+        np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows),
+                      dtype=np.uint8).reshape(k, width),
+        axis=1, count=n + k, bitorder="little")
+    free = np.setdiff1d(np.arange(n), pivots)
+    H = np.zeros((n - k, n), dtype=np.uint8)
+    H[np.arange(n - k), free] = 1
+    H[:, pivots] = R[:, free].T
     L = np.zeros((k, n), dtype=np.uint8)
-    for r, p in enumerate(pivots):
-        L[:, p] = R[r, n:]
-    return L
+    L[:, pivots] = R[:, n:].T
+    return H, L
 
 
 def _pack_cols(M: np.ndarray) -> np.ndarray:
@@ -191,6 +176,7 @@ class LinearCode:
             raise ParameterError(f"dimension k={k} exceeds blocklength n={n}")
         if t < 0:
             raise ParameterError("decoding radius must be non-negative")
+        self.H, self._L = _parity_and_left_inverse(G)
         self.G = G
         self.n = n
         self.k = k
@@ -198,17 +184,9 @@ class LinearCode:
         self.kind = kind
         self.param = param
         self._d: Optional[int] = None
-        self.H = gf2_nullspace(G.T) if k < n else np.zeros((0, n), dtype=np.uint8)
-        if gf2_rank(G) != k:
-            raise ParameterError("generator matrix is rank deficient")
-        self._L = gf2_left_inverse(G)
         # Packed parity columns drive the int-keyed syndrome fast path;
         # codes with more than 64 check bits fall back to the matrix product.
-        if self.H.shape[0] <= 64:
-            self._h_cols = _pack_cols(self.H) if self.H.shape[0] else np.zeros(
-                n, dtype=np.uint64)
-        else:
-            self._h_cols = None
+        self._h_cols = _pack_cols(self.H) if n - k <= 64 else None
         self.G.flags.writeable = False
         self.H.flags.writeable = False
         self._table: Dict[int, np.ndarray] = {}
@@ -336,8 +314,11 @@ def random_linear_code(n: int, k: int, rng: SeededRng) -> LinearCode:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     while True:
         G = rng.integers(0, 2, size=(n, k), dtype=np.uint8)
-        if gf2_rank(G) == k:
+        try:
             return LinearCode(G, t=0, kind="random", param=rng.seed)
+        except ParameterError:
+            # with t = 0 and k <= n the only rejection is rank deficiency
+            continue
 
 
 def code_from_spec(spec: str, rng: SeededRng) -> LinearCode:

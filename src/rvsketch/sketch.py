@@ -94,6 +94,8 @@ def validate_params(params: SketchParams,
     """Check the parameter ordering and evaluate the advisory predicates.
 
     eps_rec defaults to 2*eps_ss, the worst-case recovery error parameter.
+    When eps_ss lies outside [0, 1/2] the predicates are not evaluated:
+    both are reported as not holding, with NaN sides.
     """
     p = params
     violations = []
@@ -111,6 +113,10 @@ def validate_params(params: SketchParams,
             f"eps_ss = {p.eps_ss} outside [{lo}, {hi}]")
 
     eps_rec = as_fraction(eps_rec) if eps_rec is not None else 2 * p.eps_ss
+    if not 0 <= p.eps_ss <= Fraction(1, 2):
+        # outside the bounds' domain (the range violation is listed above)
+        unevaluated = BoundCheck(False, math.nan, math.nan)
+        return ParamsReport(violations, unevaluated, unevaluated, eps_rec)
     budget = efficiency_bound_check(p.k_star, eps_rec, p.k, p.n_star)
     if p.k > p.n_star:
         floor = error_floor_check(p.n, p.eps_ss, p.k, p.n_star)

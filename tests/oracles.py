@@ -42,6 +42,24 @@ def nearest_codeword(codewords_packed: np.ndarray, word_packed: int, t: int):
     return None
 
 
+def non_pivot_rows(G: np.ndarray) -> list:
+    """Indices of the rows of G that lie in the span of the rows above them.
+
+    The span is grown as an explicit set of vectors, one row at a time.
+    These rows are the non-pivot columns of the reduced echelon form of
+    G^T, and G has rank n minus their count.
+    """
+    span = {0}
+    free = []
+    for i, row in enumerate(G):
+        v = sum(int(b) << j for j, b in enumerate(row))
+        if v in span:
+            free.append(i)
+        else:
+            span |= {s ^ v for s in span}
+    return free
+
+
 def min_distance_exhaustive(G: np.ndarray) -> int:
     """Minimum nonzero codeword weight by scanning every message."""
     cw = all_codewords_matrix(G)

@@ -43,6 +43,15 @@ class TestSketchCommand:
         assert main(_sketch_args(workdir, **{"--eps-ss": "3/10"})) == 2
         assert "eps_ss" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["2/3", "-1/7"])
+    def test_eps_outside_bound_domain(self, workdir, capsys, eps):
+        args = _sketch_args(workdir)
+        i = args.index("--eps-ss")
+        args[i:i + 2] = [f"--eps-ss={eps}"]   # "-1/7" alone reads as a flag
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"parameter violation: eps_ss = {eps} outside [1/14, 1/4]" in err
+
     def test_bad_code_spec(self, workdir):
         assert main(_sketch_args(workdir, **{"--inner": "nonsense"})) == 2
 

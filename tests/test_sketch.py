@@ -1,8 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rvsketch import (BitString, DimensionError, ParameterError, SeededRng,
                       SketchFormatError, SketchParams, bch_code,
@@ -74,6 +77,15 @@ class TestValidateParams:
         params = SketchParams.from_codes(inner, outer, Fraction(3, 10))
         report = validate_params(params)
         assert any("eps_ss" in v for v in report.violations)
+
+    @pytest.mark.parametrize("eps", [Fraction(2, 3), Fraction(-1, 7)])
+    def test_eps_outside_bound_domain_is_listed(self, standard_params, eps):
+        # the default eps_rec = 2 eps_ss leaves binary entropy's [0, 1]
+        report = validate_params(dataclasses.replace(standard_params, eps_ss=eps))
+        assert report.violations == [f"eps_ss = {eps} outside [1/14, 1/4]"]
+        assert not report.error_floor.holds
+        assert not report.enumeration_budget.holds
+        assert report.eps_rec_used == 2 * eps
 
     def test_error_floor_at_2k2(self):
         # n = 2 k*^2 with eps = 1/(2k*): exp(-1) < 1/2, so the floor holds
@@ -163,6 +175,13 @@ class TestMakeSketch:
         with pytest.raises(ParameterError):
             make_sketch(BitString.zeros(7), N, Fraction(3, 10),
                         standard_params, rng)
+
+    @pytest.mark.parametrize("eps", [Fraction(2, 3), Fraction(-1, 7)])
+    def test_eps_outside_bound_domain_rejected(self, standard_params, eps):
+        rng = SeededRng(15)
+        N = gen_index_vector(7, 31, rng)
+        with pytest.raises(ParameterError, match="outside"):
+            make_sketch(BitString.zeros(7), N, eps, standard_params, rng)
 
 
 class TestSketchFile:
@@ -256,3 +275,51 @@ class TestSketchFile:
         report = recover_fixed(sk, w, Fraction(1, 14),
                                sk.params.inner, sk.params.outer)
         assert report.outcome == w
+
+
+def _small_sketch_bytes():
+    inner = bch_code(3, 1)   # [7,4] t*=1
+    outer = bch_code(4, 1)   # [15,11] t=1: cheap to rebuild on every load
+    params = SketchParams.from_codes(inner, outer, Fraction(1, 8))
+    rng = SeededRng(41)
+    w = rng.spawn(1).random_bits(4)
+    N = gen_index_vector(4, 15, rng.spawn(2))
+    return dump_sketch(make_sketch(w, N, Fraction(1, 8), params, rng.spawn(3)))
+
+
+_FUZZ_BASE = _small_sketch_bytes()
+_INNER_G = _FUZZ_BASE.index(b"G: ") + 3
+# same length, G = 0: the inner code blob parses but is rank deficient
+_RANK_DEFICIENT = _FUZZ_BASE[:_INNER_G] + b"0" * 8 + _FUZZ_BASE[_INNER_G + 8:]
+
+
+@st.composite
+def _mutated_sketches(draw):
+    data = bytearray(draw(st.sampled_from([_FUZZ_BASE, _RANK_DEFICIENT])))
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["set", "insert", "delete"]))
+        pos = draw(st.integers(0, len(data)))
+        byte = draw(st.integers(0, 255))
+        if op == "insert":
+            data.insert(pos, byte)
+        elif pos < len(data):
+            if op == "set":
+                data[pos] = byte
+            else:
+                del data[pos]
+    return bytes(data)
+
+
+class TestSketchFuzz:
+    def test_rank_deficient_code_blob(self):
+        with pytest.raises(SketchFormatError, match="rank deficient"):
+            load_sketch(_RANK_DEFICIENT)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mutated_sketches())
+    @example(_FUZZ_BASE)
+    def test_byte_mutations_load_or_raise_format_error(self, blob):
+        try:
+            load_sketch(blob)
+        except SketchFormatError:
+            pass
