@@ -1,4 +1,5 @@
-"""Fixed-length binary strings and the deterministic randomness contract.
+"""Fixed-length binary strings, fixed-weight supports and the deterministic
+randomness contract.
 
 Bit positions are 1-based in every public interface (``bit(1)`` is the
 leftmost bit, matching the text rendering). Internal storage is a numpy
@@ -7,8 +8,10 @@ uint8 array indexed from zero.
 
 from __future__ import annotations
 
+import functools
+import math
 import re
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -162,6 +165,94 @@ def zero_pad_prefix(s: BitString, pad_len: int) -> BitString:
     out = np.zeros(pad_len + len(s), dtype=np.uint8)
     out[pad_len:] = s.bits
     return BitString._wrap(out)
+
+
+# ---------------------------------------------------------------------------
+# Fixed-weight supports in lexicographic order
+
+_CLASS_ROWS = 1 << 15   # weight classes up to this size are built whole and cached
+
+
+@functools.lru_cache(maxsize=128)
+def _lex_class(n: int, weight: int) -> np.ndarray:
+    """All C(n, weight) supports over range(n), lexicographic, read-only.
+
+    Built level by level: each row is extended by every larger position
+    that still leaves room for the remaining ones, which keeps the order.
+    """
+    cols = []
+    last = np.full(1, -1, dtype=np.intp)
+    for level in range(weight):
+        counts = n - weight + level - last
+        parent = np.repeat(np.arange(last.size), counts)
+        first = np.cumsum(counts) - counts
+        last = last[parent] + 1 + np.arange(parent.size) - first[parent]
+        cols = [c[parent] for c in cols] + [last]
+    rows = np.empty((last.size, weight), dtype=np.min_scalar_type(n))
+    for j, col in enumerate(cols):
+        rows[:, j] = col
+    rows.flags.writeable = False
+    return rows
+
+
+def lex_supports(n: int, weight: int, start: int = 0) -> Iterator[np.ndarray]:
+    """Supports of the given weight over range(n), from rank `start` on.
+
+    Rows hold sorted 0-based positions in lexicographic order (the order of
+    itertools.combinations) and come in blocks of at most 2^15 rows. A
+    class too large to build whole is split by its first position, so any
+    rank is reached exactly however large C(n, weight) is.
+    """
+    if math.comb(n, weight) <= _CLASS_ROWS:
+        yield _lex_class(n, weight)[start:]
+        return
+    for a in range(n - weight + 1):
+        size = math.comb(n - a - 1, weight - 1)
+        if start >= size:
+            start -= size
+            continue
+        for sub in lex_supports(n - a - 1, weight - 1, start):
+            block = np.empty((len(sub), weight), dtype=np.min_scalar_type(n))
+            block[:, 0] = a
+            block[:, 1:] = sub
+            block[:, 1:] += a + 1
+            yield block
+        start = 0
+
+
+def support_batches(n: int, weights: Sequence[int], rows: int) -> Iterator[np.ndarray]:
+    """The supports of each weight class in turn, `rows` at a time.
+
+    Rows are padded to max(weights) columns with the sentinel n, so a table
+    with an extra zero row at index n gathers every row alike, and the
+    weight of a row is its count of entries below n. Batches run across
+    weight classes; only the last one may be short.
+    """
+    width = max(weights, default=0)
+    dtype = np.min_scalar_type(n)
+    pending, count = [], 0
+    for weight in weights:
+        for block in lex_supports(n, weight):
+            padded = np.full((len(block), width), n, dtype=dtype)
+            padded[:, :weight] = block
+            pending.append(padded)
+            count += len(padded)
+            while count >= rows:
+                merged = np.concatenate(pending)
+                yield merged[:rows]
+                pending, count = [merged[rows:]], count - rows
+    if count:
+        yield np.concatenate(pending)
+
+
+def xor_gather(table: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Row b is the XOR of table[j] over the entries j of supports[b].
+
+    table is (rows, words) packed uint64; padded supports need a zero row
+    at their sentinel index.
+    """
+    # gathered as (width, rows, words), so the reduction runs over whole slices
+    return np.bitwise_xor.reduce(np.take(table, supports.T, axis=0), axis=0)
 
 
 RNG_ALGO_ID = "numpy-philox4x64"

@@ -17,8 +17,9 @@ from .codes import code_from_spec
 from .experiments import ExperimentConfig, run_experiment
 from .lsh import gen_index_vector
 from .recover import RecoveryReport, recover_fixed, recover_sweep
-from .sketch import (SketchFormatError, SketchParams, load_sketch_file,
-                     make_sketch, save_sketch, validate_params)
+from .sketch import (SketchFormatError, SketchParams, eps_rec_violation,
+                     load_sketch_file, make_sketch, save_sketch,
+                     validate_params)
 
 EXIT_OK = 0
 EXIT_RECOVERY_FAILED = 1
@@ -142,6 +143,10 @@ def cmd_bounds(args) -> int:
     k_star, n_star, k, n = args.k_star, args.n_star, args.k, args.n
     eps_ss = args.eps_ss
     eps_rec = args.eps_rec if args.eps_rec is not None else 2 * eps_ss
+    problem = None if args.eps_rec is None else eps_rec_violation(k_star, eps_rec)
+    if problem:
+        print(f"parameter violation: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     rows = []
 
     rows.append(("k_star", k_star))

@@ -3,22 +3,28 @@
 Every code carries a generator matrix G (n x k), a parity-check matrix H
 ((n-k) x n) and a left inverse L of G for message recovery; one GF(2)
 elimination of [G^T | I_k] yields both H and L and rejects a
-rank-deficient G. Codes with t >= 1 get a coset-leader syndrome table at
-construction and decode by table lookup; t = 0 codes decode by exact
-membership. Codewords are BitStrings of length n; position i of a word is
-coefficient x^(i-1) in the polynomial view used by the BCH construction.
+rank-deficient G. The columns of H and L are also kept packed, each as
+ceil(rows/64) uint64 words (row i -> bit i % 64 of word i // 64), so a
+syndrome or a message is an XOR of packed columns at any width.
+
+Every code gets one coset-leader table at construction, built vectorized
+over all patterns of weight <= t: the sorted syndrome keys, each with its
+leader's support and the packed L * leader. A t = 0 code's table is {0},
+so decoding is exact membership. Lookup is a searchsorted on the keys; it
+serves the public decode and, a whole batch of syndromes at a time, the
+recovery scan. Codewords are BitStrings of length n; position i of a word
+is coefficient x^(i-1) in the polynomial view used by the BCH construction.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from .bitcore import (BitString, CapacityError, DimensionError,
-                      ParameterError, SeededRng)
+                      ParameterError, SeededRng, support_batches, xor_gather)
 
 
 class InversionError(ValueError):
@@ -63,7 +69,9 @@ def _parity_and_left_inverse(G: np.ndarray):
         np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows),
                       dtype=np.uint8).reshape(k, width),
         axis=1, count=n + k, bitorder="little")
-    free = np.setdiff1d(np.arange(n), pivots)
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     H = np.zeros((n - k, n), dtype=np.uint8)
     H[np.arange(n - k), free] = 1
     H[:, pivots] = R[:, free].T
@@ -73,12 +81,31 @@ def _parity_and_left_inverse(G: np.ndarray):
 
 
 def _pack_cols(M: np.ndarray) -> np.ndarray:
-    """Pack each column of a 0/1 matrix into a uint64 (row i -> bit i)."""
+    """Each column of a 0/1 matrix as ceil(rows/64) uint64 words, at least one.
+
+    Row i lands in bit i % 64 of word i // 64. Returns (cols + 1, words):
+    the extra last row is zero, so supports padded with the sentinel
+    index cols gather from it like any other row.
+    """
     rows, cols = M.shape
-    if rows > 64:
-        raise CapacityError("packed columns limited to 64 rows")
-    weights = (np.uint64(1) << np.arange(rows, dtype=np.uint64))
-    return (M.astype(np.uint64).T * weights).sum(axis=1, dtype=np.uint64)
+    words = max(1, -(-rows // 64))
+    packed = np.zeros((cols + 1, 8 * words), dtype=np.uint8)
+    packed[:cols, :(rows + 7) // 8] = np.packbits(M.T, axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64)
+
+
+def _xor_rows(cols: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """XOR of the packed rows cols[i] over the set bits i of a word (m,),
+    or of each word of a batch (B, m)."""
+    return np.bitwise_xor.reduce(
+        np.where(bits[..., None] != 0, cols[:bits.shape[-1]], np.uint64(0)),
+        axis=-2)
+
+
+def _unpack(packed: np.ndarray, length: int) -> np.ndarray:
+    """The first `length` bits of packed words (..., words), as uint8 0/1."""
+    return np.unpackbits(packed.astype("<u8", copy=False).view(np.uint8),
+                         axis=-1, count=length, bitorder="little")
 
 
 # ---------------------------------------------------------------------------
@@ -184,19 +211,29 @@ class LinearCode:
         self.kind = kind
         self.param = param
         self._d: Optional[int] = None
-        # Packed parity columns drive the int-keyed syndrome fast path;
-        # codes with more than 64 check bits fall back to the matrix product.
-        self._h_cols = _pack_cols(self.H) if n - k <= 64 else None
+        self._h_cols = _pack_cols(self.H)
+        self._l_cols = _pack_cols(self._L)
         self.G.flags.writeable = False
         self.H.flags.writeable = False
-        self._table: Dict[int, np.ndarray] = {}
-        if t > 0:
-            self._build_table()
+        self._build_table()
 
     # -- construction internals ------------------------------------------
 
     def _build_table(self):
+        """Sorted syndrome keys with their leaders' supports and packed L * leader.
+
+        Keys hold the first syndrome word only: a table with a nonzero key
+        has n-k <= 24, and a t = 0 table is {0}, so every syndrome with a
+        nonzero higher word misses.
+        """
         n, r, t = self.n, self.n - self.k, self.t
+        if t == 0:
+            # the table {0}, without the batch machinery: fresh random codes
+            # are built once per use, so their construction cost counts
+            self._keys = np.zeros(1, dtype=np.uint64)
+            self._leaders = np.zeros((1, 0), dtype=np.uint8)
+            self._leader_msgs = np.zeros((1, self._l_cols.shape[1]), dtype=np.uint64)
+            return
         if r > 24:
             raise CapacityError(
                 f"coset-leader table needs n-k <= 24, got {r}")
@@ -204,50 +241,45 @@ class LinearCode:
         if total > _TABLE_PATTERN_CAP:
             raise CapacityError(
                 f"{total} correctable patterns exceed the table cap")
-        cols = [int(c) for c in self._h_cols]
-        table: Dict[int, np.ndarray] = {}
-        for w in range(t + 1):
-            for supp in combinations(range(n), w):
-                s = 0
-                for j in supp:
-                    s ^= cols[j]
-                if s in table:
-                    raise ParameterError(
-                        f"radius {t} exceeds the code's packing: syndrome collision")
-                leader = np.zeros(n, dtype=np.uint8)
-                leader[list(supp)] = 1
-                leader.flags.writeable = False
-                table[s] = leader
-        self._table = table
+        leaders = next(support_batches(n, range(t + 1), total))
+        syn = xor_gather(self._h_cols, leaders)[:, 0]   # one word: n-k <= 24
+        order = np.argsort(syn, kind="stable")
+        self._keys = syn[order]
+        if (self._keys[1:] == self._keys[:-1]).any():
+            raise ParameterError(
+                f"radius {t} exceeds the code's packing: syndrome collision")
+        self._leaders = leaders[order]
+        self._leader_msgs = xor_gather(self._l_cols, self._leaders)
 
-    # -- array-level fast paths (used by the recovery loop) ---------------
+    # -- array-level paths (shared with the recovery scan) -----------------
 
-    def _syndrome_int(self, word_bits: np.ndarray) -> int:
-        if self.H.shape[0] == 0:
-            return 0
-        sel = self._h_cols[word_bits.view(np.bool_)]
-        if sel.size == 0:
-            return 0
-        return int(np.bitwise_xor.reduce(sel))
+    def _syndromes(self, words: np.ndarray) -> np.ndarray:
+        """Packed H * word for a word (n,) or each row of words (B, n)."""
+        return _xor_rows(self._h_cols, words)
+
+    def _lookup(self, syn: np.ndarray):
+        """(hit, row) per packed syndrome row of syn: whether it is in the
+        table, and if so its row of the leader arrays."""
+        row = np.searchsorted(self._keys, syn[:, 0])
+        np.minimum(row, self._keys.size - 1, out=row)
+        hit = self._keys[row] == syn[:, 0]
+        if syn.shape[1] > 1:
+            hit &= ~syn[:, 1:].any(axis=1)
+        return hit, row
 
     def _is_codeword_bits(self, word_bits: np.ndarray) -> bool:
-        if self._h_cols is not None:
-            return self._syndrome_int(word_bits) == 0
-        return not ((self.H @ word_bits.astype(np.int64)) & 1).any()
+        return not self._syndromes(word_bits).any()
 
     def _decode_bits(self, word_bits: np.ndarray) -> Optional[np.ndarray]:
-        if self.t == 0:
-            return word_bits if self._is_codeword_bits(word_bits) else None
-        s = self._syndrome_int(word_bits)
-        if s == 0:
-            return word_bits
-        leader = self._table.get(s)
-        if leader is None:
+        hit, row = self._lookup(self._syndromes(word_bits)[None])
+        if not hit[0]:
             return None
-        return word_bits ^ leader
+        flip = np.zeros(self.n + 1, dtype=np.uint8)
+        flip[self._leaders[row[0]]] = 1
+        return word_bits ^ flip[:self.n]
 
     def _invert_bits(self, codeword_bits: np.ndarray) -> np.ndarray:
-        return ((self._L @ codeword_bits.astype(np.int64)) & 1).astype(np.uint8)
+        return _unpack(_xor_rows(self._l_cols, codeword_bits), self.k)
 
     # -- misc --------------------------------------------------------------
 
@@ -259,6 +291,8 @@ class LinearCode:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCode):
             return NotImplemented
+        if self is other:
+            return True
         return (self.t == other.t and self.kind == other.kind
                 and np.array_equal(self.G, other.G))
 
@@ -384,7 +418,7 @@ def codewords_packed(code: LinearCode) -> np.ndarray:
         raise CapacityError(f"codeword enumeration guarded at k <= 20, got {code.k}")
     if code.n > 64:
         raise CapacityError("packed enumeration limited to n <= 64")
-    g_cols = _pack_cols(code.G)
+    g_cols = _pack_cols(code.G)[:, 0]
     out = np.zeros(1 << code.k, dtype=np.uint64)
     v = np.uint64(0)
     for i in range(1, 1 << code.k):
@@ -403,7 +437,7 @@ def min_distance_bruteforce(code: LinearCode) -> int:
 
 # ---------------------------------------------------------------------------
 # Serialization: header plus a row-major hex dump of G. H, the left inverse
-# and the decode table are reconstructed on load.
+# and the coset-leader table are reconstructed on load.
 
 def code_to_text(code: LinearCode) -> str:
     g_hex = np.packbits(code.G.reshape(-1), bitorder="little").tobytes().hex()

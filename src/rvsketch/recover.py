@@ -9,6 +9,14 @@ identical inputs always yield identical reports. A zero-prefix pass whose
 inner decode fails is counted as an observed false accept; a completed
 recovery of a wrong secret cannot be detected here and is only measurable
 by an experiment holding the ground truth.
+
+Everything up to each coset-table lookup is GF(2)-linear in the candidate,
+so the scan is vectorized: the supports of the whole weight schedule, in
+scan order, run in batches, and a candidate's outer syndrome and message
+are XORs of packed per-source-position columns built once per call. The
+outer lookup, the zero-prefix mask and the inner lookup then run on whole
+batches. The scalar per-candidate attempt is kept only to confirm the
+first candidate that passes all three, and it yields the recovered secret.
 """
 
 from __future__ import annotations
@@ -16,16 +24,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import combinations
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .analysis import RationalLike, as_fraction
-from .bitcore import BitString, DimensionError, ParameterError
-from .codes import LinearCode
-from .sketch import Sketch
+from .bitcore import (BitString, DimensionError, ParameterError,
+                      lex_supports, support_batches, xor_gather)
+from .codes import LinearCode, _unpack
+from .sketch import Sketch, eps_rec_violation
 
 
 @dataclass
@@ -67,28 +74,11 @@ def enumerate_errors(k_star: int, weight: int) -> Iterator[BitString]:
     """
     if not 0 <= weight <= k_star:
         raise ParameterError(f"weight {weight} outside [0, {k_star}]")
-    for supp in combinations(range(k_star), weight):
-        out = np.zeros(k_star, dtype=np.uint8)
-        out[list(supp)] = 1
-        yield BitString._wrap(out)
-
-
-def _support_at_rank(k_star: int, weight: int, rank: int) -> List[int]:
-    """Support (0-based, sorted) of the rank-th vector in enumeration order."""
-    supp = []
-    start = 0
-    rest = rank
-    for i in range(weight):
-        for pos in range(start, k_star):
-            block = math.comb(k_star - pos - 1, weight - i - 1)
-            if rest < block:
-                supp.append(pos)
-                start = pos + 1
-                break
-            rest -= block
-        else:
-            raise ParameterError("rank out of range")
-    return supp
+    for block in lex_supports(k_star, weight):
+        for supp in block:
+            out = np.zeros(k_star, dtype=np.uint8)
+            out[supp] = 1
+            yield BitString._wrap(out)
 
 
 def error_vector_at_rank(k_star: int, weight: int, rank: int) -> BitString:
@@ -98,21 +88,31 @@ def error_vector_at_rank(k_star: int, weight: int, rank: int) -> BitString:
     if not 0 <= rank < math.comb(k_star, weight):
         raise ParameterError("rank out of range")
     out = np.zeros(k_star, dtype=np.uint8)
-    if weight:
-        out[_support_at_rank(k_star, weight, rank)] = 1
+    out[next(lex_supports(k_star, weight, rank))[0]] = 1
     return BitString._wrap(out)
 
 
 # ---------------------------------------------------------------------------
-# Core loop
+# Core scan
 
 _OUTER_FAIL, _REJECT, _INNER_FAIL, _ACCEPT = range(4)
 
+_BATCH_ROWS = 1 << 15   # candidates per vectorized batch
+
 
 class _Pipeline:
-    """Precomputed read-only state shared by every candidate attempt."""
+    """Per-call state: the packed linear maps of the scan, and the scalar
+    attempt that confirms its accept.
 
-    def __init__(self, sk: Sketch, inner: LinearCode, outer: LinearCode):
+    With c'0 = ss xor sample_bits(w'), a candidate e' has outer word
+    c'0 xor S e', where S is the 0/1 sampling matrix of N. So its outer
+    syndrome is s0 xor (H S) e' and, once the syndrome's leader is known,
+    its message is v0 xor (L S) e' xor L leader: an XOR of `weight`
+    packed columns plus two table lookups.
+    """
+
+    def __init__(self, sk: Sketch, wp_bits: np.ndarray, inner: LinearCode,
+                 outer: LinearCode):
         p = sk.params
         if inner != p.inner or outer != p.outer:
             raise ParameterError("code handles inconsistent with the sketch params")
@@ -123,6 +123,19 @@ class _Pipeline:
         self.inner_pad = np.zeros(p.n_star - p.k_star, dtype=np.uint8)
         self.inner = inner
         self.outer = outer
+        self.wp_bits = wp_bits
+        c0 = np.flatnonzero(self.ss_bits ^ wp_bits[self.idx0])[None]
+        self.s0 = xor_gather(outer._h_cols, c0)[0]
+        self.v0 = xor_gather(outer._l_cols, c0)[0]
+        # row j: the XOR of the code's columns at every position sampling
+        # source bit j; row k* stays zero for the padding sentinel
+        self.hs = np.zeros((self.k_star + 1, outer._h_cols.shape[1]), np.uint64)
+        np.bitwise_xor.at(self.hs, self.idx0, outer._h_cols[:-1])
+        self.ls = np.zeros((self.k_star + 1, outer._l_cols.shape[1]), np.uint64)
+        np.bitwise_xor.at(self.ls, self.idx0, outer._l_cols[:-1])
+        self.prefix_mask = np.frombuffer(
+            ((1 << self.prefix_len) - 1).to_bytes(8 * self.ls.shape[1], "little"),
+            dtype="<u8")
 
     def attempt(self, we_bits: np.ndarray) -> Tuple[int, Optional[np.ndarray]]:
         phi = we_bits[self.idx0]
@@ -140,24 +153,46 @@ class _Pipeline:
             return _INNER_FAIL, None
         return _ACCEPT, self.inner._invert_bits(c_star)
 
+    def candidates(self, supports: np.ndarray) -> np.ndarray:
+        """w' xor e' for each padded support row."""
+        e = np.zeros((len(supports), self.k_star + 1), dtype=np.uint8)
+        e[np.arange(len(supports))[:, None], supports] = 1
+        return self.wp_bits ^ e[:, :self.k_star]
 
-def _scan_weight(pipe: _Pipeline, wp_bits: np.ndarray, weight: int):
-    """Scan one weight class in rank order, stopping at the first acceptance.
+    def inner_decodes(self, v: np.ndarray, we: np.ndarray) -> np.ndarray:
+        """Whether the inner code decodes each zero-prefix message row of v."""
+        corrupted = _unpack(v, self.outer.k)[:, self.prefix_len:]
+        corrupted[:, self.inner_pad.size:] ^= we
+        return self.inner._lookup(self.inner._syndromes(corrupted))[0]
 
-    Returns (w_bits or None, scanned, outer_fails, inner_fails).
+
+def _scan(pipe: _Pipeline, weights: Sequence[int]):
+    """The whole weight schedule in scan order, batch by batch, up to the
+    first accept.
+
+    Returns (w_bits or None, scanned, outer_fails, inner_fails, weight).
     """
-    outer_fails = inner_fails = scanned = 0
-    for scanned, supp in enumerate(combinations(range(pipe.k_star), weight), 1):
-        we = wp_bits.copy()
-        we[list(supp)] ^= 1
-        status, w_bits = pipe.attempt(we)
-        if status == _ACCEPT:
-            return w_bits, scanned, outer_fails, inner_fails
-        if status == _OUTER_FAIL:
-            outer_fails += 1
-        elif status == _INNER_FAIL:
-            inner_fails += 1
-    return None, scanned, outer_fails, inner_fails
+    outer, k_star = pipe.outer, pipe.k_star
+    scanned = outer_fails = inner_fails = 0
+    for supports in support_batches(k_star, weights, _BATCH_ROWS):
+        hit, row = outer._lookup(pipe.s0 ^ xor_gather(pipe.hs, supports))
+        v = pipe.v0 ^ xor_gather(pipe.ls, supports) ^ outer._leader_msgs[row]
+        survivors = np.flatnonzero(hit & ~(v & pipe.prefix_mask).any(axis=1))
+        we = pipe.candidates(supports[survivors])
+        decoded = pipe.inner_decodes(v[survivors], we)
+        if not decoded.any():
+            scanned += len(supports)
+            outer_fails += len(supports) - int(np.count_nonzero(hit))
+            inner_fails += len(survivors)
+            continue
+        first = int(np.argmax(decoded))   # every earlier survivor failed inner
+        at = int(survivors[first])
+        status, w_bits = pipe.attempt(we[first])
+        assert status == _ACCEPT, "scan and scalar attempt disagree"
+        return (w_bits, scanned + at + 1,
+                outer_fails + at - int(np.count_nonzero(hit[:at])),
+                inner_fails + first, int(np.count_nonzero(supports[at] < k_star)))
+    return None, scanned, outer_fails, inner_fails, None
 
 
 def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
@@ -167,18 +202,12 @@ def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
     k_star = sk.params.k_star
     if len(w_prime) != k_star:
         raise DimensionError(f"w' length {len(w_prime)} != k* = {k_star}")
-    pipe = _Pipeline(sk, inner, outer)
-    iterations = ofail_total = ifail_total = 0
-    outcome = accepted_weight = None
-    for weight in weights:
-        w_bits, scanned, ofail, ifail = _scan_weight(pipe, w_prime.bits, weight)
-        iterations += scanned
-        ofail_total += ofail
-        ifail_total += ifail
-        if w_bits is not None:
-            outcome = BitString._wrap(np.ascontiguousarray(w_bits, dtype=np.uint8))
-            accepted_weight = weight
-            break
+    pipe = _Pipeline(sk, w_prime.bits, inner, outer)
+    w_bits, iterations, ofail_total, ifail_total, accepted_weight = \
+        _scan(pipe, weights)
+    outcome = None
+    if w_bits is not None:
+        outcome = BitString._wrap(np.ascontiguousarray(w_bits, dtype=np.uint8))
     assert iterations <= sum(math.comb(k_star, w) for w in weights), \
         "enumeration overran its counting bound"
     return RecoveryReport(
@@ -202,9 +231,9 @@ def recover_fixed(sk: Sketch, w_prime: BitString, eps_rec: RationalLike,
     """
     k_star = sk.params.k_star
     eps = as_fraction(eps_rec)
-    lo, hi = Fraction(1, 2 * k_star), Fraction(1, 2)
-    if not lo <= eps <= hi:
-        raise ParameterError(f"eps_rec = {eps} outside [{lo}, {hi}]")
+    problem = eps_rec_violation(k_star, eps)
+    if problem:
+        raise ParameterError(problem)
     return _recover(sk, w_prime, inner, outer, [int(k_star * eps)])
 
 

@@ -89,13 +89,27 @@ class ParamsReport:
         return not self.violations
 
 
+def eps_rec_violation(k_star: int, eps_rec: Fraction) -> Optional[str]:
+    """Why eps_rec is out of range, or None.
+
+    recover_fixed scans the weight floor(k* eps_rec), which needs eps_rec
+    in [1/(2k*), 1/2].
+    """
+    lo, hi = Fraction(1, 2 * k_star), Fraction(1, 2)
+    if lo <= eps_rec <= hi:
+        return None
+    return f"eps_rec = {eps_rec} outside [{lo}, {hi}]"
+
+
 def validate_params(params: SketchParams,
                     eps_rec: Optional[RationalLike] = None) -> ParamsReport:
     """Check the parameter ordering and evaluate the advisory predicates.
 
-    eps_rec defaults to 2*eps_ss, the worst-case recovery error parameter.
-    When eps_ss lies outside [0, 1/2] the predicates are not evaluated:
-    both are reported as not holding, with NaN sides.
+    eps_rec defaults to 2*eps_ss, the worst-case recovery error parameter;
+    an explicit eps_rec outside [1/(2k*), 1/2] is listed as a violation.
+    When eps_ss lies outside [0, 1/2] or eps_rec outside [0, 1] the
+    predicates are not evaluated: both are reported as not holding, with
+    NaN sides.
     """
     p = params
     violations = []
@@ -112,8 +126,14 @@ def validate_params(params: SketchParams,
         violations.append(
             f"eps_ss = {p.eps_ss} outside [{lo}, {hi}]")
 
-    eps_rec = as_fraction(eps_rec) if eps_rec is not None else 2 * p.eps_ss
-    if not 0 <= p.eps_ss <= Fraction(1, 2):
+    if eps_rec is None:
+        eps_rec = 2 * p.eps_ss
+    else:
+        eps_rec = as_fraction(eps_rec)
+        problem = eps_rec_violation(p.k_star, eps_rec)
+        if problem:
+            violations.append(problem)
+    if not (0 <= p.eps_ss <= Fraction(1, 2) and 0 <= eps_rec <= 1):
         # outside the bounds' domain (the range violation is listed above)
         unevaluated = BoundCheck(False, math.nan, math.nan)
         return ParamsReport(violations, unevaluated, unevaluated, eps_rec)

@@ -128,6 +128,13 @@ class TestBoundsCommand:
         assert main(self.ARGS + ["--xi", "1/7"]) == 0
         assert "t_max" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("eps", ["3/2", "-1/7"])
+    def test_eps_rec_outside_bound_domain(self, capsys, eps):
+        assert main(self.ARGS + [f"--eps-rec={eps}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"parameter violation: eps_rec = {eps} outside [1/14, 1/2]" in captured.err
+
 
 class TestExperimentCommand:
     def test_lsh_smoke(self, workdir, capsys):

@@ -1,5 +1,6 @@
 import hashlib
-from itertools import combinations
+import math
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -122,6 +123,47 @@ class TestElimination:
                                               dtype=np.uint8))):
             draws += 1
         assert draws > 1 and len(calls) == draws
+
+
+class TestCosetTable:
+    """The packed coset-leader table against brute force: every pattern of
+    weight <= t, enumerated independently, maps to itself and to L * itself."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_every_bch_table_matches_brute_force(self, m):
+        built = 0
+        for t in range(1, 2 ** (m - 1)):
+            try:
+                c = bch_code(m, t)
+            except CapacityError:   # n-k > 24: no table
+                continue
+            built += 1
+            h_cols = pack_rows(c.H.T)   # column j of H as one packed word
+            l_cols = pack_rows(c._L.T)
+            total = 0
+            for w in range(t + 1):
+                count = math.comb(c.n, w)
+                total += count
+                pats = np.fromiter(chain.from_iterable(combinations(range(c.n), w)),
+                                   dtype=np.intp, count=count * w).reshape(count, w)
+                syn = np.bitwise_xor.reduce(h_cols[pats], axis=1)
+                msg = np.bitwise_xor.reduce(l_cols[pats], axis=1)
+                hit, row = c._lookup(syn[:, None])
+                assert hit.all()
+                assert np.array_equal(c._leaders[row, :w], pats)
+                assert (c._leaders[row, w:] == c.n).all()
+                assert np.array_equal(c._leader_msgs[row, 0], msg)
+            assert c._keys.size == total
+        assert built == {3: 3, 4: 7, 5: 5, 6: 4}[m]
+
+    def test_radius_beyond_packing_is_a_collision(self, bch15):
+        with pytest.raises(ParameterError, match="syndrome collision"):
+            LinearCode(bch15.G, 3, "bch")
+
+    def test_zero_radius_table_is_zero_only(self, hamming7):
+        c = LinearCode(hamming7.G, 0, "bch")
+        assert c._keys.tolist() == [0] and c._leaders.shape == (1, 0)
+        assert decode(c, _flip(encode(c, BitString("1011")), (2,))) is None
 
 
 class TestRandomCode:
@@ -306,7 +348,7 @@ class TestSerialization:
         again = code_from_text(code_to_text(bch31))
         assert again == bch31
         assert np.array_equal(again.H, bch31.H)
-        assert again._table.keys() == bch31._table.keys()
+        assert np.array_equal(again._keys, bch31._keys)
 
     def test_random_round_trip(self):
         c = random_linear_code(14, 6, SeededRng(16))

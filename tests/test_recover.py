@@ -1,15 +1,19 @@
 import math
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import first_accepting_candidate, scan_report, scan_supports
 from rvsketch import (BitString, DimensionError, IndexVector, ParameterError,
                       SeededRng, SketchParams, bch_code, enumerate_errors,
                       error_vector_at_rank, gen_index_vector, make_sketch,
                       random_linear_code, recover_fixed, recover_sweep)
+from rvsketch import recover
 
 
 @pytest.fixture(scope="module")
@@ -309,3 +313,130 @@ class TestPartitionedEquivalence:
         report = recover_sweep(sk, wp, *codes, max_weight=3)
         assert report.accepted_weight >= 2
         assert _counts(report) == scan_report(sk, wp, range(4), *codes)
+
+
+def _decoy_case(s):
+    """decoy_fresh_codes-shaped: random [10,8] inner, square random [13,13]
+    outer (so every candidate reaches the prefix test), complement probe
+    scanned at weight 3 (C(8,3) = 56 candidates)."""
+    inner = random_linear_code(10, 8, SeededRng(1))
+    outer = random_linear_code(13, 13, SeededRng(100 + s))
+    params = SketchParams.from_codes(inner, outer, Fraction(1, 16))
+    w = SeededRng(200 + s).random_bits(8)
+    N = gen_index_vector(8, 13, SeededRng(300 + s))
+    sk = make_sketch(w, N, Fraction(1, 16), params, SeededRng(400 + s))
+    return sk, BitString(1 - w.bits), inner, outer
+
+
+@st.composite
+def _scan_cases(draw):
+    """A sketch, a probe and a weight schedule over one of four code shapes."""
+    shape = draw(st.sampled_from(["square", "random", "bch", "wide"]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = SeededRng(seed)
+    if shape == "bch":
+        inner = bch_code(4, 2)
+        outer = bch_code(*draw(st.sampled_from([(5, 3), (6, 2), (6, 1)])))
+    else:
+        k_star = draw(st.integers(3, 8))
+        inner = random_linear_code(k_star + draw(st.integers(0, 2)), k_star,
+                                   rng.spawn(1))
+        if shape == "wide":   # message and check words both span two uint64s
+            n, k = 140, 70
+        else:
+            k = inner.n + draw(st.integers(1, 4))
+            n = k if shape == "square" else k + draw(st.integers(1, 12))
+        outer = random_linear_code(n, k, rng.spawn(2))
+    k_star = inner.k
+    params = SketchParams.from_codes(inner, outer, Fraction(1, 2 * k_star))
+    w = rng.spawn(3).random_bits(k_star)
+    N = gen_index_vector(k_star, outer.n, rng.spawn(4))
+    sk = make_sketch(w, N, Fraction(1, 2 * k_star), params, rng.spawn(5))
+    if draw(st.booleans()):
+        probe = BitString(1 - w.bits)   # far: mostly exhausting scans
+    else:
+        bits = w.bits.copy()
+        bits[list(draw(st.sets(st.integers(0, k_star - 1), max_size=3)))] ^= 1
+        probe = BitString(bits)
+    top = min(3, k_star // 2)
+    if draw(st.booleans()):
+        weights = [draw(st.integers(1, top))]
+    else:
+        weights = list(range(top + 1))
+    return sk, probe, weights, inner, outer
+
+
+class TestScanAgainstOracle:
+    """The vectorized scan's reports equal the scalar scan_report oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_scan_cases(), st.sampled_from([1, 2, 3, 7, 1 << 15]))
+    def test_reports_match_the_oracle(self, case, rows):
+        sk, probe, weights, inner, outer = case
+        with mock.patch.object(recover, "_BATCH_ROWS", rows):
+            if weights[0]:   # a sweep starts at weight 0
+                eps = Fraction(weights[0], sk.params.k_star)
+                report = recover_fixed(sk, probe, eps, inner, outer)
+            else:
+                report = recover_sweep(sk, probe, inner, outer,
+                                       max_weight=weights[-1])
+        assert _counts(report) == scan_report(sk, probe, weights, inner, outer)
+
+    @pytest.mark.parametrize("rows", [1, 2, 5, 31, 32, 33])
+    def test_accepts_on_and_across_batch_boundaries(self, codes, rows, monkeypatch):
+        # sweep accepting at candidate 32 of 64 (weight 3, after 29 earlier)
+        w, sk = _sketch(codes, seed=2003)
+        wp_bits = w.bits.copy()
+        wp_bits[[0, 2, 4, 6]] ^= 1
+        wp = BitString(wp_bits)
+        monkeypatch.setattr(recover, "_BATCH_ROWS", rows)
+        report = recover_sweep(sk, wp, *codes, max_weight=3)
+        assert report.accepted_weight == 3
+        assert _counts(report) == scan_report(sk, wp, range(4), *codes)
+
+    @pytest.mark.parametrize("s", [0, 5])
+    def test_decoy_shaped_scans(self, s):
+        sk, probe, inner, outer = _decoy_case(s)
+        report = recover_fixed(sk, probe, Fraction(3, 8), inner, outer)
+        assert _counts(report) == scan_report(sk, probe, [3], inner, outer)
+
+
+class TestScalarAttemptCalls:
+    """The scalar attempt only confirms the scan's accept: one call for an
+    accepting recovery, none for an exhausting one."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        made = []
+        real = recover._Pipeline.attempt
+
+        def counted(pipe, we_bits):
+            made.append(1)
+            return real(pipe, we_bits)
+
+        monkeypatch.setattr(recover._Pipeline, "attempt", counted)
+        return made
+
+    def test_exhaustive_bch_scan(self, calls):
+        inner, outer = bch_code(5, 3), bch_code(6, 2)
+        params = SketchParams.from_codes(inner, outer, Fraction(1, 8))
+        rng = SeededRng(16)
+        w = rng.spawn(1).random_bits(16)
+        N = gen_index_vector(16, 63, rng.spawn(2))
+        sk, dbg = make_sketch(w, N, Fraction(1, 8), params, rng.spawn(3),
+                              debug=True)
+        far = recover_fixed(sk, BitString(1 - w.bits), Fraction(5, 16),
+                            inner, outer)
+        assert far.outcome is None and far.iterations_used == 4368
+        assert calls == []
+        near = dbg.w_e ^ error_vector_at_rank(16, 5, 3000)
+        report = recover_fixed(sk, near, Fraction(5, 16), inner, outer)
+        assert report.outcome == w and report.iterations_used <= 3001
+        assert calls == [1]
+
+    @pytest.mark.parametrize("s,accepts", [(0, True), (5, False)])
+    def test_decoy_shaped_scan(self, calls, s, accepts):
+        sk, probe, inner, outer = _decoy_case(s)
+        report = recover_fixed(sk, probe, Fraction(3, 8), inner, outer)
+        assert report.succeeded == accepts
+        assert len(calls) == int(accepts)

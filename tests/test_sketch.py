@@ -87,6 +87,15 @@ class TestValidateParams:
         assert not report.enumeration_budget.holds
         assert report.eps_rec_used == 2 * eps
 
+    @pytest.mark.parametrize("eps_rec", [Fraction(3, 2), Fraction(-1, 7)])
+    def test_eps_rec_outside_bound_domain_is_listed(self, standard_params, eps_rec):
+        report = validate_params(standard_params, eps_rec=eps_rec)
+        assert report.violations == [f"eps_rec = {eps_rec} outside [1/14, 1/2]"]
+        assert not report.error_floor.holds
+        assert not report.enumeration_budget.holds
+        assert math.isnan(report.enumeration_budget.lhs)
+        assert report.eps_rec_used == eps_rec
+
     def test_error_floor_at_2k2(self):
         # n = 2 k*^2 with eps = 1/(2k*): exp(-1) < 1/2, so the floor holds
         inner = bch_code(4, 2)                              # k* = 7, n* = 15
