@@ -18,8 +18,8 @@ from .experiments import ExperimentConfig, run_experiment
 from .lsh import gen_index_vector
 from .recover import RecoveryReport, recover_fixed, recover_sweep
 from .sketch import (SketchFormatError, SketchParams, eps_rec_violation,
-                     load_sketch_file, make_sketch, save_sketch,
-                     validate_params)
+                     eps_ss_violation, load_sketch_file, make_sketch,
+                     save_sketch, validate_params)
 
 EXIT_OK = 0
 EXIT_RECOVERY_FAILED = 1
@@ -143,9 +143,13 @@ def cmd_bounds(args) -> int:
     k_star, n_star, k, n = args.k_star, args.n_star, args.k, args.n
     eps_ss = args.eps_ss
     eps_rec = args.eps_rec if args.eps_rec is not None else 2 * eps_ss
-    problem = None if args.eps_rec is None else eps_rec_violation(k_star, eps_rec)
-    if problem:
+    problems = [eps_ss_violation(k_star, eps_ss)]
+    if args.eps_rec is not None:
+        problems.append(eps_rec_violation(k_star, eps_rec))
+    problems = [p for p in problems if p]
+    for problem in problems:
         print(f"parameter violation: {problem}", file=sys.stderr)
+    if problems:
         return EXIT_USAGE
     rows = []
 

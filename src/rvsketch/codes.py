@@ -14,11 +14,18 @@ so decoding is exact membership. Lookup is a searchsorted on the keys; it
 serves the public decode and, a whole batch of syndromes at a time, the
 recovery scan. Codewords are BitStrings of length n; position i of a word
 is coefficient x^(i-1) in the polynomial view used by the BCH construction.
+
+A built code is immutable: every array it holds is read-only. So codes are
+memoized and shared. bch_code and code_from_text each keep a small LRU
+cache, and a repeated (m', t) or code text returns the same object without
+a second elimination or table build. Errors are raised afresh on every
+call; random_linear_code and the LinearCode constructor are not cached.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -186,6 +193,7 @@ def _minimal_poly(coset, m: int, exp, log) -> int:
 # ---------------------------------------------------------------------------
 
 _TABLE_PATTERN_CAP = 2_000_000
+_CODE_CACHE_SIZE = 16      # entries in each of the bch_code and code_from_text caches
 
 
 class LinearCode:
@@ -213,9 +221,11 @@ class LinearCode:
         self._d: Optional[int] = None
         self._h_cols = _pack_cols(self.H)
         self._l_cols = _pack_cols(self._L)
-        self.G.flags.writeable = False
-        self.H.flags.writeable = False
         self._build_table()
+        # memoized codes are shared, so nothing they hold may change
+        for a in (self.G, self.H, self._L, self._h_cols, self._l_cols,
+                  self._keys, self._leaders, self._leader_msgs):
+            a.flags.writeable = False
 
     # -- construction internals ------------------------------------------
 
@@ -303,13 +313,15 @@ class LinearCode:
 # ---------------------------------------------------------------------------
 # Constructions
 
+@lru_cache(maxsize=_CODE_CACHE_SIZE)
 def bch_code(m_prime: int, t: int) -> LinearCode:
     """Narrow-sense binary BCH code of blocklength 2^m' - 1.
 
     The generator polynomial is the product of the distinct minimal
     polynomials of alpha^1..alpha^2t, so n - k <= m'*t and the design
     distance is at least 2t + 1. Supported m' are 3..6; the coset-leader
-    decoder caps the useful range anyway.
+    decoder caps the useful range anyway. Memoized: a repeated (m', t)
+    returns the same code.
     """
     if m_prime not in _PRIMITIVE_POLY:
         raise ParameterError(
@@ -333,12 +345,13 @@ def bch_code(m_prime: int, t: int) -> LinearCode:
 
     # Systematic encoding: message occupies the high coefficients,
     # parity = (x^(n-k) m(x)) mod g(x) fills the low ones.
+    # Column j is that codeword for m(x) = x^j, bit i of its mask in row i.
     shift = n - k
-    G = np.zeros((n, k), dtype=np.uint8)
-    for j in range(k):
-        poly = (1 << (shift + j)) ^ _polymod(1 << (shift + j), g)
-        for i in range(n):
-            G[i, j] = (poly >> i) & 1
+    width = (n + 7) // 8
+    cols = b"".join(((1 << (shift + j)) ^ _polymod(1 << (shift + j), g))
+                    .to_bytes(width, "little") for j in range(k))
+    G = np.unpackbits(np.frombuffer(cols, dtype=np.uint8).reshape(k, width),
+                      axis=1, count=n, bitorder="little").T
     return LinearCode(G, t, kind="bch", param=m_prime)
 
 
@@ -437,7 +450,8 @@ def min_distance_bruteforce(code: LinearCode) -> int:
 
 # ---------------------------------------------------------------------------
 # Serialization: header plus a row-major hex dump of G. H, the left inverse
-# and the coset-leader table are reconstructed on load.
+# and the coset-leader table are rebuilt on the first load of a given text
+# and shared after that.
 
 def code_to_text(code: LinearCode) -> str:
     g_hex = np.packbits(code.G.reshape(-1), bitorder="little").tobytes().hex()
@@ -470,6 +484,13 @@ def code_from_text(text: str) -> LinearCode:
         raise ParameterError(f"bad code serialization: {exc}") from exc
     if len(raw) != (n * k + 7) // 8:
         raise ParameterError("G hex dump has the wrong length")
+    return _code_from_fields(kind, n, k, t, param, raw)
+
+
+@lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _code_from_fields(kind: str, n: int, k: int, t: int,
+                      param: Optional[int], raw: bytes) -> LinearCode:
+    """The code of parsed text fields, memoized so a repeated text is built once."""
     flat = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                          count=n * k, bitorder="little")
     return LinearCode(flat.reshape(n, k), t=t, kind=kind, param=param)

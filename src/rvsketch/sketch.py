@@ -89,6 +89,18 @@ class ParamsReport:
         return not self.violations
 
 
+def eps_ss_violation(k_star: int, eps_ss: Fraction) -> Optional[str]:
+    """Why eps_ss is out of range, or None.
+
+    A sketch needs eps_ss in [1/(2k*), 1/4], so that the default
+    eps_rec = 2 eps_ss lies in [1/k*, 1/2].
+    """
+    lo, hi = Fraction(1, 2 * k_star), Fraction(1, 4)
+    if lo <= eps_ss <= hi:
+        return None
+    return f"eps_ss = {eps_ss} outside [{lo}, {hi}]"
+
+
 def eps_rec_violation(k_star: int, eps_rec: Fraction) -> Optional[str]:
     """Why eps_rec is out of range, or None.
 
@@ -121,10 +133,9 @@ def validate_params(params: SketchParams,
         violations.append(f"k = {p.k} must be <= n = {p.n}")
     if p.n_star - p.k_star < 0:
         violations.append("inner pad width n*-k* is negative")
-    lo, hi = Fraction(1, 2 * p.k_star), Fraction(1, 4)
-    if not lo <= p.eps_ss <= hi:
-        violations.append(
-            f"eps_ss = {p.eps_ss} outside [{lo}, {hi}]")
+    problem = eps_ss_violation(p.k_star, p.eps_ss)
+    if problem:
+        violations.append(problem)
 
     if eps_rec is None:
         eps_rec = 2 * p.eps_ss

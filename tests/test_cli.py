@@ -135,6 +135,15 @@ class TestBoundsCommand:
         assert captured.out == ""
         assert f"parameter violation: eps_rec = {eps} outside [1/14, 1/2]" in captured.err
 
+    @pytest.mark.parametrize("eps", ["3/2", "1/3", "-1/7"])
+    def test_eps_ss_out_of_range(self, capsys, eps):
+        args = self.ARGS[:-2] + [f"--eps-ss={eps}"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"parameter violation: eps_ss = {eps} outside [1/14, 1/4]\n")
+
 
 class TestExperimentCommand:
     def test_lsh_smoke(self, workdir, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 from itertools import chain, combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -58,6 +59,34 @@ class TestBchConstruction:
         assert np.all((bch15.H @ bch15.G.astype(np.int64)) % 2 == 0)
         assert encode(bch15, BitString.zeros(7)) == BitString.zeros(15)
 
+    # code_to_text digests of every bch_code(m, t) with m = 3..6 that builds,
+    # as the element-wise G fill produced them
+    PINNED = {
+        (3, 1): "f05a527528c44ddb", (3, 2): "dd23a38ef527061a",
+        (3, 3): "f0e7bdad69b47e64",
+        (4, 1): "9eecfbc1164dcad7", (4, 2): "f813bf364080e296",
+        (4, 3): "78a803be1a4b4a78", (4, 4): "4e5a9d0b53e16867",
+        (4, 5): "1e722342dab22d52", (4, 6): "5056d32de74df18a",
+        (4, 7): "3f687c5351481943",
+        (5, 1): "a8ec8d0160209b8d", (5, 2): "f50289e278a1ddd6",
+        (5, 3): "002ac09844269cf4", (5, 4): "ca95a69c828baf1c",
+        (5, 5): "81f7943844cc66d1",
+        (6, 1): "2475b45ee655c3fe", (6, 2): "adde7aeb5ce129b3",
+        (6, 3): "4264e86edbcdee1a", (6, 4): "14bf273690c836c3",
+    }
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_generators_are_pinned(self, m):
+        built = {}
+        for t in range(1, 2 ** (m - 1)):
+            try:
+                text = code_to_text(bch_code(m, t))
+            except CapacityError:
+                continue
+            built[m, t] = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert built == {key: digest for key, digest in self.PINNED.items()
+                         if key[0] == m}
+
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
             bch_code(4, 8)          # t >= 2^(m'-1)
@@ -112,7 +141,10 @@ class TestElimination:
         calls = []
         monkeypatch.setattr(codes, "_parity_and_left_inverse",
                             lambda G: calls.append(G) or real(G))
-        bch_code(4, 2)
+        bch_code.cache_clear()
+        code = bch_code(4, 2)
+        assert len(calls) == 1
+        assert bch_code(4, 2) is code   # memoized: no second elimination
         assert len(calls) == 1
         calls.clear()
         random_linear_code(12, 12, SeededRng(5))
@@ -123,6 +155,74 @@ class TestElimination:
                                               dtype=np.uint8))):
             draws += 1
         assert draws > 1 and len(calls) == draws
+
+
+def _text(G, t=0, kind="random", param=None):
+    """code_to_text of any G, rank deficient or not, without building it."""
+    n, k = G.shape
+    return code_to_text(SimpleNamespace(G=G, kind=kind, n=n, k=k, t=t,
+                                        param=param))
+
+
+class TestMemoization:
+    ARRAYS = ("G", "H", "_L", "_h_cols", "_l_cols", "_keys", "_leaders",
+              "_leader_msgs")
+
+    def test_texts_differing_in_g_give_distinct_codes(self, bch15):
+        # a coordinate permutation keeps the BCH distance, so t = 2 still fits
+        perms = [np.arange(15), np.roll(np.arange(15), 1),
+                 2 * np.arange(15) % 15]
+        built = []
+        for perm in perms:
+            G = np.ascontiguousarray(bch15.G[perm])
+            code = code_from_text(_text(G, t=2, kind="bch", param=4))
+            fresh = LinearCode(G, 2, kind="bch", param=4)
+            for name in ("H", "_L", "_keys", "_leaders"):
+                assert np.array_equal(getattr(code, name), getattr(fresh, name))
+            built.append(code)
+        assert len({id(c) for c in built}) == len(perms)
+        assert not np.array_equal(built[0].G, built[1].G)
+
+    def test_errors_are_not_cached(self, monkeypatch):
+        real = codes._parity_and_left_inverse
+        calls = []
+        monkeypatch.setattr(codes, "_parity_and_left_inverse",
+                            lambda G: calls.append(G) or real(G))
+        rank_deficient = _text(np.zeros((6, 3), dtype=np.uint8))
+        over_cap = _text(np.eye(31, 6, dtype=np.uint8), t=1)   # n-k = 25
+        for text, error in ((rank_deficient, ParameterError),
+                            (over_cap, CapacityError)):
+            calls.clear()
+            for _ in range(2):
+                with pytest.raises(error):
+                    code_from_text(text)
+            assert len(calls) == 2
+        for _ in range(2):
+            with pytest.raises(CapacityError):
+                bch_code(5, 6)
+
+    def test_caches_stay_bounded(self):
+        size = codes._CODE_CACHE_SIZE
+        for i in range(size + 4):
+            # systematic [8, 4] generators with the bits of i as parity part
+            parity = (i >> np.arange(16) & 1).reshape(4, 4).astype(np.uint8)
+            code_from_text(_text(np.vstack([np.eye(4, dtype=np.uint8), parity])))
+        assert codes._code_from_fields.cache_info().currsize == size
+        for m in range(3, 7):
+            for t in range(1, 2 ** (m - 1)):
+                try:
+                    bch_code(m, t)
+                except CapacityError:
+                    pass
+        assert bch_code.cache_info().currsize == size
+
+    @pytest.mark.parametrize("name", ARRAYS)
+    def test_cached_arrays_are_read_only(self, bch15, name):
+        for code in (bch15, code_from_text(code_to_text(bch15))):
+            arr = getattr(code, name)
+            assert arr.size
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] ^= 1
 
 
 class TestCosetTable:

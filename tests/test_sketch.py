@@ -213,6 +213,19 @@ class TestSketchFile:
         assert again.params.outer == sk.params.outer
         assert again.rng_algo_id == sk.rng_algo_id
 
+    def test_repeated_load_shares_the_codes(self, monkeypatch):
+        from rvsketch import codes
+        blob = dump_sketch(self._make())
+        first = load_sketch(blob)
+        real = codes._parity_and_left_inverse
+        calls = []
+        monkeypatch.setattr(codes, "_parity_and_left_inverse",
+                            lambda G: calls.append(G) or real(G))
+        again = load_sketch(blob)
+        assert again.params.inner is first.params.inner
+        assert again.params.outer is first.params.outer
+        assert calls == []
+
     def test_dump_is_deterministic(self):
         assert dump_sketch(self._make()) == dump_sketch(self._make())
 
@@ -321,8 +334,9 @@ def _mutated_sketches(draw):
 
 class TestSketchFuzz:
     def test_rank_deficient_code_blob(self):
-        with pytest.raises(SketchFormatError, match="rank deficient"):
-            load_sketch(_RANK_DEFICIENT)
+        for _ in range(2):   # the error is raised afresh, never cached
+            with pytest.raises(SketchFormatError, match="rank deficient"):
+                load_sketch(_RANK_DEFICIENT)
 
     @settings(max_examples=300, deadline=None)
     @given(_mutated_sketches())
