@@ -9,12 +9,12 @@ and complexity bounds the construction obeys.
 """
 
 from .analysis import (BoundCheck, EntropyFloor, IterationBudget, RateBounds,
-                       Thresholds, binary_entropy, efficiency_bound_check,
-                       error_floor_check, false_accept_rate, h2,
-                       hoeffding_bound, iteration_budget_check,
-                       min_length_for_error_floor, min_sketch_len_for_budget,
-                       rate_bounds, residual_entropy_bound, support_size,
-                       thresholds)
+                       Thresholds, binary_entropy, binom_lower_tail,
+                       efficiency_bound_check, error_floor_check,
+                       false_accept_rate, h2, hoeffding_bound,
+                       iteration_budget_check, min_length_for_error_floor,
+                       min_sketch_len_for_budget, rate_bounds,
+                       residual_entropy_bound, support_size, thresholds)
 from .bitcore import (BitString, CapacityError, DimensionError,
                       ParameterError, SeededRng, hamming_distance,
                       hamming_weight, xor, zero_pad_prefix)

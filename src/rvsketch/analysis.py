@@ -204,6 +204,30 @@ def false_accept_rate(k: int, n_star: int) -> Fraction:
     return Fraction(1, 2 ** (k - n_star))
 
 
+def binom_lower_tail(k: int, n: int, p: float) -> float:
+    """P(X <= k) for X ~ Bin(n, p): the one-sided binomial test's p-value.
+
+    The terms C(n, i) p^i q^(n-i), i = 0..k, are summed in log space (lgamma
+    for the binomial coefficient, log1p(-p) for log q) and scaled back from
+    their largest term, so neither a tiny p^i nor a huge C(n, i) overflows.
+    """
+    if n < 0 or not 0.0 <= p <= 1.0:
+        raise ValueError(f"need n >= 0 and p in [0, 1], got n={n}, p={p}")
+    if k < 0:
+        return 0.0
+    if k >= n or p == 0.0:
+        return 1.0
+    if p == 1.0:
+        return 0.0
+    log_p, log_q = math.log(p), math.log1p(-p)
+    log_n_fact = math.lgamma(n + 1)
+    terms = [log_n_fact - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+             + i * log_p + (n - i) * log_q for i in range(k + 1)]
+    top = max(terms)
+    total = math.exp(top) * math.fsum(math.exp(t - top) for t in terms)
+    return min(total, 1.0)
+
+
 @dataclass(frozen=True)
 class IterationBudget:
     """Enumeration size versus zero-prefix states versus sketch size."""

@@ -482,6 +482,8 @@ def code_from_text(text: str) -> LinearCode:
         raw = bytes.fromhex(fields["G"])
     except (KeyError, ValueError) as exc:
         raise ParameterError(f"bad code serialization: {exc}") from exc
+    if not 1 <= k <= n:
+        raise ParameterError(f"code dimensions need 1 <= k <= n, got n={n}, k={k}")
     if len(raw) != (n * k + 7) // 8:
         raise ParameterError("G hex dump has the wrong length")
     return _code_from_fields(kind, n, k, t, param, raw)

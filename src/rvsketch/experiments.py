@@ -23,9 +23,9 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-from scipy.stats import binomtest
 
-from .analysis import as_fraction, binary_entropy, false_accept_rate
+from .analysis import (as_fraction, binary_entropy, binom_lower_tail,
+                       false_accept_rate)
 from .bitcore import BitString, ParameterError, SeededRng
 from .codes import code_from_spec, random_linear_code
 from .lsh import gen_index_vector
@@ -194,7 +194,7 @@ def run_correctness_experiment(cfg: ExperimentConfig) -> CorrectnessResult:
                      report.false_accepts_observed, "", "", "", ""])
 
     rate = successes / trials
-    pvalue_below = binomtest(successes, trials, floor, alternative="less").pvalue
+    pvalue_below = binom_lower_tail(successes, trials, floor)
     passed = rate >= floor or pvalue_below > 0.01
     result = CorrectnessResult(trials=trials, successes=successes, rate=rate,
                                floor=floor, pvalue_below=pvalue_below, passed=passed)

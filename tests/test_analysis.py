@@ -5,9 +5,10 @@ import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import binomtest
 
 from oracles import min_n_direct_search
-from rvsketch import (binary_entropy, efficiency_bound_check,
+from rvsketch import (binary_entropy, binom_lower_tail, efficiency_bound_check,
                       error_floor_check, false_accept_rate, h2,
                       hoeffding_bound, iteration_budget_check,
                       min_length_for_error_floor, min_sketch_len_for_budget,
@@ -200,6 +201,46 @@ class TestFalseAcceptRate:
     def test_requires_positive_pad(self):
         with pytest.raises(ValueError):
             false_accept_rate(15, 15)
+
+
+class TestBinomLowerTail:
+    PS = (0.01, 0.3, 0.5, 0.875, 0.9375, 1 - 2.0 ** -20, 1 - 2.0 ** -36)
+
+    @staticmethod
+    def _ks(n, p):
+        """The edges, the mean and its neighbours, and three sd below it."""
+        mean = int(n * p)
+        low = mean - int(3 * math.sqrt(n * p * (1 - p)))
+        return sorted({k for k in (0, 1, low, mean - 1, mean, mean + 1, n - 1, n)
+                       if 0 <= k <= n})
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40, 100, 1000, 20_000])
+    def test_matches_scipy(self, n):
+        for p in self.PS:
+            for k in self._ks(n, p):
+                got = binom_lower_tail(k, n, p)
+                want = binomtest(k, n, p, alternative="less").pvalue
+                if want < 1e-300:
+                    # scipy underflows to 0 where the log-space sum is subnormal
+                    assert got < 1e-300, (k, n, p)
+                else:
+                    assert f"{got:.6g}" == f"{want:.6g}", (k, n, p)
+
+    def test_edges(self):
+        assert binom_lower_tail(-1, 10, 0.5) == 0.0
+        assert binom_lower_tail(10, 10, 0.5) == 1.0
+        assert binom_lower_tail(12, 10, 0.5) == 1.0
+        assert binom_lower_tail(0, 0, 0.5) == 1.0
+        assert binom_lower_tail(3, 10, 0.0) == 1.0
+        assert binom_lower_tail(3, 10, 1.0) == 0.0
+        assert binom_lower_tail(9, 10, 1.0) == 0.0
+        assert math.isclose(binom_lower_tail(0, 10, 0.5), 2.0 ** -10,
+                            rel_tol=1e-12)
+
+    @pytest.mark.parametrize("n, p", [(-1, 0.5), (10, -0.1), (10, 1.5)])
+    def test_domain(self, n, p):
+        with pytest.raises(ValueError):
+            binom_lower_tail(0, n, p)
 
 
 class TestMinLengthForErrorFloor:

@@ -466,6 +466,15 @@ class TestSerialization:
         with pytest.raises(ParameterError):
             code_from_text(broken)
 
+    # G is sized so that the hex length check alone would pass: (-7)(-4) = 28
+    @pytest.mark.parametrize("n, k", [(-7, -4), (3, 0), (0, 0), (4, 7)])
+    def test_bad_dimensions(self, n, k):
+        G = np.zeros((abs(n), abs(k)), dtype=np.uint8)
+        text = code_to_text(SimpleNamespace(G=G, kind="random", n=n, k=k,
+                                            t=0, param=None))
+        with pytest.raises(ParameterError, match="1 <= k <= n"):
+            code_from_text(text)
+
 
 class TestCodeSpec:
     def test_plain_bch(self):

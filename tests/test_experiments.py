@@ -1,7 +1,15 @@
+import csv
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from scipy.stats import binomtest
 
+import rvsketch
 from rvsketch import ExperimentConfig, ParameterError, run_experiment
 from rvsketch.experiments import CSV_SCHEMA
 
@@ -45,6 +53,44 @@ class TestCorrectness:
             kind="correctness", trials=40, seed=3, outer_spec="random:26:18"))
         assert r.floor == 0.875
         assert r.rate >= 0.875
+
+    def test_result_fields_are_plain_python(self):
+        r = run_experiment(ExperimentConfig(kind="correctness", trials=40, seed=3))
+        assert type(r.pvalue_below) is float
+        assert type(r.passed) is bool
+        assert type(r.rate) is float and type(r.floor) is float
+
+    @pytest.mark.parametrize("outer", ["bch:5:3", "random:26:18"])
+    def test_csv_pvalue_matches_scipy(self, tmp_path, outer):
+        path = tmp_path / "c.csv"
+        r = run_experiment(ExperimentConfig(kind="correctness", trials=40,
+                                            seed=3, outer_spec=outer, out=path))
+        rows = list(csv.reader(
+            ln for ln in path.read_text().splitlines() if not ln.startswith("#")))
+        summary = dict(zip(rows[0], rows[-1]))
+        want = binomtest(r.successes, r.trials, r.floor, alternative="less").pvalue
+        assert summary["pvalue_below"] == f"{want:.6g}"
+
+
+_NO_SCIPY = textwrap.dedent("""
+    import sys
+    sys.modules["scipy"] = None   # any scipy import now raises ImportError
+    import rvsketch
+    from rvsketch.cli import main
+    r = rvsketch.run_correctness_experiment(
+        rvsketch.ExperimentConfig(kind="correctness", trials=3, seed=3))
+    assert r.trials == 3
+    assert main(["bounds", "--k-star", "7", "--n-star", "15", "--k", "16",
+                 "--n", "31", "--eps-ss", "1/14"]) == 0
+""")
+
+
+def test_runtime_never_imports_scipy():
+    src = str(Path(rvsketch.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestFalseAccept:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -337,6 +338,23 @@ class TestSketchFuzz:
         for _ in range(2):   # the error is raised afresh, never cached
             with pytest.raises(SketchFormatError, match="rank deficient"):
                 load_sketch(_RANK_DEFICIENT)
+
+    def test_negative_code_dimensions(self):
+        # same length: a 28-bit G hex dump fits n*k = (-7)(-4) too
+        blob = _FUZZ_BASE.replace(b"n: 7\nk: 4\n", b"n:-7\nk:-4\n", 1)
+        assert len(blob) == len(_FUZZ_BASE)
+        with pytest.raises(SketchFormatError, match="1 <= k <= n"):
+            load_sketch(blob)
+
+    def test_zero_code_dimension(self):
+        # the inner code text becomes a [3,0] code with an empty G
+        start = _FUZZ_BASE.index(b"linear-code v1")
+        (size,) = struct.unpack("<I", _FUZZ_BASE[start - 4:start])
+        text = b"linear-code v1\nkind: random\nn: 3\nk: 0\nt: 0\nparam: -\nG: \n"
+        blob = (_FUZZ_BASE[:start - 4] + struct.pack("<I", len(text)) + text
+                + _FUZZ_BASE[start + size:])
+        with pytest.raises(SketchFormatError, match="1 <= k <= n"):
+            load_sketch(blob)
 
     @settings(max_examples=300, deadline=None)
     @given(_mutated_sketches())
