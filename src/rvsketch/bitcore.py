@@ -50,11 +50,13 @@ class BitString:
                 raise ParameterError(f"bitstring text must match ^[01]+$, got {bits!r}")
             arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
         else:
-            arr = np.array(bits, dtype=np.uint8, copy=True)
-            if arr.ndim != 1:
+            raw = np.asarray(bits)
+            if raw.ndim != 1:
                 raise ParameterError("bits must be one-dimensional")
-            if arr.size and not np.all(arr <= 1):
+            # checked before the uint8 cast, which would wrap or truncate
+            if not ((raw == 0) | (raw == 1)).all():
                 raise ParameterError("bits must be 0 or 1")
+            arr = raw.astype(np.uint8)
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
         if arr.flags.writeable:
             arr.flags.writeable = False

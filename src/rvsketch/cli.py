@@ -14,7 +14,7 @@ from pathlib import Path
 from . import analysis
 from .bitcore import BitString, DimensionError, ParameterError, SeededRng
 from .codes import code_from_spec
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import _KINDS, ExperimentConfig, run_experiment
 from .lsh import gen_index_vector
 from .recover import RecoveryReport, recover_fixed, recover_sweep
 from .sketch import (SketchFormatError, SketchParams, eps_rec_violation,
@@ -76,8 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--format", choices=("text", "csv"), default="text")
 
     p_e = sub.add_parser("experiment", help="run a seeded Monte-Carlo experiment")
-    p_e.add_argument("--kind", required=True,
-                     choices=("lsh", "correctness", "false_accept", "complexity"))
+    p_e.add_argument("--kind", required=True, choices=tuple(_KINDS))
     p_e.add_argument("--trials", type=int, default=0)
     p_e.add_argument("--seed", type=int, default=1)
     p_e.add_argument("--out", default=None)

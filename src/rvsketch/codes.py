@@ -277,20 +277,6 @@ class LinearCode:
             hit &= ~syn[:, 1:].any(axis=1)
         return hit, row
 
-    def _is_codeword_bits(self, word_bits: np.ndarray) -> bool:
-        return not self._syndromes(word_bits).any()
-
-    def _decode_bits(self, word_bits: np.ndarray) -> Optional[np.ndarray]:
-        hit, row = self._lookup(self._syndromes(word_bits)[None])
-        if not hit[0]:
-            return None
-        flip = np.zeros(self.n + 1, dtype=np.uint8)
-        flip[self._leaders[row[0]]] = 1
-        return word_bits ^ flip[:self.n]
-
-    def _invert_bits(self, codeword_bits: np.ndarray) -> np.ndarray:
-        return _unpack(_xor_rows(self._l_cols, codeword_bits), self.k)
-
     # -- misc --------------------------------------------------------------
 
     @property
@@ -409,20 +395,21 @@ def decode(code: LinearCode, word: BitString) -> Optional[BitString]:
     """
     if len(word) != code.n:
         raise DimensionError(f"word length {len(word)} != n = {code.n}")
-    out = code._decode_bits(word.bits)
-    if out is None:
+    hit, row = code._lookup(code._syndromes(word.bits)[None])
+    if not hit[0]:
         return None
-    return BitString._wrap(np.ascontiguousarray(out, dtype=np.uint8))
+    flip = np.zeros(code.n + 1, dtype=np.uint8)
+    flip[code._leaders[row[0]]] = 1
+    return BitString._wrap(word.bits ^ flip[:code.n])
 
 
 def invert_message(code: LinearCode, codeword: BitString) -> BitString:
     """The unique msg with encode(code, msg) == codeword."""
     if len(codeword) != code.n:
         raise DimensionError(f"word length {len(codeword)} != n = {code.n}")
-    if not code._is_codeword_bits(codeword.bits):
+    if code._syndromes(codeword.bits).any():
         raise InversionError("input is not a codeword")
-    out = code._invert_bits(codeword.bits)
-    return BitString._wrap(out.astype(np.uint8))
+    return BitString._wrap(_unpack(_xor_rows(code._l_cols, codeword.bits), code.k))
 
 
 def codewords_packed(code: LinearCode) -> np.ndarray:

@@ -29,12 +29,10 @@ from .analysis import (as_fraction, binary_entropy, binom_lower_tail,
 from .bitcore import BitString, ParameterError, SeededRng
 from .codes import code_from_spec, random_linear_code
 from .lsh import gen_index_vector
-from .recover import recover_fixed, recover_sweep
+from .recover import RecoveryReport, recover_fixed, recover_sweep
 from .sketch import SketchParams, make_sketch
 
 CSV_SCHEMA = "rvsketch-experiment-csv v1"
-
-_KINDS = ("lsh", "correctness", "false_accept", "complexity")
 
 _MASK64 = (1 << 64) - 1
 
@@ -81,10 +79,7 @@ class ExperimentConfig:
     grid_eps: Sequence[Union[str, Fraction]] = ("1/8", "1/4", "1/2")
 
     def resolved_trials(self) -> int:
-        if self.trials:
-            return self.trials
-        return {"lsh": 10_000, "correctness": 1_000,
-                "false_accept": 0, "complexity": 3}[self.kind]
+        return self.trials or _KINDS[self.kind][1]
 
     def validate(self):
         if self.kind not in _KINDS:
@@ -213,6 +208,21 @@ def run_correctness_experiment(cfg: ExperimentConfig) -> CorrectnessResult:
 
 # ---------------------------------------------------------------------------
 
+def _decoy_recovery(rng: SeededRng, k_star: int, inner_n: int, outer_n: int,
+                    outer_k: int, eps_rec: Fraction) -> RecoveryReport:
+    """One decoy trial: fresh random [inner_n, k*] inner and [outer_n, outer_k]
+    outer codes (streams 1-2), a sketch at eps_ss = 1/(2k*) (streams 3-5),
+    then recover_fixed at eps_rec from the complement of the secret."""
+    inner = random_linear_code(inner_n, k_star, rng.spawn(1))
+    outer = random_linear_code(outer_n, outer_k, rng.spawn(2))
+    eps_ss = Fraction(1, 2 * k_star)
+    params = SketchParams.from_codes(inner, outer, eps_ss)
+    w = rng.spawn(3).random_bits(k_star)
+    N = gen_index_vector(k_star, outer_n, rng.spawn(4))
+    sk = make_sketch(w, N, eps_ss, params, rng.spawn(5))
+    return recover_fixed(sk, BitString(1 - w.bits), eps_rec, inner, outer)
+
+
 @dataclass(frozen=True)
 class FalseAcceptResult:
     delta: int
@@ -231,7 +241,6 @@ def run_false_accept_experiment(cfg: ExperimentConfig) -> List[FalseAcceptResult
     maximum distance from the sketched secret, so acceptances are decoys.
     """
     k_star, n_star = 8, 10
-    eps_ss = Fraction(1, 2 * k_star)
     results = []
     rows = []
     trial = 0  # global row index across deltas, used for seed derivation
@@ -241,16 +250,9 @@ def run_false_accept_experiment(cfg: ExperimentConfig) -> List[FalseAcceptResult
         accepts = 0
         batch = 0
         while total_iters < cfg.min_iterations:
-            rng = _trial_rng(cfg.seed, trial)
-            inner = random_linear_code(n_star, k_star, rng.spawn(1))
-            outer = random_linear_code(n, n, rng.spawn(2))
-            params = SketchParams.from_codes(inner, outer, eps_ss)
-            w = rng.spawn(3).random_bits(k_star)
-            N = gen_index_vector(k_star, n, rng.spawn(4))
-            sk = make_sketch(w, N, eps_ss, params, rng.spawn(5))
-            w_far = BitString(1 - w.bits)
-            report = recover_fixed(sk, w_far, Fraction(cfg.decoy_weight, k_star),
-                                   inner, outer)
+            report = _decoy_recovery(_trial_rng(cfg.seed, trial), k_star,
+                                     n_star, n, n,
+                                     Fraction(cfg.decoy_weight, k_star))
             events = report.false_accepts_observed + (1 if report.succeeded else 0)
             total_iters += report.iterations_used
             accepts += events
@@ -307,16 +309,9 @@ def run_complexity_experiment(cfg: ExperimentConfig) -> List[ComplexityCell]:
             bound = 2.0 ** (k_star * binary_entropy(eps))
             worst = 0
             for r in range(repeats):
-                rng = _trial_rng(cfg.seed, trial)
-                inner = random_linear_code(k_star + 8, k_star, rng.spawn(1))
-                outer = random_linear_code(k_star + 28, k_star + 12, rng.spawn(2))
-                params = SketchParams.from_codes(
-                    inner, outer, Fraction(1, 2 * k_star))
-                w = rng.spawn(3).random_bits(k_star)
-                N = gen_index_vector(k_star, params.n, rng.spawn(4))
-                sk = make_sketch(w, N, params.eps_ss, params, rng.spawn(5))
-                w_far = BitString(1 - w.bits)
-                report = recover_fixed(sk, w_far, eps, inner, outer)
+                report = _decoy_recovery(_trial_rng(cfg.seed, trial), k_star,
+                                         k_star + 8, k_star + 28, k_star + 12,
+                                         eps)
                 worst = max(worst, report.iterations_used)
                 rows.append([k_star, str(eps), weight, r,
                              report.iterations_used, expected,
@@ -339,12 +334,14 @@ def run_complexity_experiment(cfg: ExperimentConfig) -> List[ComplexityCell]:
 
 # ---------------------------------------------------------------------------
 
+_KINDS = {   # kind: (runner, default trials)
+    "lsh": (run_lsh_experiment, 10_000),
+    "correctness": (run_correctness_experiment, 1_000),
+    "false_accept": (run_false_accept_experiment, 0),
+    "complexity": (run_complexity_experiment, 3),
+}
+
+
 def run_experiment(cfg: ExperimentConfig):
     cfg.validate()
-    runner = {
-        "lsh": run_lsh_experiment,
-        "correctness": run_correctness_experiment,
-        "false_accept": run_false_accept_experiment,
-        "complexity": run_complexity_experiment,
-    }[cfg.kind]
-    return runner(cfg)
+    return _KINDS[cfg.kind][0](cfg)

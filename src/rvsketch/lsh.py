@@ -28,14 +28,18 @@ class IndexVector:
     source_len: int
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.indices, dtype=np.uint32)
-        if arr.ndim != 1 or arr.size == 0:
+        raw = np.asarray(self.indices)
+        if raw.ndim != 1 or raw.size == 0:
             raise ParameterError("index vector must be a non-empty 1-d sequence")
         if self.source_len < 1:
             raise ParameterError("source_len must be positive")
-        if arr.min() < 1 or arr.max() > self.source_len:
+        # checked before the uint32 cast, which would wrap or truncate
+        if (raw.dtype.kind not in "biuf" or raw.min() < 1
+                or raw.max() > self.source_len
+                or (raw.dtype.kind == "f" and (raw % 1).any())):
             raise ParameterError(
-                f"indices must lie in [1, {self.source_len}]")
+                f"indices must be integers in [1, {self.source_len}]")
+        arr = np.ascontiguousarray(raw, dtype=np.uint32)
         arr.flags.writeable = False
         object.__setattr__(self, "indices", arr)
 
@@ -52,8 +56,11 @@ class IndexVector:
 
     @classmethod
     def from_text(cls, text: str, source_len: int) -> "IndexVector":
-        parts = [int(p) for p in text.strip().split(",")]
-        return cls(np.array(parts, dtype=np.uint32), source_len)
+        try:
+            parts = [int(p) for p in text.strip().split(",")]
+        except ValueError as exc:
+            raise ParameterError(f"bad index vector text: {exc}") from exc
+        return cls(np.array(parts), source_len)
 
 
 def gen_index_vector(k_star: int, n: int, rng: SeededRng) -> IndexVector:

@@ -15,8 +15,8 @@ so the scan is vectorized: the supports of the whole weight schedule, in
 scan order, run in batches, and a candidate's outer syndrome and message
 are XORs of packed per-source-position columns built once per call. The
 outer lookup, the zero-prefix mask and the inner lookup then run on whole
-batches. The scalar per-candidate attempt is kept only to confirm the
-first candidate that passes all three, and it yields the recovered secret.
+batches, and the inner lookup of the first candidate that passes all three
+yields the recovered secret.
 """
 
 from __future__ import annotations
@@ -24,14 +24,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .analysis import RationalLike, as_fraction
 from .bitcore import (BitString, DimensionError, ParameterError,
                       lex_supports, support_batches, xor_gather)
-from .codes import LinearCode, _unpack
+from .codes import LinearCode, _unpack, _xor_rows
 from .sketch import Sketch, eps_rec_violation
 
 
@@ -95,91 +95,53 @@ def error_vector_at_rank(k_star: int, weight: int, rank: int) -> BitString:
 # ---------------------------------------------------------------------------
 # Core scan
 
-_OUTER_FAIL, _REJECT, _INNER_FAIL, _ACCEPT = range(4)
-
 _BATCH_ROWS = 1 << 15   # candidates per vectorized batch
 
 
-class _Pipeline:
-    """Per-call state: the packed linear maps of the scan, and the scalar
-    attempt that confirms its accept.
+def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
+             outer: LinearCode, weights: Sequence[int]) -> RecoveryReport:
+    """Scan the weight classes in the given order; the first accept wins.
 
     With c'0 = ss xor sample_bits(w'), a candidate e' has outer word
     c'0 xor S e', where S is the 0/1 sampling matrix of N. So its outer
     syndrome is s0 xor (H S) e' and, once the syndrome's leader is known,
     its message is v0 xor (L S) e' xor L leader: an XOR of `weight`
-    packed columns plus two table lookups.
+    packed columns plus two table lookups. The inner decode of the first
+    survivor that passes yields the secret the same way, as
+    L_in corrupted xor L_in leader.
     """
+    t0 = time.perf_counter()
+    p = sk.params
+    k_star, prefix_len = p.k_star, p.k - p.n_star
+    if len(w_prime) != k_star:
+        raise DimensionError(f"w' length {len(w_prime)} != k* = {k_star}")
+    if inner != p.inner or outer != p.outer:
+        raise ParameterError("code handles inconsistent with the sketch params")
+    idx0 = sk.N.indices.astype(np.intp) - 1
+    c0 = np.flatnonzero(sk.ss.bits ^ w_prime.bits[idx0])[None]
+    s0 = xor_gather(outer._h_cols, c0)[0]
+    v0 = xor_gather(outer._l_cols, c0)[0]
+    # row j: the XOR of the code's columns at every position sampling
+    # source bit j; row k* stays zero for the padding sentinel
+    hs = np.zeros((k_star + 1, outer._h_cols.shape[1]), np.uint64)
+    np.bitwise_xor.at(hs, idx0, outer._h_cols[:-1])
+    ls = np.zeros((k_star + 1, outer._l_cols.shape[1]), np.uint64)
+    np.bitwise_xor.at(ls, idx0, outer._l_cols[:-1])
+    prefix_mask = np.frombuffer(
+        ((1 << prefix_len) - 1).to_bytes(8 * ls.shape[1], "little"), dtype="<u8")
 
-    def __init__(self, sk: Sketch, wp_bits: np.ndarray, inner: LinearCode,
-                 outer: LinearCode):
-        p = sk.params
-        if inner != p.inner or outer != p.outer:
-            raise ParameterError("code handles inconsistent with the sketch params")
-        self.k_star = p.k_star
-        self.prefix_len = p.k - p.n_star
-        self.idx0 = np.ascontiguousarray(sk.N.indices.astype(np.intp) - 1)
-        self.ss_bits = sk.ss.bits
-        self.inner_pad = np.zeros(p.n_star - p.k_star, dtype=np.uint8)
-        self.inner = inner
-        self.outer = outer
-        self.wp_bits = wp_bits
-        c0 = np.flatnonzero(self.ss_bits ^ wp_bits[self.idx0])[None]
-        self.s0 = xor_gather(outer._h_cols, c0)[0]
-        self.v0 = xor_gather(outer._l_cols, c0)[0]
-        # row j: the XOR of the code's columns at every position sampling
-        # source bit j; row k* stays zero for the padding sentinel
-        self.hs = np.zeros((self.k_star + 1, outer._h_cols.shape[1]), np.uint64)
-        np.bitwise_xor.at(self.hs, self.idx0, outer._h_cols[:-1])
-        self.ls = np.zeros((self.k_star + 1, outer._l_cols.shape[1]), np.uint64)
-        np.bitwise_xor.at(self.ls, self.idx0, outer._l_cols[:-1])
-        self.prefix_mask = np.frombuffer(
-            ((1 << self.prefix_len) - 1).to_bytes(8 * self.ls.shape[1], "little"),
-            dtype="<u8")
-
-    def attempt(self, we_bits: np.ndarray) -> Tuple[int, Optional[np.ndarray]]:
-        phi = we_bits[self.idx0]
-        c_prime = self.ss_bits ^ phi
-        c = self.outer._decode_bits(c_prime)
-        if c is None:
-            return _OUTER_FAIL, None
-        v_star = self.outer._invert_bits(c)
-        if v_star[:self.prefix_len].any():
-            return _REJECT, None
-        corrupted = v_star[self.prefix_len:] ^ np.concatenate(
-            (self.inner_pad, we_bits))
-        c_star = self.inner._decode_bits(corrupted)
-        if c_star is None:
-            return _INNER_FAIL, None
-        return _ACCEPT, self.inner._invert_bits(c_star)
-
-    def candidates(self, supports: np.ndarray) -> np.ndarray:
-        """w' xor e' for each padded support row."""
-        e = np.zeros((len(supports), self.k_star + 1), dtype=np.uint8)
-        e[np.arange(len(supports))[:, None], supports] = 1
-        return self.wp_bits ^ e[:, :self.k_star]
-
-    def inner_decodes(self, v: np.ndarray, we: np.ndarray) -> np.ndarray:
-        """Whether the inner code decodes each zero-prefix message row of v."""
-        corrupted = _unpack(v, self.outer.k)[:, self.prefix_len:]
-        corrupted[:, self.inner_pad.size:] ^= we
-        return self.inner._lookup(self.inner._syndromes(corrupted))[0]
-
-
-def _scan(pipe: _Pipeline, weights: Sequence[int]):
-    """The whole weight schedule in scan order, batch by batch, up to the
-    first accept.
-
-    Returns (w_bits or None, scanned, outer_fails, inner_fails, weight).
-    """
-    outer, k_star = pipe.outer, pipe.k_star
     scanned = outer_fails = inner_fails = 0
+    outcome = accepted_weight = None
     for supports in support_batches(k_star, weights, _BATCH_ROWS):
-        hit, row = outer._lookup(pipe.s0 ^ xor_gather(pipe.hs, supports))
-        v = pipe.v0 ^ xor_gather(pipe.ls, supports) ^ outer._leader_msgs[row]
-        survivors = np.flatnonzero(hit & ~(v & pipe.prefix_mask).any(axis=1))
-        we = pipe.candidates(supports[survivors])
-        decoded = pipe.inner_decodes(v[survivors], we)
+        hit, row = outer._lookup(s0 ^ xor_gather(hs, supports))
+        v = v0 ^ xor_gather(ls, supports) ^ outer._leader_msgs[row]
+        survivors = np.flatnonzero(hit & ~(v & prefix_mask).any(axis=1))
+        # inner word: the message suffix xor (zero pad || w' xor e')
+        e = np.zeros((len(survivors), k_star + 1), dtype=np.uint8)
+        e[np.arange(len(survivors))[:, None], supports[survivors]] = 1
+        corrupted = _unpack(v[survivors], outer.k)[:, prefix_len:]
+        corrupted[:, p.n_star - k_star:] ^= w_prime.bits ^ e[:, :k_star]
+        decoded, inner_row = inner._lookup(inner._syndromes(corrupted))
         if not decoded.any():
             scanned += len(supports)
             outer_fails += len(supports) - int(np.count_nonzero(hit))
@@ -187,35 +149,22 @@ def _scan(pipe: _Pipeline, weights: Sequence[int]):
             continue
         first = int(np.argmax(decoded))   # every earlier survivor failed inner
         at = int(survivors[first])
-        status, w_bits = pipe.attempt(we[first])
-        assert status == _ACCEPT, "scan and scalar attempt disagree"
-        return (w_bits, scanned + at + 1,
-                outer_fails + at - int(np.count_nonzero(hit[:at])),
-                inner_fails + first, int(np.count_nonzero(supports[at] < k_star)))
-    return None, scanned, outer_fails, inner_fails, None
-
-
-def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
-             outer: LinearCode, weights: Sequence[int]) -> RecoveryReport:
-    """Scan the weight classes in the given order; the first accept wins."""
-    t0 = time.perf_counter()
-    k_star = sk.params.k_star
-    if len(w_prime) != k_star:
-        raise DimensionError(f"w' length {len(w_prime)} != k* = {k_star}")
-    pipe = _Pipeline(sk, w_prime.bits, inner, outer)
-    w_bits, iterations, ofail_total, ifail_total, accepted_weight = \
-        _scan(pipe, weights)
-    outcome = None
-    if w_bits is not None:
-        outcome = BitString._wrap(np.ascontiguousarray(w_bits, dtype=np.uint8))
-    assert iterations <= sum(math.comb(k_star, w) for w in weights), \
+        scanned += at + 1
+        outer_fails += at - int(np.count_nonzero(hit[:at]))
+        inner_fails += first
+        accepted_weight = int(np.count_nonzero(supports[at] < k_star))
+        outcome = BitString._wrap(_unpack(
+            _xor_rows(inner._l_cols, corrupted[first])
+            ^ inner._leader_msgs[inner_row[first]], k_star))
+        break
+    assert scanned <= sum(math.comb(k_star, w) for w in weights), \
         "enumeration overran its counting bound"
     return RecoveryReport(
         outcome=outcome,
-        iterations_used=iterations,
+        iterations_used=scanned,
         accepted_weight=accepted_weight,
-        first_decode_failures=ofail_total,
-        false_accepts_observed=ifail_total,
+        first_decode_failures=outer_fails,
+        false_accepts_observed=inner_fails,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
     )
 

@@ -113,6 +113,17 @@ class TestBitString:
         with pytest.raises(ParameterError):
             BitString([0, 2, 1])
 
+    @pytest.mark.parametrize("bits", [np.array([257, 0]), np.array([-255, 0]),
+                                      [0.5, 1], [256, 1], [-1, 0]])
+    def test_rejects_values_before_the_uint8_cast(self, bits):
+        with pytest.raises(ParameterError, match="bits must be 0 or 1"):
+            BitString(bits)
+
+    @pytest.mark.parametrize("bits", [[True, False], [1, 0], [1.0, 0.0],
+                                      np.array([1, 0], dtype=np.int64)])
+    def test_accepts_bool_int_and_float_bits(self, bits):
+        assert BitString(bits) == BitString("10")
+
     def test_one_based_access(self):
         s = BitString("1010")
         assert [s.bit(i) for i in range(1, 5)] == [1, 0, 1, 0]

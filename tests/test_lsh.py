@@ -25,6 +25,17 @@ class TestIndexVector:
         assert np.array_equal(IndexVector.from_text(iv.to_text(), 4).indices,
                               iv.indices)
 
+    @pytest.mark.parametrize("indices", [np.array([2 ** 32 + 1]), [-1, 2],
+                                         [1.5, 2]])
+    def test_range_checked_before_the_uint32_cast(self, indices):
+        with pytest.raises(ParameterError):
+            IndexVector(indices, 3)
+
+    @pytest.mark.parametrize("text", ["-1,2", "1,x", "", "4294967297"])
+    def test_bad_text_raises_parameter_error(self, text):
+        with pytest.raises(ParameterError):
+            IndexVector.from_text(text, 3)
+
 
 class TestGenIndexVector:
     def test_single_source_index(self):
