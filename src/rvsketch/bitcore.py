@@ -54,7 +54,7 @@ class BitString:
             if raw.ndim != 1:
                 raise ParameterError("bits must be one-dimensional")
             # checked before the uint8 cast, which would wrap or truncate
-            if not ((raw == 0) | (raw == 1)).all():
+            if raw.dtype.kind not in "biuf" or not ((raw == 0) | (raw == 1)).all():
                 raise ParameterError("bits must be 0 or 1")
             arr = raw.astype(np.uint8)
         arr = np.ascontiguousarray(arr, dtype=np.uint8)

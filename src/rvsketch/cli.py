@@ -12,14 +12,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analysis
-from .bitcore import BitString, DimensionError, ParameterError, SeededRng
+from .bitcore import BitString, DimensionError, SeededRng
 from .codes import code_from_spec
 from .experiments import _KINDS, ExperimentConfig, run_experiment
 from .lsh import gen_index_vector
 from .recover import RecoveryReport, recover_fixed, recover_sweep
-from .sketch import (SketchFormatError, SketchParams, eps_rec_violation,
-                     eps_ss_violation, load_sketch_file, make_sketch,
-                     save_sketch, validate_params)
+from .sketch import (SketchParams, eps_rec_violation, eps_ss_violation,
+                     load_sketch_file, make_sketch, save_sketch,
+                     validate_params)
 
 EXIT_OK = 0
 EXIT_RECOVERY_FAILED = 1
@@ -75,21 +75,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--xi", type=_fraction_flag, default=None)
     p_b.add_argument("--format", choices=("text", "csv"), default="text")
 
-    p_e = sub.add_parser("experiment", help="run a seeded Monte-Carlo experiment")
+    # no defaults here: an omitted flag leaves the ExperimentConfig default
+    p_e = sub.add_parser("experiment", help="run a seeded Monte-Carlo experiment",
+                         argument_default=argparse.SUPPRESS)
     p_e.add_argument("--kind", required=True, choices=tuple(_KINDS))
-    p_e.add_argument("--trials", type=int, default=0)
-    p_e.add_argument("--seed", type=int, default=1)
-    p_e.add_argument("--out", default=None)
-    p_e.add_argument("--k-star", type=int, default=16)
-    p_e.add_argument("--distance", type=int, default=4)
-    p_e.add_argument("--n", type=int, default=512)
-    p_e.add_argument("--inner", default="bch:4:2")
-    p_e.add_argument("--outer", default="bch:5:3")
-    p_e.add_argument("--eps-ss", type=_fraction_flag, default=Fraction(1, 14))
-    p_e.add_argument("--w-prime-distance", type=int, default=1)
-    p_e.add_argument("--deltas", default="1,3,6",
+    p_e.add_argument("--trials", type=int)
+    p_e.add_argument("--seed", type=int)
+    p_e.add_argument("--out")
+    p_e.add_argument("--k-star", type=int)
+    p_e.add_argument("--distance", type=int)
+    p_e.add_argument("--n", type=int)
+    p_e.add_argument("--inner", dest="inner_spec", metavar="INNER")
+    p_e.add_argument("--outer", dest="outer_spec", metavar="OUTER")
+    p_e.add_argument("--eps-ss", type=_fraction_flag)
+    p_e.add_argument("--w-prime-distance", type=int)
+    p_e.add_argument("--deltas",
                      help="comma-separated k-n* values for false_accept")
-    p_e.add_argument("--min-iterations", type=int, default=10_000)
+    p_e.add_argument("--min-iterations", type=int)
     return parser
 
 
@@ -209,25 +211,22 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    try:
-        deltas = tuple(int(d) for d in str(args.deltas).split(","))
-    except ValueError:
-        print(f"bad --deltas value: {args.deltas!r}", file=sys.stderr)
-        return EXIT_USAGE
-    cfg = ExperimentConfig(
-        kind=args.kind, trials=args.trials, seed=args.seed, out=args.out,
-        k_star=args.k_star, distance=args.distance, n=args.n,
-        inner_spec=args.inner, outer_spec=args.outer, eps_ss=args.eps_ss,
-        w_prime_distance=args.w_prime_distance, deltas=deltas,
-        min_iterations=args.min_iterations)
+    flags = {key: val for key, val in vars(args).items() if key != "command"}
+    if "deltas" in flags:
+        try:
+            flags["deltas"] = tuple(int(d) for d in flags["deltas"].split(","))
+        except ValueError:
+            print(f"bad --deltas value: {flags['deltas']!r}", file=sys.stderr)
+            return EXIT_USAGE
+    cfg = ExperimentConfig(**flags)
     result = run_experiment(cfg)
     if isinstance(result, list):
         for item in result:
             print(item)
     else:
         print(result)
-    if args.out:
-        print(f"csv written to {args.out}")
+    if cfg.out:
+        print(f"csv written to {cfg.out}")
     return EXIT_OK
 
 
@@ -242,15 +241,10 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ParameterError, DimensionError, SketchFormatError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # ValueError covers ParameterError, DimensionError and SketchFormatError
         kind = "dimension error" if isinstance(exc, DimensionError) else "error"
         print(f"{kind}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -200,8 +200,7 @@ class LinearCode:
     """[n, k] binary linear code with bounded-distance syndrome decoding.
 
     t is the decoding radius honored by `decode`; the coset-leader table is
-    built up to that radius at construction. d (true minimum distance) is
-    computed lazily on request.
+    built up to that radius at construction.
     """
 
     def __init__(self, G: np.ndarray, t: int, kind: str, param: Optional[int] = None):
@@ -218,7 +217,6 @@ class LinearCode:
         self.t = t
         self.kind = kind
         self.param = param
-        self._d: Optional[int] = None
         self._h_cols = _pack_cols(self.H)
         self._l_cols = _pack_cols(self._L)
         self._build_table()
@@ -278,11 +276,6 @@ class LinearCode:
         return hit, row
 
     # -- misc --------------------------------------------------------------
-
-    @property
-    def d(self) -> Optional[int]:
-        """True minimum distance if already computed (see min_distance_bruteforce)."""
-        return self._d
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCode):
@@ -413,26 +406,23 @@ def invert_message(code: LinearCode, codeword: BitString) -> BitString:
 
 
 def codewords_packed(code: LinearCode) -> np.ndarray:
-    """All 2^k codewords as packed uint64 words, Gray-code order (guard k <= 20)."""
+    """All 2^k codewords as packed uint64 words (guard k <= 20).
+
+    Entry i is the codeword of the message whose bit j is bit j of i.
+    """
     if code.k > 20:
         raise CapacityError(f"codeword enumeration guarded at k <= 20, got {code.k}")
     if code.n > 64:
         raise CapacityError("packed enumeration limited to n <= 64")
-    g_cols = _pack_cols(code.G)[:, 0]
-    out = np.zeros(1 << code.k, dtype=np.uint64)
-    v = np.uint64(0)
-    for i in range(1, 1 << code.k):
-        v = v ^ g_cols[(i & -i).bit_length() - 1]
-        out[i] = v
+    out = np.zeros(1, dtype=np.uint64)
+    for g_col in _pack_cols(code.G)[:code.k, 0]:
+        out = np.concatenate((out, out ^ g_col))
     return out
 
 
 def min_distance_bruteforce(code: LinearCode) -> int:
     """Exact minimum distance by enumerating all nonzero codewords."""
-    words = codewords_packed(code)
-    d = int(np.bitwise_count(words[1:]).min())
-    code._d = d
-    return d
+    return int(np.bitwise_count(codewords_packed(code)[1:]).min())
 
 
 # ---------------------------------------------------------------------------

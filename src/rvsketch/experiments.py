@@ -24,8 +24,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import (as_fraction, binary_entropy, binom_lower_tail,
-                       false_accept_rate)
+from .analysis import binary_entropy, binom_lower_tail, false_accept_rate
 from .bitcore import BitString, ParameterError, SeededRng
 from .codes import code_from_spec, random_linear_code
 from .lsh import gen_index_vector
@@ -33,6 +32,8 @@ from .recover import RecoveryReport, recover_fixed, recover_sweep
 from .sketch import SketchParams, make_sketch
 
 CSV_SCHEMA = "rvsketch-experiment-csv v1"
+
+_DECOY_WEIGHT = 3   # false_accept probes weight 3 of k* = 8, eps_rec = 3/8
 
 _MASK64 = (1 << 64) - 1
 
@@ -73,7 +74,6 @@ class ExperimentConfig:
     # false_accept
     deltas: Sequence[int] = (1, 3, 6)
     min_iterations: int = 10_000
-    decoy_weight: int = 3
     # complexity
     grid_k: Sequence[int] = (8, 12, 16)
     grid_eps: Sequence[Union[str, Fraction]] = ("1/8", "1/4", "1/2")
@@ -86,8 +86,6 @@ class ExperimentConfig:
             raise ParameterError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 0:
             raise ParameterError("trials must be >= 1 (or 0 for the default)")
-        if self.kind != "false_accept" and self.resolved_trials() < 1:
-            raise ParameterError("trials must be >= 1")
         if self.kind == "false_accept" and self.min_iterations < 1:
             raise ParameterError("min_iterations must be >= 1")
 
@@ -163,7 +161,7 @@ class CorrectnessResult:
 
 def run_correctness_experiment(cfg: ExperimentConfig) -> CorrectnessResult:
     trials = cfg.resolved_trials()
-    eps_ss = as_fraction(cfg.eps_ss)
+    eps_ss = Fraction(cfg.eps_ss)
     base = SeededRng(cfg.seed)
     inner = code_from_spec(cfg.inner_spec, base.spawn(101))
     outer = code_from_spec(cfg.outer_spec, base.spawn(102))
@@ -252,7 +250,7 @@ def run_false_accept_experiment(cfg: ExperimentConfig) -> List[FalseAcceptResult
         while total_iters < cfg.min_iterations:
             report = _decoy_recovery(_trial_rng(cfg.seed, trial), k_star,
                                      n_star, n, n,
-                                     Fraction(cfg.decoy_weight, k_star))
+                                     Fraction(_DECOY_WEIGHT, k_star))
             events = report.false_accepts_observed + (1 if report.succeeded else 0)
             total_iters += report.iterations_used
             accepts += events
@@ -271,7 +269,7 @@ def run_false_accept_experiment(cfg: ExperimentConfig) -> List[FalseAcceptResult
     if cfg.out:
         _write_csv(cfg.out, _config_comment(
             cfg, f"k_star={k_star} n_star={n_star} deltas={list(cfg.deltas)} "
-                 f"decoy_weight={cfg.decoy_weight} min_iterations={cfg.min_iterations}"),
+                 f"decoy_weight={_DECOY_WEIGHT} min_iterations={cfg.min_iterations}"),
             ["delta", "batch", "iterations", "prefix_accepts",
              "rate", "expected", "passed"],
             rows)
@@ -303,7 +301,7 @@ def run_complexity_experiment(cfg: ExperimentConfig) -> List[ComplexityCell]:
     trial = 0
     for k_star in cfg.grid_k:
         for eps in cfg.grid_eps:
-            eps = as_fraction(eps)
+            eps = Fraction(eps)
             weight = int(k_star * eps)
             expected = math.comb(k_star, weight)
             bound = 2.0 ** (k_star * binary_entropy(eps))

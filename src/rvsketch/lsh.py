@@ -20,9 +20,9 @@ from .bitcore import BitString, DimensionError, ParameterError, SeededRng
 _CHUNK_TRIALS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexVector:
-    """Public random positions N, 1-based values in [1, source_len]."""
+    """Public random positions N, 1-based values in [1, source_len]; equal by value."""
 
     indices: np.ndarray
     source_len: int
@@ -49,6 +49,15 @@ class IndexVector:
 
     def __len__(self) -> int:
         return self.indices.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IndexVector):
+            return NotImplemented
+        return (self.source_len == other.source_len
+                and np.array_equal(self.indices, other.indices))
+
+    def __hash__(self) -> int:
+        return hash((self.source_len, self.indices.tobytes()))
 
     def to_text(self) -> str:
         """Comma-separated 1-based integers."""

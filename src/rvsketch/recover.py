@@ -24,11 +24,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .analysis import RationalLike, as_fraction
+from .analysis import RationalLike
 from .bitcore import (BitString, DimensionError, ParameterError,
                       lex_supports, support_batches, xor_gather)
 from .codes import LinearCode, _unpack, _xor_rows
@@ -179,7 +180,7 @@ def recover_fixed(sk: Sketch, w_prime: BitString, eps_rec: RationalLike,
     false-accepts (per-iteration rate about 2^-(k-n*)).
     """
     k_star = sk.params.k_star
-    eps = as_fraction(eps_rec)
+    eps = Fraction(eps_rec)
     problem = eps_rec_violation(k_star, eps)
     if problem:
         raise ParameterError(problem)

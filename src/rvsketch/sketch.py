@@ -26,9 +26,8 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .analysis import (BoundCheck, RationalLike, as_fraction,
-                       efficiency_bound_check, error_floor_check,
-                       hoeffding_bound)
+from .analysis import (BoundCheck, RationalLike, efficiency_bound_check,
+                       error_floor_check, hoeffding_bound)
 from .bitcore import (BitString, DimensionError, ParameterError, SeededRng,
                       zero_pad_prefix)
 from .codes import LinearCode, code_from_text, code_to_text, encode
@@ -39,8 +38,8 @@ class SketchParams:
     """Dimension bookkeeping for one sketch configuration.
 
     Pure data carrier: nothing is enforced here beyond the codes matching
-    the stated dimensions. Run validate_params for the ordering and range
-    rules.
+    the stated dimensions, so k* <= n* and k <= n hold (a code has k <= n).
+    Run validate_params for n* < k and the eps_ss range.
     """
 
     k_star: int
@@ -52,7 +51,7 @@ class SketchParams:
     outer: LinearCode
 
     def __post_init__(self):
-        object.__setattr__(self, "eps_ss", as_fraction(self.eps_ss))
+        object.__setattr__(self, "eps_ss", Fraction(self.eps_ss))
         if (self.inner.k, self.inner.n) != (self.k_star, self.n_star):
             raise ParameterError(
                 f"inner code is [{self.inner.n},{self.inner.k}], "
@@ -66,15 +65,15 @@ class SketchParams:
     def from_codes(cls, inner: LinearCode, outer: LinearCode,
                    eps_ss: RationalLike) -> "SketchParams":
         return cls(k_star=inner.k, n_star=inner.n, k=outer.k, n=outer.n,
-                   eps_ss=as_fraction(eps_ss), inner=inner, outer=outer)
+                   eps_ss=eps_ss, inner=inner, outer=outer)
 
 
 @dataclass(frozen=True)
 class ParamsReport:
     """Validation outcome: fatal violations plus two advisory predicates.
 
-    violations is empty exactly when the ordering k* <= n* < k <= n, the
-    zero-pad widths, and the eps_ss range all hold. The error-floor check
+    violations is empty exactly when n* < k and the eps ranges hold; the
+    rest of k* <= n* < k <= n holds in every SketchParams. The error-floor check
     (exp(-2 n eps^2) <= 2^-(k-n*)) and the enumeration-budget check
     (k* h2(eps_rec) <= k-n*) are reported but never fatal.
     """
@@ -115,7 +114,9 @@ def eps_rec_violation(k_star: int, eps_rec: Fraction) -> Optional[str]:
 
 def validate_params(params: SketchParams,
                     eps_rec: Optional[RationalLike] = None) -> ParamsReport:
-    """Check the parameter ordering and evaluate the advisory predicates.
+    """Check n* < k and the eps ranges, and evaluate the advisory predicates.
+
+    k* <= n* and k <= n need no check: each is one code's (k, n).
 
     eps_rec defaults to 2*eps_ss, the worst-case recovery error parameter;
     an explicit eps_rec outside [1/(2k*), 1/2] is listed as a violation.
@@ -125,14 +126,8 @@ def validate_params(params: SketchParams,
     """
     p = params
     violations = []
-    if not p.k_star <= p.n_star:
-        violations.append(f"k* = {p.k_star} must be <= n* = {p.n_star}")
     if not p.n_star < p.k:
         violations.append(f"n* = {p.n_star} must be < k = {p.k}")
-    if not p.k <= p.n:
-        violations.append(f"k = {p.k} must be <= n = {p.n}")
-    if p.n_star - p.k_star < 0:
-        violations.append("inner pad width n*-k* is negative")
     problem = eps_ss_violation(p.k_star, p.eps_ss)
     if problem:
         violations.append(problem)
@@ -140,7 +135,7 @@ def validate_params(params: SketchParams,
     if eps_rec is None:
         eps_rec = 2 * p.eps_ss
     else:
-        eps_rec = as_fraction(eps_rec)
+        eps_rec = Fraction(eps_rec)
         problem = eps_rec_violation(p.k_star, eps_rec)
         if problem:
             violations.append(problem)
@@ -164,7 +159,7 @@ def validate_params(params: SketchParams,
 
 def sample_error(k_star: int, eps: RationalLike, rng: SeededRng) -> BitString:
     """Uniform vector of length k* with weight exactly floor(k* eps)."""
-    eps = as_fraction(eps)
+    eps = Fraction(eps)
     if not 0 <= eps <= Fraction(1, 2):
         raise ParameterError(f"eps = {eps} outside [0, 1/2]")
     weight = int(k_star * eps)  # Fraction floor via int()
@@ -211,7 +206,7 @@ def make_sketch(w: BitString, N: IndexVector, eps_ss: RationalLike,
     The eps_ss argument is the one actually used and is recorded in the
     returned sketch's params.
     """
-    eps_ss = as_fraction(eps_ss)
+    eps_ss = Fraction(eps_ss)
     if len(w) != params.k_star:
         raise DimensionError(
             f"secret length {len(w)} != k* = {params.k_star}")
@@ -287,15 +282,6 @@ def load_sketch(data: bytes) -> Sketch:
 def _parse_sketch(data: bytes) -> Sketch:
     view = memoryview(data)
 
-    def take(fmt):
-        nonlocal view
-        size = struct.calcsize(fmt)
-        if len(view) < size:
-            raise SketchFormatError("truncated sketch file")
-        vals = struct.unpack(fmt, view[:size])
-        view = view[size:]
-        return vals
-
     def take_raw(size):
         nonlocal view
         if len(view) < size:
@@ -303,6 +289,9 @@ def _parse_sketch(data: bytes) -> Sketch:
         raw = bytes(view[:size])
         view = view[size:]
         return raw
+
+    def take(fmt):
+        return struct.unpack(fmt, take_raw(struct.calcsize(fmt)))
 
     if take_raw(4) != SKETCH_MAGIC:
         raise SketchFormatError("bad magic, not a sketch file")

@@ -114,7 +114,8 @@ class TestBitString:
             BitString([0, 2, 1])
 
     @pytest.mark.parametrize("bits", [np.array([257, 0]), np.array([-255, 0]),
-                                      [0.5, 1], [256, 1], [-1, 0]])
+                                      [0.5, 1], [256, 1], [-1, 0],
+                                      [1 + 0j, 0], ["1", "0"]])
     def test_rejects_values_before_the_uint8_cast(self, bits):
         with pytest.raises(ParameterError, match="bits must be 0 or 1"):
             BitString(bits)

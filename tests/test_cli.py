@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
-from rvsketch import SeededRng
+from rvsketch import ExperimentConfig, SeededRng, cli
 from rvsketch.cli import main
+from rvsketch.experiments import _KINDS
 
 
 @pytest.fixture()
@@ -171,3 +174,65 @@ class TestExperimentCommand:
         code = main(["experiment", "--kind", "false_accept",
                      "--deltas", "1,x"])
         assert code == 2
+        assert capsys.readouterr().err == "bad --deltas value: '1,x'\n"
+
+
+class TestExperimentFlags:
+    HELP = """\
+usage: rvsketch experiment [-h] --kind
+                           {lsh,correctness,false_accept,complexity}
+                           [--trials TRIALS] [--seed SEED] [--out OUT]
+                           [--k-star K_STAR] [--distance DISTANCE] [--n N]
+                           [--inner INNER] [--outer OUTER] [--eps-ss EPS_SS]
+                           [--w-prime-distance W_PRIME_DISTANCE]
+                           [--deltas DELTAS] [--min-iterations MIN_ITERATIONS]
+
+options:
+  -h, --help            show this help message and exit
+  --kind {lsh,correctness,false_accept,complexity}
+  --trials TRIALS
+  --seed SEED
+  --out OUT
+  --k-star K_STAR
+  --distance DISTANCE
+  --n N
+  --inner INNER
+  --outer OUTER
+  --eps-ss EPS_SS
+  --w-prime-distance W_PRIME_DISTANCE
+  --deltas DELTAS       comma-separated k-n* values for false_accept
+  --min-iterations MIN_ITERATIONS
+"""
+
+    @pytest.fixture()
+    def configs(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda cfg: seen.append(cfg) or [])
+        return seen
+
+    def test_help_text(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == self.HELP
+
+    @pytest.mark.parametrize("kind", tuple(_KINDS))
+    def test_defaults_are_the_config_defaults(self, configs, kind):
+        assert main(["experiment", "--kind", kind]) == 0
+        assert configs == [ExperimentConfig(kind=kind)]
+
+    def test_every_flag_reaches_the_config(self, configs, tmp_path):
+        out = str(tmp_path / "x.csv")
+        assert main(["experiment", "--kind", "correctness", "--trials", "7",
+                     "--seed", "9", "--out", out, "--k-star", "8",
+                     "--distance", "2", "--n", "64", "--inner", "bch:3:1",
+                     "--outer", "random:40:24", "--eps-ss", "1/8",
+                     "--w-prime-distance", "3", "--deltas", "2,5",
+                     "--min-iterations", "50"]) == 0
+        assert configs == [ExperimentConfig(
+            kind="correctness", trials=7, seed=9, out=out, k_star=8,
+            distance=2, n=64, inner_spec="bch:3:1", outer_spec="random:40:24",
+            eps_ss=Fraction(1, 8), w_prime_distance=3, deltas=(2, 5),
+            min_iterations=50)]

@@ -290,6 +290,14 @@ class TestRandomCode:
         cws = codewords_packed(c)
         assert len(cws) == 2 and cws[0] == 0
 
+    @pytest.mark.parametrize("spec", ["3:1", "4:2", "random:20:9"])
+    def test_packed_codewords_are_in_message_order(self, spec):
+        code = code_from_spec(spec, SeededRng(7))
+        cws = codewords_packed(code)
+        for i in range(1 << code.k):
+            msg = BitString([(i >> j) & 1 for j in range(code.k)])
+            assert cws[i] == pack_rows(encode(code, msg).bits[None])[0]
+
     def test_full_rank_guaranteed(self):
         for seed in range(10):
             c = random_linear_code(12, 9, SeededRng(seed))

@@ -36,6 +36,16 @@ class TestIndexVector:
         with pytest.raises(ParameterError):
             IndexVector.from_text(text, 3)
 
+    def test_value_equality_and_hash(self):
+        a = IndexVector(np.array([1, 2, 3]), 3)
+        b = IndexVector(np.array([1, 2, 3]), 3)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != IndexVector(np.array([1, 2, 2]), 3)
+        assert a != IndexVector(np.array([1, 2, 3]), 4)
+        assert a != IndexVector(np.array([1, 2, 3, 1]), 3)
+        assert a != "1,2,3"
+
 
 class TestGenIndexVector:
     def test_single_source_index(self):

@@ -214,6 +214,11 @@ class TestSketchFile:
         assert again.params.outer == sk.params.outer
         assert again.rng_algo_id == sk.rng_algo_id
 
+    def test_round_trip_compares_equal(self):
+        sk = self._make()
+        assert load_sketch(dump_sketch(sk)) == sk
+        assert load_sketch(dump_sketch(sk)) != self._make(seed=22)
+
     def test_repeated_load_shares_the_codes(self, monkeypatch):
         from rvsketch import codes
         blob = dump_sketch(self._make())
