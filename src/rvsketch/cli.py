@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analysis
-from .bitcore import BitString, DimensionError, SeededRng
+from .bitcore import BitString, DimensionError, ParameterError, SeededRng
 from .codes import code_from_spec
 from .experiments import _KINDS, ExperimentConfig, run_experiment
 from .lsh import gen_index_vector
@@ -121,6 +121,8 @@ def cmd_sketch(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    if args.max_weight is not None and not args.sweep:
+        raise ParameterError("--max-weight applies only with --sweep")
     sk = load_sketch_file(args.sketch)
     w_prime = _read_bitstring(args.w_prime)
     inner, outer = sk.params.inner, sk.params.outer

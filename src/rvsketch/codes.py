@@ -8,9 +8,10 @@ ceil(rows/64) uint64 words (row i -> bit i % 64 of word i // 64), so a
 syndrome or a message is an XOR of packed columns at any width.
 
 Every code gets one coset-leader table at construction, built vectorized
-over all patterns of weight <= t: the sorted syndrome keys, each with its
-leader's support and the packed L * leader. A t = 0 code's table is {0},
-so decoding is exact membership. Lookup is a searchsorted on the keys; it
+over all patterns of weight <= t: each leader's support and packed
+L * leader, and a row index over every syndrome value, -1 where no leader
+has that syndrome (4 * 2^(n-k) bytes). A t = 0 code's table is {0}, so
+decoding is exact membership. Lookup is one gather from the row index; it
 serves the public decode and, a whole batch of syndromes at a time, the
 recovery scan. Codewords are BitStrings of length n; position i of a word
 is coefficient x^(i-1) in the polynomial view used by the BCH construction.
@@ -222,23 +223,25 @@ class LinearCode:
         self._build_table()
         # memoized codes are shared, so nothing they hold may change
         for a in (self.G, self.H, self._L, self._h_cols, self._l_cols,
-                  self._keys, self._leaders, self._leader_msgs):
+                  self._rows, self._leaders, self._leader_msgs):
             a.flags.writeable = False
 
     # -- construction internals ------------------------------------------
 
     def _build_table(self):
-        """Sorted syndrome keys with their leaders' supports and packed L * leader.
+        """Leader supports, packed L * leader, and the row of each syndrome.
 
-        Keys hold the first syndrome word only: a table with a nonzero key
-        has n-k <= 24, and a t = 0 table is {0}, so every syndrome with a
-        nonzero higher word misses.
+        _rows[s] is the leader row of the first-word syndrome s, or -1: a
+        table with a leader of nonzero syndrome has n-k <= 24, so _rows
+        spans every syndrome at 4 * 2^(n-k) bytes (64 MB at n-k = 24). A
+        t = 0 table is {0}: _rows = [0, -1], and every nonzero syndrome
+        misses.
         """
         n, r, t = self.n, self.n - self.k, self.t
         if t == 0:
             # the table {0}, without the batch machinery: fresh random codes
             # are built once per use, so their construction cost counts
-            self._keys = np.zeros(1, dtype=np.uint64)
+            self._rows = np.array([0, -1], dtype=np.int32)
             self._leaders = np.zeros((1, 0), dtype=np.uint8)
             self._leader_msgs = np.zeros((1, self._l_cols.shape[1]), dtype=np.uint64)
             return
@@ -251,13 +254,15 @@ class LinearCode:
                 f"{total} correctable patterns exceed the table cap")
         leaders = next(support_batches(n, range(t + 1), total))
         syn = xor_gather(self._h_cols, leaders)[:, 0]   # one word: n-k <= 24
-        order = np.argsort(syn, kind="stable")
-        self._keys = syn[order]
-        if (self._keys[1:] == self._keys[:-1]).any():
+        rows = np.full(1 << r, -1, dtype=np.int32)
+        order = np.arange(total, dtype=np.int32)
+        rows[syn] = order
+        if (rows[syn] != order).any():
             raise ParameterError(
                 f"radius {t} exceeds the code's packing: syndrome collision")
-        self._leaders = leaders[order]
-        self._leader_msgs = xor_gather(self._l_cols, self._leaders)
+        self._rows = rows
+        self._leaders = leaders
+        self._leader_msgs = xor_gather(self._l_cols, leaders)
 
     # -- array-level paths (shared with the recovery scan) -----------------
 
@@ -268,9 +273,8 @@ class LinearCode:
     def _lookup(self, syn: np.ndarray):
         """(hit, row) per packed syndrome row of syn: whether it is in the
         table, and if so its row of the leader arrays."""
-        row = np.searchsorted(self._keys, syn[:, 0])
-        np.minimum(row, self._keys.size - 1, out=row)
-        hit = self._keys[row] == syn[:, 0]
+        row = self._rows[np.minimum(syn[:, 0], self._rows.size - 1)]
+        hit = row >= 0
         if syn.shape[1] > 1:
             hit &= ~syn[:, 1:].any(axis=1)
         return hit, row
@@ -284,6 +288,9 @@ class LinearCode:
             return True
         return (self.t == other.t and self.kind == other.kind
                 and np.array_equal(self.G, other.G))
+
+    def __hash__(self) -> int:
+        return hash((self.t, self.kind, self.G.shape, self.G.tobytes()))
 
     def __repr__(self) -> str:
         return f"LinearCode[{self.n},{self.k},t={self.t}]({self.kind})"

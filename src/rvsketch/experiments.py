@@ -86,6 +86,9 @@ class ExperimentConfig:
             raise ParameterError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 0:
             raise ParameterError("trials must be >= 1 (or 0 for the default)")
+        if self.kind == "false_accept" and self.trials:
+            raise ParameterError(
+                "false_accept takes no trials: min_iterations sets its length")
         if self.kind == "false_accept" and self.min_iterations < 1:
             raise ParameterError("min_iterations must be >= 1")
 

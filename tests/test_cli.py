@@ -108,6 +108,18 @@ class TestRecoverCommand:
                   "--eps-rec", "1/7", "--sweep"])
         assert exc.value.code == 2
 
+    def test_max_weight_needs_sweep(self, workdir, capsys):
+        self._sketch(workdir)
+        capsys.readouterr()
+        args = ["recover", "--sketch", str(workdir / "sk.bin"),
+                "--w-prime", str(workdir / "w.txt"), "--max-weight", "99"]
+        assert main(args + ["--eps-rec", "1/7"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --max-weight applies only with --sweep\n")
+        assert main(args + ["--sweep"]) == 2   # above floor(k*/2): rejected
+        assert "max_weight 99 outside [0, 3]" in capsys.readouterr().err
+        assert main(args[:-1] + ["0", "--sweep"]) == 0
+
 
 class TestBoundsCommand:
     ARGS = ["bounds", "--k-star", "7", "--n-star", "15", "--k", "16",
@@ -169,6 +181,15 @@ class TestExperimentCommand:
         assert code == 0
         assert "FalseAcceptResult" in capsys.readouterr().out
         assert out.exists()
+
+    def test_false_accept_rejects_trials(self, workdir, capsys):
+        out = workdir / "fa.csv"
+        code = main(["experiment", "--kind", "false_accept", "--trials", "40",
+                     "--seed", "3", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: false_accept takes no "
+                                       "trials: min_iterations sets its length\n")
+        assert not out.exists()
 
     def test_bad_deltas(self, capsys):
         code = main(["experiment", "--kind", "false_accept",

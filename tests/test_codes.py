@@ -165,7 +165,7 @@ def _text(G, t=0, kind="random", param=None):
 
 
 class TestMemoization:
-    ARRAYS = ("G", "H", "_L", "_h_cols", "_l_cols", "_keys", "_leaders",
+    ARRAYS = ("G", "H", "_L", "_h_cols", "_l_cols", "_rows", "_leaders",
               "_leader_msgs")
 
     def test_texts_differing_in_g_give_distinct_codes(self, bch15):
@@ -177,7 +177,7 @@ class TestMemoization:
             G = np.ascontiguousarray(bch15.G[perm])
             code = code_from_text(_text(G, t=2, kind="bch", param=4))
             fresh = LinearCode(G, 2, kind="bch", param=4)
-            for name in ("H", "_L", "_keys", "_leaders"):
+            for name in ("H", "_L", "_rows", "_leaders"):
                 assert np.array_equal(getattr(code, name), getattr(fresh, name))
             built.append(code)
         assert len({id(c) for c in built}) == len(perms)
@@ -253,8 +253,49 @@ class TestCosetTable:
                 assert np.array_equal(c._leaders[row, :w], pats)
                 assert (c._leaders[row, w:] == c.n).all()
                 assert np.array_equal(c._leader_msgs[row, 0], msg)
-            assert c._keys.size == total
+            assert (c._rows >= 0).sum() == total
         assert built == {3: 3, 4: 7, 5: 5, 6: 4}[m]
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_every_syndrome_hits_exactly_the_leader_set(self, m):
+        # all 2^(n-k) syndromes of every table with n-k <= 20: a syndrome
+        # hits iff some pattern of weight <= t has it, at that pattern's row
+        built = 0
+        for t in range(1, 2 ** (m - 1)):
+            try:
+                c = bch_code(m, t)
+            except CapacityError:
+                continue
+            if c.n - c.k > 20:
+                continue
+            built += 1
+            h_cols = np.append(pack_rows(c.H.T), np.uint64(0))   # + sentinel
+            leader_syn = np.concatenate([np.bitwise_xor.reduce(
+                h_cols[np.array(list(combinations(range(c.n), w)), np.intp)],
+                axis=1) for w in range(t + 1)])
+            every = np.arange(1 << (c.n - c.k), dtype=np.uint64)
+            hit, row = c._lookup(every[:, None])
+            assert np.array_equal(hit, np.isin(every, leader_syn))
+            got = np.bitwise_xor.reduce(h_cols[c._leaders[row[hit]]], axis=1)
+            assert np.array_equal(got, every[hit])
+        assert built == {3: 3, 4: 7, 5: 5, 6: 3}[m]
+
+    @pytest.mark.parametrize("n,k", [(7, 4), (16, 8), (12, 12), (140, 70)])
+    def test_zero_radius_hits_only_syndrome_zero(self, n, k):
+        c = random_linear_code(n, k, SeededRng(n + k))
+        words = c._h_cols.shape[1]
+        syn = np.zeros((6, words), dtype=np.uint64)
+        syn[1, 0] = 1
+        syn[2, 0] = np.uint64(2 ** 64 - 1)
+        syn[3, -1] = 1            # the first word is zero iff words > 1
+        syn[4] = SeededRng(7).integers(0, 2 ** 63, size=words, dtype=np.uint64)
+        syn[5, 0] = np.uint64(1) << np.uint64(63)
+        hit, row = c._lookup(syn)
+        assert hit.tolist() == [True] + [False] * 5
+        assert row[0] == 0
+        if n - k <= 16:
+            every = np.arange(1 << (n - k), dtype=np.uint64)[:, None]
+            assert c._lookup(every)[0].tolist() == [True] + [False] * (len(every) - 1)
 
     def test_radius_beyond_packing_is_a_collision(self, bch15):
         with pytest.raises(ParameterError, match="syndrome collision"):
@@ -262,7 +303,7 @@ class TestCosetTable:
 
     def test_zero_radius_table_is_zero_only(self, hamming7):
         c = LinearCode(hamming7.G, 0, "bch")
-        assert c._keys.tolist() == [0] and c._leaders.shape == (1, 0)
+        assert c._rows.tolist() == [0, -1] and c._leaders.shape == (1, 0)
         assert decode(c, _flip(encode(c, BitString("1011")), (2,))) is None
 
 
@@ -452,11 +493,19 @@ class TestMinDistance:
 
 
 class TestSerialization:
+    def test_equal_codes_hash_equal(self, bch31):
+        again = code_from_text(code_to_text(bch31))
+        assert again is not bch31 and hash(again) == hash(bch31)
+        assert len({bch31, again, LinearCode(bch31.G, 3, "bch", 5)}) == 1
+        others = {bch31, LinearCode(bch31.G, 2, "bch", 5),
+                  LinearCode(bch31.G, 3, "random"), bch_code(4, 2)}
+        assert len(others) == 4
+
     def test_bch_round_trip(self, bch31):
         again = code_from_text(code_to_text(bch31))
         assert again == bch31
         assert np.array_equal(again.H, bch31.H)
-        assert np.array_equal(again._keys, bch31._keys)
+        assert np.array_equal(again._rows, bch31._rows)
 
     def test_random_round_trip(self):
         c = random_linear_code(14, 6, SeededRng(16))

@@ -28,6 +28,13 @@ class TestConfig:
         with pytest.raises(ParameterError):
             ExperimentConfig(kind="lsh", trials=-1).validate()
 
+    def test_false_accept_takes_no_trials(self):
+        # its length is min_iterations; a trials value would only be
+        # written to the CSV header
+        with pytest.raises(ParameterError, match="min_iterations"):
+            run_experiment(ExperimentConfig(kind="false_accept", trials=40))
+        ExperimentConfig(kind="false_accept").validate()
+
 
 class TestLsh:
     def test_small_run_passes(self):

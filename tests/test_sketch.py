@@ -219,6 +219,13 @@ class TestSketchFile:
         assert load_sketch(dump_sketch(sk)) == sk
         assert load_sketch(dump_sketch(sk)) != self._make(seed=22)
 
+    def test_round_trip_hashes_equal(self):
+        sk = self._make()
+        again = load_sketch(dump_sketch(sk))
+        assert hash(again) == hash(sk)
+        assert len({sk, again, self._make()}) == 1
+        assert len({sk, self._make(seed=22)}) == 2
+
     def test_repeated_load_shares_the_codes(self, monkeypatch):
         from rvsketch import codes
         blob = dump_sketch(self._make())
