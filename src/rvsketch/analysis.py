@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
 
+from .bitcore import ParameterError
+
 RationalLike = Union[Fraction, int, str, float]
 
 
@@ -44,7 +46,7 @@ def support_size(k_star: int, eps: RationalLike) -> Tuple[int, float]:
     """(exact, bound): C(k*, floor(k* eps)) and its 2^(k* h2(eps)) envelope."""
     eps = Fraction(eps)
     if not 0 <= eps <= Fraction(1, 2):
-        raise ValueError(f"eps = {eps} outside [0, 1/2]")
+        raise ParameterError(f"eps = {eps} outside [0, 1/2]")
     weight = int(k_star * eps)
     exact = math.comb(k_star, weight)
     bound = 2.0 ** (k_star * binary_entropy(eps))

@@ -146,9 +146,12 @@ def cmd_bounds(args) -> int:
     k_star, n_star, k, n = args.k_star, args.n_star, args.k, args.n
     eps_ss = args.eps_ss
     eps_rec = args.eps_rec if args.eps_rec is not None else 2 * eps_ss
-    problems = [eps_ss_violation(k_star, eps_ss)]
-    if args.eps_rec is not None:
-        problems.append(eps_rec_violation(k_star, eps_rec))
+    if k_star < 1:   # the eps ranges below divide by k_star
+        problems = [f"k_star = {k_star} must be at least 1"]
+    else:
+        problems = [eps_ss_violation(k_star, eps_ss)]
+        if args.eps_rec is not None:
+            problems.append(eps_rec_violation(k_star, eps_rec))
     problems = [p for p in problems if p]
     for problem in problems:
         print(f"parameter violation: {problem}", file=sys.stderr)

@@ -19,13 +19,17 @@ is coefficient x^(i-1) in the polynomial view used by the BCH construction.
 A built code is immutable: every array it holds is read-only. So codes are
 memoized and shared. bch_code and code_from_text each keep a small LRU
 cache, and a repeated (m', t) or code text returns the same object without
-a second elimination or table build. Errors are raised afresh on every
-call; random_linear_code and the LinearCode constructor are not cached.
+a second elimination or table build. code_from_text's cache is also bounded
+in array bytes, since code texts, unlike (m', t), come from outside. Errors
+are raised afresh on every call; random_linear_code and the LinearCode
+constructor are not cached.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from functools import lru_cache
 from typing import Optional
 
@@ -119,16 +123,6 @@ def _unpack(packed: np.ndarray, length: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Polynomial arithmetic over GF(2), ints as coefficient masks (bit i = x^i)
 
-def _clmul(a: int, b: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
 def _polymod(a: int, b: int) -> int:
     db = b.bit_length()
     while a.bit_length() >= db:
@@ -155,46 +149,34 @@ def _gf_tables(m: int):
     return exp, log
 
 
-def _cyclotomic_coset(i: int, n: int) -> frozenset:
-    out = set()
-    j = i % n
-    while j not in out:
-        out.add(j)
-        j = (2 * j) % n
-    return frozenset(out)
-
-
-def _minimal_poly(coset, m: int, exp, log) -> int:
-    """Product of (x + alpha^j) over the coset; coefficients land in GF(2)."""
+def _bch_generator(m: int, t: int) -> int:
+    """g(x) = prod (x + alpha^j) over the union of the cyclotomic cosets of
+    1..2t, with alpha a root of _PRIMITIVE_POLY[m]. The union is closed
+    under squaring, so every coefficient lies in GF(2)."""
     n = (1 << m) - 1
-
-    def mul(a, b):
-        if a == 0 or b == 0:
-            return 0
-        return exp[(log[a] + log[b]) % n]
-
-    coeffs = [1]
-    for j in sorted(coset):
-        root = exp[j % n]
-        nxt = [0] * (len(coeffs) + 1)
-        for p, c in enumerate(coeffs):
-            if c:
-                nxt[p + 1] ^= c
-                nxt[p] ^= mul(c, root)
-        coeffs = nxt
-    mask = 0
-    for p, c in enumerate(coeffs):
-        if c not in (0, 1):
-            raise AssertionError("minimal polynomial left the base field")
-        if c:
-            mask |= 1 << p
-    return mask
+    exp, log = _gf_tables(m)
+    exp = exp * 2               # exp[log a + j] = a * alpha^j, no modulo
+    roots = set()
+    for i in range(1, 2 * t + 1):
+        j = i
+        while j not in roots:   # a coset already collected stops at once
+            roots.add(j)
+            j = 2 * j % n
+    coeffs = [1]                # GF(2^m) elements, index p -> x^p
+    for j in roots:
+        # (x + alpha^j) g(x): shift by one, plus alpha^j times each coefficient
+        coeffs = [hi ^ (exp[log[lo] + j] if lo else 0)
+                  for hi, lo in zip([0] + coeffs, coeffs + [0])]
+    if any(c > 1 for c in coeffs):
+        raise AssertionError("generator polynomial left the base field")
+    return sum(c << p for p, c in enumerate(coeffs))
 
 
 # ---------------------------------------------------------------------------
 
 _TABLE_PATTERN_CAP = 2_000_000
 _CODE_CACHE_SIZE = 16      # entries in each of the bch_code and code_from_text caches
+_CODE_CACHE_BYTES = 128 << 20   # code_from_text's array bytes: two n-k = 24 tables
 
 
 class LinearCode:
@@ -222,8 +204,9 @@ class LinearCode:
         self._l_cols = _pack_cols(self._L)
         self._build_table()
         # memoized codes are shared, so nothing they hold may change
-        for a in (self.G, self.H, self._L, self._h_cols, self._l_cols,
-                  self._rows, self._leaders, self._leader_msgs):
+        self._arrays = (self.G, self.H, self._L, self._h_cols, self._l_cols,
+                        self._rows, self._leaders, self._leader_msgs)
+        for a in self._arrays:
             a.flags.writeable = False
 
     # -- construction internals ------------------------------------------
@@ -248,18 +231,22 @@ class LinearCode:
         if r > 24:
             raise CapacityError(
                 f"coset-leader table needs n-k <= 24, got {r}")
-        total = sum(math.comb(n, w) for w in range(t + 1))
+        weights = range(min(t, n) + 1)
+        total = sum(math.comb(n, w) for w in weights)
         if total > _TABLE_PATTERN_CAP:
             raise CapacityError(
                 f"{total} correctable patterns exceed the table cap")
-        leaders = next(support_batches(n, range(t + 1), total))
+        collision = ParameterError(
+            f"radius {t} exceeds the code's packing: syndrome collision")
+        if total > 1 << r:   # more patterns than syndromes: pigeonhole
+            raise collision
+        leaders = next(support_batches(n, weights, total))
         syn = xor_gather(self._h_cols, leaders)[:, 0]   # one word: n-k <= 24
         rows = np.full(1 << r, -1, dtype=np.int32)
         order = np.arange(total, dtype=np.int32)
         rows[syn] = order
         if (rows[syn] != order).any():
-            raise ParameterError(
-                f"radius {t} exceeds the code's packing: syndrome collision")
+            raise collision
         self._rows = rows
         self._leaders = leaders
         self._leader_msgs = xor_gather(self._l_cols, leaders)
@@ -280,6 +267,11 @@ class LinearCode:
         return hit, row
 
     # -- misc --------------------------------------------------------------
+
+    @property
+    def _nbytes(self) -> int:
+        """Bytes held by the code's arrays."""
+        return sum(a.nbytes for a in self._arrays)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCode):
@@ -303,11 +295,12 @@ class LinearCode:
 def bch_code(m_prime: int, t: int) -> LinearCode:
     """Narrow-sense binary BCH code of blocklength 2^m' - 1.
 
-    The generator polynomial is the product of the distinct minimal
-    polynomials of alpha^1..alpha^2t, so n - k <= m'*t and the design
-    distance is at least 2t + 1. Supported m' are 3..6; the coset-leader
-    decoder caps the useful range anyway. Memoized: a repeated (m', t)
-    returns the same code.
+    The generator polynomial is the product of (x + alpha^j) over the
+    union of the cyclotomic cosets of 1..2t, which equals the lcm of the
+    minimal polynomials of alpha^1..alpha^2t; so n - k <= m'*t and the
+    design distance is at least 2t + 1. Supported m' are 3..6; the
+    coset-leader decoder caps the useful range anyway. Memoized: a
+    repeated (m', t) returns the same code.
     """
     if m_prime not in _PRIMITIVE_POLY:
         raise ParameterError(
@@ -316,15 +309,7 @@ def bch_code(m_prime: int, t: int) -> LinearCode:
         raise ParameterError(
             f"need 1 <= t < 2^(m_prime-1) = {2 ** (m_prime - 1)}, got {t}")
     n = (1 << m_prime) - 1
-    exp, log = _gf_tables(m_prime)
-    seen = set()
-    g = 1
-    for i in range(1, 2 * t + 1):
-        coset = _cyclotomic_coset(i, n)
-        if coset in seen:
-            continue
-        seen.add(coset)
-        g = _clmul(g, _minimal_poly(coset, m_prime, exp, log))
+    g = _bch_generator(m_prime, t)
     k = n - (g.bit_length() - 1)
     if k < 1:
         raise ParameterError("generator polynomial consumed the whole blocklength")
@@ -384,8 +369,7 @@ def syndrome(code: LinearCode, word: BitString) -> BitString:
     """H * word over GF(2); all-zeros exactly for codewords."""
     if len(word) != code.n:
         raise DimensionError(f"word length {len(word)} != n = {code.n}")
-    out = (code.H @ word.bits.astype(np.int64)) & 1
-    return BitString._wrap(out.astype(np.uint8))
+    return BitString._wrap(_unpack(code._syndromes(word.bits), code.n - code.k))
 
 
 def decode(code: LinearCode, word: BitString) -> Optional[BitString]:
@@ -473,10 +457,37 @@ def code_from_text(text: str) -> LinearCode:
     return _code_from_fields(kind, n, k, t, param, raw)
 
 
-@lru_cache(maxsize=_CODE_CACHE_SIZE)
+_text_codes: "OrderedDict[tuple, LinearCode]" = OrderedDict()   # LRU order
+_text_codes_bytes = 0
+_text_codes_lock = threading.Lock()
+
+
 def _code_from_fields(kind: str, n: int, k: int, t: int,
                       param: Optional[int], raw: bytes) -> LinearCode:
-    """The code of parsed text fields, memoized so a repeated text is built once."""
+    """The code of parsed text fields, memoized so a repeated text is built once.
+
+    The cache holds at most _CODE_CACHE_SIZE codes and evicts the least
+    recently used while their arrays exceed _CODE_CACHE_BYTES, never the
+    code it returns. A hit is a move to the end of the LRU order.
+    """
+    global _text_codes_bytes
+    key = (kind, n, k, t, param, raw)
+    with _text_codes_lock:
+        code = _text_codes.get(key)
+        if code is not None:
+            _text_codes.move_to_end(key)
+            return code
     flat = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                          count=n * k, bitorder="little")
-    return LinearCode(flat.reshape(n, k), t=t, kind=kind, param=param)
+    code = LinearCode(flat.reshape(n, k), t=t, kind=kind, param=param)
+    with _text_codes_lock:
+        if key not in _text_codes:   # else another thread built it meanwhile
+            _text_codes[key] = code
+            _text_codes_bytes += code._nbytes
+            while len(_text_codes) > 1 and (
+                    len(_text_codes) > _CODE_CACHE_SIZE
+                    or _text_codes_bytes > _CODE_CACHE_BYTES):
+                _, old = _text_codes.popitem(last=False)
+                _text_codes_bytes -= old._nbytes
+        _text_codes.move_to_end(key)
+        return _text_codes[key]

@@ -2,10 +2,11 @@
 
 Four kinds:
 
-  lsh          sampled RV distance against the exact expectation n*d/k*
+  lsh          lsh.rv_distance_samples against the exact expectation n*d/k*
   correctness  sketch/recover round-trips against the 1 - 2^-(k-n*) floor
   false_accept decoy recovery iterations against the 2^-(k-n*) prefix rate
-  complexity   exhausted-enumeration iteration counts against C(k*, m)
+  complexity   exhausted-enumeration iteration counts against
+               analysis.support_size: C(k*, m) and its 2^(k* h2) envelope
 
 Per-trial seeds are derived as seed xor trial_index (trial indices are
 global within one experiment; the base seed is whitened through a fixed
@@ -24,10 +25,10 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import binary_entropy, binom_lower_tail, false_accept_rate
+from .analysis import binom_lower_tail, false_accept_rate, support_size
 from .bitcore import BitString, ParameterError, SeededRng
 from .codes import code_from_spec, random_linear_code
-from .lsh import gen_index_vector
+from .lsh import gen_index_vector, rv_distance_samples
 from .recover import RecoveryReport, recover_fixed, recover_sweep
 from .sketch import SketchParams, make_sketch
 
@@ -125,13 +126,11 @@ def run_lsh_experiment(cfg: ExperimentConfig) -> LshResult:
     k_star, d, n = cfg.k_star, cfg.distance, cfg.n
     if not 0 <= d <= k_star:
         raise ParameterError("distance must lie in [0, k_star]")
-    diff = np.zeros(k_star, dtype=np.uint8)
-    diff[:d] = 1
-    samples = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        rng = _trial_rng(cfg.seed, t)
-        draws = rng.integers(0, k_star, size=n, dtype=np.uint32)
-        samples[t] = int(diff[draws].sum())
+    zeros = BitString.zeros(k_star)
+    far = BitString(np.arange(k_star) < d)
+    samples = np.concatenate([
+        rv_distance_samples(zeros, far, n, 1, _trial_rng(cfg.seed, t))
+        for t in range(trials)])
     p = d / k_star
     expected = n * p
     sigma = math.sqrt(n * p * (1.0 - p))
@@ -306,8 +305,7 @@ def run_complexity_experiment(cfg: ExperimentConfig) -> List[ComplexityCell]:
         for eps in cfg.grid_eps:
             eps = Fraction(eps)
             weight = int(k_star * eps)
-            expected = math.comb(k_star, weight)
-            bound = 2.0 ** (k_star * binary_entropy(eps))
+            expected, bound = support_size(k_star, eps)
             worst = 0
             for r in range(repeats):
                 report = _decoy_recovery(_trial_rng(cfg.seed, trial), k_star,

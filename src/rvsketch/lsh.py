@@ -15,7 +15,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .bitcore import BitString, DimensionError, ParameterError, SeededRng
+from .bitcore import (BitString, DimensionError, ParameterError, SeededRng,
+                      hamming_distance)
 
 _CHUNK_TRIALS = 4096
 
@@ -94,20 +95,14 @@ def sample_bits(w: BitString, N: IndexVector) -> BitString:
 
 def similarity(w: BitString, w_prime: BitString) -> Fraction:
     """Collision probability of one sampled position: 1 - d/k*."""
-    if len(w) != len(w_prime):
-        raise DimensionError(f"length mismatch: {len(w)} vs {len(w_prime)}")
-    d = int(np.count_nonzero(w.bits ^ w_prime.bits))
-    return 1 - Fraction(d, len(w))
+    return 1 - Fraction(hamming_distance(w, w_prime), len(w))
 
 
 def expected_rv_distance(w: BitString, w_prime: BitString, n: int) -> Fraction:
     """Exact expectation of the RV distance under uniform index draws: n*d/k*."""
     if n < 1:
         raise ParameterError("n must be positive")
-    if len(w) != len(w_prime):
-        raise DimensionError(f"length mismatch: {len(w)} vs {len(w_prime)}")
-    d = int(np.count_nonzero(w.bits ^ w_prime.bits))
-    return Fraction(n * d, len(w))
+    return Fraction(n * hamming_distance(w, w_prime), len(w))
 
 
 def rv_distance_samples(w: BitString, w_prime: BitString, n: int,

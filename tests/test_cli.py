@@ -159,6 +159,13 @@ class TestBoundsCommand:
         assert captured.err == (
             f"parameter violation: eps_ss = {eps} outside [1/14, 1/4]\n")
 
+    @pytest.mark.parametrize("k_star", ["0", "-3"])
+    def test_k_star_below_one(self, capsys, k_star):
+        args = self.ARGS[:2] + [k_star] + self.ARGS[3:]
+        assert main(args) == 2
+        assert capsys.readouterr() == (
+            "", f"parameter violation: k_star = {k_star} must be at least 1\n")
+
 
 class TestExperimentCommand:
     def test_lsh_smoke(self, workdir, capsys):
@@ -168,6 +175,11 @@ class TestExperimentCommand:
         assert code == 0
         assert out.exists()
         assert "LshResult" in capsys.readouterr().out
+
+    def test_lsh_rejects_empty_samples(self, capsys):
+        code = main(["experiment", "--kind", "lsh", "--n", "0", "--trials", "5"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: n and trials must be positive\n")
 
     def test_complexity_smoke(self, capsys):
         code = main(["experiment", "--kind", "complexity", "--trials", "1"])

@@ -60,7 +60,8 @@ class TestBchConstruction:
         assert encode(bch15, BitString.zeros(7)) == BitString.zeros(15)
 
     # code_to_text digests of every bch_code(m, t) with m = 3..6 that builds,
-    # as the element-wise G fill produced them
+    # as the element-wise G fill produced them, and the n-k of every one
+    # refused for its table, as the per-coset lcm construction refused it
     PINNED = {
         (3, 1): "f05a527528c44ddb", (3, 2): "dd23a38ef527061a",
         (3, 3): "f0e7bdad69b47e64",
@@ -74,6 +75,12 @@ class TestBchConstruction:
         (6, 1): "2475b45ee655c3fe", (6, 2): "adde7aeb5ce129b3",
         (6, 3): "4264e86edbcdee1a", (6, 4): "14bf273690c836c3",
     }
+    TOO_LONG = {
+        (5, 6): 25, (5, 7): 25, **{(5, t): 30 for t in range(8, 16)},
+        (6, 5): 27, (6, 6): 33, (6, 7): 39, (6, 8): 45, (6, 9): 45,
+        (6, 10): 45, (6, 11): 47, (6, 12): 53, (6, 13): 53, (6, 14): 56,
+        (6, 15): 56, **{(6, t): 62 for t in range(16, 32)},
+    }
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_generators_are_pinned(self, m):
@@ -81,11 +88,15 @@ class TestBchConstruction:
         for t in range(1, 2 ** (m - 1)):
             try:
                 text = code_to_text(bch_code(m, t))
-            except CapacityError:
-                continue
-            built[m, t] = hashlib.sha256(text.encode()).hexdigest()[:16]
-        assert built == {key: digest for key, digest in self.PINNED.items()
-                         if key[0] == m}
+            except ParameterError as exc:
+                built[m, t] = (type(exc), str(exc))
+            else:
+                built[m, t] = hashlib.sha256(text.encode()).hexdigest()[:16]
+        expect = {key: (CapacityError,
+                        f"coset-leader table needs n-k <= 24, got {r}")
+                  for key, r in self.TOO_LONG.items()} | self.PINNED
+        assert built == {key: val for key, val in expect.items() if key[0] == m}
+        assert len(built) == 2 ** (m - 1) - 1
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
@@ -207,7 +218,7 @@ class TestMemoization:
             # systematic [8, 4] generators with the bits of i as parity part
             parity = (i >> np.arange(16) & 1).reshape(4, 4).astype(np.uint8)
             code_from_text(_text(np.vstack([np.eye(4, dtype=np.uint8), parity])))
-        assert codes._code_from_fields.cache_info().currsize == size
+        assert len(codes._text_codes) == size
         for m in range(3, 7):
             for t in range(1, 2 ** (m - 1)):
                 try:
@@ -215,6 +226,44 @@ class TestMemoization:
                 except CapacityError:
                     pass
         assert bch_code.cache_info().currsize == size
+
+    @staticmethod
+    def _distance_3_text(i):
+        """A [22, 4] t = 1 code text: n-k = 18, so a 1 MB syndrome index.
+
+        G = [I_4; P] has parity check [P | I_18], whose columns are distinct
+        and nonzero when P's columns are distinct with two bits set or more.
+        """
+        cols = 3 + 4 * (4 * i + np.arange(4))   # bits 0 and 1 always set
+        P = (cols[None, :] >> np.arange(18)[:, None] & 1).astype(np.uint8)
+        return _text(np.vstack([np.eye(4, dtype=np.uint8), P]), t=1)
+
+    def test_text_cache_is_bounded_in_bytes(self, monkeypatch):
+        texts = [self._distance_3_text(i) for i in range(6)]
+        first = code_from_text(texts[0])
+        assert 1 << 20 <= first._nbytes < 2 << 20
+        # room for two of these codes, not three
+        monkeypatch.setattr(codes, "_CODE_CACHE_BYTES", 5 * first._nbytes // 2)
+        second = code_from_text(texts[1])
+        assert code_from_text(texts[0]) is first   # a hit renews texts[0]
+        for text in texts[2:]:
+            newest = code_from_text(text)
+            cached = list(codes._text_codes.values())
+            assert cached[-1] is newest
+            assert codes._text_codes_bytes == sum(c._nbytes for c in cached)
+            assert codes._text_codes_bytes <= (codes._CODE_CACHE_BYTES
+                                               + newest._nbytes)
+            assert code_from_text(text) is newest
+            if text is texts[2]:   # the least recently used code went first
+                assert len(cached) == 2 and cached[0] is first
+        assert not any(c is first for c in codes._text_codes.values())
+        rebuilt = code_from_text(texts[0])
+        assert rebuilt is not first and rebuilt == first
+        assert code_from_text(texts[1]) is not second
+        # small codes loaded in turn stay shared under the same budget
+        small = [_text(np.eye(5, 3, k=-j, dtype=np.uint8)) for j in range(2)]
+        a, b = (code_from_text(text) for text in small)
+        assert code_from_text(small[0]) is a and code_from_text(small[1]) is b
 
     @pytest.mark.parametrize("name", ARRAYS)
     def test_cached_arrays_are_read_only(self, bch15, name):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -119,6 +120,11 @@ class TestComplexity:
             assert cell.passed
             assert cell.iterations_max == cell.expected
 
+    def test_eps_above_half_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="3/4"):
+            run_experiment(ExperimentConfig(kind="complexity", trials=1,
+                                            grid_k=(8,), grid_eps=("3/4",)))
+
 
 class TestCsvOutput:
     def test_byte_reproducibility(self, tmp_path):
@@ -143,6 +149,27 @@ class TestCsvOutput:
         run_experiment(ExperimentConfig(out=p1, **cfg))
         run_experiment(ExperimentConfig(out=p2, **cfg))
         assert p1.read_bytes() == p2.read_bytes()
+
+    # SHA-256 of each kind's CSV at a small config, as the experiments wrote
+    # them before lsh and complexity called rv_distance_samples and
+    # support_size
+    PINNED = {
+        "lsh": (dict(trials=40, seed=3),
+                "74c757e17540870f887f1edf3dd3d3fec57cbfc64f0057439103fde942d0c17f"),
+        "correctness": (dict(trials=40, seed=3),
+                        "38f3e6b7e804d2b4fc974e6951effa0e4ed0826e6627b984246469fde73d8b08"),
+        "complexity": (dict(trials=2, seed=3),
+                       "350153918f0f8c22e915b26c3d1b90535f5257cb5c6d998a80836b1e8c54eccf"),
+        "false_accept": (dict(min_iterations=500, seed=3),
+                         "9a21476797184abfd74d44e725d4b5b410dc2601b37bede3a7b3328735ae5d41"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED))
+    def test_csv_is_pinned(self, tmp_path, kind):
+        flags, digest = self.PINNED[kind]
+        path = tmp_path / f"{kind}.csv"
+        run_experiment(ExperimentConfig(kind=kind, out=path, **flags))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_false_accept_csv_sections(self, tmp_path):
         path = tmp_path / "fa.csv"

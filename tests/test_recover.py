@@ -15,6 +15,7 @@ from rvsketch import (BitString, DimensionError, IndexVector, ParameterError,
                       error_vector_at_rank, gen_index_vector, make_sketch,
                       random_linear_code, recover_fixed, recover_sweep)
 from rvsketch import recover
+from rvsketch.bitcore import _CLASS_ROWS, lex_supports, support_batches
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,29 @@ class TestErrorVectorAtRank:
     def test_rank_out_of_range(self):
         with pytest.raises(ParameterError):
             error_vector_at_rank(5, 2, 10)
+
+
+class TestSplitEnumeration:
+    """Classes above _CLASS_ROWS rows are split by their first position."""
+
+    @pytest.mark.parametrize("n,w", [(18, 9), (20, 7), (22, 6)])
+    def test_split_class_against_combinations(self, n, w):
+        assert math.comb(n, w) > _CLASS_ROWS
+        blocks = list(lex_supports(n, w))
+        assert max(len(b) for b in blocks) <= _CLASS_ROWS
+        expect = np.array(list(combinations(range(n), w)))
+        assert np.array_equal(np.concatenate(blocks), expect)
+        head = math.comb(n - 1, w - 1)   # rows with first position 0
+        for rank in (0, head - 1, head, math.comb(n, w) - 1):
+            want = np.zeros(n, dtype=np.uint8)
+            want[expect[rank]] = 1
+            assert error_vector_at_rank(n, w, rank) == BitString(want)
+        batches = list(support_batches(n, [w - 1, w], _CLASS_ROWS))
+        assert all(len(b) == _CLASS_ROWS for b in batches[:-1])
+        padded = np.full((math.comb(n, w - 1), w), n)
+        padded[:, :w - 1] = list(combinations(range(n), w - 1))
+        assert np.array_equal(np.concatenate(batches),
+                              np.concatenate([padded, expect]))
 
 
 class TestRecoverFixed:

@@ -328,6 +328,15 @@ _INNER_G = _FUZZ_BASE.index(b"G: ") + 3
 _RANK_DEFICIENT = _FUZZ_BASE[:_INNER_G] + b"0" * 8 + _FUZZ_BASE[_INNER_G + 8:]
 
 
+def _with_inner_text(edit):
+    """_FUZZ_BASE with its inner code text replaced by edit(text)."""
+    start = _FUZZ_BASE.index(b"linear-code v1")
+    (size,) = struct.unpack("<I", _FUZZ_BASE[start - 4:start])
+    text = edit(_FUZZ_BASE[start:start + size])
+    return (_FUZZ_BASE[:start - 4] + struct.pack("<I", len(text)) + text
+            + _FUZZ_BASE[start + size:])
+
+
 @st.composite
 def _mutated_sketches(draw):
     data = bytearray(draw(st.sampled_from([_FUZZ_BASE, _RANK_DEFICIENT])))
@@ -360,12 +369,24 @@ class TestSketchFuzz:
 
     def test_zero_code_dimension(self):
         # the inner code text becomes a [3,0] code with an empty G
-        start = _FUZZ_BASE.index(b"linear-code v1")
-        (size,) = struct.unpack("<I", _FUZZ_BASE[start - 4:start])
-        text = b"linear-code v1\nkind: random\nn: 3\nk: 0\nt: 0\nparam: -\nG: \n"
-        blob = (_FUZZ_BASE[:start - 4] + struct.pack("<I", len(text)) + text
-                + _FUZZ_BASE[start + size:])
+        blob = _with_inner_text(lambda text: (
+            b"linear-code v1\nkind: random\nn: 3\nk: 0\nt: 0\nparam: -\nG: \n"))
         with pytest.raises(SketchFormatError, match="1 <= k <= n"):
+            load_sketch(blob)
+
+    @pytest.mark.parametrize("t", [8, 10**7, 10**30])
+    def test_huge_radius_is_a_collision(self, monkeypatch, t):
+        # more patterns of weight <= t than syndromes: rejected before any
+        # pattern is enumerated, however large t is
+        from rvsketch import codes
+
+        def unreachable(*args):
+            raise AssertionError("patterns enumerated")
+        monkeypatch.setattr(codes, "support_batches", unreachable)
+        blob = _with_inner_text(
+            lambda text: text.replace(b"t: 1\n", b"t: %d\n" % t))
+        with pytest.raises(SketchFormatError,
+                           match=f"radius {t} exceeds the code's packing"):
             load_sketch(blob)
 
     @settings(max_examples=300, deadline=None)
