@@ -19,9 +19,8 @@ from .bitcore import (BitString, CapacityError, DimensionError,
                       ParameterError, SeededRng, hamming_distance,
                       hamming_weight, xor, zero_pad_prefix)
 from .codes import (InversionError, LinearCode, bch_code, code_from_spec,
-                    code_from_text, code_to_text, codewords_packed, decode,
-                    encode, invert_message, min_distance_bruteforce,
-                    random_linear_code, syndrome)
+                    code_from_text, code_to_text, decode, encode,
+                    invert_message, random_linear_code, syndrome)
 from .experiments import (ExperimentConfig, run_complexity_experiment,
                           run_correctness_experiment,
                           run_false_accept_experiment, run_experiment,
@@ -30,8 +29,7 @@ from .lsh import (ExceedanceResult, IndexVector, empirical_rv_distance,
                   exceedance_frequencies, expected_rv_distance,
                   gen_index_vector, rv_distance_samples, sample_bits,
                   similarity)
-from .recover import (RecoveryReport, enumerate_errors, error_vector_at_rank,
-                      recover_fixed, recover_sweep)
+from .recover import RecoveryReport, recover_fixed, recover_sweep
 from .sketch import (ParamsReport, Sketch, SketchDebug, SketchFormatError,
                      SketchParams, dump_sketch, load_sketch, load_sketch_file,
                      make_sketch, sample_error, save_sketch, validate_params)

@@ -247,14 +247,15 @@ def support_batches(n: int, weights: Sequence[int], rows: int) -> Iterator[np.nd
         yield np.concatenate(pending)
 
 
-def xor_gather(table: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """Row b is the XOR of table[j] over the entries j of supports[b].
+def xor_gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Row b is the XOR of table[j] over the entries j of column b of index.
 
-    table is (rows, words) packed uint64; padded supports need a zero row
-    at their sentinel index.
+    table is (rows, words) packed uint64 and index is (width, B), a batch of
+    supports laid out column by column, so the gather is (width, B, words)
+    and the reduction runs over whole slices. Padded supports need a zero
+    row at their sentinel index.
     """
-    # gathered as (width, rows, words), so the reduction runs over whole slices
-    return np.bitwise_xor.reduce(np.take(table, supports.T, axis=0), axis=0)
+    return np.bitwise_xor.reduce(np.take(table, index, axis=0), axis=0)
 
 
 RNG_ALGO_ID = "numpy-philox4x64"

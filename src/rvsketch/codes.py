@@ -3,18 +3,20 @@
 Every code carries a generator matrix G (n x k), a parity-check matrix H
 ((n-k) x n) and a left inverse L of G for message recovery; one GF(2)
 elimination of [G^T | I_k] yields both H and L and rejects a
-rank-deficient G. The columns of H and L are also kept packed, each as
-ceil(rows/64) uint64 words (row i -> bit i % 64 of word i // 64), so a
-syndrome or a message is an XOR of packed columns at any width.
+rank-deficient G. The columns of [H; L] are also kept packed in one
+table, H in ceil((n-k)/64) uint64 words and then L from the next word
+boundary in ceil(k/64) (row i -> bit i % 64 of word i // 64), so one XOR
+of packed columns yields a word's syndrome and message side by side.
 
 Every code gets one coset-leader table at construction, built vectorized
-over all patterns of weight <= t: each leader's support and packed
-L * leader, and a row index over every syndrome value, -1 where no leader
-has that syndrome (4 * 2^(n-k) bytes). A t = 0 code's table is {0}, so
-decoding is exact membership. Lookup is one gather from the row index; it
-serves the public decode and, a whole batch of syndromes at a time, the
-recovery scan. Codewords are BitStrings of length n; position i of a word
-is coefficient x^(i-1) in the polynomial view used by the BCH construction.
+over all patterns of weight <= t from one gather of the packed table: each
+leader's support and packed L * leader, and a row index over every
+syndrome value, -1 where no leader has that syndrome (4 * 2^(n-k) bytes).
+A t = 0 code's table is {0}, so decoding is exact membership. Lookup is
+one gather from the row index; it serves the public decode and, a whole
+batch of syndromes at a time, the recovery scan. Codewords are BitStrings
+of length n; position i of a word is coefficient x^(i-1) in the
+polynomial view used by the BCH construction.
 
 A built code is immutable: every array it holds is read-only. So codes are
 memoized and shared. bch_code and code_from_text each keep a small LRU
@@ -92,18 +94,23 @@ def _parity_and_left_inverse(G: np.ndarray):
     return H, L
 
 
-def _pack_cols(M: np.ndarray) -> np.ndarray:
-    """Each column of a 0/1 matrix as ceil(rows/64) uint64 words, at least one.
+def _pack_cols(H: np.ndarray, L: np.ndarray):
+    """The columns of [H; L] as one read-only packed uint64 table, and views
+    of its H and L parts: (table, H part, L part), each cols + 1 rows.
 
-    Row i lands in bit i % 64 of word i // 64. Returns (cols + 1, words):
-    the extra last row is zero, so supports padded with the sentinel
-    index cols gather from it like any other row.
+    H takes ceil(rows/64) words, at least one, and L as many from the next
+    word boundary (row i -> bit i % 64 of word i // 64). The zero last row
+    serves supports padded with the sentinel index cols.
     """
-    rows, cols = M.shape
-    words = max(1, -(-rows // 64))
-    packed = np.zeros((cols + 1, 8 * words), dtype=np.uint8)
-    packed[:cols, :(rows + 7) // 8] = np.packbits(M.T, axis=1, bitorder="little")
-    return packed.view("<u8").astype(np.uint64)
+    split = max(1, -(-len(H) // 64))
+    packed = np.zeros((H.shape[1] + 1, 8 * (split + max(1, -(-len(L) // 64)))),
+                      dtype=np.uint8)
+    for M, at in ((H, 0), (L, 8 * split)):
+        bits = np.packbits(M.T, axis=1, bitorder="little")
+        packed[:-1, at:at + bits.shape[1]] = bits
+    cols = packed.view("<u8").astype(np.uint64, copy=False)
+    cols.flags.writeable = False   # before the views are taken, so they inherit it
+    return cols, cols[:, :split], cols[:, split:]
 
 
 def _xor_rows(cols: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -200,11 +207,10 @@ class LinearCode:
         self.t = t
         self.kind = kind
         self.param = param
-        self._h_cols = _pack_cols(self.H)
-        self._l_cols = _pack_cols(self._L)
+        self._cols, self._h_cols, self._l_cols = _pack_cols(self.H, self._L)
         self._build_table()
         # memoized codes are shared, so nothing they hold may change
-        self._arrays = (self.G, self.H, self._L, self._h_cols, self._l_cols,
+        self._arrays = (self.G, self.H, self._L, self._cols,
                         self._rows, self._leaders, self._leader_msgs)
         for a in self._arrays:
             a.flags.writeable = False
@@ -241,7 +247,8 @@ class LinearCode:
         if total > 1 << r:   # more patterns than syndromes: pigeonhole
             raise collision
         leaders = next(support_batches(n, weights, total))
-        syn = xor_gather(self._h_cols, leaders)[:, 0]   # one word: n-k <= 24
+        both = xor_gather(self._cols, leaders.T)
+        syn = both[:, 0]   # one word: n-k <= 24
         rows = np.full(1 << r, -1, dtype=np.int32)
         order = np.arange(total, dtype=np.int32)
         rows[syn] = order
@@ -249,7 +256,7 @@ class LinearCode:
             raise collision
         self._rows = rows
         self._leaders = leaders
-        self._leader_msgs = xor_gather(self._l_cols, leaders)
+        self._leader_msgs = np.ascontiguousarray(both[:, self._h_cols.shape[1]:])
 
     # -- array-level paths (shared with the recovery scan) -----------------
 
@@ -394,26 +401,6 @@ def invert_message(code: LinearCode, codeword: BitString) -> BitString:
     if code._syndromes(codeword.bits).any():
         raise InversionError("input is not a codeword")
     return BitString._wrap(_unpack(_xor_rows(code._l_cols, codeword.bits), code.k))
-
-
-def codewords_packed(code: LinearCode) -> np.ndarray:
-    """All 2^k codewords as packed uint64 words (guard k <= 20).
-
-    Entry i is the codeword of the message whose bit j is bit j of i.
-    """
-    if code.k > 20:
-        raise CapacityError(f"codeword enumeration guarded at k <= 20, got {code.k}")
-    if code.n > 64:
-        raise CapacityError("packed enumeration limited to n <= 64")
-    out = np.zeros(1, dtype=np.uint64)
-    for g_col in _pack_cols(code.G)[:code.k, 0]:
-        out = np.concatenate((out, out ^ g_col))
-    return out
-
-
-def min_distance_bruteforce(code: LinearCode) -> int:
-    """Exact minimum distance by enumerating all nonzero codewords."""
-    return int(np.bitwise_count(codewords_packed(code)[1:]).min())
 
 
 # ---------------------------------------------------------------------------

@@ -115,10 +115,12 @@ def rv_distance_samples(w: BitString, w_prime: BitString, n: int,
     """
     if len(w) != len(w_prime):
         raise DimensionError(f"length mismatch: {len(w)} vs {len(w_prime)}")
+    k_star = len(w)
+    if k_star < 1:
+        raise ParameterError("k_star must be positive")
     if n < 1 or trials < 1:
         raise ParameterError("n and trials must be positive")
     diff = (w.bits ^ w_prime.bits)
-    k_star = len(w)
     out = np.empty(trials, dtype=np.int64)
     done = 0
     while done < trials:

@@ -11,27 +11,31 @@ recovery of a wrong secret cannot be detected here and is only measurable
 by an experiment holding the ground truth.
 
 Everything up to each coset-table lookup is GF(2)-linear in the candidate,
-so the scan is vectorized: the supports of the whole weight schedule, in
-scan order, run in batches, and a candidate's outer syndrome and message
-are XORs of packed per-source-position columns built once per call. The
-outer lookup, the zero-prefix mask and the inner lookup then run on whole
-batches, and the inner lookup of the first candidate that passes all three
-yields the recovered secret.
+so the scan is vectorized over the outer code's packed [H; L] columns: one
+stacked gather per batch of candidates yields their syndromes and messages
+side by side. The probe's constant word [s0 | v0] rides in a copy of the
+per-call table that only a candidate's first support column reads (weight
+0 reaches it through the padding sentinel). The outer lookup, zero-prefix
+mask and inner lookup then run on whole batches, and the inner lookup of
+the first candidate that passes all three yields the recovered secret. A
+schedule that fits in one batch is cached, read-only, by (k*, weights,
+batch rows), bounded in entries and bytes; larger ones stream.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .analysis import RationalLike
 from .bitcore import (BitString, DimensionError, ParameterError,
-                      lex_supports, support_batches, xor_gather)
+                      support_batches, xor_gather)
 from .codes import LinearCode, _unpack, _xor_rows
 from .sketch import Sketch, eps_rec_violation
 
@@ -65,51 +69,65 @@ class RecoveryReport:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-weight enumeration, lexicographic on support sets
-
-def enumerate_errors(k_star: int, weight: int) -> Iterator[BitString]:
-    """All length-k* vectors of exactly the given weight, each once.
-
-    Order is lexicographic on the (1-based) support tuples, so for
-    weight 1 the vector with its one set at position 1 comes first.
-    """
-    if not 0 <= weight <= k_star:
-        raise ParameterError(f"weight {weight} outside [0, {k_star}]")
-    for block in lex_supports(k_star, weight):
-        for supp in block:
-            out = np.zeros(k_star, dtype=np.uint8)
-            out[supp] = 1
-            yield BitString._wrap(out)
-
-
-def error_vector_at_rank(k_star: int, weight: int, rank: int) -> BitString:
-    """The rank-th vector of enumerate_errors(k_star, weight), rank 0-based."""
-    if not 0 <= weight <= k_star:
-        raise ParameterError(f"weight {weight} outside [0, {k_star}]")
-    if not 0 <= rank < math.comb(k_star, weight):
-        raise ParameterError("rank out of range")
-    out = np.zeros(k_star, dtype=np.uint8)
-    out[next(lex_supports(k_star, weight, rank))[0]] = 1
-    return BitString._wrap(out)
-
-
-# ---------------------------------------------------------------------------
 # Core scan
 
 _BATCH_ROWS = 1 << 15   # candidates per vectorized batch
+_SCHEDULE_CACHE_SIZE = 32   # cached single-batch schedules
+_SCHEDULE_BYTES = 4 << 20   # largest cached schedule, so 128 MB in all
+
+
+def _layout(supports: np.ndarray, k_star: int) -> np.ndarray:
+    """The (width, B) gather index of padded supports (B, width): row 0 reads
+    table rows 0..k* (the constant word's copy), the rest rows k*+1..2k*+1."""
+    width = supports.shape[1]
+    index = np.full((max(width, 1), len(supports)), k_star, dtype=np.intp)
+    index[:width] = supports.T
+    index[1:] += k_star + 1
+    return index
+
+
+def _bits(index: np.ndarray, k_star: int) -> np.ndarray:
+    """The candidates of a gather index as dense e' bits (B, k*)."""
+    e = np.zeros((index.shape[1], 2 * k_star + 2), dtype=np.uint8)
+    e[np.arange(index.shape[1]), index] = 1
+    return e[:, :k_star] | e[:, k_star + 1:-1]
+
+
+@functools.lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
+def _cached_schedule(k_star: int, weights: tuple, rows: int):
+    """(index, e' bits) of a schedule that fits in one batch, read-only."""
+    (supports,) = support_batches(k_star, weights, rows)
+    index = _layout(supports, k_star)
+    bits = _bits(index, k_star)
+    index.flags.writeable = bits.flags.writeable = False
+    return index, bits
+
+
+def _schedule(k_star: int, weights: Sequence[int]):
+    """(index, e' bits or None) per batch of the weight schedule, in order."""
+    total = sum(math.comb(k_star, w) for w in weights)
+    size = total * (8 * max(*weights, 1) + k_star)   # index and bits bytes
+    if total <= _BATCH_ROWS and size <= _SCHEDULE_BYTES:
+        yield _cached_schedule(k_star, tuple(weights), _BATCH_ROWS)
+        return
+    for supports in support_batches(k_star, weights, _BATCH_ROWS):
+        yield _layout(supports, k_star), None
+
+
+@functools.lru_cache(maxsize=64)
+def _prefix_mask(bits: int, words: int) -> np.ndarray:
+    """The first `bits` bits of `words` packed words set, read-only."""
+    return np.frombuffer(((1 << bits) - 1).to_bytes(8 * words, "little"), "<u8")
 
 
 def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
              outer: LinearCode, weights: Sequence[int]) -> RecoveryReport:
     """Scan the weight classes in the given order; the first accept wins.
 
-    With c'0 = ss xor sample_bits(w'), a candidate e' has outer word
-    c'0 xor S e', where S is the 0/1 sampling matrix of N. So its outer
-    syndrome is s0 xor (H S) e' and, once the syndrome's leader is known,
-    its message is v0 xor (L S) e' xor L leader: an XOR of `weight`
-    packed columns plus two table lookups. The inner decode of the first
-    survivor that passes yields the secret the same way, as
-    L_in corrupted xor L_in leader.
+    With c'0 = ss xor sample_bits(w') and S the 0/1 sampling matrix of N,
+    a candidate e' has outer syndrome and message [s0 | v0] xor [H S | L S] e'
+    side by side, and its message gets L leader XORed in once the leader is
+    known. The first survivor's inner decode yields the secret the same way.
     """
     t0 = time.perf_counter()
     p = sk.params
@@ -119,55 +137,48 @@ def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
     if inner != p.inner or outer != p.outer:
         raise ParameterError("code handles inconsistent with the sketch params")
     idx0 = sk.N.indices.astype(np.intp) - 1
-    c0 = np.flatnonzero(sk.ss.bits ^ w_prime.bits[idx0])[None]
-    s0 = xor_gather(outer._h_cols, c0)[0]
-    v0 = xor_gather(outer._l_cols, c0)[0]
-    # row j: the XOR of the code's columns at every position sampling
-    # source bit j; row k* stays zero for the padding sentinel
-    hs = np.zeros((k_star + 1, outer._h_cols.shape[1]), np.uint64)
-    np.bitwise_xor.at(hs, idx0, outer._h_cols[:-1])
-    ls = np.zeros((k_star + 1, outer._l_cols.shape[1]), np.uint64)
-    np.bitwise_xor.at(ls, idx0, outer._l_cols[:-1])
-    prefix_mask = np.frombuffer(
-        ((1 << prefix_len) - 1).to_bytes(8 * ls.shape[1], "little"), dtype="<u8")
+    c0 = np.flatnonzero(sk.ss.bits ^ w_prime.bits[idx0])
+    # row k*+1+j is the XOR of the columns at every position sampling source
+    # bit j, so row 2k*+1 stays zero for the sentinel; row j is row k*+1+j
+    # with [s0 | v0] XORed in
+    table = np.zeros((2 * k_star + 2, outer._cols.shape[1]), dtype=np.uint64)
+    np.bitwise_xor.at(table[k_star + 1:], idx0, outer._cols[:-1])
+    np.bitwise_xor(table[k_star + 1:], xor_gather(outer._cols, c0[:, None]),
+                   out=table[:k_star + 1])
+    split = outer._h_cols.shape[1]
+    prefix_mask = _prefix_mask(prefix_len, outer._l_cols.shape[1])
 
     scanned = outer_fails = inner_fails = 0
     outcome = accepted_weight = None
-    for supports in support_batches(k_star, weights, _BATCH_ROWS):
-        hit, row = outer._lookup(s0 ^ xor_gather(hs, supports))
-        v = v0 ^ xor_gather(ls, supports) ^ outer._leader_msgs[row]
+    for index, bits in _schedule(k_star, weights):
+        word = xor_gather(table, index)
+        hit, row = outer._lookup(word[:, :split])
+        v = word[:, split:] ^ outer._leader_msgs[row]
         survivors = np.flatnonzero(hit & ~(v & prefix_mask).any(axis=1))
-        # inner word: the message suffix xor (zero pad || w' xor e')
-        e = np.zeros((len(survivors), k_star + 1), dtype=np.uint8)
-        e[np.arange(len(survivors))[:, None], supports[survivors]] = 1
-        corrupted = _unpack(v[survivors], outer.k)[:, prefix_len:]
-        corrupted[:, p.n_star - k_star:] ^= w_prime.bits ^ e[:, :k_star]
-        decoded, inner_row = inner._lookup(inner._syndromes(corrupted))
-        if not decoded.any():
-            scanned += len(supports)
-            outer_fails += len(supports) - int(np.count_nonzero(hit))
-            inner_fails += len(survivors)
-            continue
-        first = int(np.argmax(decoded))   # every earlier survivor failed inner
-        at = int(survivors[first])
-        scanned += at + 1
-        outer_fails += at - int(np.count_nonzero(hit[:at]))
+        first = len(survivors)   # becomes the first survivor the inner code decodes
+        if first:
+            e = _bits(index[:, survivors], k_star) if bits is None else bits[survivors]
+            # inner word: the message suffix xor (zero pad || w' xor e')
+            corrupted = _unpack(v[survivors], outer.k)[:, prefix_len:]
+            corrupted[:, p.n_star - k_star:] ^= w_prime.bits ^ e
+            decoded, inner_row = inner._lookup(inner._syndromes(corrupted))
+            if decoded.any():
+                first = int(np.argmax(decoded))
+        # every candidate before `stop` and every survivor before `first` failed
+        stop = int(survivors[first]) + 1 if first < len(survivors) else len(word)
+        scanned += stop
+        outer_fails += stop - int(np.count_nonzero(hit[:stop]))
         inner_fails += first
-        accepted_weight = int(np.count_nonzero(supports[at] < k_star))
-        outcome = BitString._wrap(_unpack(
-            _xor_rows(inner._l_cols, corrupted[first])
-            ^ inner._leader_msgs[inner_row[first]], k_star))
-        break
+        if first < len(survivors):
+            accepted_weight = int(np.count_nonzero(e[first]))
+            outcome = BitString._wrap(_unpack(
+                _xor_rows(inner._l_cols, corrupted[first])
+                ^ inner._leader_msgs[inner_row[first]], k_star))
+            break
     assert scanned <= sum(math.comb(k_star, w) for w in weights), \
         "enumeration overran its counting bound"
-    return RecoveryReport(
-        outcome=outcome,
-        iterations_used=scanned,
-        accepted_weight=accepted_weight,
-        first_decode_failures=outer_fails,
-        false_accepts_observed=inner_fails,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return RecoveryReport(outcome, scanned, accepted_weight, outer_fails,
+                          inner_fails, (time.perf_counter() - t0) * 1e3)
 
 
 def recover_fixed(sk: Sketch, w_prime: BitString, eps_rec: RationalLike,

@@ -2,7 +2,10 @@
 
 Everything here recomputes results from first principles (enumeration,
 exhaustive search, direct matrix products) and deliberately avoids the
-library's decode tables, packed fast paths and sampling helpers.
+library's decode tables, packed fast paths and sampling helpers. The one
+exception is enumerate_errors/error_vector_at_rank: thin wrappers over
+bitcore.lex_supports, so that tests can hold the scan order against
+itertools.combinations.
 """
 
 from __future__ import annotations
@@ -26,6 +29,57 @@ def pack_rows(M: np.ndarray) -> np.ndarray:
     """Pack each row of a 0/1 matrix into a uint64 (column i -> bit i)."""
     weights = np.uint64(1) << np.arange(M.shape[1], dtype=np.uint64)
     return (M.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+
+
+def codewords_packed(code) -> np.ndarray:
+    """All 2^k codewords as packed uint64 words (guard k <= 20, n <= 64).
+
+    Entry i is the codeword of the message whose bit j is bit j of i.
+    """
+    from rvsketch import CapacityError
+
+    if code.k > 20:
+        raise CapacityError(f"codeword enumeration guarded at k <= 20, got {code.k}")
+    if code.n > 64:
+        raise CapacityError("packed enumeration limited to n <= 64")
+    out = np.zeros(1, dtype=np.uint64)
+    for g_col in pack_rows(code.G.T):   # column j of G as one packed word
+        out = np.concatenate((out, out ^ g_col))
+    return out
+
+
+def min_distance_bruteforce(code) -> int:
+    """Exact minimum distance by enumerating all nonzero codewords."""
+    return int(np.bitwise_count(codewords_packed(code)[1:]).min())
+
+
+def enumerate_errors(k_star: int, weight: int):
+    """All length-k* vectors of exactly the given weight, each once, as
+    BitStrings in lexicographic order of their (1-based) support tuples."""
+    from rvsketch import BitString, ParameterError
+    from rvsketch.bitcore import lex_supports
+
+    if not 0 <= weight <= k_star:
+        raise ParameterError(f"weight {weight} outside [0, {k_star}]")
+    for block in lex_supports(k_star, weight):
+        for supp in block:
+            out = np.zeros(k_star, dtype=np.uint8)
+            out[supp] = 1
+            yield BitString(out)
+
+
+def error_vector_at_rank(k_star: int, weight: int, rank: int):
+    """The rank-th vector of enumerate_errors(k_star, weight), rank 0-based."""
+    from rvsketch import BitString, ParameterError
+    from rvsketch.bitcore import lex_supports
+
+    if not 0 <= weight <= k_star:
+        raise ParameterError(f"weight {weight} outside [0, {k_star}]")
+    if not 0 <= rank < math.comb(k_star, weight):
+        raise ParameterError("rank out of range")
+    out = np.zeros(k_star, dtype=np.uint8)
+    out[next(lex_supports(k_star, weight, rank))[0]] = 1
+    return BitString(out)
 
 
 def nearest_codeword(codewords_packed: np.ndarray, word_packed: int, t: int):

@@ -181,6 +181,12 @@ class TestExperimentCommand:
         assert code == 2
         assert capsys.readouterr() == ("", "error: n and trials must be positive\n")
 
+    def test_lsh_rejects_empty_secret(self, capsys):
+        code = main(["experiment", "--kind", "lsh", "--k-star", "0",
+                     "--distance", "0", "--trials", "3"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: k_star must be positive\n")
+
     def test_complexity_smoke(self, capsys):
         code = main(["experiment", "--kind", "complexity", "--trials", "1"])
         assert code == 0

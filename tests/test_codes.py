@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (all_codewords_matrix, min_distance_exhaustive,
+from oracles import (all_codewords_matrix, codewords_packed,
+                     min_distance_bruteforce, min_distance_exhaustive,
                      nearest_codeword, non_pivot_rows, pack_rows)
 from rvsketch import (BitString, CapacityError, DimensionError,
                       InversionError, LinearCode, ParameterError, SeededRng,
                       bch_code, code_from_spec, code_from_text, code_to_text,
-                      codewords_packed, decode, encode, invert_message,
-                      min_distance_bruteforce, random_linear_code, syndrome)
+                      decode, encode, invert_message, random_linear_code,
+                      syndrome)
 from rvsketch import codes
 
 
@@ -176,8 +177,8 @@ def _text(G, t=0, kind="random", param=None):
 
 
 class TestMemoization:
-    ARRAYS = ("G", "H", "_L", "_h_cols", "_l_cols", "_rows", "_leaders",
-              "_leader_msgs")
+    ARRAYS = ("G", "H", "_L", "_cols", "_h_cols", "_l_cols", "_rows",
+              "_leaders", "_leader_msgs")
 
     def test_texts_differing_in_g_give_distinct_codes(self, bch15):
         # a coordinate permutation keeps the BCH distance, so t = 2 still fits
@@ -272,6 +273,54 @@ class TestMemoization:
             assert arr.size
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] ^= 1
+
+
+def _packed_cols(M):
+    """The columns of M as pack_rows words of 64 rows each, one word at
+    least, plus the zero sentinel row."""
+    words = max(1, -(-len(M) // 64))
+    out = np.zeros((M.shape[1] + 1, words), dtype=np.uint64)
+    for j in range(words):
+        chunk = M[64 * j:64 * (j + 1)]
+        if len(chunk):
+            out[:-1, j] = pack_rows(chunk.T)
+    return out
+
+
+class TestPackedTable:
+    """_h_cols and _l_cols are read-only views of one packed [H; L] table,
+    with L starting on a word boundary."""
+
+    @staticmethod
+    def _check(c):
+        assert np.array_equal(c._h_cols, _packed_cols(c.H))
+        assert np.array_equal(c._l_cols, _packed_cols(c._L))
+        assert np.array_equal(c._cols, np.hstack([c._h_cols, c._l_cols]))
+        for view in (c._h_cols, c._l_cols):
+            assert view.base is not None and np.shares_memory(view, c._cols)
+            assert not view.flags.writeable
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_bch_codes(self, m):
+        for t in range(1, 2 ** (m - 1)):
+            try:
+                self._check(bch_code(m, t))
+            except CapacityError:   # n-k > 24: no table
+                continue
+
+    def test_random_7_4_codes(self):
+        for seed in range(20):
+            self._check(random_linear_code(7, 4, SeededRng(seed)))
+
+    def test_two_word_code(self):
+        c = random_linear_code(140, 70, SeededRng(140))
+        assert c._h_cols.shape[1] == c._l_cols.shape[1] == 2
+        self._check(c)
+
+    def test_square_code_has_one_zero_syndrome_word(self):
+        c = random_linear_code(9, 9, SeededRng(9))
+        assert c._h_cols.shape[1] == 1 and not c._h_cols.any()
+        self._check(c)
 
 
 class TestCosetTable:

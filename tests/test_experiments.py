@@ -49,6 +49,11 @@ class TestLsh:
         assert a.expected == b.expected
         assert a.mean != b.mean
 
+    def test_empty_secret_rejected(self):
+        cfg = ExperimentConfig(kind="lsh", k_star=0, distance=0, trials=3)
+        with pytest.raises(ParameterError, match="k_star must be positive"):
+            run_experiment(cfg)
+
 
 class TestCorrectness:
     def test_small_run(self):

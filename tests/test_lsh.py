@@ -184,3 +184,8 @@ class TestExceedance:
         a = rv_distance_samples(w, wp, 64, 100, SeededRng(8))
         b = rv_distance_samples(w, wp, 64, 100, SeededRng(8))
         assert np.array_equal(a, b)
+
+    def test_empty_secret_rejected(self):
+        empty = BitString.zeros(0)
+        with pytest.raises(ParameterError, match="k_star must be positive"):
+            rv_distance_samples(empty, empty, 64, 10, SeededRng(8))

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import first_accepting_candidate, scan_report, scan_supports
+from oracles import (enumerate_errors, error_vector_at_rank,
+                     first_accepting_candidate, scan_report, scan_supports)
 from rvsketch import (BitString, DimensionError, IndexVector, ParameterError,
-                      SeededRng, SketchParams, bch_code, enumerate_errors,
-                      error_vector_at_rank, gen_index_vector, make_sketch,
-                      random_linear_code, recover_fixed, recover_sweep)
+                      SeededRng, SketchParams, bch_code, gen_index_vector,
+                      make_sketch, random_linear_code, recover_fixed,
+                      recover_sweep)
 from rvsketch import recover
 from rvsketch.bitcore import _CLASS_ROWS, lex_supports, support_batches
 
@@ -235,8 +236,8 @@ class TestAcceptanceSoundness:
     def test_accepted_candidate_reproduces_the_decode_chain(self, codes):
         # for a successful run, rebuild the accepting candidate from the
         # report and check the arithmetic that justified the acceptance
-        from rvsketch import (decode, encode, error_vector_at_rank,
-                              invert_message, sample_bits, zero_pad_prefix)
+        from rvsketch import (decode, encode, invert_message, sample_bits,
+                              zero_pad_prefix)
         inner, outer = codes
         for seed in (0, 1, 2, 3, 12, 13):
             w, sk = _sketch(codes, seed=seed)
@@ -458,6 +459,75 @@ class TestScalarAttemptCalls:
 
     def test_no_scalar_pipeline(self):
         assert not hasattr(recover, "_Pipeline")
+
+
+class TestScheduleCache:
+    """A schedule that fits in one batch is cached by (k*, weights, batch
+    rows); larger ones stream batch by batch."""
+
+    @pytest.mark.parametrize("s", [0, 5])   # accepts, exhausts
+    def test_batch_rows_is_part_of_the_key(self, s, monkeypatch):
+        sk, probe, inner, outer = _decoy_case(s)
+        recover._cached_schedule.cache_clear()
+        warm = recover_fixed(sk, probe, Fraction(3, 8), inner, outer)
+        assert recover_fixed(sk, probe, Fraction(3, 8), inner, outer) == warm
+        info = recover._cached_schedule.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        batches = []
+        real = recover.xor_gather
+        monkeypatch.setattr(recover, "xor_gather",
+                            lambda table, index: batches.append(index.shape[1])
+                            or real(table, index))
+        for rows in (1, 2, 7):
+            monkeypatch.setattr(recover, "_BATCH_ROWS", rows)
+            batches.clear()
+            report = recover_fixed(sk, probe, Fraction(3, 8), inner, outer)
+            assert report == warm
+            assert _counts(report) == scan_report(sk, probe, [3], inner, outer)
+            scanned = batches[1:]   # the first gather is the constant word's
+            assert len(scanned) == -(-report.iterations_used // rows)
+            assert set(scanned[:-1]) <= {rows} and scanned[-1] <= rows
+        assert recover._cached_schedule.cache_info() == info
+
+    @pytest.mark.parametrize("near", [True, False])
+    def test_weight_zero_schedules(self, codes, near):
+        w, sk = _sketch(codes, seed=11)
+        probe = w if near else BitString(1 - w.bits)
+        expect = scan_report(sk, probe, [0], *codes)
+        assert _counts(recover_sweep(sk, probe, *codes, max_weight=0)) == expect
+        # floor(k* / (2 k*)) = 0: a fixed scan of weight 0 alone
+        assert _counts(recover_fixed(sk, probe, Fraction(1, 14), *codes)) == expect
+        assert (expect[4] == w) is near
+
+    def test_cached_arrays_are_read_only(self, codes):
+        w, sk = _sketch(codes, seed=12)
+        recover_sweep(sk, w, *codes)
+        (index, bits), = recover._schedule(7, range(4))
+        assert index.shape == (3, 64) and bits.shape == (64, 7)
+        for arr in (index, bits, recover._prefix_mask(1, 1)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1
+
+    def test_cache_is_bounded(self, monkeypatch):
+        recover._cached_schedule.cache_clear()
+        for k_star in range(4, 4 + recover._SCHEDULE_CACHE_SIZE + 5):
+            (index, bits), = recover._schedule(k_star, [1, 2])
+            assert index.nbytes + bits.nbytes <= recover._SCHEDULE_BYTES
+        info = recover._cached_schedule.cache_info()
+        assert info.currsize == info.maxsize == recover._SCHEDULE_CACHE_SIZE
+        # the byte cap counts an entry exactly: C(8, 3) * (8 * 3 + 8) bytes
+        sk, probe, inner, outer = _decoy_case(5)
+        expect = scan_report(sk, probe, [3], inner, outer)
+        for cap, cached in ((1792, True), (1791, False)):
+            recover._cached_schedule.cache_clear()
+            monkeypatch.setattr(recover, "_SCHEDULE_BYTES", cap)
+            report = recover_fixed(sk, probe, Fraction(3, 8), inner, outer)
+            assert _counts(report) == expect
+            assert recover._cached_schedule.cache_info().currsize == cached
+            (index, bits), = recover._schedule(8, [3])
+            assert (bits is not None) is cached
+            if cached:
+                assert index.nbytes + bits.nbytes == cap
 
 
 # (reports, accepts of the secret, wrong secrets, failures) and the digest
