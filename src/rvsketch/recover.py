@@ -18,8 +18,8 @@ per-call table that only a candidate's first support column reads (weight
 0 reaches it through the padding sentinel). The outer lookup, zero-prefix
 mask and inner lookup then run on whole batches, and the inner lookup of
 the first candidate that passes all three yields the recovered secret. A
-schedule that fits in one batch is cached, read-only, by (k*, weights,
-batch rows), bounded in entries and bytes; larger ones stream.
+schedule that fits in one batch has its gather index cached, read-only, by
+(k*, weights), bounded in entries and bytes; larger ones stream.
 """
 
 from __future__ import annotations
@@ -94,30 +94,22 @@ def _bits(index: np.ndarray, k_star: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
-def _cached_schedule(k_star: int, weights: tuple, rows: int):
-    """(index, e' bits) of a schedule that fits in one batch, read-only."""
-    (supports,) = support_batches(k_star, weights, rows)
-    index = _layout(supports, k_star)
-    bits = _bits(index, k_star)
-    index.flags.writeable = bits.flags.writeable = False
-    return index, bits
+def _cached_layout(k_star: int, weights: tuple) -> np.ndarray:
+    """The gather index of a schedule that fits in one batch, read-only."""
+    total = sum(math.comb(k_star, w) for w in weights)
+    index = _layout(next(support_batches(k_star, weights, total)), k_star)
+    index.flags.writeable = False
+    return index
 
 
 def _schedule(k_star: int, weights: Sequence[int]):
-    """(index, e' bits or None) per batch of the weight schedule, in order."""
+    """The gather index of each batch of the weight schedule, in order."""
     total = sum(math.comb(k_star, w) for w in weights)
-    size = total * (8 * max(*weights, 1) + k_star)   # index and bits bytes
-    if total <= _BATCH_ROWS and size <= _SCHEDULE_BYTES:
-        yield _cached_schedule(k_star, tuple(weights), _BATCH_ROWS)
+    if total <= _BATCH_ROWS and total * 8 * max(*weights, 1) <= _SCHEDULE_BYTES:
+        yield _cached_layout(k_star, tuple(weights))
         return
     for supports in support_batches(k_star, weights, _BATCH_ROWS):
-        yield _layout(supports, k_star), None
-
-
-@functools.lru_cache(maxsize=64)
-def _prefix_mask(bits: int, words: int) -> np.ndarray:
-    """The first `bits` bits of `words` packed words set, read-only."""
-    return np.frombuffer(((1 << bits) - 1).to_bytes(8 * words, "little"), "<u8")
+        yield _layout(supports, k_star)
 
 
 def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
@@ -146,18 +138,19 @@ def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
     np.bitwise_xor(table[k_star + 1:], xor_gather(outer._cols, c0[:, None]),
                    out=table[:k_star + 1])
     split = outer._h_cols.shape[1]
-    prefix_mask = _prefix_mask(prefix_len, outer._l_cols.shape[1])
+    prefix_mask = np.frombuffer(((1 << prefix_len) - 1).to_bytes(
+        8 * outer._l_cols.shape[1], "little"), dtype="<u8")
 
     scanned = outer_fails = inner_fails = 0
     outcome = accepted_weight = None
-    for index, bits in _schedule(k_star, weights):
+    for index in _schedule(k_star, weights):
         word = xor_gather(table, index)
         hit, row = outer._lookup(word[:, :split])
         v = word[:, split:] ^ outer._leader_msgs[row]
         survivors = np.flatnonzero(hit & ~(v & prefix_mask).any(axis=1))
         first = len(survivors)   # becomes the first survivor the inner code decodes
         if first:
-            e = _bits(index[:, survivors], k_star) if bits is None else bits[survivors]
+            e = _bits(index[:, survivors], k_star)
             # inner word: the message suffix xor (zero pad || w' xor e')
             corrupted = _unpack(v[survivors], outer.k)[:, prefix_len:]
             corrupted[:, p.n_star - k_star:] ^= w_prime.bits ^ e

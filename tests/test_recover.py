@@ -462,16 +462,16 @@ class TestScalarAttemptCalls:
 
 
 class TestScheduleCache:
-    """A schedule that fits in one batch is cached by (k*, weights, batch
-    rows); larger ones stream batch by batch."""
+    """A schedule that fits in one batch has its gather index cached by
+    (k*, weights); larger ones stream batch by batch."""
 
     @pytest.mark.parametrize("s", [0, 5])   # accepts, exhausts
-    def test_batch_rows_is_part_of_the_key(self, s, monkeypatch):
+    def test_smaller_batches_stream_past_a_warm_cache(self, s, monkeypatch):
         sk, probe, inner, outer = _decoy_case(s)
-        recover._cached_schedule.cache_clear()
+        recover._cached_layout.cache_clear()
         warm = recover_fixed(sk, probe, Fraction(3, 8), inner, outer)
         assert recover_fixed(sk, probe, Fraction(3, 8), inner, outer) == warm
-        info = recover._cached_schedule.cache_info()
+        info = recover._cached_layout.cache_info()
         assert (info.hits, info.misses) == (1, 1)
         batches = []
         real = recover.xor_gather
@@ -487,7 +487,7 @@ class TestScheduleCache:
             scanned = batches[1:]   # the first gather is the constant word's
             assert len(scanned) == -(-report.iterations_used // rows)
             assert set(scanned[:-1]) <= {rows} and scanned[-1] <= rows
-        assert recover._cached_schedule.cache_info() == info
+        assert recover._cached_layout.cache_info() == info
 
     @pytest.mark.parametrize("near", [True, False])
     def test_weight_zero_schedules(self, codes, near):
@@ -499,35 +499,34 @@ class TestScheduleCache:
         assert _counts(recover_fixed(sk, probe, Fraction(1, 14), *codes)) == expect
         assert (expect[4] == w) is near
 
-    def test_cached_arrays_are_read_only(self, codes):
+    def test_cached_index_is_read_only(self, codes):
         w, sk = _sketch(codes, seed=12)
         recover_sweep(sk, w, *codes)
-        (index, bits), = recover._schedule(7, range(4))
-        assert index.shape == (3, 64) and bits.shape == (64, 7)
-        for arr in (index, bits, recover._prefix_mask(1, 1)):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[(0,) * arr.ndim] = 1
+        index, = recover._schedule(7, range(4))
+        assert index.shape == (3, 64)
+        with pytest.raises(ValueError, match="read-only"):
+            index[0, 0] = 1
 
     def test_cache_is_bounded(self, monkeypatch):
-        recover._cached_schedule.cache_clear()
+        recover._cached_layout.cache_clear()
         for k_star in range(4, 4 + recover._SCHEDULE_CACHE_SIZE + 5):
-            (index, bits), = recover._schedule(k_star, [1, 2])
-            assert index.nbytes + bits.nbytes <= recover._SCHEDULE_BYTES
-        info = recover._cached_schedule.cache_info()
+            index, = recover._schedule(k_star, [1, 2])
+            assert index.nbytes <= recover._SCHEDULE_BYTES
+        info = recover._cached_layout.cache_info()
         assert info.currsize == info.maxsize == recover._SCHEDULE_CACHE_SIZE
-        # the byte cap counts an entry exactly: C(8, 3) * (8 * 3 + 8) bytes
+        # the byte cap counts an entry exactly: C(8, 3) * 8 * 3 bytes
         sk, probe, inner, outer = _decoy_case(5)
         expect = scan_report(sk, probe, [3], inner, outer)
-        for cap, cached in ((1792, True), (1791, False)):
-            recover._cached_schedule.cache_clear()
+        for cap, cached in ((1344, True), (1343, False)):
+            recover._cached_layout.cache_clear()
             monkeypatch.setattr(recover, "_SCHEDULE_BYTES", cap)
             report = recover_fixed(sk, probe, Fraction(3, 8), inner, outer)
             assert _counts(report) == expect
-            assert recover._cached_schedule.cache_info().currsize == cached
-            (index, bits), = recover._schedule(8, [3])
-            assert (bits is not None) is cached
+            assert recover._cached_layout.cache_info().currsize == cached
+            index, = recover._schedule(8, [3])
+            assert index.flags.writeable is not cached
             if cached:
-                assert index.nbytes + bits.nbytes == cap
+                assert index.nbytes == cap
 
 
 # (reports, accepts of the secret, wrong secrets, failures) and the digest
