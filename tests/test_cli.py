@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,28 @@ class TestBoundsCommand:
     def test_thresholds_included_with_xi(self, capsys):
         assert main(self.ARGS + ["--xi", "1/7"]) == 0
         assert "t_max" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, digest", [
+        (ARGS, "6aa475af904ded445ecdefe7f7ea12f5c3579fd6eb862c9af2c30ec5f5684a4d"),
+        (ARGS + ["--format", "csv", "--xi", "1/7"],
+         "6159620667e52e2bd8f9d26f4dba8140a27b1a496fe854244cc3c2a7bb918887"),
+        # an explicit eps_rec equal to the default 2 eps_ss prints the same table
+        (ARGS + ["--eps-rec", "1/7"],
+         "6aa475af904ded445ecdefe7f7ea12f5c3579fd6eb862c9af2c30ec5f5684a4d"),
+        (["bounds", "--k-star", "11", "--n-star", "15", "--k", "16",
+          "--n", "63", "--eps-ss", "1/8"],
+         "859798422be9bfe64e7e89cb29ec1dfc3c2e66d4b4e058139bb8deb0f74a81c8"),
+        (["bounds", "--k-star", "24", "--n-star", "40", "--k", "50",
+          "--n", "200", "--eps-ss", "1/10", "--eps-rec", "1/6", "--xi", "1/5",
+          "--format", "csv"],
+         "abe40610effbba81de9d2d171ce262e06d1ff4ea2341042875554ce7e17fdd76"),
+    ])
+    def test_table_is_pinned(self, capsys, argv, digest):
+        # sha256 of the whole stdout: any change to a printed bound shows here
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("eps", ["3/2", "-1/7"])
     def test_eps_rec_outside_bound_domain(self, capsys, eps):

@@ -16,6 +16,33 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 EXPECTED = {
+    "bound_tables.py": """\
+layout: k* = 7, n* = 15, k = 16, n = 31, zero-pad width 1
+false-accept rate per decodable decoy iteration: 1/2
+
+eps_ss sweep:
+eps_ss   h2(eps)  exp(-2n eps^2)  floor?  support C / envelope
+1/14     0.3712   7.2882e-01      False     7 /    17.65
+1/10     0.4690   5.3794e-01      False     7 /    33.21
+1/7      0.5917   2.8215e-01      True     21 /    65.88
+1/4      0.8113   2.0754e-02      True     35 /   128.00
+
+tolerance thresholds at eps_ss = 1/7:
+  xi = 1/7: t_max = 0, t_min = 62/7, t_plus = 2, t_minus = 0
+  xi = 2/7: t_max = 31/7, t_min = 93/7, t_plus = 3, t_minus = 1
+  xi = 3/7: t_max = 62/7, t_min = 124/7, t_plus = 4, t_minus = 2
+
+rate window at eps_ss = 1/14, eps_rec = 1/7:
+  R = 6/7 = 0.8571
+  converse (upper)      = 0.4083
+  achievability (lower) = 0.4083
+  regime: exceeds-shannon
+
+residual min-entropy floor and the sketch length it needs:
+  k-n* = 1: minimal n =   68, floor = 1 bits (applies: True)
+  k-n* = 3: minimal n =  204, floor = 3 bits (applies: True)
+  k-n* = 6: minimal n =  408, floor = 6 bits (applies: True)
+""",
     "sketch_and_recover.py": """\
 inner [15,7] radius 2; outer [31,16] radius 3; zero-pad width k-n* = 1
 parameter violations: none
