@@ -17,9 +17,8 @@ from .codes import code_from_spec
 from .experiments import _KINDS, ExperimentConfig, run_experiment
 from .lsh import gen_index_vector
 from .recover import RecoveryReport, recover_fixed, recover_sweep
-from .sketch import (SketchParams, eps_rec_violation, eps_ss_violation,
-                     load_sketch_file, make_sketch, save_sketch,
-                     validate_params)
+from .sketch import (SketchParams, load_sketch_file, make_sketch,
+                     param_violations, save_sketch, validate_params)
 
 EXIT_OK = 0
 EXIT_RECOVERY_FAILED = 1
@@ -145,20 +144,13 @@ def cmd_recover(args) -> int:
 def cmd_bounds(args) -> int:
     k_star, n_star, k, n = args.k_star, args.n_star, args.k, args.n
     eps_ss = args.eps_ss
-    eps_rec = args.eps_rec if args.eps_rec is not None else 2 * eps_ss
-    if k_star < 1:   # the eps ranges below divide by k_star
-        problems = [f"k_star = {k_star} must be at least 1"]
-    else:
-        problems = [eps_ss_violation(k_star, eps_ss)]
-        if args.eps_rec is not None:
-            problems.append(eps_rec_violation(k_star, eps_rec))
-    problems = [p for p in problems if p]
+    problems = param_violations(k_star, n_star, k, n, eps_ss, args.eps_rec)
     for problem in problems:
         print(f"parameter violation: {problem}", file=sys.stderr)
     if problems:
         return EXIT_USAGE
+    eps_rec = args.eps_rec if args.eps_rec is not None else 2 * eps_ss
     rows = []
-
     rows.append(("k_star", k_star))
     rows.append(("n_star", n_star))
     rows.append(("k", k))

@@ -37,7 +37,7 @@ from .analysis import RationalLike
 from .bitcore import (BitString, DimensionError, ParameterError,
                       support_batches, xor_gather)
 from .codes import LinearCode, _unpack, _xor_rows
-from .sketch import Sketch, eps_rec_violation
+from .sketch import Sketch, _eps_violation
 
 
 @dataclass
@@ -185,7 +185,7 @@ def recover_fixed(sk: Sketch, w_prime: BitString, eps_rec: RationalLike,
     """
     k_star = sk.params.k_star
     eps = Fraction(eps_rec)
-    problem = eps_rec_violation(k_star, eps)
+    problem = _eps_violation("eps_rec", eps, k_star, 2)
     if problem:
         raise ParameterError(problem)
     return _recover(sk, w_prime, inner, outer, [int(k_star * eps)])

@@ -27,7 +27,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .analysis import (BoundCheck, RationalLike, efficiency_bound_check,
-                       error_floor_check, hoeffding_bound)
+                       error_floor_check)
 from .bitcore import (BitString, DimensionError, ParameterError, SeededRng,
                       zero_pad_prefix)
 from .codes import LinearCode, code_from_text, code_to_text, encode
@@ -39,7 +39,7 @@ class SketchParams:
 
     Pure data carrier: nothing is enforced here beyond the codes matching
     the stated dimensions, so k* <= n* and k <= n hold (a code has k <= n).
-    Run validate_params for n* < k and the eps_ss range.
+    param_violations lists the rest of the rules: n* < k and eps_ss range.
     """
 
     k_star: int
@@ -72,10 +72,10 @@ class SketchParams:
 class ParamsReport:
     """Validation outcome: fatal violations plus two advisory predicates.
 
-    violations is empty exactly when n* < k and the eps ranges hold; the
-    rest of k* <= n* < k <= n holds in every SketchParams. The error-floor check
+    violations is param_violations' list. The error-floor check
     (exp(-2 n eps^2) <= 2^-(k-n*)) and the enumeration-budget check
-    (k* h2(eps_rec) <= k-n*) are reported but never fatal.
+    (k* h2(eps_rec) <= k-n*) are reported but never fatal. With any
+    violation they are not evaluated: both read False, with NaN sides.
     """
 
     violations: List[str]
@@ -88,73 +88,60 @@ class ParamsReport:
         return not self.violations
 
 
-def eps_ss_violation(k_star: int, eps_ss: Fraction) -> Optional[str]:
-    """Why eps_ss is out of range, or None.
-
-    A sketch needs eps_ss in [1/(2k*), 1/4], so that the default
-    eps_rec = 2 eps_ss lies in [1/k*, 1/2].
-    """
-    lo, hi = Fraction(1, 2 * k_star), Fraction(1, 4)
-    if lo <= eps_ss <= hi:
+def _eps_violation(name: str, eps: Fraction, k_star: int,
+                   hi: int) -> Optional[str]:
+    """Why eps is outside [1/(2k*), 1/hi], or None; exact integer compares."""
+    num, den = eps.numerator, eps.denominator
+    if den <= 2 * k_star * num and hi * num <= den:
         return None
-    return f"eps_ss = {eps_ss} outside [{lo}, {hi}]"
+    return f"{name} = {eps} outside [1/{2 * k_star}, 1/{hi}]"
 
 
-def eps_rec_violation(k_star: int, eps_rec: Fraction) -> Optional[str]:
-    """Why eps_rec is out of range, or None.
+def param_violations(k_star: int, n_star: int, k: int, n: int, eps_ss: Fraction,
+                     eps_rec: Optional[Fraction] = None) -> List[str]:
+    """Every broken rule of 1 <= k* <= n* < k <= n, eps_ss in [1/(2k*), 1/4]
+    and (when given) eps_rec in [1/(2k*), 1/2], in that order.
 
-    recover_fixed scans the weight floor(k* eps_rec), which needs eps_rec
-    in [1/(2k*), 1/2].
+    make_sketch, load_sketch, validate_params and `rvsketch bounds` apply
+    this one list; the eps ranges are checked once k* >= 1.
     """
-    lo, hi = Fraction(1, 2 * k_star), Fraction(1, 2)
-    if lo <= eps_rec <= hi:
-        return None
-    return f"eps_rec = {eps_rec} outside [{lo}, {hi}]"
+    violations = []
+    if k_star < 1:
+        violations.append(f"k_star = {k_star} must be at least 1")
+    if not k_star <= n_star:
+        violations.append(f"k* = {k_star} must be <= n* = {n_star}")
+    if not n_star < k:
+        violations.append(f"n* = {n_star} must be < k = {k}")
+    if not k <= n:
+        violations.append(f"k = {k} must be <= n = {n}")
+    if k_star >= 1:
+        for name, eps, hi in (("eps_ss", eps_ss, 4), ("eps_rec", eps_rec, 2)):
+            problem = eps is not None and _eps_violation(name, eps, k_star, hi)
+            if problem:
+                violations.append(problem)
+    return violations
 
 
 def validate_params(params: SketchParams,
                     eps_rec: Optional[RationalLike] = None) -> ParamsReport:
-    """Check n* < k and the eps ranges, and evaluate the advisory predicates.
-
-    k* <= n* and k <= n need no check: each is one code's (k, n).
+    """Apply param_violations, then evaluate the advisory predicates.
 
     eps_rec defaults to 2*eps_ss, the worst-case recovery error parameter;
-    an explicit eps_rec outside [1/(2k*), 1/2] is listed as a violation.
-    When eps_ss lies outside [0, 1/2] or eps_rec outside [0, 1] the
-    predicates are not evaluated: both are reported as not holding, with
-    NaN sides.
+    an explicit eps_rec is range-checked too.
     """
     p = params
-    violations = []
-    if not p.n_star < p.k:
-        violations.append(f"n* = {p.n_star} must be < k = {p.k}")
-    problem = eps_ss_violation(p.k_star, p.eps_ss)
-    if problem:
-        violations.append(problem)
-
+    if eps_rec is not None:
+        eps_rec = Fraction(eps_rec)
+    violations = param_violations(p.k_star, p.n_star, p.k, p.n, p.eps_ss,
+                                  eps_rec)
     if eps_rec is None:
         eps_rec = 2 * p.eps_ss
+    if violations:
+        floor = budget = BoundCheck(False, math.nan, math.nan)
     else:
-        eps_rec = Fraction(eps_rec)
-        problem = eps_rec_violation(p.k_star, eps_rec)
-        if problem:
-            violations.append(problem)
-    if not (0 <= p.eps_ss <= Fraction(1, 2) and 0 <= eps_rec <= 1):
-        # outside the bounds' domain (the range violation is listed above)
-        unevaluated = BoundCheck(False, math.nan, math.nan)
-        return ParamsReport(violations, unevaluated, unevaluated, eps_rec)
-    budget = efficiency_bound_check(p.k_star, eps_rec, p.k, p.n_star)
-    if p.k > p.n_star:
         floor = error_floor_check(p.n, p.eps_ss, p.k, p.n_star)
-    else:
-        # error_floor_check needs k > n*; with no zero prefix the floor is vacuous
-        floor = BoundCheck(True, hoeffding_bound(p.n, p.eps_ss), math.inf)
-    return ParamsReport(
-        violations=violations,
-        error_floor=floor,
-        enumeration_budget=budget,
-        eps_rec_used=eps_rec,
-    )
+        budget = efficiency_bound_check(p.k_star, eps_rec, p.k, p.n_star)
+    return ParamsReport(violations, floor, budget, eps_rec)
 
 
 def sample_error(k_star: int, eps: RationalLike, rng: SeededRng) -> BitString:
@@ -213,9 +200,10 @@ def make_sketch(w: BitString, N: IndexVector, eps_ss: RationalLike,
     if N.source_len != params.k_star or N.length != params.n:
         raise DimensionError("index vector inconsistent with params")
     params = dataclasses.replace(params, eps_ss=eps_ss)
-    report = validate_params(params)
-    if report.violations:
-        raise ParameterError("; ".join(report.violations))
+    violations = param_violations(params.k_star, params.n_star, params.k,
+                                  params.n, eps_ss)
+    if violations:
+        raise ParameterError("; ".join(violations))
 
     e = sample_error(params.k_star, eps_ss, rng)
     c_star = encode(params.inner, w)
@@ -302,6 +290,10 @@ def _parse_sketch(data: bytes) -> Sketch:
     num, den = take("<2I")
     if den == 0:
         raise SketchFormatError("eps_ss denominator is zero")
+    eps_ss = Fraction(num, den)
+    violations = param_violations(k_star, n_star, k, n, eps_ss)
+    if violations:
+        raise ParameterError("; ".join(violations))
     (algo_len,) = take("<H")
     algo = take_raw(algo_len).decode("utf-8")
     (blob_len,) = take("<I")
@@ -313,7 +305,7 @@ def _parse_sketch(data: bytes) -> Sketch:
     if len(view):
         raise SketchFormatError("trailing bytes after sketch payload")
     params = SketchParams(k_star=k_star, n_star=n_star, k=k, n=n,
-                          eps_ss=Fraction(num, den), inner=inner, outer=outer)
+                          eps_ss=eps_ss, inner=inner, outer=outer)
     return Sketch(ss=ss, params=params, N=IndexVector(idx, k_star),
                   rng_algo_id=algo)
 
