@@ -32,6 +32,7 @@ from .lsh import (ExceedanceResult, IndexVector, empirical_rv_distance,
 from .recover import RecoveryReport, recover_fixed, recover_sweep
 from .sketch import (ParamsReport, Sketch, SketchDebug, SketchFormatError,
                      SketchParams, dump_sketch, load_sketch, load_sketch_file,
-                     make_sketch, sample_error, save_sketch, validate_params)
+                     make_sketch, param_violations, sample_error, save_sketch,
+                     validate_params)
 
 __version__ = "0.1.0"

@@ -43,13 +43,15 @@ def hoeffding_bound(n: int, eps: RationalLike) -> float:
 
 
 def support_size(k_star: int, eps: RationalLike) -> Tuple[int, float]:
-    """(exact, bound): C(k*, floor(k* eps)) and its 2^(k* h2(eps)) envelope."""
+    """(exact, bound): C(k*, floor(k* eps)) and its 2^(k* h2(eps)) envelope,
+    inf beyond float range."""
     eps = Fraction(eps)
     if not 0 <= eps <= Fraction(1, 2):
         raise ParameterError(f"eps = {eps} outside [0, 1/2]")
     weight = int(k_star * eps)
     exact = math.comb(k_star, weight)
-    bound = 2.0 ** (k_star * binary_entropy(eps))
+    exponent = k_star * binary_entropy(eps)
+    bound = 2.0 ** exponent if exponent < 1024 else math.inf
     if (k_star * eps).denominator == 1:
         assert exact <= bound, "entropy envelope violated at an exact weight"
     return exact, bound
@@ -112,11 +114,20 @@ def efficiency_bound_check(k_star: int, eps_rec: RationalLike,
 
 def error_floor_check(n: int, eps_ss: RationalLike, k: int,
                       n_star: int) -> BoundCheck:
-    """Is exp(-2 n eps_ss^2) at most the zero-prefix rate 2^-(k-n*)?"""
-    if k <= n_star:
+    """Is exp(-2 n eps_ss^2) at most the zero-prefix rate 2^-(k-n*)?
+
+    Where 2^-(k-n*) is below the normal float range (k-n* > 1022), the two
+    sides are compared by their base-2 exponents instead.
+    """
+    delta = k - n_star
+    if delta < 1:
         raise ValueError("need k > n*")
     lhs = hoeffding_bound(n, eps_ss)
-    rhs = 2.0 ** (-(k - n_star))
+    rhs = 2.0 ** -delta
+    if delta > 1022:
+        eps = float(eps_ss)
+        return BoundCheck(2.0 * n * eps * eps * math.log2(math.e) >= delta,
+                          lhs, rhs)
     return BoundCheck(lhs <= rhs, lhs, rhs)
 
 
@@ -161,10 +172,13 @@ class RateBounds:
 
 def rate_bounds(k_star: int, k: int, n_star: int, eps_ss: RationalLike,
                 eps_rec: RationalLike) -> RateBounds:
-    """R = 1 - (k-n*)/k*, converse 1 - h2(eps_rec), achievability 1 - h2(2 eps_ss)."""
+    """R = 1 - (k-n*)/k*, converse 1 - h2(eps_rec), achievability 1 - h2(2 eps_ss).
+
+    R is negative when k-n* > k*: such a sketch is in the below-gv regime.
+    """
     delta = k - n_star
-    if not 1 <= delta <= k_star:
-        raise ValueError(f"need 1 <= k-n* <= k*, got {delta}")
+    if k_star < 1 or delta < 1:
+        raise ValueError(f"need k* >= 1 and k-n* >= 1, got {k_star}, {delta}")
     two_eps = 2 * Fraction(eps_ss)
     if two_eps > 1:
         raise ValueError("2*eps_ss exceeds 1")
@@ -177,7 +191,13 @@ def rate_bounds(k_star: int, k: int, n_star: int, eps_ss: RationalLike,
 
 @dataclass(frozen=True)
 class EntropyFloor:
-    """Conditioned min-entropy floor of the masked RV family, in bits."""
+    """The paper's claimed min-entropy floor of the masked RV family, in bits.
+
+    A claim, not a guarantee: the exact H-infinity(W | ss, N) of a uniform
+    secret, brute-forced for [15,7]/[31,16] at eps_ss = 1/7, is 0 bits
+    where this floor claims 1, because every stage of make_sketch is
+    GF(2)-linear.
+    """
 
     bits: int
     floor_applies: bool  # the error-floor predicate held, so bits >= k-n*
@@ -185,7 +205,8 @@ class EntropyFloor:
 
 def residual_entropy_bound(n: int, eps_ss: RationalLike, k: int,
                            n_star: int) -> EntropyFloor:
-    """floor(2 n eps^2 log2 e); guaranteed >= k-n* when the error floor holds."""
+    """floor(2 n eps^2 log2 e), the paper's claimed floor (see EntropyFloor);
+    it is >= k-n* whenever the error floor holds."""
     eps = float(eps_ss)
     bits = math.floor(2.0 * n * eps * eps * math.log2(math.e))
     check = error_floor_check(n, eps_ss, k, n_star)
@@ -230,7 +251,7 @@ class IterationBudget:
     """Enumeration size versus zero-prefix states versus sketch size."""
 
     holds: bool              # 2^(k* h2(2 eps_ss)) <= 2^(k-n*)
-    support_bound: float     # 2^(k* h2(2 eps_ss))
+    support_bound: float     # 2^(k* h2(2 eps_ss)), inf beyond float range
     prefix_states: int       # 2^(k-n*)
     sketch_plus_one: int     # n + 1
     bch_exact: bool          # 2^(k-n*) == n+1, the full-length BCH outer regime
@@ -247,10 +268,13 @@ def iteration_budget_check(k_star: int, eps_ss: RationalLike, k: int,
     delta = k - n_star
     if delta < 1:
         raise ValueError("need k > n*")
-    support_bound = 2.0 ** (k_star * binary_entropy(2 * Fraction(eps_ss)))
+    exponent = k_star * binary_entropy(2 * Fraction(eps_ss))
+    support_bound = 2.0 ** exponent if exponent < 1024 else math.inf
     prefix_states = 2 ** delta
     return IterationBudget(
-        holds=support_bound <= prefix_states,
+        # beyond float range the bound is compared by its exponent
+        holds=(support_bound <= prefix_states if exponent < 1024
+               else exponent <= delta),
         support_bound=support_bound,
         prefix_states=prefix_states,
         sketch_plus_one=n + 1,

@@ -267,8 +267,8 @@ class SeededRng:
     """Counter-based deterministic random source.
 
     The same 64-bit seed yields the same stream on every platform.
-    Instances are single-owner; independent generators for parallel work
-    come from :meth:`spawn` (seed + stream_id).
+    Instances are single-owner; further generators come from :meth:`spawn`
+    (seed + stream_id).
     """
 
     algo_id = RNG_ALGO_ID
@@ -278,7 +278,11 @@ class SeededRng:
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
     def spawn(self, stream_id: int) -> "SeededRng":
-        """Independent generator with seed + stream_id (mod 2^64)."""
+        """Generator with seed + stream_id (mod 2^64).
+
+        Not independent of nearby seeds: SeededRng(s).spawn(2) and
+        SeededRng(s + 1).spawn(1) are the same stream.
+        """
         return SeededRng((self.seed + int(stream_id)) & _SEED_MASK)
 
     def integers(self, low: int, high: int, size=None, dtype=np.int64):

@@ -89,6 +89,11 @@ class TestSupportSize:
         assert exact == 70
         assert exact <= bound == 2.0 ** 8
 
+    def test_envelope_beyond_float_range(self):
+        exact, bound = support_size(2000, Fraction(1, 2))
+        assert exact == math.comb(2000, 1000)
+        assert bound == math.inf
+
     def test_entropy_chain_on_grid(self):
         # C(k*, floor(2 k* eps)) <= 2^(k* h2(2 eps)) for eps in (0, 1/4]
         for k_star in (8, 12, 16, 24):
@@ -173,10 +178,23 @@ class TestRateBounds:
         with pytest.raises(ValueError):
             rate_bounds(8, 15, 15, Fraction(1, 16), Fraction(1, 8))
         with pytest.raises(ValueError):
-            rate_bounds(8, 24, 15, Fraction(1, 16), Fraction(1, 8))
+            rate_bounds(0, 16, 15, Fraction(1, 16), Fraction(1, 8))
+        # k - n* = 9 > k* = 8: a valid sketch whose rate is negative
+        rb = rate_bounds(8, 24, 15, Fraction(1, 16), Fraction(1, 8))
+        assert rb.rate == Fraction(-1, 8)
+        assert rb.regime == "below-gv"
 
 
 class TestResidualEntropy:
+    @pytest.mark.parametrize("n, holds", [(6000, False), (6200, True)])
+    def test_floor_below_float_range(self, n, holds):
+        # k - n* = 1100: 2^-1100 and exp(-2n/16) both underflow to 0, so the
+        # floor is decided on 2n eps^2 log2(e) >= k - n* (1082 and 1118 bits)
+        chk = error_floor_check(n, Fraction(1, 4), 1102, 2)
+        assert (chk.lhs, chk.rhs, chk.holds) == (0.0, 0.0, holds)
+        ent = residual_entropy_bound(n, Fraction(1, 4), 1102, 2)
+        assert ent.floor_applies == holds and (ent.bits >= 1100) == holds
+
     def test_canonical_config(self):
         ent = residual_entropy_bound(2 * 7 * 7, Fraction(1, 14), 16, 15)
         assert ent.bits == math.floor(math.log2(math.e))
@@ -268,6 +286,15 @@ class TestIterationBudget:
     def test_non_bch_regime_flagged(self):
         chk = iteration_budget_check(8, Fraction(1, 16), 16, 11, 40)
         assert chk.holds and not chk.bch_exact
+
+    @pytest.mark.parametrize("delta, holds", [(1099, False), (1100, True)])
+    def test_bound_beyond_float_range(self, delta, holds):
+        # 2^(k* h2(1/2)) = 2^1100 overflows; the exponents 1100 and k - n*
+        # decide the check exactly
+        chk = iteration_budget_check(1100, Fraction(1, 4), 1100 + delta, 1100, 4000)
+        assert chk.support_bound == math.inf
+        assert chk.prefix_states == 2 ** delta
+        assert chk.holds == holds
 
     def test_min_sketch_len(self):
         m, n = min_sketch_len_for_budget(8, Fraction(1, 16))

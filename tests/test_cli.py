@@ -1,9 +1,16 @@
+import contextlib
+import dataclasses
 import hashlib
+import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rvsketch import ExperimentConfig, SeededRng, cli
+from rvsketch import (BitString, ExperimentConfig, SeededRng, Sketch,
+                      SketchParams, bch_code, cli, code_from_spec,
+                      gen_index_vector, param_violations, save_sketch)
 from rvsketch.cli import main
 from rvsketch.experiments import _KINDS
 
@@ -109,6 +116,21 @@ class TestRecoverCommand:
                   "--eps-rec", "1/7", "--sweep"])
         assert exc.value.code == 2
 
+    def test_rule_breaking_sketch_file(self, workdir, capsys):
+        # a [20,7] inner with a [31,16] outer breaks n* < k; the file must
+        # be refused on load, before any recovery runs
+        rng = SeededRng(5)
+        inner = code_from_spec("random:20:7", rng.spawn(1))
+        params = SketchParams.from_codes(inner, bch_code(5, 3), Fraction(1, 7))
+        save_sketch(Sketch(BitString.zeros(31), params,
+                           gen_index_vector(7, 31, rng.spawn(2)), rng.algo_id),
+                    workdir / "bad.bin")
+        code = main(["recover", "--sketch", str(workdir / "bad.bin"),
+                     "--w-prime", str(workdir / "w.txt"), "--sweep"])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: malformed sketch: n* = 20 must be < k = 16\n")
+
     def test_max_weight_needs_sweep(self, workdir, capsys):
         self._sketch(workdir)
         capsys.readouterr()
@@ -188,6 +210,74 @@ class TestBoundsCommand:
         assert main(args) == 2
         assert capsys.readouterr() == (
             "", f"parameter violation: k_star = {k_star} must be at least 1\n")
+
+    @pytest.mark.parametrize("dims, eps_ss", [
+        ((16, 31, 51, 63), "1/8"),   # the exhaust_scan sketch, k - n* = 20
+        ((7, 15, 51, 63), "1/7"),    # the enroll_recover sketch, k - n* = 36
+    ])
+    def test_zero_pad_wider_than_k_star(self, capsys, dims, eps_ss):
+        argv = ["bounds"] + [f"--{flag}={val}" for flag, val in zip(
+            ("k-star", "n-star", "k", "n"), dims)] + [f"--eps-ss={eps_ss}"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "rate regime" in captured.out and "below-gv" in captured.out
+
+    def test_envelope_beyond_float_range(self, capsys):
+        # 2^(k* h2(1/2)) = 2^2000 overflows a float: printed as inf
+        assert main(["bounds", "--k-star", "2000", "--n-star", "2000",
+                     "--k", "2001", "--n", "4000", "--eps-ss", "1/4"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = dict(line.split("  ", 1) for line in captured.out.splitlines())
+        assert rows["support size envelope 2^(k* h2(eps_rec))"].strip() == "inf"
+        assert rows["iteration budget 2^(k* h2(2 eps_ss)) <= 2^(k-n*)"].strip() \
+            == "False (inf vs 2)"
+
+
+_DIM_FLAGS = ("--k-star", "--n-star", "--k", "--n")
+
+
+@st.composite
+def _eps(draw, k_star):
+    """A rational in [-1, 1], often inside or next to an edge of the ranges."""
+    lo = Fraction(1, 2 * max(k_star, 1))
+    edge = draw(st.sampled_from([Fraction(0), lo, Fraction(1, 4), Fraction(1, 2)]))
+    near = edge + draw(st.sampled_from([-1, 0, 1])) * Fraction(1, 10**7)
+    return draw(st.one_of(st.just(near),
+                          st.fractions(lo, Fraction(1, 2), max_denominator=7000),
+                          st.fractions(-1, 1, max_denominator=7000)))
+
+
+@st.composite
+def _bounds_inputs(draw):
+    """(k*, n*, k, n), eps_ss, eps_rec or None: dimensions in any order."""
+    dims = sorted(draw(st.lists(st.integers(-2, 3000), min_size=4, max_size=4)))
+    order = draw(st.one_of(st.just((0, 1, 2, 3)), st.permutations(range(4))))
+    dims = tuple(dims[i] for i in order)
+    eps_rec = draw(st.one_of(st.none(), _eps(dims[0])))
+    return dims, draw(_eps(dims[0])), eps_rec
+
+
+class TestRuleAgreement:
+    @settings(max_examples=400, deadline=None)
+    @given(_bounds_inputs())
+    def test_bounds_prints_exactly_when_no_rule_breaks(self, inputs):
+        dims, eps_ss, eps_rec = inputs
+        argv = ["bounds"] + [f"{flag}={val}" for flag, val in zip(_DIM_FLAGS, dims)]
+        argv.append(f"--eps-ss={eps_ss}")
+        if eps_rec is not None:
+            argv.append(f"--eps-rec={eps_rec}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        violations = param_violations(*dims, eps_ss, eps_rec)
+        if violations:
+            assert (code, out.getvalue()) == (2, "")
+            assert err.getvalue() == "".join(
+                f"parameter violation: {v}\n" for v in violations)
+        else:
+            assert (code, err.getvalue()) == (0, "")
 
 
 class TestExperimentCommand:

@@ -121,10 +121,12 @@ class TestRecoverFixed:
 
     def test_eps_range_enforced(self, codes):
         w, sk = _sketch(codes, seed=5)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError,
+                           match=r"^eps_rec = 1/100 outside \[1/14, 1/2\]$"):
             recover_fixed(sk, w, Fraction(1, 100), *codes)
-        with pytest.raises(ParameterError):
-            recover_fixed(sk, w, Fraction(2, 3), *codes)
+        with pytest.raises(ParameterError,
+                           match=r"^eps_rec = 2/3 outside \[1/14, 1/2\]$"):
+            recover_fixed(sk, w, "2/3", *codes)
 
     def test_dimension_error(self, codes):
         _, sk = _sketch(codes, seed=5)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rvsketch import (BitString, DimensionError, ParameterError, SeededRng,
-                      SketchFormatError, SketchParams, bch_code,
+                      Sketch, SketchFormatError, SketchParams, bch_code,
                       dump_sketch, encode, gen_index_vector, invert_message,
                       load_sketch, random_linear_code, sample_bits,
                       sample_error, make_sketch, validate_params,
@@ -69,8 +69,12 @@ class TestValidateParams:
         outer = bch_code(5, 3)
         params = SketchParams.from_codes(inner, outer, Fraction(1, 32))
         report = validate_params(params)
-        assert any("must be < k" in v for v in report.violations)
+        assert report.violations == ["n* = 16 must be < k = 16"]
         assert not report.ok
+        # a rule-breaking set leaves both predicates unevaluated
+        for check in (report.error_floor, report.enumeration_budget):
+            assert not check.holds
+            assert math.isnan(check.lhs) and math.isnan(check.rhs)
 
     def test_eps_range_violation(self):
         inner = bch_code(4, 2)
@@ -285,6 +289,21 @@ class TestSketchFile:
         with pytest.raises(SketchFormatError) as exc:
             load_sketch(bytes(blob))
         assert isinstance(exc.value.__cause__, ParameterError)
+
+    @pytest.mark.parametrize("inner_n, eps_ss, message", [
+        # a [20,7] inner with the [31,16] outer: n* = 20 is not below k = 16
+        (20, Fraction(1, 7), r"n\* = 20 must be < k = 16"),
+        (15, Fraction(0), r"eps_ss = 0 outside \[1/14, 1/4\]"),
+    ])
+    def test_rule_breaking_header(self, inner_n, eps_ss, message):
+        # dump_sketch writes any Sketch; load_sketch applies the rules
+        inner = random_linear_code(inner_n, 7, SeededRng(5))
+        params = SketchParams.from_codes(inner, bch_code(5, 3), eps_ss)
+        sk = Sketch(BitString.zeros(31), params,
+                    gen_index_vector(7, 31, SeededRng(6)), SeededRng.algo_id)
+        with pytest.raises(SketchFormatError,
+                           match=f"^malformed sketch: {message}$"):
+            load_sketch(dump_sketch(sk))
 
     def test_single_bit_flips_load_or_raise_format_error(self):
         blob = dump_sketch(self._make())
