@@ -188,7 +188,8 @@ def recover_fixed(sk: Sketch, w_prime: BitString, eps_rec: RationalLike,
     problem = _eps_violation("eps_rec", eps, k_star, 2)
     if problem:
         raise ParameterError(problem)
-    return _recover(sk, w_prime, inner, outer, [int(k_star * eps)])
+    weight = k_star * eps.numerator // eps.denominator   # floor(k* eps_rec)
+    return _recover(sk, w_prime, inner, outer, [weight])
 
 
 def recover_sweep(sk: Sketch, w_prime: BitString, inner: LinearCode,
