@@ -188,8 +188,7 @@ def recover_fixed(sk: Sketch, w_prime: BitString, eps_rec: RationalLike,
     problem = _eps_violation("eps_rec", eps, k_star, 2)
     if problem:
         raise ParameterError(problem)
-    weight = k_star * eps.numerator // eps.denominator   # floor(k* eps_rec)
-    return _recover(sk, w_prime, inner, outer, [weight])
+    return _recover(sk, w_prime, inner, outer, [int(k_star * eps)])
 
 
 def recover_sweep(sk: Sketch, w_prime: BitString, inner: LinearCode,

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 from fractions import Fraction
@@ -144,6 +143,13 @@ class TestRecoverCommand:
         assert main(args[:-1] + ["0", "--sweep"]) == 0
 
 
+def _bounds_argv(dims, eps_ss, eps_rec=None):
+    """The bounds argv for (k*, n*, k, n); flag=value lets a value start with '-'."""
+    argv = ["bounds"] + [f"{flag}={val}" for flag, val in zip(
+        ("--k-star", "--n-star", "--k", "--n"), dims)] + [f"--eps-ss={eps_ss}"]
+    return argv if eps_rec is None else argv + [f"--eps-rec={eps_rec}"]
+
+
 class TestBoundsCommand:
     ARGS = ["bounds", "--k-star", "7", "--n-star", "15", "--k", "16",
             "--n", "31", "--eps-ss", "1/14"]
@@ -216,9 +222,7 @@ class TestBoundsCommand:
         ((7, 15, 51, 63), "1/7"),    # the enroll_recover sketch, k - n* = 36
     ])
     def test_zero_pad_wider_than_k_star(self, capsys, dims, eps_ss):
-        argv = ["bounds"] + [f"--{flag}={val}" for flag, val in zip(
-            ("k-star", "n-star", "k", "n"), dims)] + [f"--eps-ss={eps_ss}"]
-        assert main(argv) == 0
+        assert main(_bounds_argv(dims, eps_ss)) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         assert "rate regime" in captured.out and "below-gv" in captured.out
@@ -233,9 +237,6 @@ class TestBoundsCommand:
         assert rows["support size envelope 2^(k* h2(eps_rec))"].strip() == "inf"
         assert rows["iteration budget 2^(k* h2(2 eps_ss)) <= 2^(k-n*)"].strip() \
             == "False (inf vs 2)"
-
-
-_DIM_FLAGS = ("--k-star", "--n-star", "--k", "--n")
 
 
 @st.composite
@@ -264,13 +265,9 @@ class TestRuleAgreement:
     @given(_bounds_inputs())
     def test_bounds_prints_exactly_when_no_rule_breaks(self, inputs):
         dims, eps_ss, eps_rec = inputs
-        argv = ["bounds"] + [f"{flag}={val}" for flag, val in zip(_DIM_FLAGS, dims)]
-        argv.append(f"--eps-ss={eps_ss}")
-        if eps_rec is not None:
-            argv.append(f"--eps-rec={eps_rec}")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            code = main(_bounds_argv(dims, eps_ss, eps_rec))
         violations = param_violations(*dims, eps_ss, eps_rec)
         if violations:
             assert (code, out.getvalue()) == (2, "")
