@@ -42,6 +42,11 @@ def hoeffding_bound(n: int, eps: RationalLike) -> float:
     return math.exp(-2.0 * n * eps * eps)
 
 
+def _pow2(exponent: float) -> float:
+    """2^exponent, or inf where that overflows a float."""
+    return 2.0 ** exponent if exponent < 1024 else math.inf
+
+
 def support_size(k_star: int, eps: RationalLike) -> Tuple[int, float]:
     """(exact, bound): C(k*, floor(k* eps)) and its 2^(k* h2(eps)) envelope,
     inf beyond float range."""
@@ -50,8 +55,7 @@ def support_size(k_star: int, eps: RationalLike) -> Tuple[int, float]:
         raise ParameterError(f"eps = {eps} outside [0, 1/2]")
     weight = int(k_star * eps)
     exact = math.comb(k_star, weight)
-    exponent = k_star * binary_entropy(eps)
-    bound = 2.0 ** exponent if exponent < 1024 else math.inf
+    bound = _pow2(k_star * binary_entropy(eps))
     if (k_star * eps).denominator == 1:
         assert exact <= bound, "entropy envelope violated at an exact weight"
     return exact, bound
@@ -116,19 +120,21 @@ def error_floor_check(n: int, eps_ss: RationalLike, k: int,
                       n_star: int) -> BoundCheck:
     """Is exp(-2 n eps_ss^2) at most the zero-prefix rate 2^-(k-n*)?
 
-    Where 2^-(k-n*) is below the normal float range (k-n* > 1022), the two
-    sides are compared by their base-2 exponents instead.
+    The sides are compared by their base-2 exponents, 2 n eps^2 log2 e
+    against k-n*, which stays exact where 2^-(k-n*) underflows; lhs and
+    rhs are reported as values.
     """
     delta = k - n_star
     if delta < 1:
         raise ValueError("need k > n*")
-    lhs = hoeffding_bound(n, eps_ss)
-    rhs = 2.0 ** -delta
-    if delta > 1022:
-        eps = float(eps_ss)
-        return BoundCheck(2.0 * n * eps * eps * math.log2(math.e) >= delta,
-                          lhs, rhs)
-    return BoundCheck(lhs <= rhs, lhs, rhs)
+    return BoundCheck(_hoeffding_bits(n, eps_ss) >= delta,
+                      hoeffding_bound(n, eps_ss), 2.0 ** -delta)
+
+
+def _hoeffding_bits(n: int, eps_ss: RationalLike) -> float:
+    """2 n eps^2 log2 e, the base-2 exponent of exp(-2 n eps^2)."""
+    eps = float(eps_ss)
+    return 2.0 * n * eps * eps * math.log2(math.e)
 
 
 def min_length_for_error_floor(k: int, n_star: int, eps_ss: RationalLike) -> int:
@@ -207,8 +213,7 @@ def residual_entropy_bound(n: int, eps_ss: RationalLike, k: int,
                            n_star: int) -> EntropyFloor:
     """floor(2 n eps^2 log2 e), the paper's claimed floor (see EntropyFloor);
     it is >= k-n* whenever the error floor holds."""
-    eps = float(eps_ss)
-    bits = math.floor(2.0 * n * eps * eps * math.log2(math.e))
+    bits = math.floor(_hoeffding_bits(n, eps_ss))
     check = error_floor_check(n, eps_ss, k, n_star)
     if check.holds:
         assert bits >= k - n_star, "entropy floor fell below the zero-pad width"
@@ -250,7 +255,7 @@ def binom_lower_tail(k: int, n: int, p: float) -> float:
 class IterationBudget:
     """Enumeration size versus zero-prefix states versus sketch size."""
 
-    holds: bool              # 2^(k* h2(2 eps_ss)) <= 2^(k-n*)
+    holds: bool              # k* h2(2 eps_ss) <= k-n*, by exponents
     support_bound: float     # 2^(k* h2(2 eps_ss)), inf beyond float range
     prefix_states: int       # 2^(k-n*)
     sketch_plus_one: int     # n + 1
@@ -269,13 +274,10 @@ def iteration_budget_check(k_star: int, eps_ss: RationalLike, k: int,
     if delta < 1:
         raise ValueError("need k > n*")
     exponent = k_star * binary_entropy(2 * Fraction(eps_ss))
-    support_bound = 2.0 ** exponent if exponent < 1024 else math.inf
     prefix_states = 2 ** delta
     return IterationBudget(
-        # beyond float range the bound is compared by its exponent
-        holds=(support_bound <= prefix_states if exponent < 1024
-               else exponent <= delta),
-        support_bound=support_bound,
+        holds=exponent <= delta,
+        support_bound=_pow2(exponent),
         prefix_states=prefix_states,
         sketch_plus_one=n + 1,
         bch_exact=(prefix_states == n + 1),

@@ -97,13 +97,16 @@ def _eps_violation(name: str, eps: Fraction, k_star: int,
     return f"{name} = {eps} outside [1/{2 * k_star}, 1/{hi}]"
 
 
-def param_violations(k_star: int, n_star: int, k: int, n: int, eps_ss: Fraction,
-                     eps_rec: Optional[Fraction] = None) -> List[str]:
+def param_violations(k_star: int, n_star: int, k: int, n: int,
+                     eps_ss: RationalLike,
+                     eps_rec: Optional[RationalLike] = None) -> List[str]:
     """Every broken rule of 1 <= k* <= n* < k <= n, eps_ss in [1/(2k*), 1/4]
     and (when given) eps_rec in [1/(2k*), 1/2], in that order.
 
     make_sketch, load_sketch, validate_params and `rvsketch bounds` apply
-    this one list; the eps ranges are checked once k* >= 1.
+    this one list; the eps ranges are checked once k* >= 1. A non-Fraction
+    eps is converted with Fraction(), so floats are taken at their exact
+    binary value.
     """
     violations = []
     if k_star < 1:
@@ -116,7 +119,11 @@ def param_violations(k_star: int, n_star: int, k: int, n: int, eps_ss: Fraction,
         violations.append(f"k = {k} must be <= n = {n}")
     if k_star >= 1:
         for name, eps, hi in (("eps_ss", eps_ss, 4), ("eps_rec", eps_rec, 2)):
-            problem = eps is not None and _eps_violation(name, eps, k_star, hi)
+            if eps is None:
+                continue
+            if not isinstance(eps, Fraction):
+                eps = Fraction(eps)
+            problem = _eps_violation(name, eps, k_star, hi)
             if problem:
                 violations.append(problem)
     return violations

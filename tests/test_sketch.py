@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from rvsketch import (BitString, DimensionError, ParameterError, SeededRng,
                       Sketch, SketchFormatError, SketchParams, bch_code,
                       dump_sketch, encode, gen_index_vector, invert_message,
-                      load_sketch, random_linear_code, sample_bits,
-                      sample_error, make_sketch, validate_params,
-                      zero_pad_prefix)
+                      load_sketch, param_violations, random_linear_code,
+                      sample_bits, sample_error, make_sketch,
+                      validate_params, zero_pad_prefix)
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +100,16 @@ class TestValidateParams:
         assert not report.enumeration_budget.holds
         assert math.isnan(report.enumeration_budget.lhs)
         assert report.eps_rec_used == eps_rec
+
+    @pytest.mark.parametrize("eps_ss, eps_rec", [
+        (0.25, 0.5), ("1/7", "2/7"), (1, None), (0.1, "3/5")])
+    def test_rule_list_takes_every_rational_form(self, eps_ss, eps_rec):
+        violations = param_violations(7, 15, 16, 31, eps_ss, eps_rec)
+        expected = param_violations(
+            7, 15, 16, 31, Fraction(eps_ss),
+            None if eps_rec is None else Fraction(eps_rec))
+        assert violations == expected
+        assert bool(violations) == (eps_ss == 1 or eps_rec == "3/5")
 
     def test_error_floor_at_2k2(self):
         # n = 2 k*^2 with eps = 1/(2k*): exp(-1) < 1/2, so the floor holds
