@@ -68,6 +68,33 @@ class TestSketchCommand:
     def test_missing_w_file(self, workdir):
         assert main(_sketch_args(workdir, **{"--w": str(workdir / "nope.txt")})) == 2
 
+    @pytest.mark.parametrize("inner, outer, eps, w, out_digest, file_digest", [
+        ("bch:4:2", "bch:5:3", "1/7", "1011001",
+         "2154e0b5aa5ed0599e3ccc6d9184266405ae802db55c41f5c32e3984fb6a6e0b",
+         "70750e6f9f4fadbb18c6353e3832c6968e864c3ee9fea2d58fc3e4605976fcdf"),
+        # the enumeration budget at eps_rec = 2 eps_ss holds
+        ("random:11:8", "bch:5:3", "1/16", "10110010",
+         "0e6b573f420b628ef5e2e7cf69d81337331b5f414dd487bda7240677b100f1f0",
+         "77f53b5414dd8b8aa771f13f418e0164e4ac747da2815f294509c5e8475e37b5"),
+        # n = 2 k*^2: the error floor holds
+        ("bch:4:2", "random:98:16", "1/14", "1011001",
+         "6fd1c905a8e09b07bb0e63e120616e1badbb48827a0bd490a647c8e05e289d3f",
+         "4f1589d59d7324d07ed20c6d655c52de811801ac1d45af79f33a9938d8268cec"),
+    ])
+    def test_report_is_pinned(self, tmp_path, monkeypatch, capsys, inner, outer,
+                              eps, w, out_digest, file_digest):
+        # sha256 of stdout and of the sketch file; a relative --out keeps
+        # the printed path fixed
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "w.txt").write_text(w)
+        assert main(["sketch", "--w", "w.txt", "--inner", inner, "--outer", outer,
+                     "--eps-ss", eps, "--seed", "11", "--out", "sk.bin"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == out_digest
+        assert hashlib.sha256((tmp_path / "sk.bin").read_bytes()).hexdigest() \
+            == file_digest
+
 
 class TestRecoverCommand:
     def _sketch(self, workdir, **overrides):
@@ -186,6 +213,13 @@ class TestBoundsCommand:
           "--n", "200", "--eps-ss", "1/10", "--eps-rec", "1/6", "--xi", "1/5",
           "--format", "csv"],
          "abe40610effbba81de9d2d171ce262e06d1ff4ea2341042875554ce7e17fdd76"),
+        # the budget holds and 2^(k-n*) == n+1: the full-length BCH regime
+        (["bounds", "--k-star", "8", "--n-star", "11", "--k", "16",
+          "--n", "31", "--eps-ss", "1/16"],
+         "bc28ceb595679d0787c0810e9d2c3d97f3b08303a5412fbd02dd93a1563b8b82"),
+        # the exhaust_scan sketch: 2^20 prefix states against n+1 = 64
+        (_bounds_argv((16, 31, 51, 63), "1/8"),
+         "6510efee6d1a5afa458a91168b6b3c0c7a411692dbb5ecbc9b720519461810a6"),
     ])
     def test_table_is_pinned(self, capsys, argv, digest):
         # sha256 of the whole stdout: any change to a printed bound shows here
