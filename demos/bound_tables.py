@@ -47,6 +47,7 @@ print("\nresidual min-entropy floor and the sketch length it needs:")
 for delta in (1, 3, 6):
     eps = Fraction(1, 14)
     n_min = min_length_for_error_floor(N_STAR + delta, N_STAR, eps)
-    ent = residual_entropy_bound(n_min, eps, N_STAR + delta, N_STAR)
+    bits = residual_entropy_bound(n_min, eps)
+    applies = error_floor_check(n_min, eps, N_STAR + delta, N_STAR).holds
     print(f"  k-n* = {delta}: minimal n = {n_min:4d}, "
-          f"floor = {ent.bits} bits (applies: {ent.floor_applies})")
+          f"floor = {bits} bits (applies: {applies})")

@@ -11,16 +11,17 @@ from fractions import Fraction
 
 from rvsketch import (BitString, SeededRng, SketchParams, bch_code,
                       dump_sketch, gen_index_vector, load_sketch, make_sketch,
-                      recover_sweep, validate_params)
+                      param_violations, recover_sweep)
 
 inner = bch_code(4, 2)
 outer = bch_code(5, 3)
 params = SketchParams.from_codes(inner, outer, Fraction(1, 7))
-report = validate_params(params)
+violations = param_violations(params.k_star, params.n_star, params.k,
+                              params.n, params.eps_ss)
 print(f"inner [{inner.n},{inner.k}] radius {inner.t}; "
       f"outer [{outer.n},{outer.k}] radius {outer.t}; "
       f"zero-pad width k-n* = {params.k - params.n_star}")
-print(f"parameter violations: {report.violations or 'none'}")
+print(f"parameter violations: {violations or 'none'}")
 
 rng = SeededRng(95)
 w = rng.spawn(1).random_bits(7)

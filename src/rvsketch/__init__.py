@@ -8,11 +8,10 @@ prefix. Analytical companions cover the concentration, tolerance, rate
 and complexity bounds the construction obeys.
 """
 
-from .analysis import (BoundCheck, EntropyFloor, IterationBudget, RateBounds,
-                       Thresholds, binary_entropy, binom_lower_tail,
-                       efficiency_bound_check, error_floor_check,
-                       false_accept_rate, h2, hoeffding_bound,
-                       iteration_budget_check, min_length_for_error_floor,
+from .analysis import (BoundCheck, RateBounds, Thresholds, binary_entropy,
+                       binom_lower_tail, efficiency_bound_check,
+                       error_floor_check, false_accept_rate, fixed_weight, h2,
+                       hoeffding_bound, min_length_for_error_floor,
                        min_sketch_len_for_budget, rate_bounds,
                        residual_entropy_bound, support_size, thresholds)
 from .bitcore import (BitString, CapacityError, DimensionError,
@@ -30,9 +29,8 @@ from .lsh import (ExceedanceResult, IndexVector, empirical_rv_distance,
                   gen_index_vector, rv_distance_samples, sample_bits,
                   similarity)
 from .recover import RecoveryReport, recover_fixed, recover_sweep
-from .sketch import (ParamsReport, Sketch, SketchDebug, SketchFormatError,
-                     SketchParams, dump_sketch, load_sketch, load_sketch_file,
-                     make_sketch, param_violations, sample_error, save_sketch,
-                     validate_params)
+from .sketch import (Sketch, SketchDebug, SketchFormatError, SketchParams,
+                     dump_sketch, load_sketch, load_sketch_file, make_sketch,
+                     param_violations, sample_error, save_sketch)
 
 __version__ = "0.1.0"

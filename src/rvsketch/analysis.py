@@ -47,13 +47,19 @@ def _pow2(exponent: float) -> float:
     return 2.0 ** exponent if exponent < 1024 else math.inf
 
 
+def fixed_weight(k_star: int, eps: RationalLike) -> int:
+    """floor(k* eps), the error weight at rate eps in [0, 1/2]."""
+    eps = Fraction(eps)
+    if not 0 <= eps <= Fraction(1, 2):
+        raise ParameterError(f"eps = {eps} outside [0, 1/2]")
+    return int(k_star * eps)  # Fraction floor via int()
+
+
 def support_size(k_star: int, eps: RationalLike) -> Tuple[int, float]:
     """(exact, bound): C(k*, floor(k* eps)) and its 2^(k* h2(eps)) envelope,
     inf beyond float range."""
     eps = Fraction(eps)
-    if not 0 <= eps <= Fraction(1, 2):
-        raise ParameterError(f"eps = {eps} outside [0, 1/2]")
-    weight = int(k_star * eps)
+    weight = fixed_weight(k_star, eps)
     exact = math.comb(k_star, weight)
     bound = _pow2(k_star * binary_entropy(eps))
     if (k_star * eps).denominator == 1:
@@ -110,7 +116,12 @@ class BoundCheck:
 
 def efficiency_bound_check(k_star: int, eps_rec: RationalLike,
                            k: int, n_star: int) -> BoundCheck:
-    """Does the enumeration entropy k* h2(eps_rec) fit within k - n*?"""
+    """Does the enumeration entropy k* h2(eps_rec) fit within k - n*?
+
+    At eps_rec = 2 eps_ss this is the iteration budget: 2^lhs candidates
+    against 2^(k-n*) zero-prefix states, which equals n+1 exactly when the
+    outer code is a full-length BCH code with k-n* check-symbol groups.
+    """
     lhs = k_star * binary_entropy(eps_rec)
     rhs = k - n_star
     return BoundCheck(lhs <= rhs, lhs, float(rhs))
@@ -195,29 +206,16 @@ def rate_bounds(k_star: int, k: int, n_star: int, eps_ss: RationalLike,
     )
 
 
-@dataclass(frozen=True)
-class EntropyFloor:
-    """The paper's claimed min-entropy floor of the masked RV family, in bits.
+def residual_entropy_bound(n: int, eps_ss: RationalLike) -> int:
+    """floor(2 n eps^2 log2 e), the paper's claimed min-entropy floor of the
+    masked RV family, in bits; it is >= k-n* whenever error_floor_check holds.
 
     A claim, not a guarantee: the exact H-infinity(W | ss, N) of a uniform
     secret, brute-forced for [15,7]/[31,16] at eps_ss = 1/7, is 0 bits
     where this floor claims 1, because every stage of make_sketch is
     GF(2)-linear.
     """
-
-    bits: int
-    floor_applies: bool  # the error-floor predicate held, so bits >= k-n*
-
-
-def residual_entropy_bound(n: int, eps_ss: RationalLike, k: int,
-                           n_star: int) -> EntropyFloor:
-    """floor(2 n eps^2 log2 e), the paper's claimed floor (see EntropyFloor);
-    it is >= k-n* whenever the error floor holds."""
-    bits = math.floor(_hoeffding_bits(n, eps_ss))
-    check = error_floor_check(n, eps_ss, k, n_star)
-    if check.holds:
-        assert bits >= k - n_star, "entropy floor fell below the zero-pad width"
-    return EntropyFloor(bits=bits, floor_applies=check.holds)
+    return math.floor(_hoeffding_bits(n, eps_ss))
 
 
 def false_accept_rate(k: int, n_star: int) -> Fraction:
@@ -249,39 +247,6 @@ def binom_lower_tail(k: int, n: int, p: float) -> float:
     top = max(terms)
     total = math.exp(top) * math.fsum(math.exp(t - top) for t in terms)
     return min(total, 1.0)
-
-
-@dataclass(frozen=True)
-class IterationBudget:
-    """Enumeration size versus zero-prefix states versus sketch size."""
-
-    holds: bool              # k* h2(2 eps_ss) <= k-n*, by exponents
-    support_bound: float     # 2^(k* h2(2 eps_ss)), inf beyond float range
-    prefix_states: int       # 2^(k-n*)
-    sketch_plus_one: int     # n + 1
-    bch_exact: bool          # 2^(k-n*) == n+1, the full-length BCH outer regime
-
-
-def iteration_budget_check(k_star: int, eps_ss: RationalLike, k: int,
-                           n_star: int, n: int) -> IterationBudget:
-    """Check the enumeration budget against the zero-prefix state count.
-
-    The identification of 2^(k-n*) with n+1 is exact only when the outer
-    code is a full-length BCH code with k-n* check-symbol groups; for any
-    other outer code it is a configuration choice, reported via bch_exact.
-    """
-    delta = k - n_star
-    if delta < 1:
-        raise ValueError("need k > n*")
-    exponent = k_star * binary_entropy(2 * Fraction(eps_ss))
-    prefix_states = 2 ** delta
-    return IterationBudget(
-        holds=exponent <= delta,
-        support_bound=_pow2(exponent),
-        prefix_states=prefix_states,
-        sketch_plus_one=n + 1,
-        bch_exact=(prefix_states == n + 1),
-    )
 
 
 def min_sketch_len_for_budget(k_star: int, eps_ss: RationalLike) -> Tuple[int, int]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from .experiments import _KINDS, ExperimentConfig, run_experiment
 from .lsh import gen_index_vector
 from .recover import RecoveryReport, recover_fixed, recover_sweep
 from .sketch import (SketchParams, load_sketch_file, make_sketch,
-                     param_violations, save_sketch, validate_params)
+                     param_violations, save_sketch)
 
 EXIT_OK = 0
 EXIT_RECOVERY_FAILED = 1
@@ -35,6 +36,16 @@ def _fraction_flag(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+
+
+def _text(val) -> str:
+    """str(val), but ints and fractions are spelled through Decimal, which
+    has no digit limit (str(int) refuses more than 4,300 digits by default)."""
+    if isinstance(val, Fraction) and val.denominator != 1:
+        return f"{_text(val.numerator)}/{_text(val.denominator)}"
+    if isinstance(val, (int, Fraction)) and not isinstance(val, bool):
+        return str(Decimal(int(val)))
+    return str(val)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,22 +110,24 @@ def cmd_sketch(args) -> int:
     rng = SeededRng(args.seed)
     inner = code_from_spec(args.inner, rng.spawn(1))
     outer = code_from_spec(args.outer, rng.spawn(2))
-    params = SketchParams.from_codes(inner, outer, args.eps_ss)
-    report = validate_params(params)
-    if report.violations:
-        for v in report.violations:
-            print(f"parameter violation: {v}", file=sys.stderr)
+    p = SketchParams.from_codes(inner, outer, args.eps_ss)
+    violations = param_violations(p.k_star, p.n_star, p.k, p.n, p.eps_ss)
+    for v in violations:
+        print(f"parameter violation: {v}", file=sys.stderr)
+    if violations:
         return EXIT_USAGE
-    N = gen_index_vector(params.k_star, params.n, rng.spawn(3))
-    sk = make_sketch(w, N, args.eps_ss, params, rng.spawn(4))
+    N = gen_index_vector(p.k_star, p.n, rng.spawn(3))
+    sk = make_sketch(w, N, args.eps_ss, p, rng.spawn(4))
     save_sketch(sk, args.out)
-    ef, eb = report.error_floor, report.enumeration_budget
-    print(f"n = {params.n}")
-    print(f"k - n* = {params.k - params.n_star}")
-    print(f"eps_ss = {params.eps_ss}")
+    eps_rec = 2 * p.eps_ss
+    ef = analysis.error_floor_check(p.n, p.eps_ss, p.k, p.n_star)
+    eb = analysis.efficiency_bound_check(p.k_star, eps_rec, p.k, p.n_star)
+    print(f"n = {p.n}")
+    print(f"k - n* = {p.k - p.n_star}")
+    print(f"eps_ss = {p.eps_ss}")
     print(f"error floor holds: {ef.holds} ({ef.lhs:.6g} vs {ef.rhs:.6g})")
     print(f"enumeration budget holds: {eb.holds} "
-          f"({eb.lhs:.6g} vs {eb.rhs:.6g} at eps_rec = {report.eps_rec_used})")
+          f"({eb.lhs:.6g} vs {eb.rhs:.6g} at eps_rec = {eps_rec})")
     print(f"sketch written to {args.out}")
     return EXIT_OK
 
@@ -177,15 +190,18 @@ def cmd_bounds(args) -> int:
     rows.append(("shannon upper bound", f"{rb.shannon_ub:.12g}"))
     rows.append(("gv lower bound", f"{rb.gv_lb:.12g}"))
     rows.append(("rate regime", rb.regime))
-    ent = analysis.residual_entropy_bound(n, eps_ss, k, n_star)
-    rows.append(("residual entropy floor bits", ent.bits))
-    rows.append(("entropy floor applies", ent.floor_applies))
+    rows.append(("residual entropy floor bits",
+                 analysis.residual_entropy_bound(n, eps_ss)))
+    rows.append(("entropy floor applies", floor.holds))
     rows.append(("false accept rate 2^-(k-n*)",
                  f"{float(analysis.false_accept_rate(k, n_star)):.12g}"))
-    budget = analysis.iteration_budget_check(k_star, eps_ss, k, n_star, n)
+    budget = analysis.efficiency_bound_check(k_star, 2 * eps_ss, k, n_star)
+    prefix_states = 2 ** (k - n_star)
     rows.append(("iteration budget 2^(k* h2(2 eps_ss)) <= 2^(k-n*)",
-                 f"{budget.holds} ({budget.support_bound:.6g} vs {budget.prefix_states})"))
-    rows.append(("bch-exact sketch relation 2^(k-n*) == n+1", budget.bch_exact))
+                 f"{budget.holds} ({analysis._pow2(budget.lhs):.6g} vs "
+                 f"{_text(prefix_states)})"))
+    rows.append(("bch-exact sketch relation 2^(k-n*) == n+1",
+                 prefix_states == n + 1))
     if args.xi is not None:
         th = analysis.thresholds(k_star, n, args.xi, eps_ss)
         rows.append(("xi", th.xi))
@@ -199,11 +215,11 @@ def cmd_bounds(args) -> int:
     if args.format == "csv":
         print("quantity,value")
         for name, val in rows:
-            print(f"{name},{val}")
+            print(f"{name},{_text(val)}")
     else:
         width = max(len(name) for name, _ in rows)
         for name, val in rows:
-            print(f"{name:<{width}}  {val}")
+            print(f"{name:<{width}}  {_text(val)}")
     return EXIT_OK
 
 

@@ -25,7 +25,8 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import binom_lower_tail, false_accept_rate, support_size
+from .analysis import (binom_lower_tail, false_accept_rate, fixed_weight,
+                       support_size)
 from .bitcore import BitString, ParameterError, SeededRng
 from .codes import code_from_spec, random_linear_code
 from .lsh import gen_index_vector, rv_distance_samples
@@ -304,7 +305,7 @@ def run_complexity_experiment(cfg: ExperimentConfig) -> List[ComplexityCell]:
     for k_star in cfg.grid_k:
         for eps in cfg.grid_eps:
             eps = Fraction(eps)
-            weight = int(k_star * eps)
+            weight = fixed_weight(k_star, eps)
             expected, bound = support_size(k_star, eps)
             worst = 0
             for r in range(repeats):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -201,6 +202,11 @@ def recover_sweep(sk: Sketch, w_prime: BitString, inner: LinearCode,
     cap = sk.params.k_star // 2
     if max_weight is None:
         max_weight = cap
+    try:
+        max_weight = operator.index(max_weight)
+    except TypeError:
+        raise ParameterError(
+            f"max_weight {max_weight!r} is not an integer") from None
     if not 0 <= max_weight <= cap:
         raise ParameterError(f"max_weight {max_weight} outside [0, {cap}]")
     return _recover(sk, w_prime, inner, outer, range(max_weight + 1))

@@ -17,7 +17,6 @@ bundle.
 from __future__ import annotations
 
 import dataclasses
-import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +25,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .analysis import (BoundCheck, RationalLike, efficiency_bound_check,
-                       error_floor_check)
+from .analysis import RationalLike, fixed_weight
 from .bitcore import (BitString, DimensionError, ParameterError, SeededRng,
                       zero_pad_prefix)
 from .codes import LinearCode, code_from_text, code_to_text, encode
@@ -68,26 +66,6 @@ class SketchParams:
                    eps_ss=eps_ss, inner=inner, outer=outer)
 
 
-@dataclass(frozen=True)
-class ParamsReport:
-    """Validation outcome: fatal violations plus two advisory predicates.
-
-    violations is param_violations' list. The error-floor check
-    (exp(-2 n eps^2) <= 2^-(k-n*)) and the enumeration-budget check
-    (k* h2(eps_rec) <= k-n*) are reported but never fatal. With any
-    violation they are not evaluated: both read False, with NaN sides.
-    """
-
-    violations: List[str]
-    error_floor: BoundCheck
-    enumeration_budget: BoundCheck
-    eps_rec_used: Fraction
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def _eps_violation(name: str, eps: Fraction, k_star: int,
                    hi: int) -> Optional[str]:
     """Why eps is outside [1/(2k*), 1/hi], or None; exact integer compares."""
@@ -103,10 +81,10 @@ def param_violations(k_star: int, n_star: int, k: int, n: int,
     """Every broken rule of 1 <= k* <= n* < k <= n, eps_ss in [1/(2k*), 1/4]
     and (when given) eps_rec in [1/(2k*), 1/2], in that order.
 
-    make_sketch, load_sketch, validate_params and `rvsketch bounds` apply
-    this one list; the eps ranges are checked once k* >= 1. A non-Fraction
-    eps is converted with Fraction(), so floats are taken at their exact
-    binary value.
+    make_sketch, load_sketch and `rvsketch sketch`/`bounds` apply this one
+    list; the eps ranges are checked once k* >= 1. A non-Fraction eps is
+    converted with Fraction(), so floats are taken at their exact binary
+    value.
     """
     violations = []
     if k_star < 1:
@@ -129,34 +107,9 @@ def param_violations(k_star: int, n_star: int, k: int, n: int,
     return violations
 
 
-def validate_params(params: SketchParams,
-                    eps_rec: Optional[RationalLike] = None) -> ParamsReport:
-    """Apply param_violations, then evaluate the advisory predicates.
-
-    eps_rec defaults to 2*eps_ss, the worst-case recovery error parameter;
-    an explicit eps_rec is range-checked too.
-    """
-    p = params
-    if eps_rec is not None:
-        eps_rec = Fraction(eps_rec)
-    violations = param_violations(p.k_star, p.n_star, p.k, p.n, p.eps_ss,
-                                  eps_rec)
-    if eps_rec is None:
-        eps_rec = 2 * p.eps_ss
-    if violations:
-        floor = budget = BoundCheck(False, math.nan, math.nan)
-    else:
-        floor = error_floor_check(p.n, p.eps_ss, p.k, p.n_star)
-        budget = efficiency_bound_check(p.k_star, eps_rec, p.k, p.n_star)
-    return ParamsReport(violations, floor, budget, eps_rec)
-
-
 def sample_error(k_star: int, eps: RationalLike, rng: SeededRng) -> BitString:
     """Uniform vector of length k* with weight exactly floor(k* eps)."""
-    eps = Fraction(eps)
-    if not 0 <= eps <= Fraction(1, 2):
-        raise ParameterError(f"eps = {eps} outside [0, 1/2]")
-    weight = int(k_star * eps)  # Fraction floor via int()
+    weight = fixed_weight(k_star, eps)
     out = np.zeros(k_star, dtype=np.uint8)
     if weight:
         out[rng.subset(k_star, weight)] = 1

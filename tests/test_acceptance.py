@@ -11,9 +11,9 @@ from scipy.stats import binomtest
 
 from oracles import all_codewords_matrix, nearest_codeword, pack_rows
 from rvsketch import (BitString, ExperimentConfig, SeededRng, SketchParams,
-                      bch_code, binary_entropy, decode, exceedance_frequencies,
-                      gen_index_vector, hoeffding_bound,
-                      iteration_budget_check, make_sketch,
+                      bch_code, binary_entropy, decode,
+                      efficiency_bound_check, exceedance_frequencies,
+                      gen_index_vector, hoeffding_bound, make_sketch,
                       min_sketch_len_for_budget, random_linear_code,
                       recover_fixed, run_correctness_experiment,
                       run_false_accept_experiment, run_lsh_experiment,
@@ -174,9 +174,9 @@ def test_criterion_8_iteration_budget_substitution():
     details = []
     for idx, (inner, outer) in enumerate(configs):
         params = SketchParams.from_codes(inner, outer, eps_ss)
-        chk = iteration_budget_check(params.k_star, eps_ss, params.k,
-                                     params.n_star, params.n)
-        ok &= chk.holds and chk.bch_exact
+        chk = efficiency_bound_check(params.k_star, eps_rec, params.k,
+                                     params.n_star)
+        ok &= chk.holds and 2 ** (params.k - params.n_star) == params.n + 1
         crng = SeededRng(71 + idx)
         w = crng.spawn(1).random_bits(8)
         N = gen_index_vector(8, params.n, crng.spawn(2))

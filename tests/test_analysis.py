@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 from oracles import min_n_direct_search
-from rvsketch import (binary_entropy, binom_lower_tail, efficiency_bound_check,
-                      error_floor_check, false_accept_rate, h2,
-                      hoeffding_bound, iteration_budget_check,
+from rvsketch import (ParameterError, binary_entropy, binom_lower_tail,
+                      efficiency_bound_check, error_floor_check,
+                      false_accept_rate, fixed_weight, h2, hoeffding_bound,
                       min_length_for_error_floor, min_sketch_len_for_budget,
                       rate_bounds, residual_entropy_bound, support_size,
                       thresholds)
@@ -185,6 +185,20 @@ class TestRateBounds:
         assert rb.regime == "below-gv"
 
 
+class TestFixedWeight:
+    @pytest.mark.parametrize("k_star, eps, weight", [
+        (7, Fraction(1, 7), 1), (7, Fraction(2, 7), 2), (16, Fraction(1, 8), 2),
+        (15, Fraction(1, 4), 3), (8, 0, 0), (8, Fraction(1, 2), 4),
+        (7, "1/3", 2), (9, 0.25, 2)])
+    def test_floor(self, k_star, eps, weight):
+        assert fixed_weight(k_star, eps) == weight
+
+    @pytest.mark.parametrize("eps", [Fraction(-1, 8), Fraction(3, 4), 1])
+    def test_range(self, eps):
+        with pytest.raises(ParameterError, match=r"outside \[0, 1/2\]"):
+            fixed_weight(8, eps)
+
+
 class TestResidualEntropy:
     @pytest.mark.parametrize("n, holds", [(6000, False), (6200, True)])
     def test_floor_below_float_range(self, n, holds):
@@ -192,22 +206,21 @@ class TestResidualEntropy:
         # floor is decided on 2n eps^2 log2(e) >= k - n* (1082 and 1118 bits)
         chk = error_floor_check(n, Fraction(1, 4), 1102, 2)
         assert (chk.lhs, chk.rhs, chk.holds) == (0.0, 0.0, holds)
-        ent = residual_entropy_bound(n, Fraction(1, 4), 1102, 2)
-        assert ent.floor_applies == holds and (ent.bits >= 1100) == holds
+        assert (residual_entropy_bound(n, Fraction(1, 4)) >= 1100) == holds
 
     def test_canonical_config(self):
-        ent = residual_entropy_bound(2 * 7 * 7, Fraction(1, 14), 16, 15)
-        assert ent.bits == math.floor(math.log2(math.e))
-        assert ent.bits == 1 and ent.floor_applies
+        bits = residual_entropy_bound(2 * 7 * 7, Fraction(1, 14))
+        assert bits == math.floor(math.log2(math.e)) == 1
+        assert error_floor_check(2 * 7 * 7, Fraction(1, 14), 16, 15).holds
 
     def test_zero_eps(self):
-        ent = residual_entropy_bound(512, 0, 16, 15)
-        assert ent.bits == 0 and not ent.floor_applies
+        assert residual_entropy_bound(512, 0) == 0
+        assert not error_floor_check(512, 0, 16, 15).holds
 
     def test_direct_arithmetic(self):
-        ent = residual_entropy_bound(512, Fraction(1, 8), 19, 15)
-        assert ent.bits == math.floor(16 * math.log2(math.e)) == 23
-        assert ent.floor_applies
+        bits = residual_entropy_bound(512, Fraction(1, 8))
+        assert bits == math.floor(16 * math.log2(math.e)) == 23
+        assert error_floor_check(512, Fraction(1, 8), 19, 15).holds
 
 
 class TestFalseAcceptRate:
@@ -277,23 +290,23 @@ class TestMinLengthForErrorFloor:
 
 
 class TestIterationBudget:
+    """The budget is efficiency_bound_check at eps_rec = 2 eps_ss."""
+
     def test_bch_exact_regime(self):
         # delta = 5 with a full-length n = 31 outer: 2^5 == 32 == n+1
-        chk = iteration_budget_check(8, Fraction(1, 16), 16, 11, 31)
-        assert chk.holds and chk.bch_exact
-        assert chk.prefix_states == 32 == chk.sketch_plus_one
+        chk = efficiency_bound_check(8, 2 * Fraction(1, 16), 16, 11)
+        assert chk.holds and 2 ** int(chk.rhs) == 31 + 1
 
     def test_non_bch_regime_flagged(self):
-        chk = iteration_budget_check(8, Fraction(1, 16), 16, 11, 40)
-        assert chk.holds and not chk.bch_exact
+        chk = efficiency_bound_check(8, 2 * Fraction(1, 16), 16, 11)
+        assert chk.holds and 2 ** int(chk.rhs) != 40 + 1
 
     @pytest.mark.parametrize("delta, holds", [(1099, False), (1100, True)])
     def test_bound_beyond_float_range(self, delta, holds):
         # 2^(k* h2(1/2)) = 2^1100 overflows; the exponents 1100 and k - n*
         # decide the check exactly
-        chk = iteration_budget_check(1100, Fraction(1, 4), 1100 + delta, 1100, 4000)
-        assert chk.support_bound == math.inf
-        assert chk.prefix_states == 2 ** delta
+        chk = efficiency_bound_check(1100, 2 * Fraction(1, 4), 1100 + delta, 1100)
+        assert (chk.lhs, chk.rhs) == (1100.0, float(delta))
         assert chk.holds == holds
 
     def test_min_sketch_len(self):

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -271,6 +272,30 @@ class TestBoundsCommand:
         assert rows["support size envelope 2^(k* h2(eps_rec))"].strip() == "inf"
         assert rows["iteration budget 2^(k* h2(2 eps_ss)) <= 2^(k-n*)"].strip() \
             == "False (inf vs 2)"
+
+    def test_integers_beyond_the_str_digit_limit(self, capsys):
+        # 2^(k-n*) = 2^15000 has 4,516 digits, past str(int)'s default limit
+        assert main(_bounds_argv((15000, 15000, 30000, 30000), "1/30000")) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = dict(line.split("  ", 1) for line in captured.out.splitlines())
+        budget = rows["iteration budget 2^(k* h2(2 eps_ss)) <= 2^(k-n*)"].strip()
+        assert budget == f"True (40772.9 vs {Decimal(2 ** 15000)})"
+        assert rows["bch-exact sketch relation 2^(k-n*) == n+1"].strip() == "False"
+
+    def test_fractions_beyond_the_str_digit_limit(self, capsys):
+        # 3,001-digit denominators in eps_ss and xi: t_max's has 6,002
+        big = 10 ** 3000
+        eps_ss = Fraction(big + 3, 14 * (big + 3) - 1)
+        xi = Fraction(big + 7, 7 * (big + 7) - 1)
+        argv = _bounds_argv((7, 15, 16, 31), eps_ss) + [f"--xi={xi}"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = dict(line.split("  ", 1) for line in captured.out.splitlines())
+        t_max = 31 * (xi - eps_ss)
+        assert rows["t_max = n(xi-eps)"].strip() == (
+            f"{Decimal(t_max.numerator)}/{Decimal(t_max.denominator)}")
 
 
 @st.composite

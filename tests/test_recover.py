@@ -233,6 +233,12 @@ class TestRecoverSweep:
         with pytest.raises(ParameterError):
             recover_sweep(sk, w, *codes, max_weight=4)   # floor(7/2) = 3
 
+    @pytest.mark.parametrize("max_weight", [2.5, 2.0, "2", Fraction(2)])
+    def test_max_weight_must_be_an_integer(self, codes, max_weight):
+        w, sk = _sketch(codes, seed=8)
+        with pytest.raises(ParameterError, match="is not an integer"):
+            recover_sweep(sk, w, *codes, max_weight=max_weight)
+
 
 class TestAcceptanceSoundness:
     def test_accepted_candidate_reproduces_the_decode_chain(self, codes):

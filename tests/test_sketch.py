@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from rvsketch import (BitString, DimensionError, ParameterError, SeededRng,
                       Sketch, SketchFormatError, SketchParams, bch_code,
-                      dump_sketch, encode, gen_index_vector, invert_message,
-                      load_sketch, param_violations, random_linear_code,
-                      sample_bits, sample_error, make_sketch,
-                      validate_params, zero_pad_prefix)
+                      dump_sketch, encode, error_floor_check, fixed_weight,
+                      gen_index_vector, invert_message, load_sketch,
+                      param_violations, random_linear_code, sample_bits,
+                      sample_error, make_sketch, support_size,
+                      zero_pad_prefix)
 
 
 @pytest.fixture(scope="module")
@@ -55,51 +56,52 @@ class TestSampleError:
         with pytest.raises(ParameterError):
             sample_error(8, Fraction(-1, 8), SeededRng(0))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 64), st.fractions(0, Fraction(1, 2), max_denominator=200),
+           st.integers(0, 2**32))
+    def test_weight_is_the_support_class(self, k_star, eps, seed):
+        # one weight rule: the sampled error lies in the class support_size counts
+        weight = sample_error(k_star, eps, SeededRng(seed)).weight
+        assert weight == fixed_weight(k_star, eps)
+        assert math.comb(k_star, weight) == support_size(k_star, eps)[0]
+
+
+def _violations(p, eps_rec=None):
+    return param_violations(p.k_star, p.n_star, p.k, p.n, p.eps_ss, eps_rec)
+
 
 class TestValidateParams:
+    """param_violations and the error-floor check `rvsketch sketch` reports."""
+
     def test_standard_config_passes(self, standard_params):
-        report = validate_params(standard_params)
-        assert report.violations == [] and report.ok
+        p = standard_params
+        assert _violations(p) == []
         # at n = 31 the error floor predicate is evaluated but fails
-        assert not report.error_floor.holds
+        assert not error_floor_check(p.n, p.eps_ss, p.k, p.n_star).holds
 
     def test_ordering_breach(self):
         # inner blocklength equal to the outer dimension: n* < k fails
         inner = random_linear_code(16, 16, SeededRng(5))
         outer = bch_code(5, 3)
         params = SketchParams.from_codes(inner, outer, Fraction(1, 32))
-        report = validate_params(params)
-        assert report.violations == ["n* = 16 must be < k = 16"]
-        assert not report.ok
-        # a rule-breaking set leaves both predicates unevaluated
-        for check in (report.error_floor, report.enumeration_budget):
-            assert not check.holds
-            assert math.isnan(check.lhs) and math.isnan(check.rhs)
+        assert _violations(params) == ["n* = 16 must be < k = 16"]
 
     def test_eps_range_violation(self):
         inner = bch_code(4, 2)
         outer = bch_code(5, 3)
         params = SketchParams.from_codes(inner, outer, Fraction(3, 10))
-        report = validate_params(params)
-        assert any("eps_ss" in v for v in report.violations)
+        assert any("eps_ss" in v for v in _violations(params))
 
     @pytest.mark.parametrize("eps", [Fraction(2, 3), Fraction(-1, 7)])
     def test_eps_outside_bound_domain_is_listed(self, standard_params, eps):
         # the default eps_rec = 2 eps_ss leaves binary entropy's [0, 1]
-        report = validate_params(dataclasses.replace(standard_params, eps_ss=eps))
-        assert report.violations == [f"eps_ss = {eps} outside [1/14, 1/4]"]
-        assert not report.error_floor.holds
-        assert not report.enumeration_budget.holds
-        assert report.eps_rec_used == 2 * eps
+        params = dataclasses.replace(standard_params, eps_ss=eps)
+        assert _violations(params) == [f"eps_ss = {eps} outside [1/14, 1/4]"]
 
     @pytest.mark.parametrize("eps_rec", [Fraction(3, 2), Fraction(-1, 7)])
     def test_eps_rec_outside_bound_domain_is_listed(self, standard_params, eps_rec):
-        report = validate_params(standard_params, eps_rec=eps_rec)
-        assert report.violations == [f"eps_rec = {eps_rec} outside [1/14, 1/2]"]
-        assert not report.error_floor.holds
-        assert not report.enumeration_budget.holds
-        assert math.isnan(report.enumeration_budget.lhs)
-        assert report.eps_rec_used == eps_rec
+        assert _violations(standard_params, eps_rec) == [
+            f"eps_rec = {eps_rec} outside [1/14, 1/2]"]
 
     @pytest.mark.parametrize("eps_ss, eps_rec", [
         (0.25, 0.5), ("1/7", "2/7"), (1, None), (0.1, "3/5")])
@@ -116,10 +118,10 @@ class TestValidateParams:
         inner = bch_code(4, 2)                              # k* = 7, n* = 15
         outer = random_linear_code(98, 16, SeededRng(6))    # n = 2*7^2 = 98
         params = SketchParams.from_codes(inner, outer, Fraction(1, 14))
-        report = validate_params(params)
-        assert report.violations == []
-        assert report.error_floor.holds
-        assert math.isclose(report.error_floor.lhs, math.exp(-1), rel_tol=1e-12)
+        assert _violations(params) == []
+        floor = error_floor_check(98, Fraction(1, 14), 16, 15)
+        assert floor.holds
+        assert math.isclose(floor.lhs, math.exp(-1), rel_tol=1e-12)
 
     def test_code_dimension_mismatch_rejected(self):
         inner = bch_code(4, 2)
