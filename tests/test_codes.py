@@ -466,6 +466,51 @@ class TestRandomCode:
             random_linear_code(4, 5, SeededRng(0))
 
 
+class TestBuiltArraysArePinned:
+    """SHA-256 over the text and every derived array of built codes, as the
+    column-by-column Gauss-Jordan elimination produced them. A random code's
+    digest also takes the next draw of its source, so it pins how many
+    matrices the rejection loop drew."""
+
+    ARRAYS = ("H", "_L", "_cols", "_rows", "_leaders", "_leader_msgs")
+    RANDOM = {
+        (10, 8): "387c214e2779c64e", (11, 11): "2c4c7fc428599045",
+        (12, 12): "c0289baf3fa2b2d8", (13, 13): "44c368b43b333705",
+        (14, 14): "d9aae1a339b86093", (15, 15): "926f1e37298faa3c",
+        (16, 16): "d88edb7701a380c3", (40, 24): "b804a696761a17a2",
+        (130, 120): "0cbcc8d5f29d53a9", (140, 70): "13d348a480ce4b68",
+        (150, 20): "ea25429c8413ee0a",
+    }
+    BCH = "106a126ca73af198"
+
+    @classmethod
+    def _add(cls, digest, code):
+        digest.update(code_to_text(code).encode())
+        for name in cls.ARRAYS:
+            arr = getattr(code, name)
+            digest.update(f"{name}{arr.shape}{arr.dtype.str}".encode())
+            digest.update(arr.tobytes())
+
+    @pytest.mark.parametrize("n,k", sorted(RANDOM))
+    def test_random_codes(self, n, k):
+        digest = hashlib.sha256()
+        for seed in range(10):
+            rng = SeededRng(seed)
+            self._add(digest, random_linear_code(n, k, rng))
+            digest.update(rng.integers(0, 2 ** 63, size=1).tobytes())
+        assert digest.hexdigest()[:16] == self.RANDOM[n, k]
+
+    def test_every_buildable_bch_code(self):
+        digest = hashlib.sha256()
+        for m in range(3, 7):
+            for t in range(1, 2 ** (m - 1)):
+                try:
+                    self._add(digest, bch_code(m, t))
+                except CapacityError:
+                    continue
+        assert digest.hexdigest()[:16] == self.BCH
+
+
 class TestEncode:
     def test_unit_vector_selects_column(self, hamming7):
         msg = BitString("1000")
