@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 from typing import Tuple, Union
 
@@ -152,14 +153,28 @@ def min_length_for_error_floor(k: int, n_star: int, eps_ss: RationalLike) -> int
     """Smallest n with exp(-2 n eps_ss^2) <= 2^-(k-n*).
 
     Closed form ceil((k-n*) ln 2 / (2 eps^2)); the direct-search equality
-    is exercised by the test suite.
+    is exercised by the test suite. It is taken in floats wherever they
+    hold it, and otherwise (eps^2 underflows below about 1e-162, or the
+    result passes 1.8e308) in decimal, from the exact eps^2 = p^2/q^2 and
+    ln 2 to 20 digits beyond the result's.
     """
     if k <= n_star:
         raise ValueError("need k > n*")
-    eps = float(eps_ss)
+    eps = Fraction(eps_ss)
     if eps <= 0:
         raise ValueError("eps_ss must be positive")
-    return math.ceil((k - n_star) * math.log(2.0) / (2.0 * eps * eps))
+    delta = k - n_star
+    try:
+        e = float(eps)
+        return math.ceil(delta * math.log(2.0) / (2.0 * e * e))
+    except (ZeroDivisionError, OverflowError):
+        pass
+    p, q = eps.numerator, eps.denominator
+    with localcontext() as ctx:
+        ctx.prec = (delta * q * q // (p * p)).bit_length() // 3 + 20
+        ctx.Emax = MAX_EMAX
+        n = Decimal(delta * q * q) * Decimal(2).ln() / (2 * p * p)
+        return int(n.to_integral_value(rounding=ROUND_CEILING))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,22 @@ class CapacityError(ParameterError):
 
 _TEXT_RE = re.compile(r"^[01]+$")
 
+
+def bit_array(values, ndim: int, name: str) -> np.ndarray:
+    """values as a fresh C-ordered uint8 array with ndim axes.
+
+    Raises ParameterError unless values is a bool, integer or float array
+    of 0s and 1s with ndim axes. The entries are checked before the uint8
+    cast, which would wrap or truncate them.
+    """
+    raw = np.asarray(values)
+    if raw.ndim != ndim:
+        raise ParameterError(f"{name} must be {ndim}-dimensional")
+    if raw.dtype.kind not in "biuf" or not ((raw == 0) | (raw == 1)).all():
+        raise ParameterError(f"{name} must be 0 or 1")
+    return raw.astype(np.uint8, order="C")
+
+
 BitsLike = Union["BitString", str, Iterable[int], np.ndarray]
 
 
@@ -50,13 +66,7 @@ class BitString:
                 raise ParameterError(f"bitstring text must match ^[01]+$, got {bits!r}")
             arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
         else:
-            raw = np.asarray(bits)
-            if raw.ndim != 1:
-                raise ParameterError("bits must be one-dimensional")
-            # checked before the uint8 cast, which would wrap or truncate
-            if raw.dtype.kind not in "biuf" or not ((raw == 0) | (raw == 1)).all():
-                raise ParameterError("bits must be 0 or 1")
-            arr = raw.astype(np.uint8)
+            arr = bit_array(bits, 1, "bits")
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
         if arr.flags.writeable:
             arr.flags.writeable = False

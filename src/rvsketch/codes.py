@@ -1,12 +1,13 @@
 """Binary linear codes: BCH and random-generator constructions.
 
 Every code carries a generator matrix G (n x k), a parity-check matrix H
-((n-k) x n) and a left inverse L of G for message recovery; one GF(2)
-elimination of [G^T | I_k] yields both H and L and rejects a
-rank-deficient G. The columns of [H; L] are also kept packed in one
-table, H in ceil((n-k)/64) uint64 words and then L from the next word
-boundary in ceil(k/64) (row i -> bit i % 64 of word i // 64), so one XOR
-of packed columns yields a word's syndrome and message side by side.
+((n-k) x n) and a left inverse L of G for message recovery. The columns
+of [H; L] are packed in one table, H in ceil((n-k)/64) uint64 words and
+then L from the next word boundary in ceil(k/64) (row i -> bit i % 64 of
+word i // 64), so one XOR of packed columns yields a word's syndrome and
+message side by side. One GF(2) elimination of [G^T | I_k], its rows
+Python ints, writes its reduced rows straight into that table and
+rejects a rank-deficient G; H and L are unpacked from the table.
 
 Every code gets one coset-leader table at construction, built vectorized
 over all patterns of weight <= t from one gather of the packed table: each
@@ -38,7 +39,8 @@ from typing import Optional
 import numpy as np
 
 from .bitcore import (BitString, CapacityError, DimensionError,
-                      ParameterError, SeededRng, support_batches, xor_gather)
+                      ParameterError, SeededRng, bit_array, support_batches,
+                      xor_gather)
 
 
 class InversionError(ValueError):
@@ -49,66 +51,63 @@ class InversionError(ValueError):
 # GF(2) linear algebra
 
 def _parity_and_left_inverse(G: np.ndarray):
-    """(H, L) for an n x k generator G, from one elimination of [G^T | I_k].
+    """The packed [H; L] column table of an n x k generator G, from one
+    elimination of [G^T | I_k]: (table, H part, L part), each n + 1 rows.
 
-    Each row of [G^T | I_k] is packed into a Python int (column c -> bit
-    c), and Gauss-Jordan elimination pivots only in the G^T block. The
-    reduced G^T block gives H, one row per non-pivot column f with a 1 at f
-    (so H G = 0); the identity block records the row operations, so its
-    row r is column p_r of L (so L G = I_k). Raises ParameterError when G
-    has rank below k.
+    Each row of [G^T | I_k] is a Python int (column c -> bit c). A row
+    joins the basis under its lowest set bit once the basis rows keyed by
+    its lowest bit are XORed away; a lowest bit at n or above means its G^T
+    part vanished, so G has rank below k and ParameterError is raised.
+    Back-substitution from the highest pivot down then leaves the reduced
+    row echelon form, which is unique. Without its pivot bit p, the row
+    holds column p of H at the non-pivot columns and column p of L above
+    bit n; the i-th non-pivot column of H is the unit vector e_i, and of L
+    zero. So H G = 0 and L G = I_k.
+
+    H takes ceil((n-k)/64) uint64 words, at least one, and L as many from
+    the next word boundary (row i -> bit i % 64 of word i // 64). The zero
+    last row serves supports padded with the sentinel index n. The table
+    is read-only, and so are its views.
     """
     n, k = G.shape
-    packed = np.packbits(G.T, axis=1, bitorder="little")
-    rows = [int.from_bytes(packed[r].tobytes(), "little") | (1 << (n + r))
-            for r in range(k)]
-    pivots = []
-    for c in range(n):
-        if len(pivots) == k:
-            break
-        bit = 1 << c
-        r = len(pivots)
-        p = next((i for i in range(r, k) if rows[i] & bit), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        for i in range(k):
-            if i != r and rows[i] & bit:
-                rows[i] ^= rows[r]
-        pivots.append(c)
-    if len(pivots) != k:
-        raise ParameterError("generator matrix is rank deficient")
-    width = (n + k + 7) // 8
-    R = np.unpackbits(
-        np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows),
-                      dtype=np.uint8).reshape(k, width),
-        axis=1, count=n + k, bitorder="little")
-    is_free = np.ones(n, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    H = np.zeros((n - k, n), dtype=np.uint8)
-    H[np.arange(n - k), free] = 1
-    H[:, pivots] = R[:, free].T
-    L = np.zeros((k, n), dtype=np.uint8)
-    L[:, pivots] = R[:, n:].T
-    return H, L
-
-
-def _pack_cols(H: np.ndarray, L: np.ndarray):
-    """The columns of [H; L] as one read-only packed uint64 table, and views
-    of its H and L parts: (table, H part, L part), each cols + 1 rows.
-
-    H takes ceil(rows/64) words, at least one, and L as many from the next
-    word boundary (row i -> bit i % 64 of word i // 64). The zero last row
-    serves supports padded with the sentinel index cols.
-    """
-    split = max(1, -(-len(H) // 64))
-    packed = np.zeros((H.shape[1] + 1, 8 * (split + max(1, -(-len(L) // 64)))),
-                      dtype=np.uint8)
-    for M, at in ((H, 0), (L, 8 * split)):
-        bits = np.packbits(M.T, axis=1, bitorder="little")
-        packed[:-1, at:at + bits.shape[1]] = bits
-    cols = packed.view("<u8").astype(np.uint64, copy=False)
+    words = max(1, -(-(n + k) // 64))
+    augmented = np.eye(k, 64 * words, n, dtype=np.uint8)
+    augmented[:, :n] = G.T
+    packed = np.packbits(augmented, axis=1, bitorder="little").view("<u8")
+    rows = packed[:, 0].tolist()
+    for j in range(1, words):
+        rows = [row | word << 64 * j for row, word in zip(rows, packed[:, j].tolist())]
+    basis = {}   # lowest set bit -> row
+    for row in rows:
+        low = row & -row
+        while low in basis:
+            row ^= basis[low]
+            low = row & -row
+        if low >> n:
+            raise ParameterError("generator matrix is rank deficient")
+        basis[low] = row
+    pivots = sum(basis)
+    for p in sorted(basis, reverse=True):
+        row = basis[p]
+        higher = row & pivots ^ p   # rows keyed above p are already reduced
+        while higher:
+            q = higher & -higher
+            row ^= basis[q]
+            higher ^= q
+        basis[p] = row
+    # column c of [H; L] in the columns of [G^T | I_k]: the row keyed by c
+    # without its pivot bit, or bit c alone at a non-pivot column
+    width = 8 * words
+    spread = b"".join((basis[1 << c] ^ 1 << c if pivots >> c & 1 else 1 << c)
+                      .to_bytes(width, "little") for c in range(n))
+    bits = np.unpackbits(np.frombuffer(spread, dtype=np.uint8).reshape(n, width),
+                         axis=1, count=n + k, bitorder="little")
+    free = [c for c in range(n) if not pivots >> c & 1]
+    split = max(1, -(-(n - k) // 64))
+    table = np.zeros((n + 1, 64 * (split + max(1, -(-k // 64)))), dtype=np.uint8)
+    table[:n, :n - k] = bits[:, free]
+    table[:n, 64 * split:64 * split + k] = bits[:, n:]
+    cols = np.packbits(table, axis=1, bitorder="little").view("<u8")
     cols.flags.writeable = False   # before the views are taken, so they inherit it
     return cols, cols[:, :split], cols[:, split:]
 
@@ -190,24 +189,26 @@ class LinearCode:
     """[n, k] binary linear code with bounded-distance syndrome decoding.
 
     t is the decoding radius honored by `decode`; the coset-leader table is
-    built up to that radius at construction.
+    built up to that radius at construction. G is copied; it must be a 2-D
+    bool, integer or float array of 0s and 1s, else ParameterError.
     """
 
     def __init__(self, G: np.ndarray, t: int, kind: str, param: Optional[int] = None):
-        G = np.ascontiguousarray(np.asarray(G, dtype=np.uint8) & 1)
+        G = bit_array(G, 2, "generator matrix")
         n, k = G.shape
         if k > n:
             raise ParameterError(f"dimension k={k} exceeds blocklength n={n}")
         if t < 0:
             raise ParameterError("decoding radius must be non-negative")
-        self.H, self._L = _parity_and_left_inverse(G)
+        self._cols, self._h_cols, self._l_cols = _parity_and_left_inverse(G)
+        self.H = _unpack(self._h_cols[:-1], n - k).T
+        self._L = _unpack(self._l_cols[:-1], k).T
         self.G = G
         self.n = n
         self.k = k
         self.t = t
         self.kind = kind
         self.param = param
-        self._cols, self._h_cols, self._l_cols = _pack_cols(self.H, self._L)
         self._build_table()
         # memoized codes are shared, so nothing they hold may change
         self._arrays = (self.G, self.H, self._L, self._cols,

@@ -96,6 +96,47 @@ def nearest_codeword(codewords_packed: np.ndarray, word_packed: int, t: int):
     return None
 
 
+def gauss_jordan_parity_and_left_inverse(G: np.ndarray):
+    """(H, L) of an n x k generator G by column-by-column Gauss-Jordan
+    elimination of [G^T | I_k], or None when G has rank below k.
+
+    Each row of [G^T | I_k] is packed into a Python int (column c -> bit
+    c), and the elimination pivots only in the G^T block. The reduced G^T
+    block gives H, one row per non-pivot column f with a 1 at f (so
+    H G = 0); the identity block records the row operations, so its row r
+    is column p_r of L (so L G = I_k).
+    """
+    n, k = G.shape
+    packed = np.packbits(G.T, axis=1, bitorder="little")
+    rows = [int.from_bytes(packed[r].tobytes(), "little") | (1 << (n + r))
+            for r in range(k)]
+    pivots = []
+    for c in range(n):
+        if len(pivots) == k:
+            break
+        bit = 1 << c
+        r = len(pivots)
+        p = next((i for i in range(r, k) if rows[i] & bit), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        for i in range(k):
+            if i != r and rows[i] & bit:
+                rows[i] ^= rows[r]
+        pivots.append(c)
+    if len(pivots) != k:
+        return None
+    R = np.array([[row >> j & 1 for j in range(n + k)] for row in rows],
+                 dtype=np.uint8).reshape(k, n + k)
+    free = [c for c in range(n) if c not in pivots]
+    H = np.zeros((n - k, n), dtype=np.uint8)
+    H[np.arange(n - k), free] = 1
+    H[:, pivots] = R[:, free].T
+    L = np.zeros((k, n), dtype=np.uint8)
+    L[:, pivots] = R[:, n:].T
+    return H, L
+
+
 def non_pivot_rows(G: np.ndarray) -> list:
     """Indices of the rows of G that lie in the span of the rows above them.
 

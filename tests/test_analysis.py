@@ -282,6 +282,22 @@ class TestMinLengthForErrorFloor:
                 got = min_length_for_error_floor(15 + delta, 15, eps)
                 assert got == min_n_direct_search(delta, float(eps))
 
+    @pytest.mark.parametrize("delta, eps", [
+        (1, Fraction(1, 2 * 10 ** 200)),   # eps^2 underflows a float
+        (3, Fraction(1, 10 ** 170)),
+        (10 ** 50, Fraction(1, 10 ** 160)),
+        (10 ** 310, Fraction(1, 4)),       # k - n* itself passes float range
+    ], ids=["underflow", "underflow-delta-3", "subnormal", "huge-delta"])
+    def test_beyond_float_range(self, delta, eps):
+        # n is the least integer >= delta ln 2 / (2 eps^2); ln 2 to 1,000 digits
+        # brackets that bound closely enough to settle its ceiling
+        with mpmath.workdps(1000):
+            ln2 = Fraction(mpmath.nstr(mpmath.log(2), 1000))
+        slack = Fraction(1, 10 ** 990)
+        need = delta / (2 * eps ** 2)
+        n = min_length_for_error_floor(15 + delta, 15, eps)
+        assert n - 1 < need * (ln2 - slack) and n >= need * (ln2 + slack)
+
     def test_floor_holds_at_result(self):
         n = min_length_for_error_floor(16, 15, Fraction(1, 14))
         assert n == 68

@@ -283,6 +283,17 @@ class TestBoundsCommand:
         assert budget == f"True (40772.9 vs {Decimal(2 ** 15000)})"
         assert rows["bch-exact sketch relation 2^(k-n*) == n+1"].strip() == "False"
 
+    def test_min_length_beyond_float_range(self, capsys):
+        # eps_ss^2 = 1/(4e400) underflows a float, and n = ceil(2e400 ln 2)
+        big = 10 ** 200
+        assert main(_bounds_argv((big, big, big + 1, big + 1),
+                                 f"1/{2 * big}")) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = dict(line.split("  ", 1) for line in captured.out.splitlines())
+        n = rows["min n for error floor"].strip()
+        assert len(n) == 401 and n.startswith("13862943611198906188344642")
+
     def test_fractions_beyond_the_str_digit_limit(self, capsys):
         # 3,001-digit denominators in eps_ss and xi: t_max's has 6,002
         big = 10 ** 3000

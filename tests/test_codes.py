@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (all_codewords_matrix, codewords_packed,
+                     gauss_jordan_parity_and_left_inverse,
                      min_distance_bruteforce, min_distance_exhaustive,
                      nearest_codeword, non_pivot_rows, pack_rows)
 from rvsketch import (BitString, CapacityError, DimensionError,
@@ -128,7 +129,48 @@ def _generator_matrices(draw):
     return np.array(bits, dtype=np.uint8).reshape(n, k)
 
 
+def _seeded_generator(n, k, seed, deficient=False):
+    G = np.random.default_rng(seed).integers(0, 2, size=(n, k), dtype=np.uint8)
+    if deficient:   # column 0 becomes the XOR of the others
+        G[:, 0] = G[:, 1:].sum(axis=1) % 2
+    return G
+
+
+@st.composite
+def _wide_generators(draw):
+    """n x k generators up to n = 200, so H and L each take one to four
+    64-bit words and the rows of [G^T | I_k] up to seven; half of them have
+    a column in the span of the others."""
+    n = draw(st.integers(1, 200))
+    k = draw(st.sampled_from([0, n]) | st.integers(0, n))
+    return _seeded_generator(n, k, draw(st.integers(0, 2 ** 32 - 1)),
+                             k > 0 and draw(st.booleans()))
+
+
 class TestElimination:
+    @settings(max_examples=150, deadline=None)
+    @given(_wide_generators())
+    @example(_seeded_generator(150, 70, 1))      # k > 64 and n-k > 64
+    @example(_seeded_generator(130, 120, 2))     # k > 64, one H word
+    @example(_seeded_generator(150, 20, 3))      # n-k > 64, one L word
+    @example(_seeded_generator(128, 64, 4))      # both parts fill whole words
+    @example(_seeded_generator(200, 0, 5))       # H = I, no L rows
+    @example(_seeded_generator(200, 199, 6, deficient=True))
+    @example(np.zeros((70, 66), dtype=np.uint8))
+    def test_packed_table_against_gauss_jordan(self, G):
+        expect = gauss_jordan_parity_and_left_inverse(G)
+        if expect is None:
+            with pytest.raises(ParameterError, match="rank deficient"):
+                codes._parity_and_left_inverse(G)
+            return
+        H, L = expect
+        cols, h_cols, l_cols = codes._parity_and_left_inverse(G)
+        assert np.array_equal(h_cols, _packed_cols(H))
+        assert np.array_equal(l_cols, _packed_cols(L))
+        assert np.array_equal(cols, np.hstack([h_cols, l_cols]))
+        c = LinearCode(G, 0, "random")
+        assert np.array_equal(c.H, H) and np.array_equal(c._L, L)
+
     @settings(max_examples=300, deadline=None)
     @given(_generator_matrices())
     @example(np.array([[1, 1], [0, 0], [1, 1]], dtype=np.uint8))
@@ -167,6 +209,35 @@ class TestElimination:
                                               dtype=np.uint8))):
             draws += 1
         assert draws > 1 and len(calls) == draws
+
+
+class TestGeneratorInput:
+    """G is checked before the uint8 cast, which would wrap or truncate."""
+
+    @pytest.mark.parametrize("G", [
+        [[2, 1], [1, 1], [0, 1]], [[1.5, 0], [0, 1]], [[-1, 0], [0, 1]],
+        np.array([[256, 1], [0, 1]]), [["1", "0"], ["0", "1"]],
+        [[1 + 0j, 0], [0, 1]], [[np.nan, 0], [0, 1]]])
+    def test_rejects_entries_other_than_0_and_1(self, G):
+        with pytest.raises(ParameterError, match="generator matrix must be 0 or 1"):
+            LinearCode(G, 0, "random")
+
+    @pytest.mark.parametrize("G", [1, [1, 0, 1], np.ones((2, 2, 1))])
+    def test_rejects_other_than_two_axes(self, G):
+        with pytest.raises(ParameterError, match="must be 2-dimensional"):
+            LinearCode(G, 0, "random")
+
+    def test_accepts_bool_int_and_float_matrices(self):
+        G = np.eye(3, 2, dtype=np.uint8)
+        for other in (G.astype(bool), G.astype(np.int64), G.astype(float),
+                      np.ascontiguousarray(G.T).T, G.tolist()):
+            assert LinearCode(other, 0, "random") == LinearCode(G, 0, "random")
+
+    def test_keeps_a_copy(self):
+        G = np.eye(3, 2, dtype=np.uint8)
+        code = LinearCode(G, 0, "random")
+        G[2, 0] = 1   # the caller's array stays writeable
+        assert code.G[2, 0] == 0 and code.G.flags.c_contiguous
 
 
 def _text(G, t=0, kind="random", param=None):
