@@ -8,7 +8,6 @@ uint8 array indexed from zero.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from typing import Iterable, Iterator, Sequence, Union
@@ -182,12 +181,11 @@ def zero_pad_prefix(s: BitString, pad_len: int) -> BitString:
 # ---------------------------------------------------------------------------
 # Fixed-weight supports in lexicographic order
 
-_CLASS_ROWS = 1 << 15   # weight classes up to this size are built whole and cached
+_BLOCK_ROWS = 1 << 15   # rows per support block and per recovery batch
 
 
-@functools.lru_cache(maxsize=128)
 def _lex_class(n: int, weight: int) -> np.ndarray:
-    """All C(n, weight) supports over range(n), lexicographic, read-only.
+    """All C(n, weight) supports over range(n), lexicographic.
 
     Built level by level: each row is extended by every larger position
     that still leaves room for the remaining ones, which keeps the order.
@@ -203,33 +201,26 @@ def _lex_class(n: int, weight: int) -> np.ndarray:
     rows = np.empty((last.size, weight), dtype=np.min_scalar_type(n))
     for j, col in enumerate(cols):
         rows[:, j] = col
-    rows.flags.writeable = False
     return rows
 
 
-def lex_supports(n: int, weight: int, start: int = 0) -> Iterator[np.ndarray]:
-    """Supports of the given weight over range(n), from rank `start` on.
+def lex_supports(n: int, weight: int) -> Iterator[np.ndarray]:
+    """All supports of the given weight over range(n).
 
     Rows hold sorted 0-based positions in lexicographic order (the order of
-    itertools.combinations) and come in blocks of at most 2^15 rows. A
-    class too large to build whole is split by its first position, so any
-    rank is reached exactly however large C(n, weight) is.
+    itertools.combinations) and come in blocks of at most _BLOCK_ROWS rows.
+    A class too large to build whole is split by its first position.
     """
-    if math.comb(n, weight) <= _CLASS_ROWS:
-        yield _lex_class(n, weight)[start:]
+    if math.comb(n, weight) <= _BLOCK_ROWS:
+        yield _lex_class(n, weight)
         return
     for a in range(n - weight + 1):
-        size = math.comb(n - a - 1, weight - 1)
-        if start >= size:
-            start -= size
-            continue
-        for sub in lex_supports(n - a - 1, weight - 1, start):
+        for sub in lex_supports(n - a - 1, weight - 1):
             block = np.empty((len(sub), weight), dtype=np.min_scalar_type(n))
             block[:, 0] = a
             block[:, 1:] = sub
             block[:, 1:] += a + 1
             yield block
-        start = 0
 
 
 def support_batches(n: int, weights: Sequence[int], rows: int) -> Iterator[np.ndarray]:

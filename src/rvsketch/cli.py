@@ -254,8 +254,8 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ValueError, FileNotFoundError) as exc:
-        # ValueError covers ParameterError, DimensionError and SketchFormatError
+    except (ValueError, OSError) as exc:
+        # ValueError: ParameterError and kin; OSError: a path that cannot be opened
         kind = "dimension error" if isinstance(exc, DimensionError) else "error"
         print(f"{kind}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,13 +19,12 @@ batch of syndromes at a time, the recovery scan. Codewords are BitStrings
 of length n; position i of a word is coefficient x^(i-1) in the
 polynomial view used by the BCH construction.
 
-A built code is immutable: every array it holds is read-only. So codes are
-memoized and shared. bch_code and code_from_text each keep a small LRU
-cache, and a repeated (m', t) or code text returns the same object without
-a second elimination or table build. code_from_text's cache is also bounded
-in array bytes, since code texts, unlike (m', t), come from outside. Errors
-are raised afresh on every call; random_linear_code and the LinearCode
-constructor are not cached.
+A built code is immutable: every array it holds is read-only. So codes can
+be shared. code_from_text keeps a small LRU cache, bounded in entries and
+in array bytes, and a repeated code text returns the same object without a
+second elimination or table build. Errors are raised afresh on every call;
+bch_code, random_linear_code and the LinearCode constructor are not
+cached.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -181,7 +179,7 @@ def _bch_generator(m: int, t: int) -> int:
 # ---------------------------------------------------------------------------
 
 _TABLE_PATTERN_CAP = 2_000_000
-_CODE_CACHE_SIZE = 16      # entries in each of the bch_code and code_from_text caches
+_CODE_CACHE_SIZE = 16      # entries in the code_from_text cache
 _CODE_CACHE_BYTES = 128 << 20   # code_from_text's array bytes: two n-k = 24 tables
 
 
@@ -299,7 +297,6 @@ class LinearCode:
 # ---------------------------------------------------------------------------
 # Constructions
 
-@lru_cache(maxsize=_CODE_CACHE_SIZE)
 def bch_code(m_prime: int, t: int) -> LinearCode:
     """Narrow-sense binary BCH code of blocklength 2^m' - 1.
 
@@ -307,8 +304,8 @@ def bch_code(m_prime: int, t: int) -> LinearCode:
     union of the cyclotomic cosets of 1..2t, which equals the lcm of the
     minimal polynomials of alpha^1..alpha^2t; so n - k <= m'*t and the
     design distance is at least 2t + 1. Supported m' are 3..6; the
-    coset-leader decoder caps the useful range anyway. Memoized: a
-    repeated (m', t) returns the same code.
+    coset-leader decoder caps the useful range anyway. Not cached: each
+    call builds a new code.
     """
     if m_prime not in _PRIMITIVE_POLY:
         raise ParameterError(

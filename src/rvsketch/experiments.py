@@ -169,6 +169,9 @@ def run_correctness_experiment(cfg: ExperimentConfig) -> CorrectnessResult:
     inner = code_from_spec(cfg.inner_spec, base.spawn(101))
     outer = code_from_spec(cfg.outer_spec, base.spawn(102))
     params = SketchParams.from_codes(inner, outer, eps_ss)
+    if not 0 <= cfg.w_prime_distance <= params.k_star:
+        raise ParameterError(f"w_prime_distance {cfg.w_prime_distance} "
+                             f"outside [0, {params.k_star}]")
     delta = params.k - params.n_star
     floor = 1.0 - float(false_accept_rate(params.k, params.n_star))
 

@@ -19,7 +19,8 @@ per-call table that only a candidate's first support column reads (weight
 mask and inner lookup then run on whole batches, and the inner lookup of
 the first candidate that passes all three yields the recovered secret. A
 schedule that fits in one batch has its gather index cached, read-only, by
-(k*, weights), bounded in entries and bytes; larger ones stream.
+(k*, weights); larger ones stream. A cached index has at most 2^15 columns
+and, its weights being at most k*/2, at most 8 rows: 2 MiB at most.
 """
 
 from __future__ import annotations
@@ -29,16 +30,15 @@ import math
 import operator
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .analysis import RationalLike
-from .bitcore import (BitString, DimensionError, ParameterError,
+from .bitcore import (_BLOCK_ROWS, BitString, DimensionError, ParameterError,
                       support_batches, xor_gather)
 from .codes import LinearCode, _unpack, _xor_rows
-from .sketch import Sketch, _eps_violation
+from .sketch import Sketch, _eps_violation, _rational
 
 
 @dataclass
@@ -72,9 +72,7 @@ class RecoveryReport:
 # ---------------------------------------------------------------------------
 # Core scan
 
-_BATCH_ROWS = 1 << 15   # candidates per vectorized batch
-_SCHEDULE_CACHE_SIZE = 32   # cached single-batch schedules
-_SCHEDULE_BYTES = 4 << 20   # largest cached schedule, so 128 MB in all
+_SCHEDULE_CACHE_SIZE = 32   # cached single-batch schedules, so 64 MiB at most
 
 
 def _layout(supports: np.ndarray, k_star: int) -> np.ndarray:
@@ -97,8 +95,7 @@ def _bits(index: np.ndarray, k_star: int) -> np.ndarray:
 @functools.lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
 def _cached_layout(k_star: int, weights: tuple) -> np.ndarray:
     """The gather index of a schedule that fits in one batch, read-only."""
-    total = sum(math.comb(k_star, w) for w in weights)
-    index = _layout(next(support_batches(k_star, weights, total)), k_star)
+    index = _layout(next(support_batches(k_star, weights, _BLOCK_ROWS)), k_star)
     index.flags.writeable = False
     return index
 
@@ -106,10 +103,10 @@ def _cached_layout(k_star: int, weights: tuple) -> np.ndarray:
 def _schedule(k_star: int, weights: Sequence[int]):
     """The gather index of each batch of the weight schedule, in order."""
     total = sum(math.comb(k_star, w) for w in weights)
-    if total <= _BATCH_ROWS and total * 8 * max(*weights, 1) <= _SCHEDULE_BYTES:
+    if total <= _BLOCK_ROWS:
         yield _cached_layout(k_star, tuple(weights))
         return
-    for supports in support_batches(k_star, weights, _BATCH_ROWS):
+    for supports in support_batches(k_star, weights, _BLOCK_ROWS):
         yield _layout(supports, k_star)
 
 
@@ -185,7 +182,7 @@ def recover_fixed(sk: Sketch, w_prime: BitString, eps_rec: RationalLike,
     false-accepts (per-iteration rate about 2^-(k-n*)).
     """
     k_star = sk.params.k_star
-    eps = Fraction(eps_rec)
+    eps = _rational("eps_rec", eps_rec)
     problem = _eps_violation("eps_rec", eps, k_star, 2)
     if problem:
         raise ParameterError(problem)

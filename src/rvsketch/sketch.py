@@ -49,7 +49,7 @@ class SketchParams:
     outer: LinearCode
 
     def __post_init__(self):
-        object.__setattr__(self, "eps_ss", Fraction(self.eps_ss))
+        object.__setattr__(self, "eps_ss", _rational("eps_ss", self.eps_ss))
         if (self.inner.k, self.inner.n) != (self.k_star, self.n_star):
             raise ParameterError(
                 f"inner code is [{self.inner.n},{self.inner.k}], "
@@ -64,6 +64,15 @@ class SketchParams:
                    eps_ss: RationalLike) -> "SketchParams":
         return cls(k_star=inner.k, n_star=inner.n, k=outer.k, n=outer.n,
                    eps_ss=eps_ss, inner=inner, outer=outer)
+
+
+def _rational(name: str, value: RationalLike) -> Fraction:
+    """value as an exact Fraction, or ParameterError if not a finite rational."""
+    try:
+        return value if isinstance(value, Fraction) else Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise ParameterError(
+            f"{name} = {value!r} is not a finite rational") from None
 
 
 def _eps_violation(name: str, eps: Fraction, k_star: int,
@@ -82,9 +91,8 @@ def param_violations(k_star: int, n_star: int, k: int, n: int,
     and (when given) eps_rec in [1/(2k*), 1/2], in that order.
 
     make_sketch, load_sketch and `rvsketch sketch`/`bounds` apply this one
-    list; the eps ranges are checked once k* >= 1. A non-Fraction eps is
-    converted with Fraction(), so floats are taken at their exact binary
-    value.
+    list; an eps that is not a finite rational is listed, and the eps
+    ranges are checked once k* >= 1.
     """
     violations = []
     if k_star < 1:
@@ -95,15 +103,16 @@ def param_violations(k_star: int, n_star: int, k: int, n: int,
         violations.append(f"n* = {n_star} must be < k = {k}")
     if not k <= n:
         violations.append(f"k = {k} must be <= n = {n}")
-    if k_star >= 1:
-        for name, eps, hi in (("eps_ss", eps_ss, 4), ("eps_rec", eps_rec, 2)):
-            if eps is None:
-                continue
-            if not isinstance(eps, Fraction):
-                eps = Fraction(eps)
-            problem = _eps_violation(name, eps, k_star, hi)
-            if problem:
-                violations.append(problem)
+    for name, eps, hi in (("eps_ss", eps_ss, 4), ("eps_rec", eps_rec, 2)):
+        if eps is None and name == "eps_rec":
+            continue
+        try:
+            eps = _rational(name, eps)
+            problem = k_star >= 1 and _eps_violation(name, eps, k_star, hi)
+        except ParameterError as exc:
+            problem = str(exc)
+        if problem:
+            violations.append(problem)
     return violations
 
 
@@ -153,19 +162,18 @@ def make_sketch(w: BitString, N: IndexVector, eps_ss: RationalLike,
     The eps_ss argument is the one actually used and is recorded in the
     returned sketch's params.
     """
-    eps_ss = Fraction(eps_ss)
+    params = dataclasses.replace(params, eps_ss=eps_ss)   # converts eps_ss
     if len(w) != params.k_star:
         raise DimensionError(
             f"secret length {len(w)} != k* = {params.k_star}")
     if N.source_len != params.k_star or N.length != params.n:
         raise DimensionError("index vector inconsistent with params")
-    params = dataclasses.replace(params, eps_ss=eps_ss)
     violations = param_violations(params.k_star, params.n_star, params.k,
-                                  params.n, eps_ss)
+                                  params.n, params.eps_ss)
     if violations:
         raise ParameterError("; ".join(violations))
 
-    e = sample_error(params.k_star, eps_ss, rng)
+    e = sample_error(params.k_star, params.eps_ss, rng)
     c_star = encode(params.inner, w)
     w_e = w ^ e
     v_syn = c_star ^ zero_pad_prefix(w_e, params.n_star - params.k_star)

@@ -2,17 +2,15 @@
 
 Everything here recomputes results from first principles (enumeration,
 exhaustive search, direct matrix products) and deliberately avoids the
-library's decode tables, packed fast paths and sampling helpers. The one
-exception is enumerate_errors/error_vector_at_rank: thin wrappers over
-bitcore.lex_supports, so that tests can hold the scan order against
-itertools.combinations.
+library's decode tables, packed fast paths and sampling helpers. Only
+public names of the top-level rvsketch package are imported.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 
@@ -57,29 +55,24 @@ def enumerate_errors(k_star: int, weight: int):
     """All length-k* vectors of exactly the given weight, each once, as
     BitStrings in lexicographic order of their (1-based) support tuples."""
     from rvsketch import BitString, ParameterError
-    from rvsketch.bitcore import lex_supports
 
     if not 0 <= weight <= k_star:
         raise ParameterError(f"weight {weight} outside [0, {k_star}]")
-    for block in lex_supports(k_star, weight):
-        for supp in block:
-            out = np.zeros(k_star, dtype=np.uint8)
-            out[supp] = 1
-            yield BitString(out)
+    for supp in combinations(range(k_star), weight):
+        out = np.zeros(k_star, dtype=np.uint8)
+        out[list(supp)] = 1
+        yield BitString(out)
 
 
 def error_vector_at_rank(k_star: int, weight: int, rank: int):
     """The rank-th vector of enumerate_errors(k_star, weight), rank 0-based."""
-    from rvsketch import BitString, ParameterError
-    from rvsketch.bitcore import lex_supports
+    from rvsketch import ParameterError
 
     if not 0 <= weight <= k_star:
         raise ParameterError(f"weight {weight} outside [0, {k_star}]")
     if not 0 <= rank < math.comb(k_star, weight):
         raise ParameterError("rank out of range")
-    out = np.zeros(k_star, dtype=np.uint8)
-    out[next(lex_supports(k_star, weight, rank))[0]] = 1
-    return BitString(out)
+    return next(islice(enumerate_errors(k_star, weight), rank, None))
 
 
 def nearest_codeword(codewords_packed: np.ndarray, word_packed: int, t: int):

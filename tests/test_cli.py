@@ -389,11 +389,45 @@ class TestExperimentCommand:
                                        "trials: min_iterations sets its length\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("distance", ["-1", "8", "100"])
+    def test_w_prime_distance_outside_zero_to_k_star(self, capsys, distance):
+        code = main(["experiment", "--kind", "correctness", "--trials", "3",
+                     f"--w-prime-distance={distance}"])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: w_prime_distance {distance} outside [0, 7]\n")
+
     def test_bad_deltas(self, capsys):
         code = main(["experiment", "--kind", "false_accept",
                      "--deltas", "1,x"])
         assert code == 2
         assert capsys.readouterr().err == "bad --deltas value: '1,x'\n"
+
+
+class TestUnopenablePaths:
+    """A path that cannot be opened is a usage error (exit 2, one line),
+    not an honest recovery failure (exit 1)."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("sketch", "--w"), ("sketch", "--out"), ("recover", "--sketch"),
+        ("recover", "--w-prime"), ("recover", "--out"), ("experiment", "--out")])
+    def test_a_directory_exits_2(self, workdir, capsys, command, flag):
+        assert main(_sketch_args(workdir)) == 0
+        capsys.readouterr()
+        argv = {
+            "sketch": _sketch_args(workdir),
+            "recover": ["recover", "--sketch", str(workdir / "sk.bin"),
+                        "--w-prime", str(workdir / "w.txt"), "--sweep",
+                        "--out", str(workdir / "rep.csv")],
+            "experiment": ["experiment", "--kind", "lsh", "--trials", "5",
+                           "--out", str(workdir / "lsh.csv")],
+        }[command]
+        argv[argv.index(flag) + 1] = str(workdir)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(f"'{workdir}'\n")
 
 
 class TestExperimentFlags:

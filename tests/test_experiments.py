@@ -73,6 +73,20 @@ class TestCorrectness:
         assert type(r.passed) is bool
         assert type(r.rate) is float and type(r.floor) is float
 
+    @pytest.mark.parametrize("distance", [-1, 8, 100])
+    def test_w_prime_distance_outside_zero_to_k_star(self, distance):
+        cfg = ExperimentConfig(kind="correctness", trials=3,
+                               w_prime_distance=distance)
+        with pytest.raises(ParameterError, match=(
+                rf"^w_prime_distance {distance} outside \[0, 7\]$")):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("distance", [0, 7])
+    def test_w_prime_distance_at_the_range_ends(self, distance):
+        r = run_experiment(ExperimentConfig(kind="correctness", trials=3,
+                                            w_prime_distance=distance))
+        assert r.trials == 3
+
     @pytest.mark.parametrize("outer", ["bch:5:3", "random:26:18"])
     def test_csv_pvalue_matches_scipy(self, tmp_path, outer):
         path = tmp_path / "c.csv"

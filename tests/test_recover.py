@@ -16,7 +16,7 @@ from rvsketch import (BitString, DimensionError, IndexVector, ParameterError,
                       make_sketch, random_linear_code, recover_fixed,
                       recover_sweep)
 from rvsketch import recover
-from rvsketch.bitcore import _CLASS_ROWS, lex_supports, support_batches
+from rvsketch.bitcore import _BLOCK_ROWS, lex_supports, support_batches
 
 
 @pytest.fixture(scope="module")
@@ -72,22 +72,17 @@ class TestErrorVectorAtRank:
 
 
 class TestSplitEnumeration:
-    """Classes above _CLASS_ROWS rows are split by their first position."""
+    """Classes above _BLOCK_ROWS rows are split by their first position."""
 
     @pytest.mark.parametrize("n,w", [(18, 9), (20, 7), (22, 6)])
     def test_split_class_against_combinations(self, n, w):
-        assert math.comb(n, w) > _CLASS_ROWS
+        assert math.comb(n, w) > _BLOCK_ROWS
         blocks = list(lex_supports(n, w))
-        assert max(len(b) for b in blocks) <= _CLASS_ROWS
+        assert max(len(b) for b in blocks) <= _BLOCK_ROWS
         expect = np.array(list(combinations(range(n), w)))
         assert np.array_equal(np.concatenate(blocks), expect)
-        head = math.comb(n - 1, w - 1)   # rows with first position 0
-        for rank in (0, head - 1, head, math.comb(n, w) - 1):
-            want = np.zeros(n, dtype=np.uint8)
-            want[expect[rank]] = 1
-            assert error_vector_at_rank(n, w, rank) == BitString(want)
-        batches = list(support_batches(n, [w - 1, w], _CLASS_ROWS))
-        assert all(len(b) == _CLASS_ROWS for b in batches[:-1])
+        batches = list(support_batches(n, [w - 1, w], _BLOCK_ROWS))
+        assert all(len(b) == _BLOCK_ROWS for b in batches[:-1])
         padded = np.full((math.comb(n, w - 1), w), n)
         padded[:, :w - 1] = list(combinations(range(n), w - 1))
         assert np.array_equal(np.concatenate(batches),
@@ -407,7 +402,7 @@ class TestScanAgainstOracle:
     @given(_scan_cases(), st.sampled_from([1, 2, 3, 7, 1 << 15]))
     def test_reports_match_the_oracle(self, case, rows):
         sk, probe, weights, inner, outer = case
-        with mock.patch.object(recover, "_BATCH_ROWS", rows):
+        with mock.patch.object(recover, "_BLOCK_ROWS", rows):
             if weights[0]:   # a sweep starts at weight 0
                 eps = Fraction(weights[0], sk.params.k_star)
                 report = recover_fixed(sk, probe, eps, inner, outer)
@@ -423,7 +418,7 @@ class TestScanAgainstOracle:
         wp_bits = w.bits.copy()
         wp_bits[[0, 2, 4, 6]] ^= 1
         wp = BitString(wp_bits)
-        monkeypatch.setattr(recover, "_BATCH_ROWS", rows)
+        monkeypatch.setattr(recover, "_BLOCK_ROWS", rows)
         report = recover_sweep(sk, wp, *codes, max_weight=3)
         assert report.accepted_weight == 3
         assert _counts(report) == scan_report(sk, wp, range(4), *codes)
@@ -487,7 +482,7 @@ class TestScheduleCache:
                             lambda table, index: batches.append(index.shape[1])
                             or real(table, index))
         for rows in (1, 2, 7):
-            monkeypatch.setattr(recover, "_BATCH_ROWS", rows)
+            monkeypatch.setattr(recover, "_BLOCK_ROWS", rows)
             batches.clear()
             report = recover_fixed(sk, probe, Fraction(3, 8), inner, outer)
             assert report == warm
@@ -515,26 +510,29 @@ class TestScheduleCache:
         with pytest.raises(ValueError, match="read-only"):
             index[0, 0] = 1
 
-    def test_cache_is_bounded(self, monkeypatch):
+    def test_cache_is_bounded(self):
         recover._cached_layout.cache_clear()
         for k_star in range(4, 4 + recover._SCHEDULE_CACHE_SIZE + 5):
             index, = recover._schedule(k_star, [1, 2])
-            assert index.nbytes <= recover._SCHEDULE_BYTES
         info = recover._cached_layout.cache_info()
         assert info.currsize == info.maxsize == recover._SCHEDULE_CACHE_SIZE
-        # the byte cap counts an entry exactly: C(8, 3) * 8 * 3 bytes
-        sk, probe, inner, outer = _decoy_case(5)
-        expect = scan_report(sk, probe, [3], inner, outer)
-        for cap, cached in ((1344, True), (1343, False)):
-            recover._cached_layout.cache_clear()
-            monkeypatch.setattr(recover, "_SCHEDULE_BYTES", cap)
-            report = recover_fixed(sk, probe, Fraction(3, 8), inner, outer)
-            assert _counts(report) == expect
-            assert recover._cached_layout.cache_info().currsize == cached
-            index, = recover._schedule(8, [3])
-            assert index.flags.writeable is not cached
-            if cached:
-                assert index.nbytes == cap
+
+    def test_every_admissible_cached_index_fits_in_two_mib(self):
+        # a fixed weight floor(k* eps_rec) and a sweep's top weight both lie
+        # in [0, k*/2]; a schedule of at most _BLOCK_ROWS candidates is cached
+        largest = 0
+        for k_star in range(1, 301):
+            for top in range(k_star // 2 + 1):
+                for weights in ((top,), tuple(range(top + 1))):
+                    if sum(math.comb(k_star, w) for w in weights) > _BLOCK_ROWS:
+                        continue
+                    index, = recover._schedule(k_star, weights)
+                    assert not index.flags.writeable   # the cached copy
+                    assert index.shape[0] <= 8
+                    assert index.nbytes <= 2 << 20
+                    largest = max(largest, index.nbytes)
+        assert largest == math.comb(18, 7) * 7 * 8   # k* = 18 at weight 7
+        assert largest * recover._SCHEDULE_CACHE_SIZE < 64 << 20
 
 
 # (reports, accepts of the secret, wrong secrets, failures) and the digest

@@ -12,8 +12,8 @@ from rvsketch import (BitString, DimensionError, ParameterError, SeededRng,
                       Sketch, SketchFormatError, SketchParams, bch_code,
                       dump_sketch, encode, error_floor_check, fixed_weight,
                       gen_index_vector, invert_message, load_sketch,
-                      param_violations, random_linear_code, sample_bits,
-                      sample_error, make_sketch, support_size,
+                      param_violations, random_linear_code, recover_fixed,
+                      sample_bits, sample_error, make_sketch, support_size,
                       zero_pad_prefix)
 
 
@@ -129,6 +129,34 @@ class TestValidateParams:
         with pytest.raises(ParameterError):
             SketchParams(k_star=8, n_star=15, k=16, n=31, eps_ss=Fraction(1, 16),
                          inner=inner, outer=outer)
+
+
+class TestEpsConversion:
+    """One conversion serves every entry point: an eps that is not a finite
+    rational is a ParameterError, or a listed violation."""
+
+    @staticmethod
+    def _raises(text, call, *args):
+        with pytest.raises(ParameterError) as exc:
+            call(*args)
+        assert str(exc.value) == text
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf"),
+                                     1 + 1j, "abc", "1/0", None], ids=repr)
+    def test_every_entry_point(self, standard_params, eps):
+        p = standard_params
+        text = f"eps_ss = {eps!r} is not a finite rational"
+        assert param_violations(7, 15, 16, 31, eps) == [text]
+        self._raises(text, SketchParams.from_codes, p.inner, p.outer, eps)
+        rng = SeededRng(4)
+        w = rng.random_bits(7)
+        N = gen_index_vector(7, 31, rng)
+        self._raises(text, make_sketch, w, N, eps, p, rng)
+        sk = make_sketch(w, N, p.eps_ss, p, rng)
+        text = text.replace("eps_ss", "eps_rec")
+        self._raises(text, recover_fixed, sk, w, eps, p.inner, p.outer)
+        if eps is not None:   # eps_rec is optional in the rule list
+            assert param_violations(7, 15, 16, 31, p.eps_ss, eps) == [text]
 
 
 class TestMakeSketch:
