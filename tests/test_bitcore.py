@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -188,3 +190,49 @@ class TestSeededRng:
 
     def test_algo_id(self):
         assert SeededRng(0).algo_id == "numpy-philox4x64"
+
+
+def _philox_state(bit_generator):
+    state = bit_generator.state
+    return ({k: v.tolist() for k, v in state.pop("state").items()},
+            state.pop("buffer").tolist(), state)
+
+
+class TestPhiloxKeying:
+    """SeededRng(s) is Philox4x64 with key (s mod 2^64, 0) and counter 0:
+    the state and every draw equal numpy's Philox(key=s mod 2^64)."""
+
+    SEEDS = [0, 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1, -1]
+
+    @staticmethod
+    def _assert_same_stream(rng, key):
+        ref = np.random.Philox(key=key)
+        assert _philox_state(rng._gen.bit_generator) == _philox_state(ref)
+        gen = np.random.Generator(ref)
+        assert (rng.integers(0, 1000, size=8).tolist()
+                == gen.integers(0, 1000, size=8).tolist())
+        assert np.array_equal(rng.random_bits(40).bits,
+                              gen.integers(0, 2, size=40, dtype=np.uint8))
+        assert np.array_equal(rng.subset(30, 5),
+                              gen.choice(30, size=5, replace=False))
+        assert (_philox_state(rng._gen.bit_generator)
+                == _philox_state(gen.bit_generator))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_state_and_draws_match_keyed_philox(self, seed):
+        self._assert_same_stream(SeededRng(seed), seed & (2 ** 64 - 1))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_spawn_matches_keyed_philox(self, seed):
+        key = (seed + 3) & (2 ** 64 - 1)
+        self._assert_same_stream(SeededRng(seed).spawn(3), key)
+
+    def test_pickle_round_trips_a_used_stream(self):
+        rng = SeededRng(2 ** 63 + 5)
+        rng.integers(0, 7, size=3)
+        rng.random_bits(11)
+        clone = pickle.loads(pickle.dumps(rng))
+        assert clone.seed == rng.seed
+        assert (clone.integers(0, 2 ** 62, size=16).tolist()
+                == rng.integers(0, 2 ** 62, size=16).tolist())
+        assert np.array_equal(clone.subset(50, 9), rng.subset(50, 9))
