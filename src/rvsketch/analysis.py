@@ -20,6 +20,15 @@ from .bitcore import ParameterError
 RationalLike = Union[Fraction, int, str, float]
 
 
+def _rational(name: str, value: RationalLike) -> Fraction:
+    """value as an exact Fraction, or ParameterError if not a finite rational."""
+    try:
+        return value if isinstance(value, Fraction) else Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise ParameterError(
+            f"{name} = {value!r} is not a finite rational") from None
+
+
 def binary_entropy(x: RationalLike) -> float:
     """-x log2 x - (1-x) log2 (1-x), with the 0 log 0 = 0 convention."""
     x = float(x)
@@ -49,11 +58,16 @@ def _pow2(exponent: float) -> float:
 
 
 def fixed_weight(k_star: int, eps: RationalLike) -> int:
-    """floor(k* eps), the error weight at rate eps in [0, 1/2]."""
-    eps = Fraction(eps)
-    if not 0 <= eps <= Fraction(1, 2):
+    """floor(k* eps), the error weight at rate eps in [0, 1/2].
+
+    eps goes through _rational, and the range check and the floor are
+    exact integer arithmetic on its numerator and denominator.
+    """
+    eps = _rational("eps", eps)
+    num, den = eps.numerator, eps.denominator
+    if not 0 <= 2 * num <= den:
         raise ParameterError(f"eps = {eps} outside [0, 1/2]")
-    return int(k_star * eps)  # Fraction floor via int()
+    return k_star * num // den
 
 
 def support_size(k_star: int, eps: RationalLike) -> Tuple[int, float]:
@@ -236,7 +250,7 @@ def residual_entropy_bound(n: int, eps_ss: RationalLike) -> int:
 def false_accept_rate(k: int, n_star: int) -> Fraction:
     """Zero-prefix acceptance rate 2^-(k-n*) for a decoy iteration."""
     if k <= n_star:
-        raise ValueError("need k > n*")
+        raise ParameterError(f"need k > n*, got k = {k}, n* = {n_star}")
     return Fraction(1, 2 ** (k - n_star))
 
 

@@ -13,6 +13,7 @@ import re
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 class DimensionError(ValueError):
@@ -264,19 +265,37 @@ RNG_ALGO_ID = "numpy-philox4x64"
 _SEED_MASK = (1 << 64) - 1
 
 
+class _KeySeq(ISeedSequence):
+    """Hands Philox its key directly: the two uint64 words (seed, 0).
+
+    Philox(key=seed) reaches the same state, but first builds and hashes
+    a SeedSequence from OS entropy, only to discard it.
+    """
+
+    __slots__ = ("seed",)
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # Philox asks for its key as generate_state(2, np.uint64)
+        return np.array([self.seed, 0], dtype=np.uint64)
+
+
 class SeededRng:
     """Counter-based deterministic random source.
 
-    The same 64-bit seed yields the same stream on every platform.
-    Instances are single-owner; further generators come from :meth:`spawn`
-    (seed + stream_id).
+    Philox4x64 with key (seed mod 2^64, 0) and counter 0, the state of
+    numpy's Philox(key=seed); no OS entropy is drawn. The same seed
+    yields the same stream on every platform. Instances are single-owner;
+    further generators come from :meth:`spawn` (seed + stream_id).
     """
 
     algo_id = RNG_ALGO_ID
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _SEED_MASK
-        self._gen = np.random.Generator(np.random.Philox(key=self.seed))
+        self._gen = np.random.Generator(np.random.Philox(_KeySeq(self.seed)))
 
     def spawn(self, stream_id: int) -> "SeededRng":
         """Generator with seed + stream_id (mod 2^64).

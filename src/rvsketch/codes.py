@@ -366,8 +366,8 @@ def encode(code: LinearCode, msg: BitString) -> BitString:
     """G * msg over GF(2)."""
     if len(msg) != code.k:
         raise DimensionError(f"message length {len(msg)} != k = {code.k}")
-    out = (code.G @ msg.bits.astype(np.int64)) & 1
-    return BitString._wrap(out.astype(np.uint8))
+    # uint8 sums wrap mod 256, which keeps their parity
+    return BitString._wrap((code.G @ msg.bits) & 1)
 
 
 def syndrome(code: LinearCode, word: BitString) -> BitString:

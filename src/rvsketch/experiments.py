@@ -25,8 +25,8 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import (binom_lower_tail, false_accept_rate, fixed_weight,
-                       support_size)
+from .analysis import (_rational, binom_lower_tail, false_accept_rate,
+                       fixed_weight, support_size)
 from .bitcore import BitString, ParameterError, SeededRng
 from .codes import code_from_spec, random_linear_code
 from .lsh import gen_index_vector, rv_distance_samples
@@ -164,7 +164,7 @@ class CorrectnessResult:
 
 def run_correctness_experiment(cfg: ExperimentConfig) -> CorrectnessResult:
     trials = cfg.resolved_trials()
-    eps_ss = Fraction(cfg.eps_ss)
+    eps_ss = _rational("eps_ss", cfg.eps_ss)
     base = SeededRng(cfg.seed)
     inner = code_from_spec(cfg.inner_spec, base.spawn(101))
     outer = code_from_spec(cfg.outer_spec, base.spawn(102))
@@ -307,7 +307,7 @@ def run_complexity_experiment(cfg: ExperimentConfig) -> List[ComplexityCell]:
     trial = 0
     for k_star in cfg.grid_k:
         for eps in cfg.grid_eps:
-            eps = Fraction(eps)
+            eps = _rational("grid_eps", eps)
             weight = fixed_weight(k_star, eps)
             expected, bound = support_size(k_star, eps)
             worst = 0

@@ -34,11 +34,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import RationalLike
+from .analysis import RationalLike, _rational
 from .bitcore import (_BLOCK_ROWS, BitString, DimensionError, ParameterError,
                       support_batches, xor_gather)
 from .codes import LinearCode, _unpack, _xor_rows
-from .sketch import Sketch, _eps_violation, _rational
+from .sketch import Sketch, _eps_violation
 
 
 @dataclass

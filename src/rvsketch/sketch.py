@@ -25,7 +25,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .analysis import RationalLike, fixed_weight
+from .analysis import RationalLike, _rational, fixed_weight
 from .bitcore import (BitString, DimensionError, ParameterError, SeededRng,
                       zero_pad_prefix)
 from .codes import LinearCode, code_from_text, code_to_text, encode
@@ -64,15 +64,6 @@ class SketchParams:
                    eps_ss: RationalLike) -> "SketchParams":
         return cls(k_star=inner.k, n_star=inner.n, k=outer.k, n=outer.n,
                    eps_ss=eps_ss, inner=inner, outer=outer)
-
-
-def _rational(name: str, value: RationalLike) -> Fraction:
-    """value as an exact Fraction, or ParameterError if not a finite rational."""
-    try:
-        return value if isinstance(value, Fraction) else Fraction(value)
-    except (TypeError, ValueError, ArithmeticError):
-        raise ParameterError(
-            f"{name} = {value!r} is not a finite rational") from None
 
 
 def _eps_violation(name: str, eps: Fraction, k_star: int,
@@ -160,9 +151,12 @@ def make_sketch(w: BitString, N: IndexVector, eps_ss: RationalLike,
 
     Returns the Sketch, or (Sketch, SketchDebug) when debug is requested.
     The eps_ss argument is the one actually used and is recorded in the
-    returned sketch's params.
+    returned sketch's params: params itself when it already holds that
+    value, otherwise a copy with eps_ss replaced.
     """
-    params = dataclasses.replace(params, eps_ss=eps_ss)   # converts eps_ss
+    eps_ss = _rational("eps_ss", eps_ss)
+    if eps_ss != params.eps_ss:
+        params = dataclasses.replace(params, eps_ss=eps_ss)
     if len(w) != params.k_star:
         raise DimensionError(
             f"secret length {len(w)} != k* = {params.k_star}")

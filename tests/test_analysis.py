@@ -198,6 +198,16 @@ class TestFixedWeight:
         with pytest.raises(ParameterError, match=r"outside \[0, 1/2\]"):
             fixed_weight(8, eps)
 
+    @pytest.mark.parametrize("eps", ["nan", float("nan"), float("inf"), "abc",
+                                     None], ids=repr)
+    def test_not_a_finite_rational(self, eps):
+        with pytest.raises(ParameterError, match="is not a finite rational"):
+            fixed_weight(8, eps)
+
+    @given(st.integers(0, 10 ** 6), st.fractions(0, Fraction(1, 2)))
+    def test_exact_floor(self, k_star, eps):
+        assert fixed_weight(k_star, eps) == math.floor(k_star * eps)
+
 
 class TestResidualEntropy:
     @pytest.mark.parametrize("n, holds", [(6000, False), (6200, True)])
@@ -230,7 +240,7 @@ class TestFalseAcceptRate:
         assert false_accept_rate(25, 15) == Fraction(1, 1024)
 
     def test_requires_positive_pad(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match=r"k = 15, n\* = 15"):
             false_accept_rate(15, 15)
 
 

@@ -595,6 +595,33 @@ class TestEncode:
         with pytest.raises(DimensionError):
             encode(bch15, BitString.zeros(8))
 
+    @staticmethod
+    def _int64_oracle(code, msg):
+        return (code.G.astype(np.int64) @ msg.bits.astype(np.int64)) & 1
+
+    @given(st.integers(1, 200), st.data())
+    def test_matches_int64_oracle(self, n, data):
+        k = data.draw(st.integers(1, n))
+        rng = SeededRng(data.draw(st.integers(0, 2 ** 64 - 1)))
+        code = random_linear_code(n, k, rng)
+        msg = rng.random_bits(k)
+        assert np.array_equal(encode(code, msg).bits,
+                              self._int64_oracle(code, msg))
+
+    @pytest.mark.parametrize("lower_triangular", [False, True],
+                             ids=["random-600-300", "lower-triangular-300"])
+    def test_all_ones_message(self, lower_triangular):
+        if lower_triangular:
+            # row i has i + 1 ones, so rows past 255 wrap the uint8 sums
+            G = np.tril(np.ones((300, 300), dtype=np.uint8))
+            code = LinearCode(G, t=0, kind="random")
+        else:
+            code = random_linear_code(600, 300, SeededRng(16))
+        msg = BitString.ones(code.k)
+        out = encode(code, msg)
+        assert out.bits.dtype == np.uint8
+        assert np.array_equal(out.bits, self._int64_oracle(code, msg))
+
 
 class TestSyndrome:
     def test_depends_only_on_error(self, bch15):

@@ -36,6 +36,15 @@ class TestConfig:
             run_experiment(ExperimentConfig(kind="false_accept", trials=40))
         ExperimentConfig(kind="false_accept").validate()
 
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(kind="correctness", trials=1, eps_ss="nan"),
+        ExperimentConfig(kind="correctness", trials=1, eps_ss=float("inf")),
+        ExperimentConfig(kind="complexity", trials=1, grid_eps=("abc",))],
+        ids=["eps_ss-nan", "eps_ss-inf", "grid_eps-abc"])
+    def test_eps_not_a_finite_rational(self, cfg):
+        with pytest.raises(ParameterError, match="is not a finite rational"):
+            run_experiment(cfg)
+
 
 class TestLsh:
     def test_small_run_passes(self):

@@ -212,6 +212,27 @@ class TestMakeSketch:
                          standard_params, rng)
         assert sk.params.eps_ss == Fraction(1, 7)
 
+    @pytest.mark.parametrize("eps", [Fraction(1, 8), "1/8", 0.125, "0.125"],
+                             ids=repr)
+    def test_equal_eps_keeps_params(self, eps):
+        p = SketchParams.from_codes(bch_code(4, 2), bch_code(5, 3),
+                                    Fraction(1, 8))
+        rng = SeededRng(17)
+        N = gen_index_vector(7, 31, rng)
+        sk = make_sketch(rng.random_bits(7), N, eps, p, rng)
+        assert sk.params is p
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 7), "1/7", 0.25],
+                             ids=repr)
+    def test_other_eps_is_recorded(self, standard_params, eps):
+        rng = SeededRng(18)
+        N = gen_index_vector(7, 31, rng)
+        sk = make_sketch(rng.random_bits(7), N, eps, standard_params, rng)
+        assert sk.params.eps_ss == Fraction(eps)
+        assert type(sk.params.eps_ss) is Fraction
+        assert sk.params == dataclasses.replace(standard_params,
+                                                eps_ss=Fraction(eps))
+
     def test_dimension_errors(self, standard_params):
         rng = SeededRng(13)
         N = gen_index_vector(7, 31, rng)
