@@ -60,8 +60,9 @@ def _pow2(exponent: float) -> float:
 def fixed_weight(k_star: int, eps: RationalLike) -> int:
     """floor(k* eps), the error weight at rate eps in [0, 1/2].
 
-    eps goes through _rational, and the range check and the floor are
-    exact integer arithmetic on its numerator and denominator.
+    eps is taken as an exact rational (ParameterError if it is not a
+    finite one); the range check and the floor are integer arithmetic on
+    its numerator and denominator.
     """
     eps = _rational("eps", eps)
     num, den = eps.numerator, eps.denominator

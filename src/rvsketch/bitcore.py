@@ -8,12 +8,12 @@ uint8 array indexed from zero.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 
 class DimensionError(ValueError):
@@ -265,7 +265,7 @@ RNG_ALGO_ID = "numpy-philox4x64"
 _SEED_MASK = (1 << 64) - 1
 
 
-class _KeySeq(ISeedSequence):
+class _KeySeq:
     """Hands Philox its key directly: the two uint64 words (seed, 0).
 
     Philox(key=seed) reaches the same state, but first builds and hashes
@@ -282,6 +282,14 @@ class _KeySeq(ISeedSequence):
         return np.array([self.seed, 0], dtype=np.uint64)
 
 
+@functools.cache
+def _register_key_seq() -> None:
+    # Philox takes any numpy ISeedSequence. Registering on first use, not
+    # subclassing, keeps `import rvsketch` from loading numpy.random.
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_KeySeq)
+
+
 class SeededRng:
     """Counter-based deterministic random source.
 
@@ -295,6 +303,7 @@ class SeededRng:
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _SEED_MASK
+        _register_key_seq()
         self._gen = np.random.Generator(np.random.Philox(_KeySeq(self.seed)))
 
     def spawn(self, stream_id: int) -> "SeededRng":

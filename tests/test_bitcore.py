@@ -1,10 +1,15 @@
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rvsketch
 from rvsketch import (BitString, DimensionError, ParameterError, SeededRng,
                       hamming_distance, hamming_weight, xor, zero_pad_prefix)
 
@@ -226,6 +231,16 @@ class TestPhiloxKeying:
     def test_spawn_matches_keyed_philox(self, seed):
         key = (seed + 3) & (2 ** 64 - 1)
         self._assert_same_stream(SeededRng(seed).spawn(3), key)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # the key hand-off is registered with numpy.random on first use
+        code = ("import sys, rvsketch; "
+                "assert 'numpy.random' not in sys.modules; "
+                "rvsketch.SeededRng(3).integers(0, 2, size=1); "
+                "assert 'numpy.random' in sys.modules")
+        src = str(Path(rvsketch.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
     def test_pickle_round_trips_a_used_stream(self):
         rng = SeededRng(2 ** 63 + 5)
