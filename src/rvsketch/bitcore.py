@@ -252,10 +252,11 @@ def support_batches(n: int, weights: Sequence[int], rows: int) -> Iterator[np.nd
 def xor_gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Row b is the XOR of table[j] over the entries j of column b of index.
 
-    table is (rows, words) packed uint64 and index is (width, B), a batch of
-    supports laid out column by column, so the gather is (width, B, words)
-    and the reduction runs over whole slices. Padded supports need a zero
-    row at their sentinel index.
+    table is packed uint64, (rows,) of one-word values or (rows, words), and
+    index is (width, B), a batch of supports laid out column by column, so
+    the gather is (width, B) or (width, B, words) and the reduction runs
+    over whole slices. Padded supports need a zero row at their sentinel
+    index.
     """
     return np.bitwise_xor.reduce(np.take(table, index, axis=0), axis=0)
 

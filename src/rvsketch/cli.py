@@ -7,6 +7,8 @@ Subcommands: sketch, recover, bounds, experiment. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import decimal
+import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -46,6 +48,26 @@ def _text(val) -> str:
     if isinstance(val, (int, Fraction)) and not isinstance(val, bool):
         return str(Decimal(int(val)))
     return str(val)
+
+
+_POW2_DIGITS_MAX_EXPONENT = 10 ** 8   # 2^(10^8): 30,103,000 digits, about 3 s
+
+
+def _pow2_text(exponent: int) -> str:
+    """2^exponent (exponent >= 0) in decimal digits, or "2^exponent" once
+    exponent passes _POW2_DIGITS_MAX_EXPONENT.
+
+    The digits are computed in decimal arithmetic at a precision that holds
+    them all (an inexact result would raise), so no binary integer is built
+    and converted; that conversion is quadratic in the digit count.
+    """
+    if exponent > _POW2_DIGITS_MAX_EXPONENT:
+        return f"2^{_text(exponent)}"
+    with decimal.localcontext() as ctx:
+        ctx.prec = exponent * 30103 // 100000 + 2   # log10(2) < 0.30103
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(Decimal(2) ** exponent)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,15 +215,17 @@ def cmd_bounds(args) -> int:
     rows.append(("residual entropy floor bits",
                  analysis.residual_entropy_bound(n, eps_ss)))
     rows.append(("entropy floor applies", floor.holds))
+    # 2^(k-n*) by its exponent: the power itself may not fit in memory
+    delta = k - n_star
     rows.append(("false accept rate 2^-(k-n*)",
-                 f"{float(analysis.false_accept_rate(k, n_star)):.12g}"))
+                 f"{math.ldexp(1.0, -delta):.12g}"))
     budget = analysis.efficiency_bound_check(k_star, 2 * eps_ss, k, n_star)
-    prefix_states = 2 ** (k - n_star)
     rows.append(("iteration budget 2^(k* h2(2 eps_ss)) <= 2^(k-n*)",
                  f"{budget.holds} ({analysis._pow2(budget.lhs):.6g} vs "
-                 f"{_text(prefix_states)})"))
+                 f"{_pow2_text(delta)})"))
+    # n+1 = 2^delta iff n+1 is a power of two with delta bits below its top
     rows.append(("bch-exact sketch relation 2^(k-n*) == n+1",
-                 prefix_states == n + 1))
+                 (n + 1) & n == 0 and n.bit_length() == delta))
     if args.xi is not None:
         th = analysis.thresholds(k_star, n, args.xi, eps_ss)
         rows.append(("xi", th.xi))

@@ -2,22 +2,27 @@
 
 Every code carries a generator matrix G (n x k), a parity-check matrix H
 ((n-k) x n) and a left inverse L of G for message recovery. The columns
-of [H; L] are packed in one table, H in ceil((n-k)/64) uint64 words and
-then L from the next word boundary in ceil(k/64) (row i -> bit i % 64 of
-word i // 64), so one XOR of packed columns yields a word's syndrome and
-message side by side. One GF(2) elimination of [G^T | I_k], its rows
-Python ints, writes its reduced rows straight into that table and
-rejects a rank-deficient G; H and L are unpacked from the table.
+of [H; L] are packed in one table, contiguously: bit i of column j is
+H[i, j] for i < n-k and L[i-(n-k), j] above (bit i % 64 of word i // 64).
+A column takes ceil(n/64) uint64 words, and one word is stored as a flat
+uint64, so for n <= 64 the table is a 1-D array. One XOR of packed
+columns yields a word's syndrome and message in one packed word. One
+GF(2) elimination of [G^T | I_k], its rows Python ints, writes its
+reduced rows straight into that table and rejects a rank-deficient G; H
+and L are unpacked from the table.
 
 Every code gets one coset-leader table at construction, built vectorized
 over all patterns of weight <= t from one gather of the packed table: each
-leader's support and packed L * leader, and a row index over every
-syndrome value, -1 where no leader has that syndrome (4 * 2^(n-k) bytes).
-A t = 0 code's table is {0}, so decoding is exact membership. Lookup is
-one gather from the row index; it serves the public decode and, a whole
-batch of syndromes at a time, the recovery scan. Codewords are BitStrings
-of length n; position i of a word is coefficient x^(i-1) in the
-polynomial view used by the BCH construction.
+leader's support and full packed word (syndrome and L * leader), and a
+row index over every syndrome value, -1 where no leader has that syndrome
+(4 * 2^(n-k) bytes). A lookup reads the row of a packed word's syndrome
+and XORs in that leader's word: the syndrome bits of the result are zero
+exactly when the lookup hit, and its message bits are then L times the
+corrected word. A t = 0 code's table is {0}: every word looks up row 0,
+so decoding is exact membership. The lookup serves the public decode and,
+a whole batch of packed words at a time, the recovery scan. Codewords are
+BitStrings of length n; position i of a word is coefficient x^(i-1) in
+the polynomial view used by the BCH construction.
 
 A built code is immutable: every array it holds is read-only. So codes can
 be shared. code_from_text keeps a small LRU cache, bounded in entries and
@@ -29,6 +34,7 @@ cached.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections import OrderedDict
@@ -48,9 +54,9 @@ class InversionError(ValueError):
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra
 
-def _parity_and_left_inverse(G: np.ndarray):
-    """The packed [H; L] column table of an n x k generator G, from one
-    elimination of [G^T | I_k]: (table, H part, L part), each n + 1 rows.
+def _parity_and_left_inverse(G: np.ndarray) -> np.ndarray:
+    """The packed [H; L] column table of an n x k generator G, n + 1 rows,
+    from one elimination of [G^T | I_k].
 
     Each row of [G^T | I_k] is a Python int (column c -> bit c). A row
     joins the basis under its lowest set bit once the basis rows keyed by
@@ -62,18 +68,19 @@ def _parity_and_left_inverse(G: np.ndarray):
     bit n; the i-th non-pivot column of H is the unit vector e_i, and of L
     zero. So H G = 0 and L G = I_k.
 
-    H takes ceil((n-k)/64) uint64 words, at least one, and L as many from
-    the next word boundary (row i -> bit i % 64 of word i // 64). The zero
-    last row serves supports padded with the sentinel index n. The table
-    is read-only, and so are its views.
+    Column j of [H; L] is packed contiguously, row i -> bit i % 64 of word
+    i // 64, in ceil(n/64) words, at least one; a single word is a flat
+    uint64, so the table is (n + 1,) for n <= 64 and (n + 1, words)
+    beyond. The zero last row serves supports padded with the sentinel
+    index n. The table is read-only.
     """
     n, k = G.shape
-    words = max(1, -(-(n + k) // 64))
-    augmented = np.eye(k, 64 * words, n, dtype=np.uint8)
+    width = max(1, -(-(n + k) // 64))
+    augmented = np.eye(k, 64 * width, n, dtype=np.uint8)
     augmented[:, :n] = G.T
     packed = np.packbits(augmented, axis=1, bitorder="little").view("<u8")
     rows = packed[:, 0].tolist()
-    for j in range(1, words):
+    for j in range(1, width):
         rows = [row | word << 64 * j for row, word in zip(rows, packed[:, j].tolist())]
     basis = {}   # lowest set bit -> row
     for row in rows:
@@ -95,33 +102,47 @@ def _parity_and_left_inverse(G: np.ndarray):
         basis[p] = row
     # column c of [H; L] in the columns of [G^T | I_k]: the row keyed by c
     # without its pivot bit, or bit c alone at a non-pivot column
-    width = 8 * words
     spread = b"".join((basis[1 << c] ^ 1 << c if pivots >> c & 1 else 1 << c)
-                      .to_bytes(width, "little") for c in range(n))
-    bits = np.unpackbits(np.frombuffer(spread, dtype=np.uint8).reshape(n, width),
+                      .to_bytes(8 * width, "little") for c in range(n))
+    bits = np.unpackbits(np.frombuffer(spread, dtype=np.uint8).reshape(n, 8 * width),
                          axis=1, count=n + k, bitorder="little")
-    free = [c for c in range(n) if not pivots >> c & 1]
-    split = max(1, -(-(n - k) // 64))
-    table = np.zeros((n + 1, 64 * (split + max(1, -(-k // 64)))), dtype=np.uint8)
-    table[:n, :n - k] = bits[:, free]
-    table[:n, 64 * split:64 * split + k] = bits[:, n:]
+    order = [c for c in range(n) if not pivots >> c & 1] + list(range(n, n + k))
+    words = max(1, -(-n // 64))
+    table = np.zeros((n + 1, 64 * words), dtype=np.uint8)
+    table[:n, :n] = bits[:, order]
     cols = np.packbits(table, axis=1, bitorder="little").view("<u8")
-    cols.flags.writeable = False   # before the views are taken, so they inherit it
-    return cols, cols[:, :split], cols[:, split:]
+    cols.flags.writeable = False   # before the flat view, so it inherits it
+    return cols[:, 0] if words == 1 else cols
 
 
 def _xor_rows(cols: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """XOR of the packed rows cols[i] over the set bits i of a word (m,),
-    or of each word of a batch (B, m)."""
-    return np.bitwise_xor.reduce(
-        np.where(bits[..., None] != 0, cols[:bits.shape[-1]], np.uint64(0)),
-        axis=-2)
+    """XOR of the packed rows cols[i] over the set bits i of each word of a
+    batch (B, m): (B,) for a flat table, (B, words) otherwise."""
+    chosen = (bits != 0).reshape(bits.shape + (1,) * (cols.ndim - 1))
+    return np.bitwise_xor.reduce(np.where(chosen, cols[:bits.shape[1]], np.uint64(0)),
+                                 axis=1)
 
 
-def _unpack(packed: np.ndarray, length: int) -> np.ndarray:
-    """The first `length` bits of packed words (..., words), as uint8 0/1."""
-    return np.unpackbits(packed.astype("<u8", copy=False).view(np.uint8),
-                         axis=-1, count=length, bitorder="little")
+def _fold(packed: np.ndarray) -> np.ndarray:
+    """Each packed word of a batch as one uint64, its words ORed together:
+    zero exactly when the whole word is."""
+    return packed if packed.ndim == 1 else np.bitwise_or.reduce(packed, axis=1)
+
+
+def _field(packed: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Bits lo..hi-1 of each packed word of a batch, as uint8 0/1 (B, hi-lo)."""
+    as_bytes = packed.astype("<u8", copy=False).reshape(len(packed), -1).view(np.uint8)
+    return np.unpackbits(as_bytes, axis=1, count=hi, bitorder="little")[:, lo:]
+
+
+@functools.lru_cache(maxsize=256)
+def _low_mask(word_shape: tuple, bits: int):
+    """Bits 0..bits-1 set in one packed word of the given shape: a uint64
+    for the flat shape (), else a read-only (words,) array."""
+    if not word_shape:
+        return np.uint64((1 << bits) - 1)
+    return np.frombuffer(((1 << bits) - 1).to_bytes(8 * word_shape[0], "little"),
+                         dtype="<u8")
 
 
 # ---------------------------------------------------------------------------
@@ -198,40 +219,46 @@ class LinearCode:
             raise ParameterError(f"dimension k={k} exceeds blocklength n={n}")
         if t < 0:
             raise ParameterError("decoding radius must be non-negative")
-        self._cols, self._h_cols, self._l_cols = _parity_and_left_inverse(G)
-        self.H = _unpack(self._h_cols[:-1], n - k).T
-        self._L = _unpack(self._l_cols[:-1], k).T
+        self._cols = _parity_and_left_inverse(G)
+        bits = _field(self._cols[:-1], 0, n)
+        self.H = bits[:, :n - k].T
+        self._L = bits[:, n - k:].T
         self.G = G
         self.n = n
         self.k = k
         self.t = t
         self.kind = kind
         self.param = param
+        # bits 0..n-k-1 of a packed word: its syndrome, nonzero iff a miss
+        # once the looked-up leader's word is XORed in
+        self._syn_mask = _low_mask(self._cols.shape[1:], n - k)
         self._build_table()
         # memoized codes are shared, so nothing they hold may change
         self._arrays = (self.G, self.H, self._L, self._cols,
-                        self._rows, self._leaders, self._leader_msgs)
+                        self._rows, self._leaders, self._leader_words)
         for a in self._arrays:
             a.flags.writeable = False
 
     # -- construction internals ------------------------------------------
 
     def _build_table(self):
-        """Leader supports, packed L * leader, and the row of each syndrome.
+        """Leader supports, leader packed words, and the row of each syndrome.
 
-        _rows[s] is the leader row of the first-word syndrome s, or -1: a
-        table with a leader of nonzero syndrome has n-k <= 24, so _rows
-        spans every syndrome at 4 * 2^(n-k) bytes (64 MB at n-k = 24). A
-        t = 0 table is {0}: _rows = [0, -1], and every nonzero syndrome
-        misses.
+        _rows[s] is the leader row of syndrome s, or -1: a table with a
+        leader of nonzero syndrome has n-k <= 24, so the syndrome lies in
+        the first word and _rows spans every syndrome at 4 * 2^(n-k) bytes
+        (64 MB at n-k = 24); _key_mask picks its bits. A t = 0 table is {0}:
+        _rows = [0] and _key_mask is zero, so every word looks up the zero
+        leader, and a word hits iff its own syndrome is zero.
         """
         n, r, t = self.n, self.n - self.k, self.t
         if t == 0:
             # the table {0}, without the batch machinery: fresh random codes
             # are built once per use, so their construction cost counts
-            self._rows = np.array([0, -1], dtype=np.int32)
+            self._rows = np.zeros(1, dtype=np.int32)
             self._leaders = np.zeros((1, 0), dtype=np.uint8)
-            self._leader_msgs = np.zeros((1, self._l_cols.shape[1]), dtype=np.uint64)
+            self._leader_words = np.zeros((1,) + self._cols.shape[1:], dtype=np.uint64)
+            self._key_mask = _low_mask(self._cols.shape[1:], 0)
             return
         if r > 24:
             raise CapacityError(
@@ -246,8 +273,9 @@ class LinearCode:
         if total > 1 << r:   # more patterns than syndromes: pigeonhole
             raise collision
         leaders = next(support_batches(n, weights, total))
-        both = xor_gather(self._cols, leaders.T)
-        syn = both[:, 0]   # one word: n-k <= 24
+        packed = xor_gather(self._cols, leaders.T)
+        self._key_mask = self._syn_mask
+        syn = _fold(packed & self._key_mask)
         rows = np.full(1 << r, -1, dtype=np.int32)
         order = np.arange(total, dtype=np.int32)
         rows[syn] = order
@@ -255,22 +283,26 @@ class LinearCode:
             raise collision
         self._rows = rows
         self._leaders = leaders
-        self._leader_msgs = np.ascontiguousarray(both[:, self._h_cols.shape[1]:])
+        self._leader_words = packed
 
     # -- array-level paths (shared with the recovery scan) -----------------
 
     def _syndromes(self, words: np.ndarray) -> np.ndarray:
-        """Packed H * word for a word (n,) or each row of words (B, n)."""
-        return _xor_rows(self._h_cols, words)
+        """Packed [H; L] * word for each row of words (B, n): the syndrome in
+        bits 0..n-k-1 and L * word above it."""
+        return _xor_rows(self._cols, words)
 
-    def _lookup(self, syn: np.ndarray):
-        """(hit, row) per packed syndrome row of syn: whether it is in the
-        table, and if so its row of the leader arrays."""
-        row = self._rows[np.minimum(syn[:, 0], self._rows.size - 1)]
-        hit = row >= 0
-        if syn.shape[1] > 1:
-            hit &= ~syn[:, 1:].any(axis=1)
-        return hit, row
+    def _lookup(self, packed: np.ndarray):
+        """(hit, row, fixed) per packed word of a batch: whether its syndrome
+        is in the table, the leader row looked up, and the word XOR that
+        leader's word. On a hit the syndrome bits of fixed are zero and its
+        message bits are L times the corrected word; on a miss (row -1 reads
+        the last leader, of another syndrome) its syndrome bits are not."""
+        # keys are below 2^24, so their int64 view is exact; intp rows
+        # take numpy's fast gather
+        row = self._rows[_fold(packed & self._key_mask).view(np.int64)].astype(np.intp)
+        fixed = packed ^ self._leader_words[row]
+        return _fold(fixed & self._syn_mask) == 0, row, fixed
 
     # -- misc --------------------------------------------------------------
 
@@ -374,7 +406,7 @@ def syndrome(code: LinearCode, word: BitString) -> BitString:
     """H * word over GF(2); all-zeros exactly for codewords."""
     if len(word) != code.n:
         raise DimensionError(f"word length {len(word)} != n = {code.n}")
-    return BitString._wrap(_unpack(code._syndromes(word.bits), code.n - code.k))
+    return BitString._wrap(_field(code._syndromes(word.bits[None]), 0, code.n - code.k)[0])
 
 
 def decode(code: LinearCode, word: BitString) -> Optional[BitString]:
@@ -384,7 +416,7 @@ def decode(code: LinearCode, word: BitString) -> Optional[BitString]:
     """
     if len(word) != code.n:
         raise DimensionError(f"word length {len(word)} != n = {code.n}")
-    hit, row = code._lookup(code._syndromes(word.bits)[None])
+    hit, row, _ = code._lookup(code._syndromes(word.bits[None]))
     if not hit[0]:
         return None
     flip = np.zeros(code.n + 1, dtype=np.uint8)
@@ -396,9 +428,10 @@ def invert_message(code: LinearCode, codeword: BitString) -> BitString:
     """The unique msg with encode(code, msg) == codeword."""
     if len(codeword) != code.n:
         raise DimensionError(f"word length {len(codeword)} != n = {code.n}")
-    if code._syndromes(codeword.bits).any():
+    packed = code._syndromes(codeword.bits[None])
+    if _fold(packed & code._syn_mask)[0]:
         raise InversionError("input is not a codeword")
-    return BitString._wrap(_unpack(_xor_rows(code._l_cols, codeword.bits), code.k))
+    return BitString._wrap(_field(packed, code.n - code.k, code.n)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,16 @@ class IndexVector:
         arr.flags.writeable = False
         object.__setattr__(self, "indices", arr)
 
+    @classmethod
+    def _wrap(cls, indices: np.ndarray, source_len: int) -> "IndexVector":
+        # Internal fast path: indices must already be a fresh 1-d uint32
+        # array of values in [1, source_len], with source_len >= 1.
+        obj = cls.__new__(cls)
+        indices.flags.writeable = False
+        object.__setattr__(obj, "indices", indices)
+        object.__setattr__(obj, "source_len", source_len)
+        return obj
+
     @property
     def length(self) -> int:
         return self.indices.size
@@ -77,8 +87,9 @@ def gen_index_vector(k_star: int, n: int, rng: SeededRng) -> IndexVector:
     """n i.i.d. uniform draws from [1, k_star]."""
     if k_star < 1 or n < 1:
         raise ParameterError("k_star and n must be positive")
+    # fresh in-range uint32 draws: nothing for the constructor to check
     draws = rng.integers(1, k_star + 1, size=n, dtype=np.uint32)
-    return IndexVector(draws, k_star)
+    return IndexVector._wrap(draws, k_star)
 
 
 def sample_bits(w: BitString, N: IndexVector) -> BitString:

@@ -12,14 +12,18 @@ by an experiment holding the ground truth.
 
 Everything up to each coset-table lookup is GF(2)-linear in the candidate,
 so the scan is vectorized over the outer code's packed [H; L] columns: one
-stacked gather per batch of candidates yields their syndromes and messages
-side by side. The probe's constant word [s0 | v0] rides in a copy of the
-per-call table that only a candidate's first support column reads (weight
-0 reaches it through the padding sentinel). The outer lookup, zero-prefix
-mask and inner lookup then run on whole batches, and the inner lookup of
-the first candidate that passes all three yields the recovered secret. A
-schedule that fits in one batch has its gather index cached, read-only, by
-(k*, weights); larger ones stream. A cached index has at most 2^15 columns
+gather per batch of candidates yields each candidate's syndrome and
+message in one packed word (one flat uint64 per candidate when the outer
+n is at most 64). The probe's constant word [s0 | v0] rides in a copy of
+the per-call table that only a candidate's first support column reads
+(weight 0 reaches it through the padding sentinel). The outer lookup XORs
+in the leader's packed word, so one masked compare of the result per
+candidate tests the outer decode and the zero prefix together: its
+syndrome and prefix bits must all be zero. The bits above them are the
+survivor's inner word, and the inner lookup of the first survivor that
+decodes yields the recovered secret from its message bits. A schedule
+that fits in one batch has its gather index cached, read-only, by (k*,
+weights); larger ones stream. A cached index has at most 2^15 columns
 and, its weights being at most k*/2, at most 8 rows: 2 MiB at most.
 """
 
@@ -37,7 +41,7 @@ import numpy as np
 from .analysis import RationalLike, _rational
 from .bitcore import (_BLOCK_ROWS, BitString, DimensionError, ParameterError,
                       support_batches, xor_gather)
-from .codes import LinearCode, _unpack, _xor_rows
+from .codes import LinearCode, _field, _fold, _low_mask
 from .sketch import Sketch, _eps_violation
 
 
@@ -115,13 +119,15 @@ def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
     """Scan the weight classes in the given order; the first accept wins.
 
     With c'0 = ss xor sample_bits(w') and S the 0/1 sampling matrix of N,
-    a candidate e' has outer syndrome and message [s0 | v0] xor [H S | L S] e'
-    side by side, and its message gets L leader XORed in once the leader is
-    known. The first survivor's inner decode yields the secret the same way.
+    a candidate e' has the outer packed word [s0 | v0] xor [H S | L S] e'
+    (syndrome, then message), and the outer lookup XORs in its leader's
+    word. Bits 0..n-n*-1 of the result are the syndrome and the zero
+    prefix, which must all vanish; bits n-n*..n-1 are the message suffix
+    that, with (zero pad || w' xor e') XORed in, the inner code decodes.
     """
     t0 = time.perf_counter()
     p = sk.params
-    k_star, prefix_len = p.k_star, p.k - p.n_star
+    k_star, n_star, n = p.k_star, p.n_star, outer.n
     if len(w_prime) != k_star:
         raise DimensionError(f"w' length {len(w_prime)} != k* = {k_star}")
     if inner != p.inner or outer != p.outer:
@@ -131,40 +137,35 @@ def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
     # row k*+1+j is the XOR of the columns at every position sampling source
     # bit j, so row 2k*+1 stays zero for the sentinel; row j is row k*+1+j
     # with [s0 | v0] XORed in
-    table = np.zeros((2 * k_star + 2, outer._cols.shape[1]), dtype=np.uint64)
+    table = np.zeros((2 * k_star + 2,) + outer._cols.shape[1:], dtype=np.uint64)
     np.bitwise_xor.at(table[k_star + 1:], idx0, outer._cols[:-1])
     np.bitwise_xor(table[k_star + 1:], xor_gather(outer._cols, c0[:, None]),
                    out=table[:k_star + 1])
-    split = outer._h_cols.shape[1]
-    prefix_mask = np.frombuffer(((1 << prefix_len) - 1).to_bytes(
-        8 * outer._l_cols.shape[1], "little"), dtype="<u8")
+    checked = _low_mask(outer._cols.shape[1:], n - n_star)   # syndrome and prefix
 
     scanned = outer_fails = inner_fails = 0
     outcome = accepted_weight = None
     for index in _schedule(k_star, weights):
-        word = xor_gather(table, index)
-        hit, row = outer._lookup(word[:, :split])
-        v = word[:, split:] ^ outer._leader_msgs[row]
-        survivors = np.flatnonzero(hit & ~(v & prefix_mask).any(axis=1))
+        hit, _, fixed = outer._lookup(xor_gather(table, index))
+        survivors = np.flatnonzero(_fold(fixed & checked) == 0)
         first = len(survivors)   # becomes the first survivor the inner code decodes
         if first:
             e = _bits(index[:, survivors], k_star)
             # inner word: the message suffix xor (zero pad || w' xor e')
-            corrupted = _unpack(v[survivors], outer.k)[:, prefix_len:]
-            corrupted[:, p.n_star - k_star:] ^= w_prime.bits ^ e
-            decoded, inner_row = inner._lookup(inner._syndromes(corrupted))
+            corrupted = _field(fixed[survivors], n - n_star, n)
+            corrupted[:, n_star - k_star:] ^= w_prime.bits ^ e
+            decoded, _, secret = inner._lookup(inner._syndromes(corrupted))
             if decoded.any():
                 first = int(np.argmax(decoded))
         # every candidate before `stop` and every survivor before `first` failed
-        stop = int(survivors[first]) + 1 if first < len(survivors) else len(word)
+        stop = int(survivors[first]) + 1 if first < len(survivors) else len(hit)
         scanned += stop
         outer_fails += stop - int(np.count_nonzero(hit[:stop]))
         inner_fails += first
         if first < len(survivors):
             accepted_weight = int(np.count_nonzero(e[first]))
-            outcome = BitString._wrap(_unpack(
-                _xor_rows(inner._l_cols, corrupted[first])
-                ^ inner._leader_msgs[inner_row[first]], k_star))
+            outcome = BitString._wrap(
+                _field(secret[first:first + 1], inner.n - k_star, inner.n)[0])
             break
     assert scanned <= sum(math.comb(k_star, w) for w in weights), \
         "enumeration overran its counting bound"

@@ -1,15 +1,20 @@
 import contextlib
 import hashlib
 import io
+import os
+import resource
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvsketch import (BitString, ExperimentConfig, SeededRng, Sketch,
-                      SketchParams, bch_code, cli, code_from_spec,
+                      SketchParams, analysis, bch_code, cli, code_from_spec,
                       gen_index_vector, param_violations, save_sketch)
 from rvsketch.cli import main
 from rvsketch.experiments import _KINDS
@@ -281,6 +286,52 @@ class TestBoundsCommand:
         rows = dict(line.split("  ", 1) for line in captured.out.splitlines())
         budget = rows["iteration budget 2^(k* h2(2 eps_ss)) <= 2^(k-n*)"].strip()
         assert budget == f"True (40772.9 vs {Decimal(2 ** 15000)})"
+        assert rows["bch-exact sketch relation 2^(k-n*) == n+1"].strip() == "False"
+
+    @pytest.mark.parametrize("delta", [1, 5, 20, 64, 1074, 1075, 3000])
+    def test_power_of_two_rows_by_exponent(self, capsys, delta):
+        # k - n* = delta and n = 31: n+1 = 2^delta only at delta = 5
+        assert main(_bounds_argv((7, 15, 15 + delta, max(31, 15 + delta)),
+                                 "1/14")) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = dict(line.split("  ", 1) for line in captured.out.splitlines())
+        rate = float(analysis.false_accept_rate(15 + delta, 15))
+        assert rows["false accept rate 2^-(k-n*)"].strip() == f"{rate:.12g}"
+        budget = rows["iteration budget 2^(k* h2(2 eps_ss)) <= 2^(k-n*)"]
+        assert budget.strip().endswith(f" vs {Decimal(2 ** delta)})")
+        assert rows["bch-exact sketch relation 2^(k-n*) == n+1"].strip() == \
+            str(2 ** delta == max(31, 15 + delta) + 1)
+
+    @pytest.mark.parametrize("exponent", [0, 1, 2, 63, 64, 1075, 15000, 100_000])
+    def test_power_of_two_digits(self, exponent):
+        assert cli._pow2_text(exponent) == str(Decimal(2 ** exponent))
+
+    def test_power_of_two_past_the_digit_cap(self):
+        cap = cli._POW2_DIGITS_MAX_EXPONENT
+        assert cli._pow2_text(cap + 1) == f"2^{cap + 1}"
+        assert cli._pow2_text(10 ** 5000) == f"2^{Decimal(10 ** 5000)}"
+
+    def test_exponent_past_memory(self):
+        # k - n* = 9 * 10^200: 2^(k-n*) itself cannot be built. The child
+        # runs under a 1.5 GB address-space limit (ulimit -v), so a table
+        # that tries to build it fails fast instead of filling memory.
+        big = 10 ** 200
+        argv = _bounds_argv((big, big, 10 * big + 1, 10 * big + 1),
+                            f"1/{2 * big}")
+        limit = 1536 << 20
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "rvsketch.cli"] + argv,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (limit, limit)),
+            capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        rows = dict(line.split("  ", 1) for line in done.stdout.splitlines())
+        assert rows["false accept rate 2^-(k-n*)"].strip() == "0"
+        assert rows["iteration budget 2^(k* h2(2 eps_ss)) <= 2^(k-n*)"] \
+            .strip() == f"True (1e+200 vs 2^{9 * big + 1})"
         assert rows["bch-exact sketch relation 2^(k-n*) == n+1"].strip() == "False"
 
     def test_min_length_beyond_float_range(self, capsys):

@@ -164,10 +164,8 @@ class TestElimination:
                 codes._parity_and_left_inverse(G)
             return
         H, L = expect
-        cols, h_cols, l_cols = codes._parity_and_left_inverse(G)
-        assert np.array_equal(h_cols, _packed_cols(H))
-        assert np.array_equal(l_cols, _packed_cols(L))
-        assert np.array_equal(cols, np.hstack([h_cols, l_cols]))
+        cols = codes._parity_and_left_inverse(G)
+        assert np.array_equal(cols, _packed_cols(np.vstack([H, L])))
         c = LinearCode(G, 0, "random")
         assert np.array_equal(c.H, H) and np.array_equal(c._L, L)
 
@@ -247,8 +245,7 @@ def _text(G, t=0, kind="random", param=None):
 
 
 class TestMemoization:
-    ARRAYS = ("G", "H", "_L", "_cols", "_h_cols", "_l_cols", "_rows",
-              "_leaders", "_leader_msgs")
+    ARRAYS = ("G", "H", "_L", "_cols", "_rows", "_leaders", "_leader_words")
 
     def test_texts_differing_in_g_give_distinct_codes(self, bch15):
         # a coordinate permutation keeps the BCH distance, so t = 2 still fits
@@ -339,29 +336,37 @@ class TestMemoization:
 
 
 def _packed_cols(M):
-    """The columns of M as pack_rows words of 64 rows each, one word at
-    least, plus the zero sentinel row."""
+    """The columns of M packed contiguously by pack_rows, 64 rows to a
+    word (row i -> bit i % 64 of word i // 64), one word at least, plus the
+    zero sentinel row; a flat array when a column fits in one word."""
     words = max(1, -(-len(M) // 64))
     out = np.zeros((M.shape[1] + 1, words), dtype=np.uint64)
     for j in range(words):
         chunk = M[64 * j:64 * (j + 1)]
         if len(chunk):
             out[:-1, j] = pack_rows(chunk.T)
-    return out
+    return out[:, 0] if words == 1 else out
+
+
+def _as_packed(values, n):
+    """Python ints as packed words of a length-n code: flat uint64 for
+    n <= 64, else rows of ceil(n/64) words."""
+    words = max(1, -(-n // 64))
+    out = np.array([[v >> 64 * j & (2 ** 64 - 1) for j in range(words)]
+                    for v in values], dtype=np.uint64).reshape(len(values), words)
+    return out[:, 0] if words == 1 else out
 
 
 class TestPackedTable:
-    """_h_cols and _l_cols are read-only views of one packed [H; L] table,
-    with L starting on a word boundary."""
+    """_cols packs each column of [H; L] contiguously: H's rows from bit 0,
+    L's from bit n-k, in ceil(n/64) words, a flat array for one word."""
 
     @staticmethod
     def _check(c):
-        assert np.array_equal(c._h_cols, _packed_cols(c.H))
-        assert np.array_equal(c._l_cols, _packed_cols(c._L))
-        assert np.array_equal(c._cols, np.hstack([c._h_cols, c._l_cols]))
-        for view in (c._h_cols, c._l_cols):
-            assert view.base is not None and np.shares_memory(view, c._cols)
-            assert not view.flags.writeable
+        assert np.array_equal(c._cols, _packed_cols(np.vstack([c.H, c._L])))
+        words = -(-c.n // 64)
+        assert c._cols.shape == ((c.n + 1,) if words == 1 else (c.n + 1, words))
+        assert c._cols.dtype == np.uint64 and not c._cols.flags.writeable
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_bch_codes(self, m):
@@ -376,14 +381,25 @@ class TestPackedTable:
             self._check(random_linear_code(7, 4, SeededRng(seed)))
 
     def test_two_word_code(self):
-        c = random_linear_code(140, 70, SeededRng(140))
-        assert c._h_cols.shape[1] == c._l_cols.shape[1] == 2
+        # n-k = 40: L's rows 24..59 lie in the second word
+        c = random_linear_code(100, 60, SeededRng(100))
+        assert c._cols.shape == (101, 2)
         self._check(c)
 
+    @pytest.mark.parametrize("n,k", [(64, 40), (65, 1), (65, 65), (128, 64),
+                                     (129, 100), (140, 70)])
+    def test_word_boundary_codes(self, n, k):
+        self._check(random_linear_code(n, k, SeededRng(n * k)))
+
     def test_square_code_has_one_zero_syndrome_word(self):
+        # no syndrome bits: the one word per column is all L, and every
+        # packed word hits
         c = random_linear_code(9, 9, SeededRng(9))
-        assert c._h_cols.shape[1] == 1 and not c._h_cols.any()
+        assert c._cols.shape == (10,) and c._syn_mask == 0
         self._check(c)
+        every = np.arange(1 << 9, dtype=np.uint64)
+        hit, row, fixed = c._lookup(every)
+        assert hit.all() and not row.any() and np.array_equal(fixed, every)
 
 
 class TestCosetTable:
@@ -401,6 +417,7 @@ class TestCosetTable:
             built += 1
             h_cols = pack_rows(c.H.T)   # column j of H as one packed word
             l_cols = pack_rows(c._L.T)
+            r = np.uint64(c.n - c.k)
             total = 0
             for w in range(t + 1):
                 count = math.comb(c.n, w)
@@ -409,11 +426,13 @@ class TestCosetTable:
                                    dtype=np.intp, count=count * w).reshape(count, w)
                 syn = np.bitwise_xor.reduce(h_cols[pats], axis=1)
                 msg = np.bitwise_xor.reduce(l_cols[pats], axis=1)
-                hit, row = c._lookup(syn[:, None])
+                word = syn | msg << r   # n <= 63: one flat packed word
+                hit, row, fixed = c._lookup(word)
                 assert hit.all()
                 assert np.array_equal(c._leaders[row, :w], pats)
                 assert (c._leaders[row, w:] == c.n).all()
-                assert np.array_equal(c._leader_msgs[row, 0], msg)
+                assert np.array_equal(c._leader_words[row], word)
+                assert not fixed.any()
             assert (c._rows >= 0).sum() == total
         assert built == {3: 3, 4: 7, 5: 5, 6: 4}[m]
 
@@ -434,29 +453,42 @@ class TestCosetTable:
             leader_syn = np.concatenate([np.bitwise_xor.reduce(
                 h_cols[np.array(list(combinations(range(c.n), w)), np.intp)],
                 axis=1) for w in range(t + 1)])
-            every = np.arange(1 << (c.n - c.k), dtype=np.uint64)
-            hit, row = c._lookup(every[:, None])
+            r = c.n - c.k
+            every = np.arange(1 << r, dtype=np.uint64)
+            # message bits above the syndrome do not sway the lookup
+            msg = SeededRng(m).integers(0, 1 << c.k, size=len(every),
+                                        dtype=np.uint64)
+            hit, row, fixed = c._lookup(every | msg << np.uint64(r))
             assert np.array_equal(hit, np.isin(every, leader_syn))
             got = np.bitwise_xor.reduce(h_cols[c._leaders[row[hit]]], axis=1)
             assert np.array_equal(got, every[hit])
+            # a hit clears the syndrome and fixes the message; a miss keeps
+            # syndrome bits set
+            syn_bits = np.uint64((1 << r) - 1)
+            assert not (fixed[hit] & syn_bits).any()
+            assert (fixed[~hit] & syn_bits).all()
+            expect = (every | msg << np.uint64(r)) ^ c._leader_words[row]
+            assert np.array_equal(fixed[hit], expect[hit])
         assert built == {3: 3, 4: 7, 5: 5, 6: 3}[m]
 
     @pytest.mark.parametrize("n,k", [(7, 4), (16, 8), (12, 12), (140, 70)])
     def test_zero_radius_hits_only_syndrome_zero(self, n, k):
         c = random_linear_code(n, k, SeededRng(n + k))
-        words = c._h_cols.shape[1]
-        syn = np.zeros((6, words), dtype=np.uint64)
-        syn[1, 0] = 1
-        syn[2, 0] = np.uint64(2 ** 64 - 1)
-        syn[3, -1] = 1            # the first word is zero iff words > 1
-        syn[4] = SeededRng(7).integers(0, 2 ** 63, size=words, dtype=np.uint64)
-        syn[5, 0] = np.uint64(1) << np.uint64(63)
-        hit, row = c._lookup(syn)
-        assert hit.tolist() == [True] + [False] * 5
-        assert row[0] == 0
-        if n - k <= 16:
-            every = np.arange(1 << (n - k), dtype=np.uint64)[:, None]
-            assert c._lookup(every)[0].tolist() == [True] + [False] * (len(every) - 1)
+        r = n - k
+        rng = SeededRng(7)
+        msgs = [int(m) for m in rng.integers(0, 2 ** min(k, 63), size=6)]
+        # no syndrome bits in a square code: every word is a codeword
+        syndromes = [0] * 6 if r == 0 else [
+            0, 1, 2 ** r - 1, 1 << (r - 1), 1 << min(r - 1, 63),
+            int(rng.integers(1, 2 ** min(r, 63)))]
+        words = _as_packed([s | m << r for s, m in zip(syndromes, msgs)], n)
+        hit, row, fixed = c._lookup(words)
+        assert hit.tolist() == [s == 0 for s in syndromes]
+        assert not row.any() and np.array_equal(fixed, words)
+        if r <= 16:
+            every = np.arange(1 << r, dtype=np.uint64)
+            words = _as_packed([int(s) | msgs[0] << r for s in every], n)
+            assert c._lookup(words)[0].tolist() == [True] + [False] * (len(every) - 1)
 
     def test_radius_beyond_packing_is_a_collision(self, bch15):
         with pytest.raises(ParameterError, match="syndrome collision"):
@@ -464,7 +496,8 @@ class TestCosetTable:
 
     def test_zero_radius_table_is_zero_only(self, hamming7):
         c = LinearCode(hamming7.G, 0, "bch")
-        assert c._rows.tolist() == [0, -1] and c._leaders.shape == (1, 0)
+        assert c._rows.tolist() == [0] and c._leaders.shape == (1, 0)
+        assert c._leader_words.tolist() == [0]
         assert decode(c, _flip(encode(c, BitString("1011")), (2,))) is None
 
 
@@ -535,16 +568,16 @@ class TestBuiltArraysArePinned:
     digest also takes the next draw of its source, so it pins how many
     matrices the rejection loop drew."""
 
-    ARRAYS = ("H", "_L", "_cols", "_rows", "_leaders", "_leader_msgs")
+    ARRAYS = ("H", "_L", "_cols", "_rows", "_leaders", "_leader_words")
     RANDOM = {
-        (10, 8): "387c214e2779c64e", (11, 11): "2c4c7fc428599045",
-        (12, 12): "c0289baf3fa2b2d8", (13, 13): "44c368b43b333705",
-        (14, 14): "d9aae1a339b86093", (15, 15): "926f1e37298faa3c",
-        (16, 16): "d88edb7701a380c3", (40, 24): "b804a696761a17a2",
-        (130, 120): "0cbcc8d5f29d53a9", (140, 70): "13d348a480ce4b68",
-        (150, 20): "ea25429c8413ee0a",
+        (10, 8): "136b4b00dac21a65", (11, 11): "8adeadc861cd8f2e",
+        (12, 12): "c17dd2a311071db5", (13, 13): "90481926da45283f",
+        (14, 14): "daafcc561c2448f4", (15, 15): "c5e27ff93c03c445",
+        (16, 16): "6ad8ecc001a0fcfe", (40, 24): "34562a0ac36f00c9",
+        (130, 120): "56d8dac10ec87b83", (140, 70): "f78a25c66091bb34",
+        (150, 20): "59a0f8222ce2ff50",
     }
-    BCH = "106a126ca73af198"
+    BCH = "6acaa3221fbe3d19"
 
     @classmethod
     def _add(cls, digest, code):

@@ -70,6 +70,21 @@ class TestGenIndexVector:
         with pytest.raises(ParameterError):
             gen_index_vector(4, 0, SeededRng(0))
 
+    @pytest.mark.parametrize("k_star,n", [(1, 1), (1, 7), (9, 1), (16, 63),
+                                          (2 ** 32 - 1, 50)])
+    def test_equals_the_checked_constructor(self, k_star, n):
+        iv = gen_index_vector(k_star, n, SeededRng(k_star + n))
+        draws = SeededRng(k_star + n).integers(1, k_star + 1, size=n,
+                                               dtype=np.uint32)
+        checked = IndexVector(draws, k_star)
+        assert iv == checked and hash(iv) == hash(checked)
+        assert iv.source_len == k_star and len(iv) == n
+        assert iv.indices.dtype == np.uint32 and iv.indices.shape == (n,)
+        assert iv.indices.flags.c_contiguous and not iv.indices.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            iv.indices[0] = 1
+        assert IndexVector.from_text(iv.to_text(), k_star) == iv
+
     def test_deterministic(self):
         a = gen_index_vector(9, 40, SeededRng(2))
         b = gen_index_vector(9, 40, SeededRng(2))

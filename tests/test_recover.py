@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from oracles import (enumerate_errors, error_vector_at_rank,
                      first_accepting_candidate, scan_report, scan_supports)
-from rvsketch import (BitString, DimensionError, IndexVector, ParameterError,
-                      SeededRng, SketchParams, bch_code, gen_index_vector,
-                      make_sketch, random_linear_code, recover_fixed,
-                      recover_sweep)
+from rvsketch import (BitString, DimensionError, IndexVector, LinearCode,
+                      ParameterError, SeededRng, SketchParams, bch_code,
+                      gen_index_vector, make_sketch, random_linear_code,
+                      recover_fixed, recover_sweep)
 from rvsketch import recover
 from rvsketch.bitcore import _BLOCK_ROWS, lex_supports, support_batches
 
@@ -359,8 +359,9 @@ def _decoy_case(s):
 
 @st.composite
 def _scan_cases(draw):
-    """A sketch, a probe and a weight schedule over one of four code shapes."""
-    shape = draw(st.sampled_from(["square", "random", "bch", "wide"]))
+    """A sketch, a probe and a weight schedule over one of six code shapes."""
+    shape = draw(st.sampled_from(["square", "random", "bch", "wide", "boundary",
+                                  "straddle"]))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = SeededRng(seed)
     if shape == "bch":
@@ -370,8 +371,13 @@ def _scan_cases(draw):
         k_star = draw(st.integers(3, 8))
         inner = random_linear_code(k_star + draw(st.integers(0, 2)), k_star,
                                    rng.spawn(1))
-        if shape == "wide":   # message and check words both span two uint64s
+        if shape == "wide":   # a packed word spans three uint64s
             n, k = 140, 70
+        elif shape == "boundary":   # n at either side of a word boundary
+            n = draw(st.sampled_from([64, 65, 128, 129]))
+            k = draw(st.integers(inner.n + 1, n))
+        elif shape == "straddle":   # syndrome and prefix bits cross bit 64
+            n, k = 100, 60
         else:
             k = inner.n + draw(st.integers(1, 4))
             n = k if shape == "square" else k + draw(st.integers(1, 12))
@@ -459,6 +465,34 @@ class TestScalarAttemptCalls:
         report = recover_fixed(sk, probe, Fraction(3, 8), inner, outer)
         assert report.succeeded == accepts
         assert _counts(report) == scan_report(sk, probe, [3], inner, outer)
+
+    @pytest.mark.parametrize("n,outer_fails", [(100, 1), (129, 8)])
+    def test_checked_bits_past_the_first_word(self, n, outer_fails):
+        # outer G = [I_60; 0]: a word's syndrome is its last n-60 bits and
+        # its message its first 60, so packed bit b reads position b+60
+        # (b < n-60) or b-(n-60). Every position whose packed bit is a
+        # checked one (syndrome or prefix) at or past bit 64 samples source
+        # bit 7, all others bit 0. The probe flips bit 7, so every candidate
+        # that leaves bit 7 flipped is clean in the first word and must be
+        # rejected on the second: at n = 100 by the prefix, at n = 129
+        # (n-k = 69) by the syndrome. Flipping bit 7 back accepts.
+        k, k_star, n_star = 60, 8, 10
+        r = n - k
+        inner = random_linear_code(n_star, k_star, SeededRng(10))
+        outer = LinearCode(np.eye(n, k, dtype=np.uint8), 0, "random")
+        packed_bit = [i + r if i < k else i - k for i in range(n)]
+        N = IndexVector(np.array([8 if 64 <= b < n - n_star else 1
+                                  for b in packed_bit]), k_star)
+        eps = Fraction(1, 16)   # sketch error weight 0
+        params = SketchParams.from_codes(inner, outer, eps)
+        w = SeededRng(11).random_bits(k_star)
+        sk = make_sketch(w, N, eps, params, SeededRng(12))
+        bits = w.bits.copy()
+        bits[7] ^= 1
+        probe = BitString(bits)
+        report = recover_sweep(sk, probe, inner, outer, max_weight=1)
+        assert _counts(report) == (9, outer_fails, 0, 1, w)
+        assert _counts(report) == scan_report(sk, probe, [0, 1], inner, outer)
 
     def test_no_scalar_pipeline(self):
         assert not hasattr(recover, "_Pipeline")
