@@ -75,12 +75,12 @@ def _parity_and_left_inverse(G: np.ndarray) -> np.ndarray:
     index n. The table is read-only.
     """
     n, k = G.shape
-    width = max(1, -(-(n + k) // 64))
-    augmented = np.eye(k, 64 * width, n, dtype=np.uint8)
+    words = max(1, -(-(n + k) // 64))
+    augmented = np.eye(k, 64 * words, n, dtype=np.uint8)
     augmented[:, :n] = G.T
     packed = np.packbits(augmented, axis=1, bitorder="little").view("<u8")
     rows = packed[:, 0].tolist()
-    for j in range(1, width):
+    for j in range(1, words):
         rows = [row | word << 64 * j for row, word in zip(rows, packed[:, j].tolist())]
     basis = {}   # lowest set bit -> row
     for row in rows:
@@ -102,17 +102,17 @@ def _parity_and_left_inverse(G: np.ndarray) -> np.ndarray:
         basis[p] = row
     # column c of [H; L] in the columns of [G^T | I_k]: the row keyed by c
     # without its pivot bit, or bit c alone at a non-pivot column
+    width = 8 * words
     spread = b"".join((basis[1 << c] ^ 1 << c if pivots >> c & 1 else 1 << c)
-                      .to_bytes(8 * width, "little") for c in range(n))
-    bits = np.unpackbits(np.frombuffer(spread, dtype=np.uint8).reshape(n, 8 * width),
+                      .to_bytes(width, "little") for c in range(n))
+    bits = np.unpackbits(np.frombuffer(spread, dtype=np.uint8).reshape(n, width),
                          axis=1, count=n + k, bitorder="little")
     order = [c for c in range(n) if not pivots >> c & 1] + list(range(n, n + k))
-    words = max(1, -(-n // 64))
-    table = np.zeros((n + 1, 64 * words), dtype=np.uint8)
+    table = np.zeros((n + 1, 64 * max(1, -(-n // 64))), dtype=np.uint8)
     table[:n, :n] = bits[:, order]
     cols = np.packbits(table, axis=1, bitorder="little").view("<u8")
     cols.flags.writeable = False   # before the flat view, so it inherits it
-    return cols[:, 0] if words == 1 else cols
+    return cols[:, 0] if cols.shape[1] == 1 else cols
 
 
 def _xor_rows(cols: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -296,8 +296,9 @@ class LinearCode:
         """(hit, row, fixed) per packed word of a batch: whether its syndrome
         is in the table, the leader row looked up, and the word XOR that
         leader's word. On a hit the syndrome bits of fixed are zero and its
-        message bits are L times the corrected word; on a miss (row -1 reads
-        the last leader, of another syndrome) its syndrome bits are not."""
+        message bits are L times the corrected word. On a miss the leader
+        read (row -1 reads the last one) has another syndrome, so some
+        syndrome bit of fixed stays set."""
         # keys are below 2^24, so their int64 view is exact; intp rows
         # take numpy's fast gather
         row = self._rows[_fold(packed & self._key_mask).view(np.int64)].astype(np.intp)
