@@ -42,14 +42,34 @@ def binary_entropy(x: RationalLike) -> float:
 h2 = binary_entropy
 
 
+# exp(-x) is 0.0 in floats for every x above this
+_EXP_UNDERFLOW = 746
+
+
 def hoeffding_bound(n: int, eps: RationalLike) -> float:
-    """Tail mass exp(-2 n eps^2) for a mean deviation of eps over n draws."""
+    """Tail mass exp(-2 n eps^2) for a mean deviation of eps over n draws.
+
+    Taken in floats wherever n is one; past that the exponent 2 n eps^2 is
+    taken exactly, and the result is 0.0 where exp underflows.
+    """
     if n < 1:
-        raise ValueError("n must be positive")
-    eps = float(eps)
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    return math.exp(-2.0 * n * eps * eps)
+        raise ParameterError("n must be positive")
+    e = float(eps)
+    if e < 0:
+        raise ParameterError("eps must be non-negative")
+    try:
+        return math.exp(-2.0 * n * e * e)
+    except OverflowError:   # n is past float range
+        exponent = 2 * n * Fraction(eps) ** 2
+        return 0.0 if exponent > _EXP_UNDERFLOW else math.exp(-float(exponent))
+
+
+def _float_or_inf(value: int) -> float:
+    """value as a float, or inf where it passes float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def _pow2(exponent: float) -> float:
@@ -140,7 +160,7 @@ def efficiency_bound_check(k_star: int, eps_rec: RationalLike,
     """
     lhs = k_star * binary_entropy(eps_rec)
     rhs = k - n_star
-    return BoundCheck(lhs <= rhs, lhs, float(rhs))
+    return BoundCheck(lhs <= rhs, lhs, _float_or_inf(rhs))
 
 
 def error_floor_check(n: int, eps_ss: RationalLike, k: int,
@@ -155,13 +175,27 @@ def error_floor_check(n: int, eps_ss: RationalLike, k: int,
     if delta < 1:
         raise ValueError("need k > n*")
     return BoundCheck(_hoeffding_bits(n, eps_ss) >= delta,
-                      hoeffding_bound(n, eps_ss), 2.0 ** -delta)
+                      hoeffding_bound(n, eps_ss), math.ldexp(1.0, -delta))
 
 
-def _hoeffding_bits(n: int, eps_ss: RationalLike) -> float:
-    """2 n eps^2 log2 e, the base-2 exponent of exp(-2 n eps^2)."""
+def _hoeffding_bits(n: int, eps_ss: RationalLike) -> Union[float, Decimal]:
+    """2 n eps^2 log2 e, the base-2 exponent of exp(-2 n eps^2).
+
+    A float wherever n is one. Past that it is a Decimal taken from the
+    exact eps^2 = p^2/q^2, to 20 digits beyond its integer part, so it
+    compares exactly with k-n* and floors to an int.
+    """
     eps = float(eps_ss)
-    return 2.0 * n * eps * eps * math.log2(math.e)
+    try:
+        return 2.0 * n * eps * eps * math.log2(math.e)
+    except OverflowError:   # n is past float range
+        pass
+    eps = Fraction(eps_ss)
+    p, q = eps.numerator, eps.denominator
+    with localcontext() as ctx:
+        ctx.prec = (2 * n * p * p // (q * q)).bit_length() // 3 + 20
+        ctx.Emax = MAX_EMAX
+        return Decimal(2 * n * p * p) / (Decimal(q * q) * Decimal(2).ln())
 
 
 def min_length_for_error_floor(k: int, n_star: int, eps_ss: RationalLike) -> int:

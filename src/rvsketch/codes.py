@@ -9,7 +9,7 @@ uint64, so for n <= 64 the table is a 1-D array. One XOR of packed
 columns yields a word's syndrome and message in one packed word. One
 GF(2) elimination of [G^T | I_k], its rows Python ints, writes its
 reduced rows straight into that table and rejects a rank-deficient G; H
-and L are unpacked from the table.
+and L are unpacked from the table on first use.
 
 Every code gets one coset-leader table at construction, built vectorized
 over all patterns of weight <= t from one gather of the packed table: each
@@ -24,12 +24,14 @@ a whole batch of packed words at a time, the recovery scan. Codewords are
 BitStrings of length n; position i of a word is coefficient x^(i-1) in
 the polynomial view used by the BCH construction.
 
-A built code is immutable: every array it holds is read-only. So codes can
-be shared. code_from_text keeps a small LRU cache, bounded in entries and
-in array bytes, and a repeated code text returns the same object without a
-second elimination or table build. Errors are raised afresh on every call;
-bch_code, random_linear_code and the LinearCode constructor are not
-cached.
+A built code is immutable: every array it holds is read-only, and it
+renders its text once and keeps it. So codes can be shared.
+code_from_text keeps a small LRU cache keyed by the exact text, bounded in
+entries and in array bytes: a repeated text returns the same object from
+one dict lookup, without parsing it again, and without a second
+elimination or table build. A text is checked in full on every call until
+its code is cached, so errors are raised afresh on every call; bch_code,
+random_linear_code and the LinearCode constructor are not cached.
 """
 
 from __future__ import annotations
@@ -213,16 +215,26 @@ class LinearCode:
     """
 
     def __init__(self, G: np.ndarray, t: int, kind: str, param: Optional[int] = None):
-        G = bit_array(G, 2, "generator matrix")
+        self._build(bit_array(G, 2, "generator matrix"), t, kind, param)
+
+    @classmethod
+    def _wrap(cls, G: np.ndarray, t: int, kind: str,
+              param: Optional[int] = None) -> "LinearCode":
+        # Internal fast path: G must already be a fresh C-ordered 2-D uint8
+        # array of 0s and 1s.
+        code = cls.__new__(cls)
+        code._build(G, t, kind, param)
+        return code
+
+    # -- construction internals ------------------------------------------
+
+    def _build(self, G: np.ndarray, t: int, kind: str, param: Optional[int]):
         n, k = G.shape
         if k > n:
             raise ParameterError(f"dimension k={k} exceeds blocklength n={n}")
         if t < 0:
             raise ParameterError("decoding radius must be non-negative")
         self._cols = _parity_and_left_inverse(G)
-        bits = _field(self._cols[:-1], 0, n)
-        self.H = bits[:, :n - k].T
-        self._L = bits[:, n - k:].T
         self.G = G
         self.n = n
         self.k = k
@@ -234,12 +246,10 @@ class LinearCode:
         self._syn_mask = _low_mask(self._cols.shape[1:], n - k)
         self._build_table()
         # memoized codes are shared, so nothing they hold may change
-        self._arrays = (self.G, self.H, self._L, self._cols,
-                        self._rows, self._leaders, self._leader_words)
+        self._arrays = (self.G, self._cols, self._rows, self._leaders,
+                        self._leader_words)
         for a in self._arrays:
             a.flags.writeable = False
-
-    # -- construction internals ------------------------------------------
 
     def _build_table(self):
         """Leader supports, leader packed words, and the row of each syndrome.
@@ -305,12 +315,36 @@ class LinearCode:
         fixed = packed ^ self._leader_words[row]
         return _fold(fixed & self._syn_mask) == 0, row, fixed
 
+    # -- read on first use ------------------------------------------------
+
+    def _unpacked(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 of [H; L] unpacked from the packed table, read-only."""
+        rows = _field(self._cols[:-1], lo, hi).T
+        rows.flags.writeable = False
+        return rows
+
+    @functools.cached_property
+    def H(self) -> np.ndarray:
+        """The parity-check matrix, (n-k) x n, unpacked on first use."""
+        return self._unpacked(0, self.n - self.k)
+
+    @functools.cached_property
+    def _L(self) -> np.ndarray:
+        """The left inverse of G, k x n, unpacked on first use."""
+        return self._unpacked(self.n - self.k, self.n)
+
+    @functools.cached_property
+    def _text(self) -> str:
+        """The code's text, rendered on first use: a code is immutable."""
+        return _render_text(self)
+
     # -- misc --------------------------------------------------------------
 
     @property
     def _nbytes(self) -> int:
-        """Bytes held by the code's arrays."""
-        return sum(a.nbytes for a in self._arrays)
+        """Bytes held by the code's arrays, H and L counted unpacked
+        (n x n bytes together) whether or not they were read yet."""
+        return sum(a.nbytes for a in self._arrays) + self.n * self.n
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCode):
@@ -369,9 +403,10 @@ def random_linear_code(n: int, k: int, rng: SeededRng) -> LinearCode:
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     while True:
+        # fresh 0/1 draws: nothing for the constructor to check
         G = rng.integers(0, 2, size=(n, k), dtype=np.uint8)
         try:
-            return LinearCode(G, t=0, kind="random", param=rng.seed)
+            return LinearCode._wrap(G, t=0, kind="random", param=rng.seed)
         except ParameterError:
             # with t = 0 and k <= n the only rejection is rank deficiency
             continue
@@ -440,7 +475,7 @@ def invert_message(code: LinearCode, codeword: BitString) -> BitString:
 # and the coset-leader table are rebuilt on the first load of a given text
 # and shared after that.
 
-def code_to_text(code: LinearCode) -> str:
+def _render_text(code) -> str:
     g_hex = np.packbits(code.G.reshape(-1), bitorder="little").tobytes().hex()
     param = "-" if code.param is None else str(code.param)
     return "\n".join([
@@ -454,7 +489,13 @@ def code_to_text(code: LinearCode) -> str:
     ]) + "\n"
 
 
-def code_from_text(text: str) -> LinearCode:
+def code_to_text(code: LinearCode) -> str:
+    """The code's text, rendered once per code and kept on it."""
+    return code._text
+
+
+def _parse_code_text(text: str) -> LinearCode:
+    """A new code built from its text; ParameterError if the text is malformed."""
     lines = [ln.strip() for ln in text.strip().splitlines()]
     if not lines or lines[0] != "linear-code v1":
         raise ParameterError("unrecognized code serialization header")
@@ -473,40 +514,42 @@ def code_from_text(text: str) -> LinearCode:
         raise ParameterError(f"code dimensions need 1 <= k <= n, got n={n}, k={k}")
     if len(raw) != (n * k + 7) // 8:
         raise ParameterError("G hex dump has the wrong length")
-    return _code_from_fields(kind, n, k, t, param, raw)
+    flat = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                         count=n * k, bitorder="little")
+    return LinearCode(flat.reshape(n, k), t=t, kind=kind, param=param)
 
 
-_text_codes: "OrderedDict[tuple, LinearCode]" = OrderedDict()   # LRU order
+_text_codes: "OrderedDict[str, LinearCode]" = OrderedDict()   # LRU order
 _text_codes_bytes = 0
 _text_codes_lock = threading.Lock()
 
 
-def _code_from_fields(kind: str, n: int, k: int, t: int,
-                      param: Optional[int], raw: bytes) -> LinearCode:
-    """The code of parsed text fields, memoized so a repeated text is built once.
+def code_from_text(text: str) -> LinearCode:
+    """The code of a text, memoized on the exact text.
 
-    The cache holds at most _CODE_CACHE_SIZE codes and evicts the least
+    A text seen before returns its cached code with one dict lookup and no
+    parsing. Any other text is parsed, checked and built in full, and only
+    a code that builds enters the cache, so a malformed text raises on
+    every call. Texts that differ only in whitespace are cached apart. The
+    cache holds at most _CODE_CACHE_SIZE codes and evicts the least
     recently used while their arrays exceed _CODE_CACHE_BYTES, never the
     code it returns. A hit is a move to the end of the LRU order.
     """
     global _text_codes_bytes
-    key = (kind, n, k, t, param, raw)
     with _text_codes_lock:
-        code = _text_codes.get(key)
+        code = _text_codes.get(text)
         if code is not None:
-            _text_codes.move_to_end(key)
+            _text_codes.move_to_end(text)
             return code
-    flat = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                         count=n * k, bitorder="little")
-    code = LinearCode(flat.reshape(n, k), t=t, kind=kind, param=param)
+    code = _parse_code_text(text)
     with _text_codes_lock:
-        if key not in _text_codes:   # else another thread built it meanwhile
-            _text_codes[key] = code
+        if text not in _text_codes:   # else another thread built it meanwhile
+            _text_codes[text] = code
             _text_codes_bytes += code._nbytes
             while len(_text_codes) > 1 and (
                     len(_text_codes) > _CODE_CACHE_SIZE
                     or _text_codes_bytes > _CODE_CACHE_BYTES):
                 _, old = _text_codes.popitem(last=False)
                 _text_codes_bytes -= old._nbytes
-        _text_codes.move_to_end(key)
-        return _text_codes[key]
+        _text_codes.move_to_end(text)
+        return _text_codes[text]

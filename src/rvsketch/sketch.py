@@ -219,7 +219,13 @@ def dump_sketch(sk: Sketch) -> bytes:
 
 
 def load_sketch(data: bytes) -> Sketch:
-    """Parse sketch bytes; malformed input raises SketchFormatError only."""
+    """Parse sketch bytes; malformed input raises SketchFormatError only.
+
+    The fixed header is read in one unpack and every later field by its
+    offset. Each code text is looked up in code_from_text's cache before
+    it is parsed, so a sketch whose codes were loaded before costs two
+    dict lookups for them; any other text is parsed and checked in full.
+    """
     try:
         return _parse_sketch(data)
     except SketchFormatError:
@@ -229,46 +235,59 @@ def load_sketch(data: bytes) -> Sketch:
         raise SketchFormatError(f"malformed sketch: {exc}") from exc
 
 
+# magic, version, k* n* k n, eps_ss numerator and denominator
+_HEADER = struct.Struct("<4sH4I2I")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+
+
+def _need(data: bytes, end: int) -> int:
+    """end, once data is known to reach it, else SketchFormatError."""
+    if end > len(data):
+        raise SketchFormatError("truncated sketch file")
+    return end
+
+
+def _prefixed(data: bytes, pos: int, prefix: struct.Struct):
+    """(start, end) of the field at pos behind its length, read with prefix."""
+    start = _need(data, pos + prefix.size)
+    (size,) = prefix.unpack_from(data, pos)
+    return start, _need(data, start + size)
+
+
 def _parse_sketch(data: bytes) -> Sketch:
-    view = memoryview(data)
-
-    def take_raw(size):
-        nonlocal view
-        if len(view) < size:
-            raise SketchFormatError("truncated sketch file")
-        raw = bytes(view[:size])
-        view = view[size:]
-        return raw
-
-    def take(fmt):
-        return struct.unpack(fmt, take_raw(struct.calcsize(fmt)))
-
-    if take_raw(4) != SKETCH_MAGIC:
+    # a short file reads zeros past its end, but each field is checked
+    # only once the data is known to hold it
+    head = bytes(data[:_HEADER.size]).ljust(_HEADER.size, b"\0")
+    magic, version, k_star, n_star, k, n, num, den = _HEADER.unpack(head)
+    _need(data, 4)
+    if magic != SKETCH_MAGIC:
         raise SketchFormatError("bad magic, not a sketch file")
-    (version,) = take("<H")
+    _need(data, 6)
     if version != SKETCH_VERSION:
         raise SketchFormatError(f"unsupported sketch version {version}")
-    k_star, n_star, k, n = take("<4I")
-    num, den = take("<2I")
+    _need(data, _HEADER.size)
     if den == 0:
         raise SketchFormatError("eps_ss denominator is zero")
     eps_ss = Fraction(num, den)
     violations = param_violations(k_star, n_star, k, n, eps_ss)
     if violations:
         raise ParameterError("; ".join(violations))
-    (algo_len,) = take("<H")
-    algo = take_raw(algo_len).decode("utf-8")
-    (blob_len,) = take("<I")
-    inner = code_from_text(take_raw(blob_len).decode("utf-8"))
-    (blob_len,) = take("<I")
-    outer = code_from_text(take_raw(blob_len).decode("utf-8"))
-    idx = np.frombuffer(take_raw(2 * n), dtype="<u2").astype(np.uint32)
-    ss = BitString.from_packed(take_raw((n + 7) // 8), n)
-    if len(view):
+    start, end = _prefixed(data, _HEADER.size, _U16)
+    algo = str(data[start:end], "utf-8")
+    start, end = _prefixed(data, end, _U32)
+    inner = code_from_text(str(data[start:end], "utf-8"))
+    start, end = _prefixed(data, end, _U32)
+    outer = code_from_text(str(data[start:end], "utf-8"))
+    start, end = end, _need(data, end + 2 * n)
+    idx = np.frombuffer(data, dtype="<u2", count=n, offset=start)
+    start, end = end, _need(data, end + (n + 7) // 8)
+    ss = BitString.from_packed(data[start:end], n)
+    if end != len(data):
         raise SketchFormatError("trailing bytes after sketch payload")
     params = SketchParams(k_star=k_star, n_star=n_star, k=k, n=n,
                           eps_ss=eps_ss, inner=inner, outer=outer)
-    return Sketch(ss=ss, params=params, N=IndexVector(idx, k_star),
+    return Sketch(ss=ss, params=params, N=IndexVector._from_u16(idx, k_star),
                   rng_algo_id=algo)
 
 

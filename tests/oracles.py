@@ -9,6 +9,7 @@ public names of the top-level rvsketch package are imported.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from itertools import combinations, islice, product
 
@@ -246,3 +247,90 @@ def first_accepting_candidate(sk, w_prime, weight, inner, outer):
     """
     iterations, _, _, _, outcome = scan_report(sk, w_prime, [weight], inner, outer)
     return None if outcome is None else (iterations - 1, outcome)
+
+
+def code_from_text_reference(text: str):
+    """A new code built from its text, parsed field by field and never
+    cached: the plain path that code_from_text's cache must agree with."""
+    from rvsketch import LinearCode, ParameterError
+
+    lines = [ln.strip() for ln in text.strip().splitlines()]
+    if not lines or lines[0] != "linear-code v1":
+        raise ParameterError("unrecognized code serialization header")
+    fields = {}
+    for ln in lines[1:]:
+        key, _, val = ln.partition(":")
+        fields[key.strip()] = val.strip()
+    try:
+        kind = fields["kind"]
+        n, k, t = int(fields["n"]), int(fields["k"]), int(fields["t"])
+        param = None if fields["param"] == "-" else int(fields["param"])
+        raw = bytes.fromhex(fields["G"])
+    except (KeyError, ValueError) as exc:
+        raise ParameterError(f"bad code serialization: {exc}") from exc
+    if not 1 <= k <= n:
+        raise ParameterError(f"code dimensions need 1 <= k <= n, got n={n}, k={k}")
+    if len(raw) != (n * k + 7) // 8:
+        raise ParameterError("G hex dump has the wrong length")
+    flat = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                         count=n * k, bitorder="little")
+    return LinearCode(flat.reshape(n, k), t=t, kind=kind, param=param)
+
+
+def load_sketch_reference(data: bytes):
+    """Sketch bytes parsed field by field through a shrinking memoryview,
+    the codes by code_from_text_reference and N by the IndexVector
+    constructor: the plain path that load_sketch must agree with, error
+    for error and in the same order."""
+    from rvsketch import (BitString, DimensionError, IndexVector,
+                          ParameterError, Sketch, SketchFormatError,
+                          SketchParams, param_violations)
+
+    view = memoryview(data)
+
+    def take_raw(size):
+        nonlocal view
+        if len(view) < size:
+            raise SketchFormatError("truncated sketch file")
+        raw = bytes(view[:size])
+        view = view[size:]
+        return raw
+
+    def take(fmt):
+        return struct.unpack(fmt, take_raw(struct.calcsize(fmt)))
+
+    def parse():
+        if take_raw(4) != b"FSKT":
+            raise SketchFormatError("bad magic, not a sketch file")
+        (version,) = take("<H")
+        if version != 1:
+            raise SketchFormatError(f"unsupported sketch version {version}")
+        k_star, n_star, k, n = take("<4I")
+        num, den = take("<2I")
+        if den == 0:
+            raise SketchFormatError("eps_ss denominator is zero")
+        eps_ss = Fraction(num, den)
+        violations = param_violations(k_star, n_star, k, n, eps_ss)
+        if violations:
+            raise ParameterError("; ".join(violations))
+        (algo_len,) = take("<H")
+        algo = take_raw(algo_len).decode("utf-8")
+        (blob_len,) = take("<I")
+        inner = code_from_text_reference(take_raw(blob_len).decode("utf-8"))
+        (blob_len,) = take("<I")
+        outer = code_from_text_reference(take_raw(blob_len).decode("utf-8"))
+        idx = np.frombuffer(take_raw(2 * n), dtype="<u2").astype(np.uint32)
+        ss = BitString.from_packed(take_raw((n + 7) // 8), n)
+        if len(view):
+            raise SketchFormatError("trailing bytes after sketch payload")
+        params = SketchParams(k_star=k_star, n_star=n_star, k=k, n=n,
+                              eps_ss=eps_ss, inner=inner, outer=outer)
+        return Sketch(ss=ss, params=params, N=IndexVector(idx, k_star),
+                      rng_algo_id=algo)
+
+    try:
+        return parse()
+    except SketchFormatError:
+        raise
+    except (UnicodeDecodeError, ParameterError, DimensionError) as exc:
+        raise SketchFormatError(f"malformed sketch: {exc}") from exc

@@ -72,6 +72,28 @@ class TestHoeffdingBound:
         assert math.isclose(hoeffding_bound(512, Fraction(1, 8)),
                             math.exp(-16), rel_tol=1e-12)
 
+    def test_n_past_float_range(self):
+        # 2 n eps^2 is taken exactly once n no longer fits a float
+        big = 10 ** 200
+        assert math.isclose(hoeffding_bound(big * big, Fraction(1, 2 * big)),
+                            math.exp(-0.5), rel_tol=1e-15)
+        assert math.isclose(hoeffding_bound(big * big, Fraction(1, 10 ** 199)),
+                            math.exp(-200), rel_tol=1e-13)
+        assert hoeffding_bound(big * big, Fraction(1, 10 ** 198)) == 0.0
+        assert hoeffding_bound(big * big, 0) == 1.0
+        assert math.isclose(hoeffding_bound(big * big, 1e-200), math.exp(-2),
+                            rel_tol=1e-13)
+
+    @pytest.mark.parametrize("n, eps, message", [
+        (0, Fraction(1, 8), "n must be positive"),
+        (-(10 ** 400), Fraction(1, 8), "n must be positive"),
+        (512, Fraction(-1, 8), "eps must be non-negative"),
+        (10 ** 400, Fraction(-1, 8), "eps must be non-negative"),
+    ])
+    def test_rejects_with_parameter_error(self, n, eps, message):
+        with pytest.raises(ParameterError, match=message):
+            hoeffding_bound(n, eps)
+
 
 class TestSupportSize:
     def test_sixteen_quarter(self):
@@ -231,6 +253,33 @@ class TestResidualEntropy:
         bits = residual_entropy_bound(512, Fraction(1, 8))
         assert bits == math.floor(16 * math.log2(math.e)) == 23
         assert error_floor_check(512, Fraction(1, 8), 19, 15).holds
+
+
+class TestBeyondFloatRange:
+    """n and k-n* past float range: the checks decide exactly, and report
+    values as floats, inf where a value passes float range."""
+
+    def test_small_exponent(self):
+        big = 10 ** 200
+        chk = error_floor_check(big * big, Fraction(1, 2 * big), big * big, big)
+        assert not chk.holds and chk.rhs == 0.0
+        assert math.isclose(chk.lhs, math.exp(-0.5), rel_tol=1e-15)
+        assert residual_entropy_bound(big * big, Fraction(1, 2 * big)) == 0
+
+    @pytest.mark.parametrize("delta, holds", [(10 ** 100, True),
+                                              (3 * 10 ** 100, False)])
+    def test_large_exponent(self, delta, holds):
+        # 2 n eps^2 = 2e100, so 2 n eps^2 log2 e is about 2.885e100 bits
+        n, eps = 10 ** 400, Fraction(1, 10 ** 150)
+        chk = error_floor_check(n, eps, delta + 7, 7)
+        assert (chk.lhs, chk.rhs, chk.holds) == (0.0, 0.0, holds)
+        with mpmath.workdps(150):
+            want = int(mpmath.floor(2 * mpmath.mpf(10) ** 100 / mpmath.log(2)))
+        assert residual_entropy_bound(n, eps) == want
+
+    def test_efficiency_rhs(self):
+        chk = efficiency_bound_check(7, Fraction(1, 7), 10 ** 400, 15)
+        assert chk.holds and chk.rhs == math.inf
 
 
 class TestFalseAcceptRate:

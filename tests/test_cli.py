@@ -334,6 +334,31 @@ class TestBoundsCommand:
             .strip() == f"True (1e+200 vs 2^{9 * big + 1})"
         assert rows["bch-exact sketch relation 2^(k-n*) == n+1"].strip() == "False"
 
+    def test_n_past_float_range(self):
+        # n = k = 10^400 does not fit a float: exp(-2n eps^2) = exp(-1/2)
+        # comes from the exact exponent, and k-n* past float range reads
+        # inf. Run as in test_exponent_past_memory, under a 1.5 GB limit.
+        big = 10 ** 200
+        argv = _bounds_argv((big, big, big * big, big * big), f"1/{2 * big}")
+        limit = 1536 << 20
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "rvsketch.cli"] + argv,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (limit, limit)),
+            capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        rows = dict(line.split("  ", 1) for line in done.stdout.splitlines())
+        assert rows["hoeffding exp(-2n eps_ss^2)"].strip() == "0.606530659713"
+        assert rows["efficiency k* h2(eps_rec) <= k-n*"].strip() == \
+            "True (664.386 vs inf)"
+        assert rows["error floor exp(-2n eps^2) <= 2^-(k-n*)"].strip() == \
+            "False (0.606531 vs 0)"
+        assert rows["residual entropy floor bits"].strip() == "0"
+        assert rows["entropy floor applies"].strip() == "False"
+        assert rows["false accept rate 2^-(k-n*)"].strip() == "0"
+
     def test_min_length_beyond_float_range(self, capsys):
         # eps_ss^2 = 1/(4e400) underflows a float, and n = ceil(2e400 ln 2)
         big = 10 ** 200

@@ -238,10 +238,10 @@ class TestGeneratorInput:
 
 
 def _text(G, t=0, kind="random", param=None):
-    """code_to_text of any G, rank deficient or not, without building it."""
+    """The code text of any G, rank deficient or not, without building it."""
     n, k = G.shape
-    return code_to_text(SimpleNamespace(G=G, kind=kind, n=n, k=k, t=t,
-                                        param=param))
+    return codes._render_text(SimpleNamespace(G=G, kind=kind, n=n, k=k, t=t,
+                                              param=param))
 
 
 class TestMemoization:
@@ -325,6 +325,53 @@ class TestMemoization:
         small = [_text(np.eye(5, 3, k=-j, dtype=np.uint8)) for j in range(2)]
         a, b = (code_from_text(text) for text in small)
         assert code_from_text(small[0]) is a and code_from_text(small[1]) is b
+
+    def _count_parses(self, monkeypatch):
+        real = codes._parse_code_text
+        calls = []
+        monkeypatch.setattr(codes, "_parse_code_text",
+                            lambda text: calls.append(text) or real(text))
+        return calls
+
+    def test_repeated_text_is_not_parsed_again(self, monkeypatch, bch15):
+        calls = self._count_parses(monkeypatch)
+        text = code_to_text(bch15)
+        first = code_from_text(text)
+        parsed = len(calls)
+        # an equal text built anew, not the same str object
+        again = code_from_text("".join(list(text)))
+        assert again is first and first == bch15
+        assert len(calls) == parsed <= 1
+
+    def test_whitespace_variant_loads_an_equal_code(self, monkeypatch, bch15):
+        calls = self._count_parses(monkeypatch)
+        text = code_to_text(bch15)
+        variant = "  " + text.replace(": ", ":   ").replace("\n", " \r\n")
+        code = code_from_text(variant)
+        assert calls[-1] == variant
+        assert code == bch15 and code_to_text(code) == text
+        assert code_from_text(variant) is code
+
+    def test_invalid_text_raises_on_every_call(self, monkeypatch):
+        calls = self._count_parses(monkeypatch)
+        bad = code_to_text(bch_code(3, 1)).replace("k: 4", "k: 5")
+        for i in range(3):
+            with pytest.raises(ParameterError, match="wrong length"):
+                code_from_text(bad)
+            assert calls == [bad] * (i + 1)
+        assert bad not in codes._text_codes
+
+    def test_code_keeps_its_text(self):
+        code = bch_code(4, 2)
+        text = code_to_text(code)
+        assert code_to_text(code) is text
+        assert code_to_text(code_from_text(text)) == text
+
+    def test_lazy_h_and_l_keep_the_byte_count(self):
+        code = random_linear_code(40, 24, SeededRng(3))
+        before = code._nbytes
+        assert before == sum(getattr(code, name).nbytes for name in self.ARRAYS)
+        assert code._nbytes == before
 
     @pytest.mark.parametrize("name", ARRAYS)
     def test_cached_arrays_are_read_only(self, bch15, name):
@@ -502,6 +549,18 @@ class TestCosetTable:
 
 
 class TestRandomCode:
+    @pytest.mark.parametrize("n,k", [(1, 1), (10, 8), (13, 13), (70, 30)])
+    def test_equals_the_checked_constructor(self, n, k):
+        # random_linear_code skips the 0/1 check of its own draws only
+        code = random_linear_code(n, k, SeededRng(n * k))
+        built = LinearCode(code.G, 0, "random", param=code.param)
+        assert code == built and code_to_text(code) == code_to_text(built)
+        for name in TestMemoization.ARRAYS:
+            got = getattr(code, name)
+            assert np.array_equal(got, getattr(built, name))
+            assert not got.flags.writeable
+        assert code.G.dtype == np.uint8 and code.G.flags.c_contiguous
+
     def test_square_code_is_bijective(self):
         c = random_linear_code(8, 8, SeededRng(1))
         rng = SeededRng(2)
@@ -793,8 +852,8 @@ class TestSerialization:
     @pytest.mark.parametrize("n, k", [(-7, -4), (3, 0), (0, 0), (4, 7)])
     def test_bad_dimensions(self, n, k):
         G = np.zeros((abs(n), abs(k)), dtype=np.uint8)
-        text = code_to_text(SimpleNamespace(G=G, kind="random", n=n, k=k,
-                                            t=0, param=None))
+        text = codes._render_text(SimpleNamespace(G=G, kind="random", n=n,
+                                                  k=k, t=0, param=None))
         with pytest.raises(ParameterError, match="1 <= k <= n"):
             code_from_text(text)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import struct
 from fractions import Fraction
@@ -8,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import load_sketch_reference
 from rvsketch import (BitString, DimensionError, ParameterError, SeededRng,
                       Sketch, SketchFormatError, SketchParams, bch_code,
                       dump_sketch, encode, error_floor_check, fixed_weight,
                       gen_index_vector, invert_message, load_sketch,
                       param_violations, random_linear_code, recover_fixed,
                       sample_bits, sample_error, make_sketch, support_size,
-                      zero_pad_prefix)
+                      zero_pad_prefix, code_to_text)
 
 
 @pytest.fixture(scope="module")
@@ -372,10 +374,27 @@ class TestSketchFile:
         for pos in rng.choice(8 * len(blob), size=300, replace=False):
             flipped = bytearray(blob)
             flipped[pos // 8] ^= 1 << (pos % 8)
-            try:
-                load_sketch(bytes(flipped))
-            except SketchFormatError:
-                pass
+            _assert_loads_as_reference(bytes(flipped))
+
+    def test_every_prefix_raises_as_the_reference(self):
+        # each cut, through the header and into every later field, fails
+        # the same check with the same message as the plain parser
+        blob = dump_sketch(self._make())
+        for size in range(len(blob)):
+            error, _ = _assert_loads_as_reference(blob[:size])
+            assert error is SketchFormatError
+        assert _assert_loads_as_reference(blob) == self._make()
+
+    @pytest.mark.parametrize("head", [b"", b"FS", b"FSKX", b"FSKT\x01",
+                                      b"FSKT\x02\x00", b"XSKT\x02\x00",
+                                      b"FSKT\x01\x00" + b"\x00" * 23])
+    def test_short_headers(self, head):
+        error, _ = _assert_loads_as_reference(head)
+        assert error is SketchFormatError
+
+    def test_memoryview_input(self):
+        blob = dump_sketch(self._make())
+        assert load_sketch(memoryview(blob)) == load_sketch(blob)
 
     def test_loaded_sketch_still_recovers(self):
         from rvsketch import recover_fixed
@@ -473,7 +492,60 @@ class TestSketchFuzz:
     @given(_mutated_sketches())
     @example(_FUZZ_BASE)
     def test_byte_mutations_load_or_raise_format_error(self, blob):
-        try:
-            load_sketch(blob)
-        except SketchFormatError:
-            pass
+        _assert_loads_as_reference(blob)
+
+
+def _load_outcome(load, blob):
+    """The Sketch load(blob) returns, or the type and message of the
+    SketchFormatError it raises; any other exception propagates."""
+    try:
+        return load(blob)
+    except SketchFormatError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_loads_as_reference(blob):
+    """load_sketch agrees with the reference parser on blob: the same error
+    type and message, or equal Sketches whose codes have the same text.
+    Returns the outcome."""
+    got = _load_outcome(load_sketch, blob)
+    want = _load_outcome(load_sketch_reference, blob)
+    if isinstance(want, tuple):
+        assert got == want
+        return want
+    assert isinstance(got, Sketch) and got == want
+    for name in ("inner", "outer"):
+        assert code_to_text(getattr(got.params, name)) == \
+            code_to_text(getattr(want.params, name))
+    return got
+
+
+class TestSketchBytesArePinned:
+    """SHA-256 over dump_sketch of seeded sketches, BCH and random codes:
+    the file bytes stay byte-identical, and each file loads back to the
+    sketch that the reference parser reads."""
+
+    SHAPES = [
+        (lambda rng: bch_code(4, 2), lambda rng: bch_code(6, 2), Fraction(1, 7)),
+        (lambda rng: bch_code(3, 1), lambda rng: bch_code(4, 1), Fraction(1, 8)),
+        (lambda rng: random_linear_code(10, 8, rng),
+         lambda rng: random_linear_code(13, 13, rng), Fraction(1, 16)),
+    ]
+    DIGEST = "d06c46392d7cef3e6c5a1135e73c0cad3835a5e8d9cd86d5625abe7884e4a161"
+
+    def test_dump_digest(self):
+        digest = hashlib.sha256()
+        for make_inner, make_outer, eps in self.SHAPES:
+            for seed in range(4):
+                rng = SeededRng(seed)
+                params = SketchParams.from_codes(make_inner(rng.spawn(1)),
+                                                 make_outer(rng.spawn(2)), eps)
+                w = rng.spawn(3).random_bits(params.k_star)
+                N = gen_index_vector(params.k_star, params.n, rng.spawn(4))
+                sk = make_sketch(w, N, eps, params, rng.spawn(5))
+                blob = dump_sketch(sk)
+                digest.update(blob)
+                assert dump_sketch(sk) == blob   # a kept code text is reused
+                _assert_loads_as_reference(blob)
+                assert load_sketch(blob) == sk
+        assert digest.hexdigest() == self.DIGEST
