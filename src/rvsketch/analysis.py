@@ -192,10 +192,17 @@ def _hoeffding_bits(n: int, eps_ss: RationalLike) -> Union[float, Decimal]:
         pass
     eps = Fraction(eps_ss)
     p, q = eps.numerator, eps.denominator
+    return _ln2_scaled(2 * n * p * p, q * q, -1)
+
+
+def _ln2_scaled(num: int, den: int, power: int) -> Decimal:
+    """num/den * (ln 2)^power, power 1 or -1, in decimal from the exact
+    num/den, to 20 digits beyond the integer part of num/den."""
     with localcontext() as ctx:
-        ctx.prec = (2 * n * p * p // (q * q)).bit_length() // 3 + 20
+        ctx.prec = (num // den).bit_length() // 3 + 20
         ctx.Emax = MAX_EMAX
-        return Decimal(2 * n * p * p) / (Decimal(q * q) * Decimal(2).ln())
+        ln2 = Decimal(2).ln()
+        return Decimal(num) * ln2 / den if power > 0 else Decimal(num) / (den * ln2)
 
 
 def min_length_for_error_floor(k: int, n_star: int, eps_ss: RationalLike) -> int:
@@ -219,11 +226,8 @@ def min_length_for_error_floor(k: int, n_star: int, eps_ss: RationalLike) -> int
     except (ZeroDivisionError, OverflowError):
         pass
     p, q = eps.numerator, eps.denominator
-    with localcontext() as ctx:
-        ctx.prec = (delta * q * q // (p * p)).bit_length() // 3 + 20
-        ctx.Emax = MAX_EMAX
-        n = Decimal(delta * q * q) * Decimal(2).ln() / (2 * p * p)
-        return int(n.to_integral_value(rounding=ROUND_CEILING))
+    n = _ln2_scaled(delta * q * q, 2 * p * p, 1)
+    return int(n.to_integral_value(rounding=ROUND_CEILING))
 
 
 @dataclass(frozen=True)

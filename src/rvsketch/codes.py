@@ -26,12 +26,14 @@ the polynomial view used by the BCH construction.
 
 A built code is immutable: every array it holds is read-only, and it
 renders its text once and keeps it. So codes can be shared.
-code_from_text keeps a small LRU cache keyed by the exact text, bounded in
-entries and in array bytes: a repeated text returns the same object from
-one dict lookup, without parsing it again, and without a second
-elimination or table build. A text is checked in full on every call until
-its code is cached, so errors are raised afresh on every call; bch_code,
-random_linear_code and the LinearCode constructor are not cached.
+code_from_text keeps a small LRU cache keyed by canonical text (the text
+code_to_text renders), bounded in entries and in array bytes: a repeated
+canonical text returns the same object from one dict lookup, without
+parsing it again, and without a second elimination or table build. Any
+other text is checked in full on every call and then shares the entry of
+its canonical text, so errors are raised afresh on every call and padding
+never becomes a key; bch_code, random_linear_code and the LinearCode
+constructor are not cached.
 """
 
 from __future__ import annotations
@@ -317,26 +319,27 @@ class LinearCode:
 
     # -- read on first use ------------------------------------------------
 
-    def _unpacked(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi-1 of [H; L] unpacked from the packed table, read-only."""
-        rows = _field(self._cols[:-1], lo, hi).T
+    @functools.cached_property
+    def _unpacked(self) -> np.ndarray:
+        """[H; L], n x n, unpacked from the packed table once, read-only."""
+        rows = _field(self._cols[:-1], 0, self.n).T
         rows.flags.writeable = False
         return rows
 
-    @functools.cached_property
+    @property
     def H(self) -> np.ndarray:
-        """The parity-check matrix, (n-k) x n, unpacked on first use."""
-        return self._unpacked(0, self.n - self.k)
+        """The parity-check matrix, (n-k) x n: a view of [H; L]."""
+        return self._unpacked[:self.n - self.k]
 
-    @functools.cached_property
+    @property
     def _L(self) -> np.ndarray:
-        """The left inverse of G, k x n, unpacked on first use."""
-        return self._unpacked(self.n - self.k, self.n)
+        """The left inverse of G, k x n: a view of [H; L]."""
+        return self._unpacked[self.n - self.k:]
 
     @functools.cached_property
     def _text(self) -> str:
         """The code's text, rendered on first use: a code is immutable."""
-        return _render_text(self)
+        return _render_text(self.kind, self.n, self.k, self.t, self.param, self.G)
 
     # -- misc --------------------------------------------------------------
 
@@ -472,19 +475,20 @@ def invert_message(code: LinearCode, codeword: BitString) -> BitString:
 
 # ---------------------------------------------------------------------------
 # Serialization: header plus a row-major hex dump of G. H, the left inverse
-# and the coset-leader table are rebuilt on the first load of a given text
+# and the coset-leader table are rebuilt on the first load of a given code
 # and shared after that.
 
-def _render_text(code) -> str:
-    g_hex = np.packbits(code.G.reshape(-1), bitorder="little").tobytes().hex()
-    param = "-" if code.param is None else str(code.param)
+def _render_text(kind: str, n: int, k: int, t: int, param: Optional[int],
+                 G: np.ndarray) -> str:
+    """The canonical text of a code's fields."""
+    g_hex = np.packbits(G.reshape(-1), bitorder="little").tobytes().hex()
     return "\n".join([
         "linear-code v1",
-        f"kind: {code.kind}",
-        f"n: {code.n}",
-        f"k: {code.k}",
-        f"t: {code.t}",
-        f"param: {param}",
+        f"kind: {kind}",
+        f"n: {n}",
+        f"k: {k}",
+        f"t: {t}",
+        f"param: {'-' if param is None else param}",
         f"G: {g_hex}",
     ]) + "\n"
 
@@ -494,8 +498,9 @@ def code_to_text(code: LinearCode) -> str:
     return code._text
 
 
-def _parse_code_text(text: str) -> LinearCode:
-    """A new code built from its text; ParameterError if the text is malformed."""
+def _parse_code_text(text: str):
+    """(canonical text, G, t, kind, param) of a code text, every field
+    checked; ParameterError if the text is malformed."""
     lines = [ln.strip() for ln in text.strip().splitlines()]
     if not lines or lines[0] != "linear-code v1":
         raise ParameterError("unrecognized code serialization header")
@@ -514,9 +519,9 @@ def _parse_code_text(text: str) -> LinearCode:
         raise ParameterError(f"code dimensions need 1 <= k <= n, got n={n}, k={k}")
     if len(raw) != (n * k + 7) // 8:
         raise ParameterError("G hex dump has the wrong length")
-    flat = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                         count=n * k, bitorder="little")
-    return LinearCode(flat.reshape(n, k), t=t, kind=kind, param=param)
+    G = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                      count=n * k, bitorder="little").reshape(n, k)
+    return _render_text(kind, n, k, t, param, G), G, t, kind, param
 
 
 _text_codes: "OrderedDict[str, LinearCode]" = OrderedDict()   # LRU order
@@ -524,32 +529,45 @@ _text_codes_bytes = 0
 _text_codes_lock = threading.Lock()
 
 
-def code_from_text(text: str) -> LinearCode:
-    """The code of a text, memoized on the exact text.
+def _cached_code(text: str) -> Optional[LinearCode]:
+    """The cached code of a text, renewed in the LRU order, or None."""
+    with _text_codes_lock:
+        code = _text_codes.get(text)
+        if code is not None:
+            _text_codes.move_to_end(text)
+        return code
 
-    A text seen before returns its cached code with one dict lookup and no
-    parsing. Any other text is parsed, checked and built in full, and only
-    a code that builds enters the cache, so a malformed text raises on
-    every call. Texts that differ only in whitespace are cached apart. The
+
+def code_from_text(text: str) -> LinearCode:
+    """The code of a text, memoized on its canonical text.
+
+    The cache is keyed by canonical texts, the text code_to_text renders,
+    so a key's size grows with G as the code's arrays do. A canonical text
+    seen before returns its cached code with one dict lookup and no
+    parsing. Any other text is parsed and checked in full, then looked up
+    under its canonical text, and built only on a miss. Only a code that
+    builds enters the cache, so a malformed text raises on every call. The
     cache holds at most _CODE_CACHE_SIZE codes and evicts the least
     recently used while their arrays exceed _CODE_CACHE_BYTES, never the
     code it returns. A hit is a move to the end of the LRU order.
     """
     global _text_codes_bytes
+    code = _cached_code(text)
+    if code is not None:
+        return code
+    key, G, t, kind, param = _parse_code_text(text)
+    code = _cached_code(key)
+    if code is not None:
+        return code
+    code = LinearCode(G, t=t, kind=kind, param=param)
     with _text_codes_lock:
-        code = _text_codes.get(text)
-        if code is not None:
-            _text_codes.move_to_end(text)
-            return code
-    code = _parse_code_text(text)
-    with _text_codes_lock:
-        if text not in _text_codes:   # else another thread built it meanwhile
-            _text_codes[text] = code
+        if key not in _text_codes:   # else another thread built it meanwhile
+            _text_codes[key] = code
             _text_codes_bytes += code._nbytes
             while len(_text_codes) > 1 and (
                     len(_text_codes) > _CODE_CACHE_SIZE
                     or _text_codes_bytes > _CODE_CACHE_BYTES):
                 _, old = _text_codes.popitem(last=False)
                 _text_codes_bytes -= old._nbytes
-        _text_codes.move_to_end(text)
-        return _text_codes[text]
+        _text_codes.move_to_end(key)
+        return _text_codes[key]

@@ -21,10 +21,6 @@ from .bitcore import (BitString, DimensionError, ParameterError, SeededRng,
 _CHUNK_TRIALS = 4096
 
 
-def _out_of_range(source_len: int) -> ParameterError:
-    return ParameterError(f"indices must be integers in [1, {source_len}]")
-
-
 @dataclass(frozen=True, eq=False)
 class IndexVector:
     """Public random positions N, 1-based values in [1, source_len]; equal by value."""
@@ -42,7 +38,8 @@ class IndexVector:
         if (raw.dtype.kind not in "biuf" or raw.min() < 1
                 or raw.max() > self.source_len
                 or (raw.dtype.kind == "f" and (raw % 1).any())):
-            raise _out_of_range(self.source_len)
+            raise ParameterError(
+                f"indices must be integers in [1, {self.source_len}]")
         arr = np.ascontiguousarray(raw, dtype=np.uint32)
         arr.flags.writeable = False
         object.__setattr__(self, "indices", arr)
@@ -56,15 +53,6 @@ class IndexVector:
         object.__setattr__(obj, "indices", indices)
         object.__setattr__(obj, "source_len", source_len)
         return obj
-
-    @classmethod
-    def _from_u16(cls, raw: np.ndarray, source_len: int) -> "IndexVector":
-        # Internal path for a sketch file's payload: raw must be a non-empty
-        # 1-d uint16 array and source_len >= 1. The range is checked on the
-        # uint16 values, before their one uint32 copy.
-        if raw.min() < 1 or raw.max() > source_len:
-            raise _out_of_range(source_len)
-        return cls._wrap(raw.astype(np.uint32), source_len)
 
     @property
     def length(self) -> int:

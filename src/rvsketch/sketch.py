@@ -287,7 +287,7 @@ def _parse_sketch(data: bytes) -> Sketch:
         raise SketchFormatError("trailing bytes after sketch payload")
     params = SketchParams(k_star=k_star, n_star=n_star, k=k, n=n,
                           eps_ss=eps_ss, inner=inner, outer=outer)
-    return Sketch(ss=ss, params=params, N=IndexVector._from_u16(idx, k_star),
+    return Sketch(ss=ss, params=params, N=IndexVector(idx, k_star),
                   rng_algo_id=algo)
 
 

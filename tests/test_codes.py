@@ -1,7 +1,6 @@
 import hashlib
 import math
 from itertools import chain, combinations
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -240,8 +239,7 @@ class TestGeneratorInput:
 def _text(G, t=0, kind="random", param=None):
     """The code text of any G, rank deficient or not, without building it."""
     n, k = G.shape
-    return codes._render_text(SimpleNamespace(G=G, kind=kind, n=n, k=k, t=t,
-                                              param=param))
+    return codes._render_text(kind, n, k, t, param, G)
 
 
 class TestMemoization:
@@ -351,6 +349,18 @@ class TestMemoization:
         assert calls[-1] == variant
         assert code == bch15 and code_to_text(code) == text
         assert code_from_text(variant) is code
+
+    def test_padded_text_is_never_a_key(self, monkeypatch, bch15):
+        calls = self._count_parses(monkeypatch)
+        text = code_to_text(bch15)
+        padded = text + "pad: " + "x" * (1 << 20) + "\n" + " " * (1 << 20)
+        code = code_from_text(padded)
+        assert code == bch15 and code_from_text(text) is code
+        assert code_from_text(padded) is code
+        assert calls == [padded, padded]   # parsed on each call, never kept
+        assert padded not in codes._text_codes
+        for key, cached in codes._text_codes.items():
+            assert key == code_to_text(cached)
 
     def test_invalid_text_raises_on_every_call(self, monkeypatch):
         calls = self._count_parses(monkeypatch)
@@ -852,8 +862,7 @@ class TestSerialization:
     @pytest.mark.parametrize("n, k", [(-7, -4), (3, 0), (0, 0), (4, 7)])
     def test_bad_dimensions(self, n, k):
         G = np.zeros((abs(n), abs(k)), dtype=np.uint8)
-        text = codes._render_text(SimpleNamespace(G=G, kind="random", n=n,
-                                                  k=k, t=0, param=None))
+        text = codes._render_text("random", n, k, 0, None, G)
         with pytest.raises(ParameterError, match="1 <= k <= n"):
             code_from_text(text)
 
