@@ -2,9 +2,11 @@
 enumeration support sizes, tolerance thresholds, residual min-entropy and
 the rate bounds they bracket.
 
-Rationals stay exact (fractions.Fraction); only exp/log evaluations use
-floats. Bound comparisons are carried out at full float precision with no
-hidden slack.
+Every eps and xi argument is taken as an exact Fraction by _rational, so
+anything that is not a finite rational raises ParameterError, as does every
+other domain error here. Reported exp/log values are floats; the error-floor
+decisions are taken in decimal from the exact eps^2 and ln 2, with no float
+path and no hidden slack.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from decimal import MAX_EMAX, ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 from typing import Tuple, Union
 
-from .bitcore import ParameterError
+from .bitcore import CapacityError, ParameterError
 
 RationalLike = Union[Fraction, int, str, float]
 
@@ -31,9 +33,10 @@ def _rational(name: str, value: RationalLike) -> Fraction:
 
 def binary_entropy(x: RationalLike) -> float:
     """-x log2 x - (1-x) log2 (1-x), with the 0 log 0 = 0 convention."""
+    x = _rational("x", x)
+    if not 0 <= x <= 1:
+        raise ParameterError(f"binary entropy needs x in [0, 1], got {x}")
     x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"binary entropy needs x in [0, 1], got {x}")
     if x in (0.0, 1.0):
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
@@ -49,18 +52,20 @@ _EXP_UNDERFLOW = 746
 def hoeffding_bound(n: int, eps: RationalLike) -> float:
     """Tail mass exp(-2 n eps^2) for a mean deviation of eps over n draws.
 
-    Taken in floats wherever n is one; past that the exponent 2 n eps^2 is
-    taken exactly, and the result is 0.0 where exp underflows.
+    A reported value, not a decision: it is taken in floats wherever n and
+    eps are floats, and otherwise from the exact exponent 2 n eps^2, 0.0
+    where exp underflows. error_floor_check decides by exponents instead.
     """
     if n < 1:
         raise ParameterError("n must be positive")
-    e = float(eps)
-    if e < 0:
+    eps = _rational("eps", eps)
+    if eps < 0:
         raise ParameterError("eps must be non-negative")
     try:
+        e = float(eps)
         return math.exp(-2.0 * n * e * e)
-    except OverflowError:   # n is past float range
-        exponent = 2 * n * Fraction(eps) ** 2
+    except OverflowError:   # n or eps is past float range
+        exponent = 2 * n * eps ** 2
         return 0.0 if exponent > _EXP_UNDERFLOW else math.exp(-float(exponent))
 
 
@@ -93,10 +98,15 @@ def fixed_weight(k_star: int, eps: RationalLike) -> int:
 
 def support_size(k_star: int, eps: RationalLike) -> Tuple[int, float]:
     """(exact, bound): C(k*, floor(k* eps)) and its 2^(k* h2(eps)) envelope,
-    inf beyond float range."""
-    eps = Fraction(eps)
+    inf beyond float range. CapacityError where the weight passes 2^63,
+    the limit of math.comb."""
+    eps = _rational("eps", eps)
     weight = fixed_weight(k_star, eps)
-    exact = math.comb(k_star, weight)
+    try:
+        exact = math.comb(k_star, weight)
+    except OverflowError:
+        raise CapacityError(f"C(k*, m) for k* = {k_star} and weight "
+                            f"m = {weight} is past the 2^63 weight limit") from None
     bound = _pow2(k_star * binary_entropy(eps))
     if (k_star * eps).denominator == 1:
         assert exact <= bound, "entropy envelope violated at an exact weight"
@@ -126,9 +136,9 @@ class Thresholds:
 def thresholds(k_star: int, n: int, xi: RationalLike,
                eps_ss: RationalLike) -> Thresholds:
     """t_max = n(xi-eps), t_min = n(xi+eps) and the k*-space analogues."""
-    xi, eps_ss = Fraction(xi), Fraction(eps_ss)
+    xi, eps_ss = _rational("xi", xi), _rational("eps_ss", eps_ss)
     if not 0 <= eps_ss <= xi <= Fraction(1, 2):
-        raise ValueError(
+        raise ParameterError(
             f"need 0 <= eps_ss <= xi <= 1/2, got eps_ss={eps_ss}, xi={xi}")
     t_plus_prime = (xi + eps_ss) * k_star
     t_minus_prime = (xi - eps_ss) * k_star
@@ -158,7 +168,7 @@ def efficiency_bound_check(k_star: int, eps_rec: RationalLike,
     against 2^(k-n*) zero-prefix states, which equals n+1 exactly when the
     outer code is a full-length BCH code with k-n* check-symbol groups.
     """
-    lhs = k_star * binary_entropy(eps_rec)
+    lhs = k_star * binary_entropy(_rational("eps_rec", eps_rec))
     rhs = k - n_star
     return BoundCheck(lhs <= rhs, lhs, _float_or_inf(rhs))
 
@@ -168,31 +178,23 @@ def error_floor_check(n: int, eps_ss: RationalLike, k: int,
     """Is exp(-2 n eps_ss^2) at most the zero-prefix rate 2^-(k-n*)?
 
     The sides are compared by their base-2 exponents, 2 n eps^2 log2 e
-    against k-n*, which stays exact where 2^-(k-n*) underflows; lhs and
-    rhs are reported as values.
+    (_hoeffding_bits) against k-n*, which is exact at every size; lhs and
+    rhs are reported as float values.
     """
     delta = k - n_star
     if delta < 1:
-        raise ValueError("need k > n*")
-    return BoundCheck(_hoeffding_bits(n, eps_ss) >= delta,
-                      hoeffding_bound(n, eps_ss), math.ldexp(1.0, -delta))
+        raise ParameterError("need k > n*")
+    eps = _rational("eps_ss", eps_ss)
+    lhs = hoeffding_bound(n, eps)
+    return BoundCheck(_hoeffding_bits(n, eps) >= delta, lhs,
+                      math.ldexp(1.0, -delta))
 
 
-def _hoeffding_bits(n: int, eps_ss: RationalLike) -> Union[float, Decimal]:
-    """2 n eps^2 log2 e, the base-2 exponent of exp(-2 n eps^2).
-
-    A float wherever n is one. Past that it is a Decimal taken from the
-    exact eps^2 = p^2/q^2, to 20 digits beyond its integer part, so it
-    compares exactly with k-n* and floors to an int.
-    """
-    eps = float(eps_ss)
-    try:
-        return 2.0 * n * eps * eps * math.log2(math.e)
-    except OverflowError:   # n is past float range
-        pass
-    eps = Fraction(eps_ss)
-    p, q = eps.numerator, eps.denominator
-    return _ln2_scaled(2 * n * p * p, q * q, -1)
+def _hoeffding_bits(n: int, eps: Fraction) -> Decimal:
+    """2 n eps^2 log2 e, the base-2 exponent of exp(-2 n eps^2), as a
+    Decimal from the exact eps^2 = p^2/q^2 to 20 digits beyond its integer
+    part, so it compares exactly with k-n* and floors to an int."""
+    return _ln2_scaled(2 * n * eps.numerator ** 2, eps.denominator ** 2, -1)
 
 
 def _ln2_scaled(num: int, den: int, power: int) -> Decimal:
@@ -208,25 +210,17 @@ def _ln2_scaled(num: int, den: int, power: int) -> Decimal:
 def min_length_for_error_floor(k: int, n_star: int, eps_ss: RationalLike) -> int:
     """Smallest n with exp(-2 n eps_ss^2) <= 2^-(k-n*).
 
-    Closed form ceil((k-n*) ln 2 / (2 eps^2)); the direct-search equality
-    is exercised by the test suite. It is taken in floats wherever they
-    hold it, and otherwise (eps^2 underflows below about 1e-162, or the
-    result passes 1.8e308) in decimal, from the exact eps^2 = p^2/q^2 and
-    ln 2 to 20 digits beyond the result's.
+    Closed form ceil((k-n*) ln 2 / (2 eps^2)), taken in decimal from the
+    exact eps^2 = p^2/q^2 and ln 2 to 20 digits beyond the result's; the
+    direct-search equality is exercised by the test suite.
     """
     if k <= n_star:
-        raise ValueError("need k > n*")
-    eps = Fraction(eps_ss)
+        raise ParameterError("need k > n*")
+    eps = _rational("eps_ss", eps_ss)
     if eps <= 0:
-        raise ValueError("eps_ss must be positive")
-    delta = k - n_star
-    try:
-        e = float(eps)
-        return math.ceil(delta * math.log(2.0) / (2.0 * e * e))
-    except (ZeroDivisionError, OverflowError):
-        pass
+        raise ParameterError("eps_ss must be positive")
     p, q = eps.numerator, eps.denominator
-    n = _ln2_scaled(delta * q * q, 2 * p * p, 1)
+    n = _ln2_scaled((k - n_star) * q * q, 2 * p * p, 1)
     return int(n.to_integral_value(rounding=ROUND_CEILING))
 
 
@@ -263,13 +257,13 @@ def rate_bounds(k_star: int, k: int, n_star: int, eps_ss: RationalLike,
     """
     delta = k - n_star
     if k_star < 1 or delta < 1:
-        raise ValueError(f"need k* >= 1 and k-n* >= 1, got {k_star}, {delta}")
-    two_eps = 2 * Fraction(eps_ss)
+        raise ParameterError(f"need k* >= 1 and k-n* >= 1, got {k_star}, {delta}")
+    two_eps = 2 * _rational("eps_ss", eps_ss)
     if two_eps > 1:
-        raise ValueError("2*eps_ss exceeds 1")
+        raise ParameterError("2*eps_ss exceeds 1")
     return RateBounds(
         rate=1 - Fraction(delta, k_star),
-        shannon_ub=1.0 - binary_entropy(eps_rec),
+        shannon_ub=1.0 - binary_entropy(_rational("eps_rec", eps_rec)),
         gv_lb=1.0 - binary_entropy(two_eps),
     )
 
@@ -283,7 +277,7 @@ def residual_entropy_bound(n: int, eps_ss: RationalLike) -> int:
     where this floor claims 1, because every stage of make_sketch is
     GF(2)-linear.
     """
-    return math.floor(_hoeffding_bits(n, eps_ss))
+    return math.floor(_hoeffding_bits(n, _rational("eps_ss", eps_ss)))
 
 
 def false_accept_rate(k: int, n_star: int) -> Fraction:
@@ -301,7 +295,7 @@ def binom_lower_tail(k: int, n: int, p: float) -> float:
     their largest term, so neither a tiny p^i nor a huge C(n, i) overflows.
     """
     if n < 0 or not 0.0 <= p <= 1.0:
-        raise ValueError(f"need n >= 0 and p in [0, 1], got n={n}, p={p}")
+        raise ParameterError(f"need n >= 0 and p in [0, 1], got n={n}, p={p}")
     if k < 0:
         return 0.0
     if k >= n or p == 0.0:
@@ -324,6 +318,6 @@ def min_sketch_len_for_budget(k_star: int, eps_ss: RationalLike) -> Tuple[int, i
     The returned n grows exponentially in k* for any fixed eps_ss > 0,
     which is what makes the poly-in-n efficiency framing vacuous in k*.
     """
-    m_prime = math.ceil(k_star * binary_entropy(2 * Fraction(eps_ss)))
+    m_prime = math.ceil(k_star * binary_entropy(2 * _rational("eps_ss", eps_ss)))
     m_prime = max(m_prime, 1)
     return m_prime, 2 ** m_prime - 1

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import decimal
-import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -215,10 +214,8 @@ def cmd_bounds(args) -> int:
     rows.append(("residual entropy floor bits",
                  analysis.residual_entropy_bound(n, eps_ss)))
     rows.append(("entropy floor applies", floor.holds))
-    # 2^(k-n*) by its exponent: the power itself may not fit in memory
+    rows.append(("false accept rate 2^-(k-n*)", f"{floor.rhs:.12g}"))
     delta = k - n_star
-    rows.append(("false accept rate 2^-(k-n*)",
-                 f"{math.ldexp(1.0, -delta):.12g}"))
     budget = analysis.efficiency_bound_check(k_star, 2 * eps_ss, k, n_star)
     rows.append(("iteration budget 2^(k* h2(2 eps_ss)) <= 2^(k-n*)",
                  f"{budget.holds} ({analysis._pow2(budget.lhs):.6g} vs "

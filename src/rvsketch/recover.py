@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import RationalLike, _rational
+from .analysis import RationalLike, _rational, fixed_weight
 from .bitcore import (_BLOCK_ROWS, BitString, DimensionError, ParameterError,
                       support_batches, xor_gather)
 from .codes import LinearCode, _field, _fold, _low_mask
@@ -187,7 +187,7 @@ def recover_fixed(sk: Sketch, w_prime: BitString, eps_rec: RationalLike,
     problem = _eps_violation("eps_rec", eps, k_star, 2)
     if problem:
         raise ParameterError(problem)
-    return _recover(sk, w_prime, inner, outer, [int(k_star * eps)])
+    return _recover(sk, w_prime, inner, outer, [fixed_weight(k_star, eps)])
 
 
 def recover_sweep(sk: Sketch, w_prime: BitString, inner: LinearCode,

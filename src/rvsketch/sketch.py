@@ -205,14 +205,12 @@ def dump_sketch(sk: Sketch) -> bytes:
     algo = sk.rng_algo_id.encode("utf-8")
     inner_blob = code_to_text(p.inner).encode("utf-8")
     outer_blob = code_to_text(p.outer).encode("utf-8")
-    out = bytearray()
-    out += SKETCH_MAGIC
-    out += struct.pack("<H", SKETCH_VERSION)
-    out += struct.pack("<4I", p.k_star, p.n_star, p.k, p.n)
-    out += struct.pack("<2I", p.eps_ss.numerator, p.eps_ss.denominator)
-    out += struct.pack("<H", len(algo)) + algo
-    out += struct.pack("<I", len(inner_blob)) + inner_blob
-    out += struct.pack("<I", len(outer_blob)) + outer_blob
+    out = bytearray(_HEADER.pack(
+        SKETCH_MAGIC, SKETCH_VERSION, p.k_star, p.n_star, p.k, p.n,
+        p.eps_ss.numerator, p.eps_ss.denominator))
+    out += _U16.pack(len(algo)) + algo
+    out += _U32.pack(len(inner_blob)) + inner_blob
+    out += _U32.pack(len(outer_blob)) + outer_blob
     out += np.asarray(sk.N.indices, dtype="<u2").tobytes()
     out += sk.ss.to_packed()
     return bytes(out)

@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 from oracles import min_n_direct_search
-from rvsketch import (ParameterError, binary_entropy, binom_lower_tail,
+from rvsketch import analysis
+from rvsketch import (CapacityError, ParameterError, binary_entropy,
+                      binom_lower_tail,
                       efficiency_bound_check, error_floor_check,
                       false_accept_rate, fixed_weight, h2, hoeffding_bound,
                       min_length_for_error_floor, min_sketch_len_for_budget,
@@ -115,6 +118,13 @@ class TestSupportSize:
         exact, bound = support_size(2000, Fraction(1, 2))
         assert exact == math.comb(2000, 1000)
         assert bound == math.inf
+
+    def test_weight_past_the_comb_limit(self):
+        # floor(k* eps) = 5e29 passes 2^63, where math.comb cannot count
+        k_star = 10 ** 30
+        with pytest.raises(CapacityError, match=(
+                rf"k\* = {k_star} and weight m = {k_star // 2} is past")):
+            support_size(k_star, Fraction(1, 2))
 
     def test_entropy_chain_on_grid(self):
         # C(k*, floor(2 k* eps)) <= 2^(k* h2(2 eps)) for eps in (0, 1/4]
@@ -333,6 +343,46 @@ class TestBinomLowerTail:
             binom_lower_tail(0, n, p)
 
 
+@st.composite
+def _floor_inputs(draw):
+    """(eps, k-n*) whose minimal n is at most 10^15."""
+    q = draw(st.integers(2, 10 ** 7))
+    p = draw(st.integers(1, min(64, q // 2)))
+    return Fraction(p, q), draw(st.integers(1, 28))
+
+
+class TestErrorFloorBoundary:
+    """The floor decided exactly where a float exponent lost its last bit."""
+
+    def test_pinned_boundary(self):
+        # 2 n eps^2 log2 e is 281.99999999999997 bits at n = ...690 and just
+        # above 282 at ...691; a float exponent rounds the first up to 282
+        eps, k, n_star = Fraction(1, 410390), 205477, 205195
+        assert min_length_for_error_floor(k, n_star, eps) == 16460313907691
+        assert not error_floor_check(16460313907690, eps, k, n_star).holds
+        assert error_floor_check(16460313907691, eps, k, n_star).holds
+        assert residual_entropy_bound(16460313907690, eps) == 281
+        assert residual_entropy_bound(16460313907691, eps) == 282
+
+    @given(_floor_inputs())
+    def test_against_mpmath(self, inputs):
+        eps, delta = inputs
+        with mpmath.workdps(50):
+            ln2 = mpmath.log(2)
+            eps2 = mpmath.mpf(eps.numerator) ** 2 / eps.denominator ** 2
+            want = int(mpmath.ceil(delta * ln2 / (2 * eps2)))
+            bits = [int(mpmath.floor(2 * n * eps2 / ln2))
+                    for n in (want - 1, want)]
+        assert want <= 10 ** 15
+        assert min_length_for_error_floor(15 + delta, 15, eps) == want
+        assert error_floor_check(want, eps, 15 + delta, 15).holds
+        assert bits[1] >= delta
+        assert residual_entropy_bound(want, eps) == bits[1]
+        if want > 1:
+            assert not error_floor_check(want - 1, eps, 15 + delta, 15).holds
+            assert residual_entropy_bound(want - 1, eps) == bits[0] < delta
+
+
 class TestMinLengthForErrorFloor:
     def test_matches_direct_search(self):
         for delta in (1, 3, 6):
@@ -391,3 +441,77 @@ class TestIterationBudget:
             m, n = min_sketch_len_for_budget(k_star, Fraction(1, 8))
             assert n == expect_n
             assert n + 1 >= 2 ** (k_star * binary_entropy(Fraction(1, 4)))
+
+
+# Every analysis export that takes an eps or xi, called with that one
+# argument varied: (call, a valid value, values outside its domain).
+_EPS_CALLS = {
+    ("binary_entropy", "x"): (
+        binary_entropy, [Fraction(-1, 8), Fraction(9, 8)]),
+    ("hoeffding_bound", "eps"): (
+        lambda e: hoeffding_bound(512, e), [Fraction(-1, 8)]),
+    ("fixed_weight", "eps"): (
+        lambda e: fixed_weight(16, e), [Fraction(-1, 8), Fraction(5, 8)]),
+    ("support_size", "eps"): (
+        lambda e: support_size(16, e), [Fraction(-1, 8), Fraction(5, 8)]),
+    ("thresholds", "xi"): (
+        lambda xi: thresholds(16, 64, xi, Fraction(1, 16)),
+        [Fraction(1, 32), Fraction(5, 8)]),
+    ("thresholds", "eps_ss"): (
+        lambda e: thresholds(16, 64, Fraction(1, 4), e),
+        [Fraction(-1, 8), Fraction(3, 8)]),
+    ("efficiency_bound_check", "eps_rec"): (
+        lambda e: efficiency_bound_check(16, e, 19, 15),
+        [Fraction(-1, 8), Fraction(9, 8)]),
+    ("error_floor_check", "eps_ss"): (
+        lambda e: error_floor_check(512, e, 19, 15), [Fraction(-1, 8)]),
+    ("min_length_for_error_floor", "eps_ss"): (
+        lambda e: min_length_for_error_floor(19, 15, e), [0, Fraction(-1, 8)]),
+    ("rate_bounds", "eps_ss"): (
+        lambda e: rate_bounds(16, 19, 15, e, Fraction(1, 4)),
+        [Fraction(-1, 8), Fraction(5, 8)]),
+    ("rate_bounds", "eps_rec"): (
+        lambda e: rate_bounds(16, 19, 15, Fraction(1, 16), e),
+        [Fraction(-1, 8), Fraction(9, 8)]),
+    ("residual_entropy_bound", "eps_ss"): (
+        lambda e: residual_entropy_bound(512, e), []),
+    ("min_sketch_len_for_budget", "eps_ss"): (
+        lambda e: min_sketch_len_for_budget(16, e),
+        [Fraction(-1, 8), Fraction(5, 8)]),
+}
+_NOT_RATIONAL = [float("nan"), float("inf"), float("-inf"), 1j, None, "abc",
+                 "nan", "1/0"]
+
+
+class TestEpsInputContract:
+    """Valid eps and xi return, one value the same in every form; anything
+    else raises ParameterError and no other type."""
+
+    def test_table_covers_every_eps_parameter(self):
+        found = {(fn.__name__, param)
+                 for name, fn in vars(analysis).items()
+                 if inspect.isfunction(fn) and not name.startswith("_")
+                 and fn.__module__ == analysis.__name__
+                 for param in inspect.signature(fn).parameters
+                 if param in ("x", "xi") or param.startswith("eps")}
+        assert found == set(_EPS_CALLS)
+
+    @pytest.mark.parametrize("key", list(_EPS_CALLS), ids=".".join)
+    def test_valid_forms_agree(self, key):
+        call, _ = _EPS_CALLS[key]
+        assert call("1/8") == call(0.125) == call(Fraction(1, 8))
+
+    @pytest.mark.parametrize("bad", _NOT_RATIONAL, ids=repr)
+    @pytest.mark.parametrize("key", list(_EPS_CALLS), ids=".".join)
+    def test_not_a_rational(self, key, bad):
+        call, _ = _EPS_CALLS[key]
+        with pytest.raises(ParameterError, match="is not a finite rational"):
+            call(bad)
+
+    @pytest.mark.parametrize("key, bad", [
+        pytest.param(key, bad, id=f"{'.'.join(key)}-{bad}")
+        for key, (_, outside) in _EPS_CALLS.items() for bad in outside])
+    def test_outside_the_domain(self, key, bad):
+        call, _ = _EPS_CALLS[key]
+        with pytest.raises(ParameterError):
+            call(bad)

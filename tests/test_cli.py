@@ -183,6 +183,20 @@ def _bounds_argv(dims, eps_ss, eps_rec=None):
     return argv if eps_rec is None else argv + [f"--eps-rec={eps_rec}"]
 
 
+def _bounds_in_child(argv):
+    """Run bounds in a child process under a 1.5 GB address-space limit
+    (ulimit -v, set for the child only), so a table that tries to build a
+    huge value fails fast instead of filling memory."""
+    limit = 1536 << 20
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "rvsketch.cli"] + argv,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)),
+        capture_output=True, text=True, timeout=120)
+
+
 class TestBoundsCommand:
     ARGS = ["bounds", "--k-star", "7", "--n-star", "15", "--k", "16",
             "--n", "31", "--eps-ss", "1/14"]
@@ -313,20 +327,10 @@ class TestBoundsCommand:
         assert cli._pow2_text(10 ** 5000) == f"2^{Decimal(10 ** 5000)}"
 
     def test_exponent_past_memory(self):
-        # k - n* = 9 * 10^200: 2^(k-n*) itself cannot be built. The child
-        # runs under a 1.5 GB address-space limit (ulimit -v), so a table
-        # that tries to build it fails fast instead of filling memory.
+        # k - n* = 9 * 10^200: 2^(k-n*) itself cannot be built
         big = 10 ** 200
-        argv = _bounds_argv((big, big, 10 * big + 1, 10 * big + 1),
-                            f"1/{2 * big}")
-        limit = 1536 << 20
-        src = str(Path(cli.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-m", "rvsketch.cli"] + argv,
-            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
-                                                  (limit, limit)),
-            capture_output=True, text=True, timeout=120)
+        done = _bounds_in_child(_bounds_argv(
+            (big, big, 10 * big + 1, 10 * big + 1), f"1/{2 * big}"))
         assert (done.returncode, done.stderr) == (0, "")
         rows = dict(line.split("  ", 1) for line in done.stdout.splitlines())
         assert rows["false accept rate 2^-(k-n*)"].strip() == "0"
@@ -337,17 +341,10 @@ class TestBoundsCommand:
     def test_n_past_float_range(self):
         # n = k = 10^400 does not fit a float: exp(-2n eps^2) = exp(-1/2)
         # comes from the exact exponent, and k-n* past float range reads
-        # inf. Run as in test_exponent_past_memory, under a 1.5 GB limit.
+        # inf.
         big = 10 ** 200
-        argv = _bounds_argv((big, big, big * big, big * big), f"1/{2 * big}")
-        limit = 1536 << 20
-        src = str(Path(cli.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-m", "rvsketch.cli"] + argv,
-            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
-                                                  (limit, limit)),
-            capture_output=True, text=True, timeout=120)
+        done = _bounds_in_child(_bounds_argv(
+            (big, big, big * big, big * big), f"1/{2 * big}"))
         assert (done.returncode, done.stderr) == (0, "")
         rows = dict(line.split("  ", 1) for line in done.stdout.splitlines())
         assert rows["hoeffding exp(-2n eps_ss^2)"].strip() == "0.606530659713"
@@ -358,6 +355,25 @@ class TestBoundsCommand:
         assert rows["residual entropy floor bits"].strip() == "0"
         assert rows["entropy floor applies"].strip() == "False"
         assert rows["false accept rate 2^-(k-n*)"].strip() == "0"
+
+    def test_support_size_past_the_comb_limit(self):
+        # floor(k* eps_rec) = 5 * 10^29 passes 2^63, where math.comb cannot
+        # count: one error line and exit 2, as for any parameter error
+        big = 10 ** 30
+        done = _bounds_in_child(_bounds_argv(
+            (big, big + 1, big + 3001, big + 3002), "1/4"))
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            f"error: C(k*, m) for k* = {big} and weight m = {big // 2} "
+            "is past the 2^63 weight limit\n")
+
+    def test_error_floor_boundary(self, capsys):
+        # the float exponent judged the floor to hold one n too early
+        argv = _bounds_argv((205195, 205195, 205477, 205477), "1/410390")
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        rows = dict(line.split("  ", 1) for line in captured.out.splitlines())
+        assert rows["min n for error floor"].strip() == "16460313907691"
 
     def test_min_length_beyond_float_range(self, capsys):
         # eps_ss^2 = 1/(4e400) underflows a float, and n = ceil(2e400 ln 2)
