@@ -185,9 +185,8 @@ def error_floor_check(n: int, eps_ss: RationalLike, k: int,
     if delta < 1:
         raise ParameterError("need k > n*")
     eps = _rational("eps_ss", eps_ss)
-    lhs = hoeffding_bound(n, eps)
-    return BoundCheck(_hoeffding_bits(n, eps) >= delta, lhs,
-                      math.ldexp(1.0, -delta))
+    return BoundCheck(_hoeffding_bits(n, eps) >= delta,
+                      hoeffding_bound(n, eps), math.ldexp(1.0, -delta))
 
 
 def _hoeffding_bits(n: int, eps: Fraction) -> Decimal:

@@ -190,6 +190,10 @@ def make_sketch(w: BitString, N: IndexVector, eps_ss: RationalLike,
 
 SKETCH_MAGIC = b"FSKT"
 SKETCH_VERSION = 1
+# magic, version, k* n* k n, eps_ss numerator and denominator
+_HEADER = struct.Struct("<4sH4I2I")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
 
 
 class SketchFormatError(ParameterError):
@@ -231,12 +235,6 @@ def load_sketch(data: bytes) -> Sketch:
     except (UnicodeDecodeError, ParameterError, DimensionError) as exc:
         # ParameterError covers CapacityError and the code/index validators
         raise SketchFormatError(f"malformed sketch: {exc}") from exc
-
-
-# magic, version, k* n* k n, eps_ss numerator and denominator
-_HEADER = struct.Struct("<4sH4I2I")
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
 
 
 def _need(data: bytes, end: int) -> int:

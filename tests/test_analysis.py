@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 from oracles import min_n_direct_search
-from rvsketch import analysis
-from rvsketch import (CapacityError, ParameterError, binary_entropy,
-                      binom_lower_tail,
-                      efficiency_bound_check, error_floor_check,
-                      false_accept_rate, fixed_weight, h2, hoeffding_bound,
-                      min_length_for_error_floor, min_sketch_len_for_budget,
-                      rate_bounds, residual_entropy_bound, support_size,
-                      thresholds)
+from rvsketch import (CapacityError, ParameterError, analysis,
+                      binary_entropy, binom_lower_tail, efficiency_bound_check,
+                      error_floor_check, false_accept_rate, fixed_weight, h2,
+                      hoeffding_bound, min_length_for_error_floor,
+                      min_sketch_len_for_budget, rate_bounds,
+                      residual_entropy_bound, support_size, thresholds)
 
 
 def _h2_highprec(x: Fraction) -> float:
@@ -443,8 +441,9 @@ class TestIterationBudget:
             assert n + 1 >= 2 ** (k_star * binary_entropy(Fraction(1, 4)))
 
 
-# Every analysis export that takes an eps or xi, called with that one
-# argument varied: (call, a valid value, values outside its domain).
+# Every analysis export that takes an eps or xi, keyed by (function,
+# parameter): a call that varies that one argument, and values outside its
+# domain. 1/8 is inside every domain.
 _EPS_CALLS = {
     ("binary_entropy", "x"): (
         binary_entropy, [Fraction(-1, 8), Fraction(9, 8)]),
