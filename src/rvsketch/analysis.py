@@ -53,7 +53,7 @@ def hoeffding_bound(n: int, eps: RationalLike) -> float:
     """Tail mass exp(-2 n eps^2) for a mean deviation of eps over n draws.
 
     A reported value, not a decision: it is taken in floats wherever n and
-    eps are floats, and otherwise from the exact exponent 2 n eps^2, 0.0
+    eps fit a float, and otherwise from the exact exponent 2 n eps^2, 0.0
     where exp underflows. error_floor_check decides by exponents instead.
     """
     if n < 1:
