@@ -45,6 +45,14 @@ def binary_entropy(x: RationalLike) -> float:
 h2 = binary_entropy
 
 
+def _entropy_bits(k_star: int, eps: Fraction) -> float:
+    """k* h2(eps) in floats, or CapacityError once k* passes float range."""
+    try:
+        return k_star * binary_entropy(eps)
+    except OverflowError:
+        raise CapacityError("k* h2(eps) is past float range") from None
+
+
 # exp(-x) is 0.0 in floats for every x above this
 _EXP_UNDERFLOW = 746
 
@@ -99,7 +107,7 @@ def fixed_weight(k_star: int, eps: RationalLike) -> int:
 def support_size(k_star: int, eps: RationalLike) -> Tuple[int, float]:
     """(exact, bound): C(k*, floor(k* eps)) and its 2^(k* h2(eps)) envelope,
     inf beyond float range. CapacityError where the weight passes 2^63,
-    the limit of math.comb."""
+    the limit of math.comb, or k* passes float range."""
     eps = _rational("eps", eps)
     weight = fixed_weight(k_star, eps)
     try:
@@ -107,7 +115,7 @@ def support_size(k_star: int, eps: RationalLike) -> Tuple[int, float]:
     except OverflowError:
         raise CapacityError(f"C(k*, m) for k* = {k_star} and weight "
                             f"m = {weight} is past the 2^63 weight limit") from None
-    bound = _pow2(k_star * binary_entropy(eps))
+    bound = _pow2(_entropy_bits(k_star, eps))
     if (k_star * eps).denominator == 1:
         assert exact <= bound, "entropy envelope violated at an exact weight"
     return exact, bound
@@ -168,7 +176,7 @@ def efficiency_bound_check(k_star: int, eps_rec: RationalLike,
     against 2^(k-n*) zero-prefix states, which equals n+1 exactly when the
     outer code is a full-length BCH code with k-n* check-symbol groups.
     """
-    lhs = k_star * binary_entropy(_rational("eps_rec", eps_rec))
+    lhs = _entropy_bits(k_star, _rational("eps_rec", eps_rec))
     rhs = k - n_star
     return BoundCheck(lhs <= rhs, lhs, _float_or_inf(rhs))
 
@@ -279,10 +287,16 @@ def residual_entropy_bound(n: int, eps_ss: RationalLike) -> int:
     return math.floor(_hoeffding_bits(n, _rational("eps_ss", eps_ss)))
 
 
+_POW2_DIGITS_MAX_EXPONENT = 10 ** 8   # 2^(10^8): 30,103,000 digits, about 3 s
+
+
 def false_accept_rate(k: int, n_star: int) -> Fraction:
-    """Zero-prefix acceptance rate 2^-(k-n*) for a decoy iteration."""
+    """Zero-prefix acceptance rate 2^-(k-n*) for a decoy iteration, up to
+    k-n* = _POW2_DIGITS_MAX_EXPONENT; CapacityError beyond it."""
     if k <= n_star:
         raise ParameterError(f"need k > n*, got k = {k}, n* = {n_star}")
+    if k - n_star > _POW2_DIGITS_MAX_EXPONENT:
+        raise CapacityError("2^(k-n*) is past the 2^(10^8) exponent limit")
     return Fraction(1, 2 ** (k - n_star))
 
 
@@ -317,6 +331,6 @@ def min_sketch_len_for_budget(k_star: int, eps_ss: RationalLike) -> Tuple[int, i
     The returned n grows exponentially in k* for any fixed eps_ss > 0,
     which is what makes the poly-in-n efficiency framing vacuous in k*.
     """
-    m_prime = math.ceil(k_star * binary_entropy(2 * _rational("eps_ss", eps_ss)))
+    m_prime = math.ceil(_entropy_bits(k_star, 2 * _rational("eps_ss", eps_ss)))
     m_prime = max(m_prime, 1)
     return m_prime, 2 ** m_prime - 1

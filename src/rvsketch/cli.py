@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analysis
+from .analysis import _POW2_DIGITS_MAX_EXPONENT
 from .bitcore import BitString, DimensionError, ParameterError, SeededRng
 from .codes import code_from_spec
 from .experiments import _KINDS, ExperimentConfig, run_experiment
@@ -47,9 +48,6 @@ def _text(val) -> str:
     if isinstance(val, (int, Fraction)) and not isinstance(val, bool):
         return str(Decimal(int(val)))
     return str(val)
-
-
-_POW2_DIGITS_MAX_EXPONENT = 10 ** 8   # 2^(10^8): 30,103,000 digits, about 3 s
 
 
 def _pow2_text(exponent: int) -> str:

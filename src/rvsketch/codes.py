@@ -12,14 +12,14 @@ reduced rows straight into that table and rejects a rank-deficient G; H
 and L are unpacked from the table on first use.
 
 Every code gets one coset-leader table at construction, built vectorized
-over all patterns of weight <= t from one gather of the packed table: each
-leader's support and full packed word (syndrome and L * leader), and a
-row index over every syndrome value, -1 where no leader has that syndrome
-(4 * 2^(n-k) bytes). A lookup reads the row of a packed word's syndrome
-and XORs in that leader's word: the syndrome bits of the result are zero
-exactly when the lookup hit, and its message bits are then L times the
-corrected word. A t = 0 code's table is {0}: every word looks up row 0,
-so decoding is exact membership. The lookup serves the public decode and,
+over all patterns of weight <= t from one gather of the packed table:
+entry s is the packed word (syndrome and L * leader) of the leader of
+syndrome s, zero where there is none (8 * 2^(n-k) bytes for n <= 64). A
+lookup XORs in the entry of a packed word's syndrome: the syndrome bits
+of the result are zero exactly when the lookup hit, and its message bits
+are then L times the corrected word; a miss XORs in zero and keeps its
+own nonzero syndrome. A t = 0 code's table is {0}: every word looks up
+entry 0, so decoding is exact membership. The lookup serves decode and,
 a whole batch of packed words at a time, the recovery scan. Codewords are
 BitStrings of length n; position i of a word is coefficient x^(i-1) in
 the polynomial view used by the BCH construction.
@@ -205,7 +205,7 @@ def _bch_generator(m: int, t: int) -> int:
 
 _TABLE_PATTERN_CAP = 2_000_000
 _CODE_CACHE_SIZE = 16      # entries in the code_from_text cache
-_CODE_CACHE_BYTES = 128 << 20   # code_from_text's array bytes: two n-k = 24 tables
+_CODE_CACHE_BYTES = 128 << 20   # cached array bytes: an n-k = 24 code sits alone
 
 
 class LinearCode:
@@ -248,28 +248,25 @@ class LinearCode:
         self._syn_mask = _low_mask(self._cols.shape[1:], n - k)
         self._build_table()
         # memoized codes are shared, so nothing they hold may change
-        self._arrays = (self.G, self._cols, self._rows, self._leaders,
-                        self._leader_words)
+        self._arrays = (self.G, self._cols, self._table)
         for a in self._arrays:
             a.flags.writeable = False
 
     def _build_table(self):
-        """Leader supports, leader packed words, and the row of each syndrome.
+        """_table[s]: the packed word of the leader of syndrome s, or zero.
 
-        _rows[s] is the leader row of syndrome s, or -1: a table with a
-        leader of nonzero syndrome has n-k <= 24, so the syndrome lies in
-        the first word and _rows spans every syndrome at 4 * 2^(n-k) bytes
-        (64 MB at n-k = 24); _key_mask picks its bits. A t = 0 table is {0}:
-        _rows = [0] and _key_mask is zero, so every word looks up the zero
-        leader, and a word hits iff its own syndrome is zero.
+        A table with a leader of nonzero syndrome has n-k <= 24, so the
+        syndrome lies in the first word, which _key_mask picks, and _table
+        spans every syndrome (128 MB at n-k = 24 and n <= 64). Patterns of
+        one syndrome differ by a nonzero codeword, so their message bits
+        differ: a collision leaves some pattern's word unstored. A t = 0
+        table is {0} with a zero _key_mask: a word hits iff its syndrome is zero.
         """
         n, r, t = self.n, self.n - self.k, self.t
         if t == 0:
             # the table {0}, without the batch machinery: fresh random codes
             # are built once per use, so their construction cost counts
-            self._rows = np.zeros(1, dtype=np.int32)
-            self._leaders = np.zeros((1, 0), dtype=np.uint8)
-            self._leader_words = np.zeros((1,) + self._cols.shape[1:], dtype=np.uint64)
+            self._table = np.zeros((1,) + self._cols.shape[1:], dtype=np.uint64)
             self._key_mask = _low_mask(self._cols.shape[1:], 0)
             return
         if r > 24:
@@ -284,18 +281,14 @@ class LinearCode:
             f"radius {t} exceeds the code's packing: syndrome collision")
         if total > 1 << r:   # more patterns than syndromes: pigeonhole
             raise collision
-        leaders = next(support_batches(n, weights, total))
-        packed = xor_gather(self._cols, leaders.T)
+        packed = xor_gather(self._cols, next(support_batches(n, weights, total)).T)
         self._key_mask = self._syn_mask
         syn = _fold(packed & self._key_mask)
-        rows = np.full(1 << r, -1, dtype=np.int32)
-        order = np.arange(total, dtype=np.int32)
-        rows[syn] = order
-        if (rows[syn] != order).any():
+        table = np.zeros((1 << r,) + packed.shape[1:], dtype=np.uint64)
+        table[syn] = packed
+        if (table[syn] != packed).any():
             raise collision
-        self._rows = rows
-        self._leaders = leaders
-        self._leader_words = packed
+        self._table = table
 
     # -- array-level paths (shared with the recovery scan) -----------------
 
@@ -305,17 +298,13 @@ class LinearCode:
         return _xor_rows(self._cols, words)
 
     def _lookup(self, packed: np.ndarray):
-        """(hit, row, fixed) per packed word of a batch: whether its syndrome
-        is in the table, the leader row looked up, and the word XOR that
-        leader's word. On a hit the syndrome bits of fixed are zero and its
-        message bits are L times the corrected word. On a miss the leader
-        read (row -1 reads the last one) has another syndrome, so some
-        syndrome bit of fixed stays set."""
-        # keys are below 2^24, so their int64 view is exact; intp rows
-        # take numpy's fast gather
-        row = self._rows[_fold(packed & self._key_mask).view(np.int64)].astype(np.intp)
-        fixed = packed ^ self._leader_words[row]
-        return _fold(fixed & self._syn_mask) == 0, row, fixed
+        """(hit, fixed) per packed word of a batch: whether its syndrome is in
+        the table, and the word XOR the table entry of its syndrome. On a hit
+        the syndrome bits of fixed are zero and its message bits are L times
+        the corrected word; a miss XORs in zero, so its syndrome stays set."""
+        # keys are below 2^24, so their int64 view is exact
+        fixed = packed ^ self._table[_fold(packed & self._key_mask).view(np.int64)]
+        return _fold(fixed & self._syn_mask) == 0, fixed
 
     # -- read on first use ------------------------------------------------
 
@@ -455,12 +444,10 @@ def decode(code: LinearCode, word: BitString) -> Optional[BitString]:
     """
     if len(word) != code.n:
         raise DimensionError(f"word length {len(word)} != n = {code.n}")
-    hit, row, _ = code._lookup(code._syndromes(word.bits[None]))
+    hit, fixed = code._lookup(code._syndromes(word.bits[None]))
     if not hit[0]:
         return None
-    flip = np.zeros(code.n + 1, dtype=np.uint8)
-    flip[code._leaders[row[0]]] = 1
-    return BitString._wrap(word.bits ^ flip[:code.n])
+    return encode(code, BitString._wrap(_field(fixed, code.n - code.k, code.n)[0]))
 
 
 def invert_message(code: LinearCode, codeword: BitString) -> BitString:

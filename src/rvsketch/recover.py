@@ -146,7 +146,7 @@ def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
     scanned = outer_fails = inner_fails = 0
     outcome = accepted_weight = None
     for index in _schedule(k_star, weights):
-        hit, _, fixed = outer._lookup(xor_gather(table, index))
+        hit, fixed = outer._lookup(xor_gather(table, index))
         survivors = np.flatnonzero(_fold(fixed & checked) == 0)
         first = len(survivors)   # becomes the first survivor the inner code decodes
         if first:
@@ -154,7 +154,7 @@ def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
             # inner word: the message suffix xor (zero pad || w' xor e')
             corrupted = _field(fixed[survivors], n - n_star, n)
             corrupted[:, n_star - k_star:] ^= w_prime.bits ^ e
-            decoded, _, secret = inner._lookup(inner._syndromes(corrupted))
+            decoded, secret = inner._lookup(inner._syndromes(corrupted))
             if decoded.any():
                 first = int(np.argmax(decoded))
         # every candidate before `stop` and every survivor before `first` failed

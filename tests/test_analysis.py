@@ -289,6 +289,16 @@ class TestBeyondFloatRange:
         chk = efficiency_bound_check(7, Fraction(1, 7), 10 ** 400, 15)
         assert chk.holds and chk.rhs == math.inf
 
+    @pytest.mark.parametrize("call", [
+        lambda big: support_size(big, Fraction(1, big)),
+        lambda big: efficiency_bound_check(big, Fraction(1, big), big + 1, big),
+        lambda big: min_sketch_len_for_budget(big, Fraction(1, 2 * big)),
+    ], ids=["support_size", "efficiency_bound_check", "min_sketch_len_for_budget"])
+    def test_k_star_past_float_range(self, call):
+        # k* h2(eps) takes k* as a float
+        with pytest.raises(CapacityError, match=r"k\* h2\(eps\) is past float range"):
+            call(10 ** 400)
+
 
 class TestFalseAcceptRate:
     def test_values(self):
@@ -299,6 +309,14 @@ class TestFalseAcceptRate:
     def test_requires_positive_pad(self):
         with pytest.raises(ParameterError, match=r"k = 15, n\* = 15"):
             false_accept_rate(15, 15)
+
+
+    def test_exponent_past_the_limit(self):
+        cap = analysis._POW2_DIGITS_MAX_EXPONENT
+        assert false_accept_rate(cap + 5, 5) == Fraction(1, 1 << cap)
+        for k, n_star in ((cap + 6, 5), (10 ** 201 + 1, 10 ** 200)):
+            with pytest.raises(CapacityError, match="exponent limit"):
+                false_accept_rate(k, n_star)
 
 
 class TestBinomLowerTail:
@@ -410,6 +428,14 @@ class TestMinLengthForErrorFloor:
         assert n == 68
         assert error_floor_check(n, Fraction(1, 14), 16, 15).holds
         assert not error_floor_check(n - 1, Fraction(1, 14), 16, 15).holds
+
+
+    @pytest.mark.parametrize("k", [15, 14])
+    def test_needs_k_above_n_star(self, k):
+        with pytest.raises(ParameterError, match=r"need k > n\*"):
+            error_floor_check(31, Fraction(1, 14), k, 15)
+        with pytest.raises(ParameterError, match=r"need k > n\*"):
+            min_length_for_error_floor(k, 15, Fraction(1, 14))
 
 
 class TestIterationBudget:

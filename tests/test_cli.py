@@ -3,6 +3,7 @@ import hashlib
 import io
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from decimal import Decimal
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvsketch import (BitString, ExperimentConfig, SeededRng, Sketch,
-                      SketchParams, analysis, bch_code, cli, code_from_spec,
-                      gen_index_vector, param_violations, save_sketch)
+from rvsketch import (BitString, ExperimentConfig, RecoveryReport, SeededRng,
+                      Sketch, SketchParams, analysis, bch_code, cli,
+                      code_from_spec, gen_index_vector, load_sketch_file,
+                      param_violations, recover_fixed, save_sketch)
 from rvsketch.cli import main
 from rvsketch.experiments import _KINDS
 
@@ -67,6 +69,13 @@ class TestSketchCommand:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert f"parameter violation: eps_ss = {eps} outside [1/14, 1/4]" in err
+
+    @pytest.mark.parametrize("eps", ["abc", "1/0"])
+    def test_non_rational_eps_flag(self, workdir, capsys, eps):
+        with pytest.raises(SystemExit) as exc:
+            main(_sketch_args(workdir, **{"--eps-ss": eps}))
+        assert exc.value.code == 2
+        assert f"argument --eps-ss: not a rational: {eps!r}" in capsys.readouterr().err
 
     def test_bad_code_spec(self, workdir):
         assert main(_sketch_args(workdir, **{"--inner": "nonsense"})) == 2
@@ -174,6 +183,64 @@ class TestRecoverCommand:
         assert main(args + ["--sweep"]) == 2   # above floor(k*/2): rejected
         assert "max_weight 99 outside [0, 3]" in capsys.readouterr().err
         assert main(args[:-1] + ["0", "--sweep"]) == 0
+
+
+class TestReadmeExample:
+    """The README's sketch and recover commands, run as written there."""
+
+    @staticmethod
+    def _commands():
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1]
+        lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+        return [shlex.split(line) for line in lines if line.startswith(
+            ("printf", "rvsketch sketch", "rvsketch recover"))]
+
+    def test_commands_as_written(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        outs = []
+        for argv in self._commands():
+            if argv[0] == "printf":   # printf 'bits' > path
+                assert argv[2] == ">"
+                Path(argv[3]).write_text(argv[1])
+                continue
+            assert main(argv[1:]) == 0
+            outs.append(capsys.readouterr())
+        assert [argv[1] for argv in self._commands() if argv[0] == "rvsketch"] \
+            == ["sketch", "recover", "recover"]
+        assert [err for _, err in outs] == ["", "", ""]
+        assert outs[0].out == (
+            "n = 31\n"
+            "k - n* = 1\n"
+            "eps_ss = 1/14\n"
+            "error floor holds: False (0.728821 vs 0.5)\n"
+            "enumeration budget holds: False (4.14171 vs 1 at eps_rec = 1/7)\n"
+            "sketch written to sk.bin\n")
+        assert hashlib.sha256(Path("sk.bin").read_bytes()).hexdigest() == (
+            "ab12fe9fa496bf4414cec9ac6969a10ac3dfd8076723ad0f1f8b2348207b8c04")
+        # the sweep accepts the secret at weight 1, its 8th candidate
+        assert outs[1].out == outs[2].out == "0011101\n"
+        header, row = Path("report.csv").read_text().splitlines()
+        assert header == RecoveryReport.CSV_HEADER
+        assert row.rsplit(",", 1)[0] == "0011101,8,1,0"
+
+    def test_eps_rec_report_matches_the_library(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for argv in self._commands():
+            if argv[0] == "printf":
+                Path(argv[3]).write_text(argv[1])
+            elif "--eps-rec" in argv:
+                assert main(argv[1:] + ["--out", "fixed.csv"]) == 0
+            elif argv[1] == "sketch":
+                assert main(argv[1:]) == 0
+        assert capsys.readouterr().out.endswith("sketch written to sk.bin\n0011101\n")
+        sk = load_sketch_file("sk.bin")
+        report = recover_fixed(sk, BitString("0011100"), Fraction(1, 7),
+                               sk.params.inner, sk.params.outer)
+        # weight floor(7/7) = 1: the 7th candidate decodes, after 6 outer misses
+        assert report == RecoveryReport(BitString("0011101"), 7, 1, 6, 0)
+        row = Path("fixed.csv").read_text().splitlines()[1]
+        assert row.rsplit(",", 1)[0] == report.csv_row().rsplit(",", 1)[0]
 
 
 def _bounds_argv(dims, eps_ss, eps_rec=None):
@@ -366,6 +433,14 @@ class TestBoundsCommand:
         assert done.stderr == (
             f"error: C(k*, m) for k* = {big} and weight m = {big // 2} "
             "is past the 2^63 weight limit\n")
+
+    def test_k_star_past_float_range(self):
+        # k* h2(eps_rec) takes k* as a float: one error line and exit 2
+        big = 10 ** 400
+        done = _bounds_in_child(_bounds_argv(
+            (big, big, big + 1, big + 1), f"1/{2 * big}"))
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: k* h2(eps) is past float range\n"
 
     def test_error_floor_boundary(self, capsys):
         # the float exponent judged the floor to hold one n too early

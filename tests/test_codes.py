@@ -243,7 +243,7 @@ def _text(G, t=0, kind="random", param=None):
 
 
 class TestMemoization:
-    ARRAYS = ("G", "H", "_L", "_cols", "_rows", "_leaders", "_leader_words")
+    ARRAYS = ("G", "H", "_L", "_cols", "_table")
 
     def test_texts_differing_in_g_give_distinct_codes(self, bch15):
         # a coordinate permutation keeps the BCH distance, so t = 2 still fits
@@ -254,7 +254,7 @@ class TestMemoization:
             G = np.ascontiguousarray(bch15.G[perm])
             code = code_from_text(_text(G, t=2, kind="bch", param=4))
             fresh = LinearCode(G, 2, kind="bch", param=4)
-            for name in ("H", "_L", "_rows", "_leaders"):
+            for name in ("H", "_L", "_table"):
                 assert np.array_equal(getattr(code, name), getattr(fresh, name))
             built.append(code)
         assert len({id(c) for c in built}) == len(perms)
@@ -288,13 +288,13 @@ class TestMemoization:
 
     @staticmethod
     def _distance_3_text(i):
-        """A [22, 4] t = 1 code text: n-k = 18, so a 1 MB syndrome index.
+        """A [21, 4] t = 1 code text: n-k = 17, so a 1 MiB coset table.
 
-        G = [I_4; P] has parity check [P | I_18], whose columns are distinct
+        G = [I_4; P] has parity check [P | I_17], whose columns are distinct
         and nonzero when P's columns are distinct with two bits set or more.
         """
         cols = 3 + 4 * (4 * i + np.arange(4))   # bits 0 and 1 always set
-        P = (cols[None, :] >> np.arange(18)[:, None] & 1).astype(np.uint8)
+        P = (cols[None, :] >> np.arange(17)[:, None] & 1).astype(np.uint8)
         return _text(np.vstack([np.eye(4, dtype=np.uint8), P]), t=1)
 
     def test_text_cache_is_bounded_in_bytes(self, monkeypatch):
@@ -455,8 +455,9 @@ class TestPackedTable:
         assert c._cols.shape == (10,) and c._syn_mask == 0
         self._check(c)
         every = np.arange(1 << 9, dtype=np.uint64)
-        hit, row, fixed = c._lookup(every)
-        assert hit.all() and not row.any() and np.array_equal(fixed, every)
+        hit, fixed = c._lookup(every)
+        assert hit.all() and np.array_equal(fixed, every)
+        assert c._table.tolist() == [0]
 
 
 class TestCosetTable:
@@ -484,13 +485,12 @@ class TestCosetTable:
                 syn = np.bitwise_xor.reduce(h_cols[pats], axis=1)
                 msg = np.bitwise_xor.reduce(l_cols[pats], axis=1)
                 word = syn | msg << r   # n <= 63: one flat packed word
-                hit, row, fixed = c._lookup(word)
+                hit, fixed = c._lookup(word)
                 assert hit.all()
-                assert np.array_equal(c._leaders[row, :w], pats)
-                assert (c._leaders[row, w:] == c.n).all()
-                assert np.array_equal(c._leader_words[row], word)
+                assert np.array_equal(c._table[syn], word)
                 assert not fixed.any()
-            assert (c._rows >= 0).sum() == total
+            # every entry but the zero leader's at syndrome 0 is a nonzero word
+            assert np.count_nonzero(c._table) == total - 1
         assert built == {3: 3, 4: 7, 5: 5, 6: 4}[m]
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
@@ -506,7 +506,7 @@ class TestCosetTable:
             if c.n - c.k > 20:
                 continue
             built += 1
-            h_cols = np.append(pack_rows(c.H.T), np.uint64(0))   # + sentinel
+            h_cols = pack_rows(c.H.T)
             leader_syn = np.concatenate([np.bitwise_xor.reduce(
                 h_cols[np.array(list(combinations(range(c.n), w)), np.intp)],
                 axis=1) for w in range(t + 1)])
@@ -515,17 +515,17 @@ class TestCosetTable:
             # message bits above the syndrome do not sway the lookup
             msg = SeededRng(m).integers(0, 1 << c.k, size=len(every),
                                         dtype=np.uint64)
-            hit, row, fixed = c._lookup(every | msg << np.uint64(r))
+            hit, fixed = c._lookup(every | msg << np.uint64(r))
             assert np.array_equal(hit, np.isin(every, leader_syn))
-            got = np.bitwise_xor.reduce(h_cols[c._leaders[row[hit]]], axis=1)
-            assert np.array_equal(got, every[hit])
-            # a hit clears the syndrome and fixes the message; a miss keeps
-            # syndrome bits set
+            # entry s of a hit carries syndrome s; a miss's entry is zero
             syn_bits = np.uint64((1 << r) - 1)
+            assert np.array_equal(c._table[hit] & syn_bits, every[hit])
+            assert not c._table[~hit].any()
+            # a hit clears the syndrome and fixes the message; a miss keeps
+            # its own syndrome bits set
             assert not (fixed[hit] & syn_bits).any()
             assert (fixed[~hit] & syn_bits).all()
-            expect = (every | msg << np.uint64(r)) ^ c._leader_words[row]
-            assert np.array_equal(fixed[hit], expect[hit])
+            assert np.array_equal(fixed, (every | msg << np.uint64(r)) ^ c._table)
         assert built == {3: 3, 4: 7, 5: 5, 6: 3}[m]
 
     @pytest.mark.parametrize("n,k", [(7, 4), (16, 8), (12, 12), (140, 70)])
@@ -539,9 +539,9 @@ class TestCosetTable:
             0, 1, 2 ** r - 1, 1 << (r - 1), 1 << min(r - 1, 63),
             int(rng.integers(1, 2 ** min(r, 63)))]
         words = _as_packed([s | m << r for s, m in zip(syndromes, msgs)], n)
-        hit, row, fixed = c._lookup(words)
+        hit, fixed = c._lookup(words)
         assert hit.tolist() == [s == 0 for s in syndromes]
-        assert not row.any() and np.array_equal(fixed, words)
+        assert np.array_equal(fixed, words)
         if r <= 16:
             every = np.arange(1 << r, dtype=np.uint64)
             words = _as_packed([int(s) | msgs[0] << r for s in every], n)
@@ -553,8 +553,7 @@ class TestCosetTable:
 
     def test_zero_radius_table_is_zero_only(self, hamming7):
         c = LinearCode(hamming7.G, 0, "bch")
-        assert c._rows.tolist() == [0] and c._leaders.shape == (1, 0)
-        assert c._leader_words.tolist() == [0]
+        assert c._table.tolist() == [0] and c._key_mask == 0
         assert decode(c, _flip(encode(c, BitString("1011")), (2,))) is None
 
 
@@ -637,16 +636,16 @@ class TestBuiltArraysArePinned:
     digest also takes the next draw of its source, so it pins how many
     matrices the rejection loop drew."""
 
-    ARRAYS = ("H", "_L", "_cols", "_rows", "_leaders", "_leader_words")
+    ARRAYS = ("H", "_L", "_cols", "_table")
     RANDOM = {
-        (10, 8): "136b4b00dac21a65", (11, 11): "8adeadc861cd8f2e",
-        (12, 12): "c17dd2a311071db5", (13, 13): "90481926da45283f",
-        (14, 14): "daafcc561c2448f4", (15, 15): "c5e27ff93c03c445",
-        (16, 16): "6ad8ecc001a0fcfe", (40, 24): "34562a0ac36f00c9",
-        (130, 120): "56d8dac10ec87b83", (140, 70): "f78a25c66091bb34",
-        (150, 20): "59a0f8222ce2ff50",
+        (10, 8): "50b1a96338e6ff12", (11, 11): "6430fd70c63b1685",
+        (12, 12): "527971fe3773f296", (13, 13): "266d86e72c1d79fa",
+        (14, 14): "52b588a7aa62483f", (15, 15): "c676f8d308eca748",
+        (16, 16): "b3df34b4d58ada2a", (40, 24): "5831df9e269bd5f1",
+        (130, 120): "b4dc94854b903def", (140, 70): "8b2ca0c6f437ecba",
+        (150, 20): "bf543456d02b767e",
     }
-    BCH = "6acaa3221fbe3d19"
+    BCH = "d92d46ac898482ad"
 
     @classmethod
     def _add(cls, digest, code):
@@ -674,6 +673,22 @@ class TestBuiltArraysArePinned:
                 except CapacityError:
                     continue
         assert digest.hexdigest()[:16] == self.BCH
+
+
+class TestInputContracts:
+    """The documented errors of the constructor and the word operations."""
+
+    def test_constructor_rejects_k_above_n_and_a_negative_radius(self, hamming7):
+        with pytest.raises(ParameterError, match="k=4 exceeds blocklength n=3"):
+            LinearCode(np.ones((3, 4), dtype=np.uint8), 0, "random")
+        with pytest.raises(ParameterError, match="must be non-negative"):
+            LinearCode(hamming7.G, -1, "bch")
+
+    @pytest.mark.parametrize("op", [syndrome, decode, invert_message])
+    def test_word_of_the_wrong_length(self, hamming7, op):
+        for length in (6, 8):
+            with pytest.raises(DimensionError, match=f"word length {length} != n = 7"):
+                op(hamming7, BitString.zeros(length))
 
 
 class TestEncode:
@@ -840,7 +855,7 @@ class TestSerialization:
         again = code_from_text(code_to_text(bch31))
         assert again == bch31
         assert np.array_equal(again.H, bch31.H)
-        assert np.array_equal(again._rows, bch31._rows)
+        assert np.array_equal(again._table, bch31._table)
 
     def test_random_round_trip(self):
         c = random_linear_code(14, 6, SeededRng(16))

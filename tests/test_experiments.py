@@ -36,6 +36,15 @@ class TestConfig:
             run_experiment(ExperimentConfig(kind="false_accept", trials=40))
         ExperimentConfig(kind="false_accept").validate()
 
+    def test_min_iterations_must_be_positive(self):
+        with pytest.raises(ParameterError, match="min_iterations must be >= 1"):
+            run_experiment(ExperimentConfig(kind="false_accept", min_iterations=0))
+
+    @pytest.mark.parametrize("distance", [-1, 17])
+    def test_lsh_distance_outside_k_star(self, distance):
+        with pytest.raises(ParameterError, match=r"distance must lie in \[0, k_star\]"):
+            run_experiment(ExperimentConfig(kind="lsh", trials=1, distance=distance))
+
     @pytest.mark.parametrize("cfg", [
         ExperimentConfig(kind="correctness", trials=1, eps_ss="nan"),
         ExperimentConfig(kind="correctness", trials=1, eps_ss=float("inf")),

@@ -47,6 +47,13 @@ class TestIndexVector:
         assert a != "1,2,3"
 
 
+    def test_empty_vector_and_empty_source_rejected(self):
+        with pytest.raises(ParameterError, match="non-empty 1-d sequence"):
+            IndexVector(np.array([], dtype=np.uint32), 4)
+        with pytest.raises(ParameterError, match="source_len must be positive"):
+            IndexVector(np.array([1]), 0)
+
+
 class TestGenIndexVector:
     def test_single_source_index(self):
         iv = gen_index_vector(1, 5, SeededRng(3))
@@ -192,6 +199,16 @@ class TestExceedance:
         with pytest.raises(ParameterError):
             exceedance_frequencies(10, 64, Fraction(1, 4), Fraction(1, 8),
                                    10, SeededRng(0))
+
+    @pytest.mark.parametrize("xi, eps, message", [
+        (Fraction(1, 8), Fraction(1, 4), "need 0 <= eps <= xi"),
+        (Fraction(1, 4), Fraction(-1, 8), "need 0 <= eps <= xi"),
+        # d_far = 5 and d_near = 1 are integers, but 5 > k* = 4
+        (Fraction(3, 4), Fraction(1, 2), "far distance exceeds k_star"),
+    ])
+    def test_range_checks(self, xi, eps, message):
+        with pytest.raises(ParameterError, match=message):
+            exceedance_frequencies(4, 64, xi, eps, 10, SeededRng(0))
 
     def test_samples_are_reproducible(self):
         w = BitString.zeros(12)

@@ -281,6 +281,27 @@ class TestSketchFile:
         assert again.params.outer == sk.params.outer
         assert again.rng_algo_id == sk.rng_algo_id
 
+    def test_fields_must_match_params(self):
+        sk = self._make()
+        with pytest.raises(DimensionError, match="sketch length differs"):
+            Sketch(BitString.zeros(30), sk.params, sk.N, sk.rng_algo_id)
+        for k_star, n in ((7, 30), (8, 31)):
+            with pytest.raises(DimensionError, match="index vector inconsistent"):
+                Sketch(sk.ss, sk.params, gen_index_vector(k_star, n, SeededRng(1)),
+                       sk.rng_algo_id)
+
+    def test_dump_rejects_an_eps_numerator_past_u32(self):
+        sk = self._make()
+        params = dataclasses.replace(sk.params, eps_ss=Fraction(2 ** 32 + 1, 2 ** 35))
+        with pytest.raises(ParameterError, match="does not fit the u32/u32"):
+            dump_sketch(dataclasses.replace(sk, params=params))
+
+    def test_zero_eps_denominator(self):
+        blob = bytearray(dump_sketch(self._make()))
+        struct.pack_into("<I", blob, struct.calcsize("<4sH4II"), 0)
+        with pytest.raises(SketchFormatError, match="eps_ss denominator is zero"):
+            load_sketch(bytes(blob))
+
     def test_round_trip_compares_equal(self):
         sk = self._make()
         assert load_sketch(dump_sketch(sk)) == sk
