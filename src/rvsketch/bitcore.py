@@ -225,38 +225,40 @@ def lex_supports(n: int, weight: int) -> Iterator[np.ndarray]:
 
 
 def support_batches(n: int, weights: Sequence[int], rows: int) -> Iterator[np.ndarray]:
-    """The supports of each weight class in turn, `rows` at a time.
+    """The supports of each weight class in turn, `rows` at a time, each
+    batch the C-ordered intp (width, B) gather index xor_gather takes.
 
-    Rows are padded to max(weights) columns with the sentinel n, so a table
-    with an extra zero row at index n gathers every row alike, and the
-    weight of a row is its count of entries below n. Batches run across
-    weight classes; only the last one may be short.
+    Column b is one support, padded to width = max(weights) entries with
+    the sentinel n, so a table with an extra zero row at index n gathers
+    every column alike, and the weight of a column is its count of entries
+    below n. Batches run across weight classes; only the last one may be
+    short.
     """
     width = max(weights, default=0)
-    dtype = np.min_scalar_type(n)
     pending, count = [], 0
     for weight in weights:
         for block in lex_supports(n, weight):
-            padded = np.full((len(block), width), n, dtype=dtype)
-            padded[:, :weight] = block
+            padded = np.full((width, len(block)), n, dtype=np.intp)
+            padded[:weight] = block.T
             pending.append(padded)
-            count += len(padded)
+            count += len(block)
             while count >= rows:
-                merged = np.concatenate(pending)
-                yield merged[:rows]
-                pending, count = [merged[rows:]], count - rows
+                merged = np.concatenate(pending, axis=1)
+                yield np.ascontiguousarray(merged[:, :rows])
+                pending, count = [merged[:, rows:]], count - rows
     if count:
-        yield np.concatenate(pending)
+        yield np.concatenate(pending, axis=1)
 
 
 def xor_gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Row b is the XOR of table[j] over the entries j of column b of index.
+    """Entry b is the XOR of table[j] over the entries j of column b of index.
 
     table is packed uint64, (rows,) of one-word values or (rows, words), and
-    index is (width, B), a batch of supports laid out column by column, so
-    the gather is (width, B) or (width, B, words) and the reduction runs
-    over whole slices. Padded supports need a zero row at their sentinel
-    index.
+    index is an intp (width, B) batch laid out column by column, as
+    support_batches yields it, so the gather is (width, B) or
+    (width, B, words) and the reduction runs over whole slices; a C-ordered
+    index keeps the gather sequential. Padded columns need a zero row at
+    their sentinel index; a width of 0 gives B zero words.
     """
     return np.bitwise_xor.reduce(np.take(table, index, axis=0), axis=0)
 

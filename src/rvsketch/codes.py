@@ -119,14 +119,6 @@ def _parity_and_left_inverse(G: np.ndarray) -> np.ndarray:
     return cols[:, 0] if cols.shape[1] == 1 else cols
 
 
-def _xor_rows(cols: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """XOR of the packed rows cols[i] over the set bits i of each word of a
-    batch (B, m): (B,) for a flat table, (B, words) otherwise."""
-    chosen = (bits != 0).reshape(bits.shape + (1,) * (cols.ndim - 1))
-    return np.bitwise_xor.reduce(np.where(chosen, cols[:bits.shape[1]], np.uint64(0)),
-                                 axis=1)
-
-
 def _fold(packed: np.ndarray) -> np.ndarray:
     """Each packed word of a batch as one uint64, its words ORed together:
     zero exactly when the whole word is."""
@@ -255,9 +247,10 @@ class LinearCode:
     def _build_table(self):
         """_table[s]: the packed word of the leader of syndrome s, or zero.
 
-        A table with a leader of nonzero syndrome has n-k <= 24, so the
-        syndrome lies in the first word, which _key_mask picks, and _table
-        spans every syndrome (128 MB at n-k = 24 and n <= 64). Patterns of
+        _table spans every syndrome, 2^(n-k) packed words, so n-k is capped
+        where that would pass _CODE_CACHE_BYTES: at 24 for one word (128 MB
+        at n <= 64), 23 for two. The syndrome then lies in the first word,
+        which _key_mask picks, and every key is below 2^24. Patterns of
         one syndrome differ by a nonzero codeword, so their message bits
         differ: a collision leaves some pattern's word unstored. A t = 0
         table is {0} with a zero _key_mask: a word hits iff its syndrome is zero.
@@ -269,9 +262,11 @@ class LinearCode:
             self._table = np.zeros((1,) + self._cols.shape[1:], dtype=np.uint64)
             self._key_mask = _low_mask(self._cols.shape[1:], 0)
             return
-        if r > 24:
+        limit = (_CODE_CACHE_BYTES // (8 * math.prod(self._cols.shape[1:]))
+                 ).bit_length() - 1
+        if r > limit:
             raise CapacityError(
-                f"coset-leader table needs n-k <= 24, got {r}")
+                f"coset-leader table needs n-k <= {limit}, got {r}")
         weights = range(min(t, n) + 1)
         total = sum(math.comb(n, w) for w in weights)
         if total > _TABLE_PATTERN_CAP:
@@ -281,7 +276,7 @@ class LinearCode:
             f"radius {t} exceeds the code's packing: syndrome collision")
         if total > 1 << r:   # more patterns than syndromes: pigeonhole
             raise collision
-        packed = xor_gather(self._cols, next(support_batches(n, weights, total)).T)
+        packed = xor_gather(self._cols, next(support_batches(n, weights, total)))
         self._key_mask = self._syn_mask
         syn = _fold(packed & self._key_mask)
         table = np.zeros((1 << r,) + packed.shape[1:], dtype=np.uint64)
@@ -293,9 +288,11 @@ class LinearCode:
     # -- array-level paths (shared with the recovery scan) -----------------
 
     def _syndromes(self, words: np.ndarray) -> np.ndarray:
-        """Packed [H; L] * word for each row of words (B, n): the syndrome in
-        bits 0..n-k-1 and L * word above it."""
-        return _xor_rows(self._cols, words)
+        """Packed [H; L] * word for each row of words (B, m), m <= n: the
+        syndrome in bits 0..n-k-1 and L * word above it. Entry (i, b) of the
+        gather index is i where bit i of word b is set, else the sentinel n."""
+        index = np.where(words.T != 0, np.arange(words.shape[1])[:, None], self.n)
+        return xor_gather(self._cols, index)
 
     def _lookup(self, packed: np.ndarray):
         """(hit, fixed) per packed word of a batch: whether its syndrome is in

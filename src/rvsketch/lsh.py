@@ -9,12 +9,14 @@ hamming distance survives the stretch in expectation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
 
+from .analysis import RationalLike, _rational
 from .bitcore import (BitString, DimensionError, ParameterError, SeededRng,
                       hamming_distance)
 
@@ -32,7 +34,12 @@ class IndexVector:
         raw = np.asarray(self.indices)
         if raw.ndim != 1 or raw.size == 0:
             raise ParameterError("index vector must be a non-empty 1-d sequence")
-        if self.source_len < 1:
+        try:
+            source_len = operator.index(self.source_len)
+        except TypeError:
+            raise ParameterError(
+                f"source_len {self.source_len!r} is not an integer") from None
+        if source_len < 1:
             raise ParameterError("source_len must be positive")
         # checked before the uint32 cast, which would wrap or truncate
         if (raw.dtype.kind not in "biuf" or raw.min() < 1
@@ -161,8 +168,9 @@ class ExceedanceResult:
     trials: int
 
 
-def exceedance_frequencies(k_star: int, n: int, xi: Fraction, eps: Fraction,
-                           trials: int, rng: SeededRng) -> ExceedanceResult:
+def exceedance_frequencies(k_star: int, n: int, xi: RationalLike,
+                           eps: RationalLike, trials: int,
+                           rng: SeededRng) -> ExceedanceResult:
     """Estimate both concentration tails at the boundary input rates.
 
     The far pair sits at normalized distance xi+eps and we count RV
@@ -170,7 +178,7 @@ def exceedance_frequencies(k_star: int, n: int, xi: Fraction, eps: Fraction,
     count RV distances at or above n(xi+eps). Both rates are bounded by
     exp(-2 n eps^2). Requires (xi +- eps) * k_star to be integers.
     """
-    xi, eps = Fraction(xi), Fraction(eps)
+    xi, eps = _rational("xi", xi), _rational("eps", eps)
     if not 0 <= eps <= xi:
         raise ParameterError("need 0 <= eps <= xi")
     d_far = (xi + eps) * k_star

@@ -11,20 +11,21 @@ recovery of a wrong secret cannot be detected here and is only measurable
 by an experiment holding the ground truth.
 
 Everything up to each coset-table lookup is GF(2)-linear in the candidate,
-so the scan is vectorized over the outer code's packed [H; L] columns: one
-gather per batch of candidates yields each candidate's syndrome and
-message in one packed word (one flat uint64 per candidate when the outer
-n is at most 64). The probe's constant word [s0 | v0] rides in a copy of
-the per-call table that only a candidate's first support column reads
-(weight 0 reaches it through the padding sentinel). The outer lookup XORs
-in the leader's packed word, so one masked compare of the result per
-candidate tests the outer decode and the zero prefix together: its
-syndrome and prefix bits must all be zero. The bits above them are the
-survivor's inner word, and the inner lookup of the first survivor that
-decodes yields the recovered secret from its message bits. A schedule
-that fits in one batch has its gather index cached, read-only, by (k*,
-weights); larger ones stream. A cached index has at most 2^15 columns
-and, its weights being at most k*/2, at most 8 rows: 2 MiB at most.
+so the scan is vectorized over the outer code's packed [H; L] columns.
+The per-call table has one row per source bit, the XOR of the columns at
+the positions that sample it, and a zero row for the padding sentinel.
+One gather per batch of candidates, with the probe's constant word
+[s0 | v0] XORed in, yields each candidate's syndrome and message in one
+packed word (one flat uint64 per candidate when the outer n is at most
+64). The outer lookup XORs in the leader's packed word, so one masked
+compare of the result per candidate tests the outer decode and the zero
+prefix together: its syndrome and prefix bits must all be zero. The bits
+above them are the survivor's inner word, and the inner lookup of the
+first survivor that decodes yields the recovered secret from its message
+bits. A schedule that fits in one batch has its gather index cached,
+read-only, by (k*, weights); larger ones stream. A cached index has at
+most 2^15 columns and, its weights being at most k*/2, at most 8 rows:
+2 MiB at most.
 """
 
 from __future__ import annotations
@@ -79,39 +80,19 @@ class RecoveryReport:
 _SCHEDULE_CACHE_SIZE = 32   # cached single-batch schedules, so 64 MiB at most
 
 
-def _layout(supports: np.ndarray, k_star: int) -> np.ndarray:
-    """The (width, B) gather index of padded supports (B, width): row 0 reads
-    table rows 0..k* (the constant word's copy), the rest rows k*+1..2k*+1."""
-    width = supports.shape[1]
-    index = np.full((max(width, 1), len(supports)), k_star, dtype=np.intp)
-    index[:width] = supports.T
-    index[1:] += k_star + 1
-    return index
-
-
-def _bits(index: np.ndarray, k_star: int) -> np.ndarray:
-    """The candidates of a gather index as dense e' bits (B, k*)."""
-    e = np.zeros((index.shape[1], 2 * k_star + 2), dtype=np.uint8)
-    e[np.arange(index.shape[1]), index] = 1
-    return e[:, :k_star] | e[:, k_star + 1:-1]
-
-
 @functools.lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
 def _cached_layout(k_star: int, weights: tuple) -> np.ndarray:
     """The gather index of a schedule that fits in one batch, read-only."""
-    index = _layout(next(support_batches(k_star, weights, _BLOCK_ROWS)), k_star)
+    index = next(support_batches(k_star, weights, _BLOCK_ROWS))
     index.flags.writeable = False
     return index
 
 
 def _schedule(k_star: int, weights: Sequence[int]):
     """The gather index of each batch of the weight schedule, in order."""
-    total = sum(math.comb(k_star, w) for w in weights)
-    if total <= _BLOCK_ROWS:
-        yield _cached_layout(k_star, tuple(weights))
-        return
-    for supports in support_batches(k_star, weights, _BLOCK_ROWS):
-        yield _layout(supports, k_star)
+    if sum(math.comb(k_star, w) for w in weights) <= _BLOCK_ROWS:
+        return [_cached_layout(k_star, tuple(weights))]
+    return support_batches(k_star, weights, _BLOCK_ROWS)
 
 
 def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
@@ -134,23 +115,25 @@ def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
         raise ParameterError("code handles inconsistent with the sketch params")
     idx0 = sk.N.indices.astype(np.intp) - 1
     c0 = np.flatnonzero(sk.ss.bits ^ w_prime.bits[idx0])
-    # row k*+1+j is the XOR of the columns at every position sampling source
-    # bit j, so row 2k*+1 stays zero for the sentinel; row j is row k*+1+j
-    # with [s0 | v0] XORed in
-    table = np.zeros((2 * k_star + 2,) + outer._cols.shape[1:], dtype=np.uint64)
-    np.bitwise_xor.at(table[k_star + 1:], idx0, outer._cols[:-1])
-    np.bitwise_xor(table[k_star + 1:], xor_gather(outer._cols, c0[:, None]),
-                   out=table[:k_star + 1])
+    const = xor_gather(outer._cols, c0[:, None])   # [s0 | v0]
+    # row j is the XOR of the columns at every position sampling source bit
+    # j, so row k* stays zero for the sentinel
+    table = np.zeros((k_star + 1,) + outer._cols.shape[1:], dtype=np.uint64)
+    np.bitwise_xor.at(table, idx0, outer._cols[:-1])
     checked = _low_mask(outer._cols.shape[1:], n - n_star)   # syndrome and prefix
 
     scanned = outer_fails = inner_fails = 0
     outcome = accepted_weight = None
     for index in _schedule(k_star, weights):
-        hit, fixed = outer._lookup(xor_gather(table, index))
+        words = xor_gather(table, index)
+        words ^= const
+        hit, fixed = outer._lookup(words)
         survivors = np.flatnonzero(_fold(fixed & checked) == 0)
         first = len(survivors)   # becomes the first survivor the inner code decodes
         if first:
-            e = _bits(index[:, survivors], k_star)
+            e = np.zeros((first, k_star + 1), dtype=np.uint8)
+            e[np.arange(first), index[:, survivors]] = 1
+            e = e[:, :k_star]   # the e' bits, the sentinel column dropped
             # inner word: the message suffix xor (zero pad || w' xor e')
             corrupted = _field(fixed[survivors], n - n_star, n)
             corrupted[:, n_star - k_star:] ^= w_prime.bits ^ e

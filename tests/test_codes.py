@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from itertools import chain, combinations
 
 import numpy as np
@@ -550,6 +551,29 @@ class TestCosetTable:
     def test_radius_beyond_packing_is_a_collision(self, bch15):
         with pytest.raises(ParameterError, match="syndrome collision"):
             LinearCode(bch15.G, 3, "bch")
+
+    def test_two_word_table_past_the_byte_cap(self, monkeypatch):
+        # a two-word t = 1 code with n-k = 24 would hold 2^24 entries of 16
+        # bytes, twice _CODE_CACHE_BYTES: rejected before any pattern is
+        # enumerated or any table allocated
+        G = np.eye(65, 41, dtype=np.uint8)
+        text = code_to_text(LinearCode(G, 0, "random")).replace(
+            "\nt: 0\n", "\nt: 1\n")
+
+        def unreachable(*args):
+            raise AssertionError("patterns enumerated")
+        monkeypatch.setattr(codes, "support_batches", unreachable)
+        message = "coset-leader table needs n-k <= 23, got 24"
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=message):
+                LinearCode(G, 1, "random")
+            with pytest.raises(CapacityError, match=message):
+                code_from_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_zero_radius_table_is_zero_only(self, hamming7):
         c = LinearCode(hamming7.G, 0, "bch")

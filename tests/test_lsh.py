@@ -53,6 +53,16 @@ class TestIndexVector:
         with pytest.raises(ParameterError, match="source_len must be positive"):
             IndexVector(np.array([1]), 0)
 
+    @pytest.mark.parametrize("source_len", [2.5, 2.0, "4", None, np.float64(3)])
+    def test_non_integer_source_len_rejected(self, source_len):
+        with pytest.raises(ParameterError, match="is not an integer"):
+            IndexVector(np.array([1, 2]), source_len)
+
+    @pytest.mark.parametrize("source_len", [np.int64(3), np.uint8(3), True])
+    def test_integer_types_accepted(self, source_len):
+        iv = IndexVector(np.array([1, 1]), source_len)
+        assert iv == IndexVector(np.array([1, 1]), 1 if source_len is True else 3)
+
 
 class TestGenIndexVector:
     def test_single_source_index(self):
@@ -208,6 +218,16 @@ class TestExceedance:
     ])
     def test_range_checks(self, xi, eps, message):
         with pytest.raises(ParameterError, match=message):
+            exceedance_frequencies(4, 64, xi, eps, 10, SeededRng(0))
+
+    @pytest.mark.parametrize("xi, eps, name", [
+        ("nan", Fraction(1, 8), "xi"),
+        (Fraction(1, 4), "abc", "eps"),
+        (None, Fraction(1, 8), "xi"),
+        (Fraction(1, 4), float("inf"), "eps"),
+    ])
+    def test_non_rationals_raise_parameter_error(self, xi, eps, name):
+        with pytest.raises(ParameterError, match=f"^{name} = .* is not a finite rational"):
             exceedance_frequencies(4, 64, xi, eps, 10, SeededRng(0))
 
     def test_samples_are_reproducible(self):

@@ -82,11 +82,46 @@ class TestSplitEnumeration:
         expect = np.array(list(combinations(range(n), w)))
         assert np.array_equal(np.concatenate(blocks), expect)
         batches = list(support_batches(n, [w - 1, w], _BLOCK_ROWS))
-        assert all(len(b) == _BLOCK_ROWS for b in batches[:-1])
+        assert all(b.shape[1] == _BLOCK_ROWS for b in batches[:-1])
         padded = np.full((math.comb(n, w - 1), w), n)
         padded[:, :w - 1] = list(combinations(range(n), w - 1))
-        assert np.array_equal(np.concatenate(batches),
+        assert np.array_equal(np.concatenate(batches, axis=1).T,
                               np.concatenate([padded, expect]))
+
+
+def _assert_gather_index(index, width):
+    assert index.dtype == np.intp
+    assert index.flags.c_contiguous
+    assert index.ndim == 2 and index.shape[0] == width
+
+
+class TestGatherIndexLayout:
+    """Every batch is the C-ordered intp (width, B) index xor_gather takes."""
+
+    @pytest.mark.parametrize("n,weights,rows", [
+        (7, [0, 1, 2, 3], 10),          # runs across weight classes
+        (20, [6, 7], _BLOCK_ROWS),      # the weight-7 class is split
+        (5, [0], 4),                    # width 0
+    ])
+    def test_support_batches(self, n, weights, rows):
+        batches = list(support_batches(n, weights, rows))
+        for index in batches:
+            _assert_gather_index(index, max(weights))
+        assert all(index.shape[1] == rows for index in batches[:-1])
+        assert sum(index.shape[1] for index in batches) == \
+            sum(math.comb(n, w) for w in weights)
+
+    def test_cached_and_streamed_schedules(self, monkeypatch):
+        recover._cached_layout.cache_clear()
+        cached, = recover._schedule(7, range(4))
+        _assert_gather_index(cached, 3)
+        assert cached.shape == (3, 64)
+        monkeypatch.setattr(recover, "_BLOCK_ROWS", 5)
+        streamed = list(recover._schedule(7, range(4)))
+        for index in streamed:
+            _assert_gather_index(index, 3)
+        assert [index.shape[1] for index in streamed] == [5] * 12 + [4]
+        assert np.array_equal(np.concatenate(streamed, axis=1), cached)
 
 
 class TestRecoverFixed:
