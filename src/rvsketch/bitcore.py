@@ -285,6 +285,12 @@ class _KeySeq:
         return np.array([self.seed, 0], dtype=np.uint64)
 
 
+# Philox's counter, shared and read-only: Philox copies it into its state,
+# and an array skips the conversion of the int 0 to one
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.flags.writeable = False
+
+
 @functools.cache
 def _register_key_seq() -> None:
     # Philox takes any numpy ISeedSequence. Registering on first use, not
@@ -297,7 +303,9 @@ class SeededRng:
     """Counter-based deterministic random source.
 
     Philox4x64 with key (seed mod 2^64, 0) and counter 0, the state of
-    numpy's Philox(key=seed); no OS entropy is drawn. The same seed
+    numpy's Philox(key=seed); no OS entropy is drawn. Philox gets its key
+    words from _KeySeq and its counter as one shared read-only zero array,
+    so building a generator converts neither. The same seed
     yields the same stream on every platform. Instances are single-owner;
     further generators come from :meth:`spawn` (seed + stream_id).
     """
@@ -307,7 +315,8 @@ class SeededRng:
     def __init__(self, seed: int):
         self.seed = int(seed) & _SEED_MASK
         _register_key_seq()
-        self._gen = np.random.Generator(np.random.Philox(_KeySeq(self.seed)))
+        self._gen = np.random.Generator(
+            np.random.Philox(_KeySeq(self.seed), counter=_ZERO_COUNTER))
 
     def spawn(self, stream_id: int) -> "SeededRng":
         """Generator with seed + stream_id (mod 2^64).

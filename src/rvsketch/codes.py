@@ -7,8 +7,9 @@ H[i, j] for i < n-k and L[i-(n-k), j] above (bit i % 64 of word i // 64).
 A column takes ceil(n/64) uint64 words, and one word is stored as a flat
 uint64, so for n <= 64 the table is a 1-D array. One XOR of packed
 columns yields a word's syndrome and message in one packed word. One
-GF(2) elimination of [G^T | I_k], its rows Python ints, writes its
-reduced rows straight into that table and rejects a rank-deficient G; H
+GF(2) elimination of [G^T | I_k], its rows Python ints, rejects a
+rank-deficient G and writes each packed column straight from its reduced
+row as a Python int; one step turns those ints into the uint64 table. H
 and L are unpacked from the table on first use.
 
 Every code gets one coset-leader table at construction, built vectorized
@@ -72,9 +73,16 @@ def _parity_and_left_inverse(G: np.ndarray) -> np.ndarray:
     bit n; the i-th non-pivot column of H is the unit vector e_i, and of L
     zero. So H G = 0 and L G = I_k.
 
+    Each column of [H; L] is written from its row as one Python int: the
+    L bits are row >> n, and the H bits are the row's non-pivot bits,
+    compacted run by run of consecutive non-pivot columns: one shift and
+    mask per run, not per bit. No output work starts before the rank
+    check, so a rejected draw costs its elimination alone.
+
     Column j of [H; L] is packed contiguously, row i -> bit i % 64 of word
-    i // 64, in ceil(n/64) words, at least one; a single word is a flat
-    uint64, so the table is (n + 1,) for n <= 64 and (n + 1, words)
+    i // 64, in ceil(n/64) words, at least one; the n + 1 ints become
+    uint64 words in one step, for every word count. A single word is a
+    flat uint64, so the table is (n + 1,) for n <= 64 and (n + 1, words)
     beyond. The zero last row serves supports padded with the sentinel
     index n. The table is read-only.
     """
@@ -104,19 +112,29 @@ def _parity_and_left_inverse(G: np.ndarray) -> np.ndarray:
             row ^= basis[q]
             higher ^= q
         basis[p] = row
-    # column c of [H; L] in the columns of [G^T | I_k]: the row keyed by c
-    # without its pivot bit, or bit c alone at a non-pivot column
-    width = 8 * words
-    spread = b"".join((basis[1 << c] ^ 1 << c if pivots >> c & 1 else 1 << c)
-                      .to_bytes(width, "little") for c in range(n))
-    bits = np.unpackbits(np.frombuffer(spread, dtype=np.uint8).reshape(n, width),
-                         axis=1, count=n + k, bitorder="little")
-    order = [c for c in range(n) if not pivots >> c & 1] + list(range(n, n + k))
-    table = np.zeros((n + 1, 64 * max(1, -(-n // 64))), dtype=np.uint8)
-    table[:n, :n] = bits[:, order]
-    cols = np.packbits(table, axis=1, bitorder="little").view("<u8")
-    cols.flags.writeable = False   # before the flat view, so it inherits it
-    return cols[:, 0] if cols.shape[1] == 1 else cols
+    r = n - k
+    cols = [0] * (n + 1)
+    runs = []   # (first column, mask of its length, index of its first bit)
+    free = ~pivots & (1 << n) - 1
+    done = 0
+    while free:
+        start = (free & -free).bit_length() - 1
+        run = free >> start
+        length = (~run & run + 1).bit_length() - 1
+        runs.append((start, (1 << length) - 1, done))
+        for i in range(length):
+            cols[start + i] = 1 << done + i
+        done += length
+        free = run >> length << start + length
+    for p, row in basis.items():
+        col = row >> n << r
+        for start, mask, offset in runs:
+            col |= (row >> start & mask) << offset
+        cols[p.bit_length() - 1] = col
+    width = max(1, -(-n // 64))
+    table = np.frombuffer(b"".join(c.to_bytes(8 * width, "little") for c in cols),
+                          dtype="<u8")
+    return table if width == 1 else table.reshape(n + 1, width)
 
 
 def _fold(packed: np.ndarray) -> np.ndarray:

@@ -23,6 +23,14 @@ from .bitcore import (BitString, DimensionError, ParameterError, SeededRng,
 _CHUNK_TRIALS = 4096
 
 
+def _integer(name: str, value) -> int:
+    """value as an int, or ParameterError if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} {value!r} is not an integer") from None
+
+
 @dataclass(frozen=True, eq=False)
 class IndexVector:
     """Public random positions N, 1-based values in [1, source_len]; equal by value."""
@@ -34,12 +42,7 @@ class IndexVector:
         raw = np.asarray(self.indices)
         if raw.ndim != 1 or raw.size == 0:
             raise ParameterError("index vector must be a non-empty 1-d sequence")
-        try:
-            source_len = operator.index(self.source_len)
-        except TypeError:
-            raise ParameterError(
-                f"source_len {self.source_len!r} is not an integer") from None
-        if source_len < 1:
+        if _integer("source_len", self.source_len) < 1:
             raise ParameterError("source_len must be positive")
         # checked before the uint32 cast, which would wrap or truncate
         if (raw.dtype.kind not in "biuf" or raw.min() < 1
@@ -91,7 +94,9 @@ class IndexVector:
 
 
 def gen_index_vector(k_star: int, n: int, rng: SeededRng) -> IndexVector:
-    """n i.i.d. uniform draws from [1, k_star]."""
+    """n i.i.d. uniform draws from [1, k_star]; ParameterError unless k_star
+    and n are positive integers."""
+    k_star, n = _integer("k_star", k_star), _integer("n", n)
     if k_star < 1 or n < 1:
         raise ParameterError("k_star and n must be positive")
     # fresh in-range uint32 draws: nothing for the constructor to check
@@ -176,8 +181,11 @@ def exceedance_frequencies(k_star: int, n: int, xi: RationalLike,
     The far pair sits at normalized distance xi+eps and we count RV
     distances at or below n(xi-eps); the near pair sits at xi-eps and we
     count RV distances at or above n(xi+eps). Both rates are bounded by
-    exp(-2 n eps^2). Requires (xi +- eps) * k_star to be integers.
+    exp(-2 n eps^2). Requires (xi +- eps) * k_star to be integers, and
+    k_star, n and trials to be integers.
     """
+    k_star, n = _integer("k_star", k_star), _integer("n", n)
+    trials = _integer("trials", trials)
     xi, eps = _rational("xi", xi), _rational("eps", eps)
     if not 0 <= eps <= xi:
         raise ParameterError("need 0 <= eps <= xi")

@@ -12,6 +12,11 @@ The pipeline, for secret w of length k*:
 
 Only ss, N and the parameter block are public; e never leaves the debug
 bundle.
+
+make_sketch runs the pipeline in one pass over uint8 arrays. The k-n*
+zeros of v* meet only the first k-n* columns of the outer generator, so
+c is the product of the remaining columns with v_syn, and v* is built for
+the debug bundle alone, which wraps the same arrays.
 """
 
 from __future__ import annotations
@@ -26,10 +31,9 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .analysis import RationalLike, _rational, fixed_weight
-from .bitcore import (BitString, DimensionError, ParameterError, SeededRng,
-                      zero_pad_prefix)
-from .codes import LinearCode, code_from_text, code_to_text, encode
-from .lsh import IndexVector, sample_bits
+from .bitcore import BitString, DimensionError, ParameterError, SeededRng
+from .codes import LinearCode, code_from_text, code_to_text
+from .lsh import IndexVector
 
 @dataclass(frozen=True)
 class SketchParams:
@@ -107,13 +111,18 @@ def param_violations(k_star: int, n_star: int, k: int, n: int,
     return violations
 
 
-def sample_error(k_star: int, eps: RationalLike, rng: SeededRng) -> BitString:
-    """Uniform vector of length k* with weight exactly floor(k* eps)."""
+def _error_bits(k_star: int, eps: RationalLike, rng: SeededRng) -> np.ndarray:
+    """e as a fresh uint8 array: one subset draw, made only at weight > 0."""
     weight = fixed_weight(k_star, eps)
     out = np.zeros(k_star, dtype=np.uint8)
     if weight:
         out[rng.subset(k_star, weight)] = 1
-    return BitString._wrap(out)
+    return out
+
+
+def sample_error(k_star: int, eps: RationalLike, rng: SeededRng) -> BitString:
+    """Uniform vector of length k* with weight exactly floor(k* eps)."""
+    return BitString._wrap(_error_bits(k_star, eps, rng))
 
 
 @dataclass(frozen=True)
@@ -147,7 +156,13 @@ class Sketch:
 
 def make_sketch(w: BitString, N: IndexVector, eps_ss: RationalLike,
                 params: SketchParams, rng: SeededRng, debug: bool = False):
-    """Run the sketching pipeline.
+    """Run the sketching pipeline in one pass over uint8 arrays.
+
+    The error e takes one subset draw from rng, made only when its weight
+    floor(k* eps_ss) is above zero; nothing else is drawn. c is the outer
+    generator's columns past the zero prefix times v_syn, so v* is built
+    only for the debug bundle, whose seven fields wrap the arrays the
+    sketch was computed from.
 
     Returns the Sketch, or (Sketch, SketchDebug) when debug is requested.
     The eps_ss argument is the one actually used and is recorded in the
@@ -167,18 +182,22 @@ def make_sketch(w: BitString, N: IndexVector, eps_ss: RationalLike,
     if violations:
         raise ParameterError("; ".join(violations))
 
-    e = sample_error(params.k_star, params.eps_ss, rng)
-    c_star = encode(params.inner, w)
-    w_e = w ^ e
-    v_syn = c_star ^ zero_pad_prefix(w_e, params.n_star - params.k_star)
-    v_star = zero_pad_prefix(v_syn, params.k - params.n_star)
-    c = encode(params.outer, v_star)
-    phi = sample_bits(w_e, N)
-    ss = c ^ phi
-    sk = Sketch(ss=ss, params=params, N=N, rng_algo_id=rng.algo_id)
+    k_star, n_star = params.k_star, params.n_star
+    e = _error_bits(k_star, params.eps_ss, rng)
+    w_e = w.bits ^ e
+    c_star = params.inner.G @ w.bits & 1   # uint8 sums wrap, parity kept
+    v_syn = c_star.copy()
+    v_syn[n_star - k_star:] ^= w_e
+    # the outer code's columns past its zero prefix meet v_syn itself
+    c = params.outer.G[:, params.k - n_star:] @ v_syn & 1
+    phi = w_e[N.indices - 1]
+    sk = Sketch(ss=BitString._wrap(c ^ phi), params=params, N=N,
+                rng_algo_id=rng.algo_id)
     if debug:
-        return sk, SketchDebug(e=e, w_e=w_e, c_star=c_star, v_syn=v_syn,
-                               v_star=v_star, c=c, phi=phi)
+        v_star = np.zeros(params.k, dtype=np.uint8)
+        v_star[params.k - n_star:] = v_syn
+        return sk, SketchDebug(*map(BitString._wrap, (
+            e, w_e, c_star, v_syn, v_star, c, phi)))
     return sk
 
 

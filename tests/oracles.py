@@ -241,6 +241,29 @@ def scan_supports(sk, w_prime, candidates, inner, outer):
     return iterations, outer_fails, inner_fails, None, None
 
 
+def make_sketch_reference(w, N, eps_ss, params, rng):
+    """(ss, SketchDebug) of the sketching pipeline run stage by stage:
+    sample_error, encode, zero_pad_prefix, sample_bits and XOR, each a
+    public function on BitStrings, with v* built in full.
+
+    It draws from rng exactly as make_sketch does, so the two agree for
+    generators in the same state.
+    """
+    from rvsketch import (SketchDebug, encode, sample_bits, sample_error,
+                          zero_pad_prefix)
+
+    p = params
+    e = sample_error(p.k_star, eps_ss, rng)
+    w_e = w ^ e
+    c_star = encode(p.inner, w)
+    v_syn = c_star ^ zero_pad_prefix(w_e, p.n_star - p.k_star)
+    v_star = zero_pad_prefix(v_syn, p.k - p.n_star)
+    c = encode(p.outer, v_star)
+    phi = sample_bits(w_e, N)
+    return c ^ phi, SketchDebug(e=e, w_e=w_e, c_star=c_star, v_syn=v_syn,
+                                v_star=v_star, c=c, phi=phi)
+
+
 def first_accepting_candidate(sk, w_prime, weight, inner, outer):
     """(rank, recovered_bitstring) of the first accept in one weight class,
     or None; the single-weight case of scan_report.

@@ -1,5 +1,6 @@
 import inspect
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -123,6 +124,35 @@ class TestSupportSize:
         with pytest.raises(CapacityError, match=(
                 rf"k\* = {k_star} and weight m = {k_star // 2} is past")):
             support_size(k_star, Fraction(1, 2))
+
+    def test_past_the_bit_budget_raises_before_counting(self):
+        # C(10^6, 5 * 10^5) has 999,990 bits; math.comb takes seconds on it
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=(
+                r"weight m = 500000 has about 999989\.7 bits, "
+                r"past the budget of 524288 bits")):
+            support_size(10 ** 6, Fraction(1, 2))
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("budget", [10, 100, 1000])
+    def test_budget_edge(self, monkeypatch, budget):
+        # the largest k* at eps = 1/2 within a budget is counted, the next
+        # one raises
+        monkeypatch.setattr(analysis, "_COMB_BITS_BUDGET", budget)
+        k_star = next(k for k in range(1, 4 * budget + 20)
+                      if math.comb(k + 1, (k + 1) // 2) > 2 ** budget)
+        assert support_size(k_star, Fraction(1, 2))[0] == \
+            math.comb(k_star, k_star // 2)
+        with pytest.raises(CapacityError, match="past the budget"):
+            support_size(k_star + 1, Fraction(1, 2))
+
+    @pytest.mark.parametrize("n, m", [
+        (1, 0), (10, 3), (63, 31), (2000, 1000), (10 ** 5, 5 * 10 ** 4),
+        (2 ** 40 - 1, 1000), (2 ** 40, 1000), (2 ** 40, 2 ** 12),
+        (10 ** 15, 5000), (10 ** 20, 20000), (10 ** 400, 3)])
+    def test_size_estimate_against_the_exact_count(self, n, m):
+        exact = math.log2(math.comb(n, m))
+        assert analysis._log2_comb(n, m) == pytest.approx(exact, abs=0.05)
 
     def test_entropy_chain_on_grid(self):
         # C(k*, floor(2 k* eps)) <= 2^(k* h2(2 eps)) for eps in (0, 1/4]

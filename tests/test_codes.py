@@ -136,6 +136,25 @@ def _seeded_generator(n, k, seed, deficient=False):
     return G
 
 
+def _invertible(n, seed):
+    """A full-rank square generator: unit lower times unit upper triangular."""
+    rng = np.random.default_rng(seed)
+    lower = np.tril(rng.integers(0, 2, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(rng.integers(0, 2, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
+    return (lower @ upper % 2).astype(np.uint8)
+
+
+def _split_pivots(n, k, seed):
+    """An n x k generator whose rows 0-1, the two rows after each pivot
+    pair and the last rows are free: the free columns of [G^T | I_k] come
+    before, between and after its pivot runs."""
+    G = np.random.default_rng(seed).integers(0, 2, size=(n, k), dtype=np.uint8)
+    pivots = [2 + 4 * (j // 2) + j % 2 for j in range(k)]
+    G[:pivots[-1] + 1] = 0
+    G[pivots, range(k)] = 1
+    return G
+
+
 @st.composite
 def _wide_generators(draw):
     """n x k generators up to n = 200, so H and L each take one to four
@@ -157,6 +176,11 @@ class TestElimination:
     @example(_seeded_generator(200, 0, 5))       # H = I, no L rows
     @example(_seeded_generator(200, 199, 6, deficient=True))
     @example(np.zeros((70, 66), dtype=np.uint8))
+    @example(_split_pivots(12, 4, 7))              # free runs at 0, 4, 8-11
+    @example(_split_pivots(150, 30, 8))            # runs across H's words
+    @example(_invertible(64, 9))                   # square: one full word
+    @example(_invertible(65, 10))                  # square: one bit past it
+    @example(_invertible(128, 11))                 # square: two full words
     def test_packed_table_against_gauss_jordan(self, G):
         expect = gauss_jordan_parity_and_left_inverse(G)
         if expect is None:

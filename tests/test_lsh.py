@@ -87,6 +87,18 @@ class TestGenIndexVector:
         with pytest.raises(ParameterError):
             gen_index_vector(4, 0, SeededRng(0))
 
+    @pytest.mark.parametrize("k_star, n, name", [
+        (4.5, 10, "k_star"), (7, 10.0, "n"), ("7", 10, "k_star"),
+        (Fraction(7), 10, "k_star"), (7, None, "n")])
+    def test_non_integers_raise_parameter_error(self, k_star, n, name):
+        with pytest.raises(ParameterError, match=f"^{name} .* is not an integer"):
+            gen_index_vector(k_star, n, SeededRng(0))
+
+    def test_integer_types_give_an_int_source_len(self):
+        iv = gen_index_vector(np.int64(9), np.uint8(40), SeededRng(2))
+        assert iv == gen_index_vector(9, 40, SeededRng(2))
+        assert type(iv.source_len) is int
+
     @pytest.mark.parametrize("k_star,n", [(1, 1), (1, 7), (9, 1), (16, 63),
                                           (2 ** 32 - 1, 50)])
     def test_equals_the_checked_constructor(self, k_star, n):
@@ -229,6 +241,18 @@ class TestExceedance:
     def test_non_rationals_raise_parameter_error(self, xi, eps, name):
         with pytest.raises(ParameterError, match=f"^{name} = .* is not a finite rational"):
             exceedance_frequencies(4, 64, xi, eps, 10, SeededRng(0))
+
+    @pytest.mark.parametrize("k_star, n, trials, name", [
+        (4.5, 64, 10, "k_star"),
+        (4, 64.5, 10, "n"),
+        (4, 64, 10.5, "trials"),
+        (4, 64, "10", "trials"),
+        (Fraction(4), 64, 10, "k_star"),
+    ])
+    def test_non_integers_raise_parameter_error(self, k_star, n, trials, name):
+        with pytest.raises(ParameterError, match=f"^{name} .* is not an integer"):
+            exceedance_frequencies(k_star, n, Fraction(1, 4), Fraction(1, 4),
+                                   trials, SeededRng(0))
 
     def test_samples_are_reproducible(self):
         w = BitString.zeros(12)

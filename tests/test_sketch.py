@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import load_sketch_reference
+from oracles import load_sketch_reference, make_sketch_reference
 from rvsketch import (BitString, DimensionError, ParameterError, SeededRng,
                       Sketch, SketchFormatError, SketchParams, bch_code,
                       dump_sketch, encode, error_floor_check, fixed_weight,
@@ -259,6 +259,50 @@ class TestMakeSketch:
         N = gen_index_vector(7, 31, rng)
         with pytest.raises(ParameterError, match="outside"):
             make_sketch(BitString.zeros(7), N, eps, standard_params, rng)
+
+
+# (inner, outer) code pairs with n* < k, BCH and random, one outer past
+# one 64-bit word
+_REFERENCE_PAIRS = [
+    (lambda rng: bch_code(3, 1), lambda rng: bch_code(4, 1)),
+    (lambda rng: bch_code(4, 2), lambda rng: bch_code(5, 3)),
+    (lambda rng: bch_code(4, 2), lambda rng: bch_code(6, 2)),
+    (lambda rng: bch_code(4, 2), lambda rng: random_linear_code(70, 66, rng)),
+    (lambda rng: random_linear_code(10, 8, rng),
+     lambda rng: random_linear_code(13, 13, rng)),
+    (lambda rng: random_linear_code(12, 5, rng),
+     lambda rng: random_linear_code(100, 40, rng)),
+]
+
+
+class TestMakeSketchAgainstReference:
+    """make_sketch's one pass equals the stage-by-stage pipeline of public
+    functions, in ss and in every field of the debug bundle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(pair=st.integers(0, len(_REFERENCE_PAIRS) - 1),
+           seed=st.integers(0, 2 ** 32 - 1), num=st.integers(0, 2 ** 16))
+    @example(pair=3, seed=1, num=0)    # n = 70, weight 0
+    @example(pair=3, seed=1, num=5)    # n = 70, weight 1
+    @example(pair=5, seed=2, num=10)   # n = 100, weight 3
+    def test_ss_and_debug_bundle(self, pair, seed, num):
+        rng = SeededRng(seed)
+        make_inner, make_outer = _REFERENCE_PAIRS[pair]
+        params = SketchParams.from_codes(make_inner(rng.spawn(1)),
+                                         make_outer(rng.spawn(2)),
+                                         Fraction(1, 4))
+        k_star = params.k_star
+        # eps = (2 + num mod (k*-1)) / 4k* spans [1/(2k*), 1/4]: weight
+        # floor(k* eps) is 0 for the two smallest, above 0 from 4/4k* on
+        eps = Fraction(2 + num % (k_star - 1), 4 * k_star)
+        w = rng.spawn(3).random_bits(k_star)
+        N = gen_index_vector(k_star, params.n, rng.spawn(4))
+        sk, dbg = make_sketch(w, N, eps, params, rng.spawn(5), debug=True)
+        ss, want = make_sketch_reference(w, N, eps, params, rng.spawn(5))
+        assert sk.ss == ss
+        assert dbg == want
+        assert make_sketch(w, N, eps, params, rng.spawn(5)).ss == ss
+        assert dbg.e.weight == fixed_weight(k_star, eps)
 
 
 class TestSketchFile:
