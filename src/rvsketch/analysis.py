@@ -132,8 +132,11 @@ def support_size(k_star: int, eps: RationalLike) -> Tuple[int, float]:
     """(exact, bound): C(k*, floor(k* eps)) and its 2^(k* h2(eps)) envelope,
     inf beyond float range. CapacityError where the weight passes 2^63,
     the limit of math.comb, where C(k*, m) is estimated past
-    _COMB_BITS_BUDGET bits (2^19), or where k* passes float range."""
+    _COMB_BITS_BUDGET bits (2^19), or where k* passes float range;
+    ParameterError for a negative k*."""
     eps = _rational("eps", eps)
+    if k_star < 0:
+        raise ParameterError(f"k* = {k_star} must be non-negative")
     weight = fixed_weight(k_star, eps)
     if weight > _COMB_WEIGHT_MAX:
         raise CapacityError(f"C(k*, m) for k* = {k_star} and weight "

@@ -134,6 +134,11 @@ class TestSupportSize:
             support_size(10 ** 6, Fraction(1, 2))
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("k_star", [-1, -5, -(10 ** 400)])
+    def test_negative_k_star_is_a_parameter_error(self, k_star):
+        with pytest.raises(ParameterError, match="must be non-negative"):
+            support_size(k_star, Fraction(1, 4))
+
     @pytest.mark.parametrize("budget", [10, 100, 1000])
     def test_budget_edge(self, monkeypatch, budget):
         # the largest k* at eps = 1/2 within a budget is counted, the next
