@@ -176,7 +176,7 @@ class TestElimination:
     @example(_seeded_generator(200, 0, 5))       # H = I, no L rows
     @example(_seeded_generator(200, 199, 6, deficient=True))
     @example(np.zeros((70, 66), dtype=np.uint8))
-    @example(_split_pivots(12, 4, 7))              # free runs at 0, 4, 8-11
+    @example(_split_pivots(12, 4, 7))              # free runs 0-1, 4-5, 8-11
     @example(_split_pivots(150, 30, 8))            # runs across H's words
     @example(_invertible(64, 9))                   # square: one full word
     @example(_invertible(65, 10))                  # square: one bit past it
