@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -29,6 +30,14 @@ class CapacityError(ParameterError):
 
 
 _TEXT_RE = re.compile(r"^[01]+$")
+
+
+def _integer(name: str, value) -> int:
+    """value as an int, or ParameterError if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} {value!r} is not an integer") from None
 
 
 def bit_array(values, ndim: int, name: str) -> np.ndarray:
@@ -258,9 +267,11 @@ def xor_gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     support_batches yields it, so the gather is (width, B) or
     (width, B, words) and the reduction runs over whole slices; a C-ordered
     index keeps the gather sequential. Padded columns need a zero row at
-    their sentinel index; a width of 0 gives B zero words.
+    their sentinel index; a width of 0 gives B zero words. A 1-D index of m
+    rows is one column: the result is one word, the XOR of those rows, and
+    zero for m = 0.
     """
-    return np.bitwise_xor.reduce(np.take(table, index, axis=0), axis=0)
+    return np.bitwise_xor.reduce(table.take(index, axis=0), axis=0)
 
 
 RNG_ALGO_ID = "numpy-philox4x64"
@@ -313,7 +324,7 @@ class SeededRng:
     algo_id = RNG_ALGO_ID
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _SEED_MASK
+        self.seed = _integer("seed", seed) & _SEED_MASK
         _register_key_seq()
         self._gen = np.random.Generator(
             np.random.Philox(_KeySeq(self.seed), counter=_ZERO_COUNTER))
@@ -324,7 +335,7 @@ class SeededRng:
         Not independent of nearby seeds: SeededRng(s).spawn(2) and
         SeededRng(s + 1).spawn(1) are the same stream.
         """
-        return SeededRng((self.seed + int(stream_id)) & _SEED_MASK)
+        return SeededRng(self.seed + _integer("stream_id", stream_id))
 
     def integers(self, low: int, high: int, size=None, dtype=np.int64):
         """Uniform integers in [low, high), numpy semantics."""

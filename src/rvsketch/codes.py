@@ -48,8 +48,8 @@ from typing import Optional
 import numpy as np
 
 from .bitcore import (BitString, CapacityError, DimensionError,
-                      ParameterError, SeededRng, bit_array, support_batches,
-                      xor_gather)
+                      ParameterError, SeededRng, _integer, bit_array,
+                      support_batches, xor_gather)
 
 
 class InversionError(ValueError):
@@ -157,6 +157,24 @@ def _low_mask(word_shape: tuple, bits: int):
         return np.uint64((1 << bits) - 1)
     return np.frombuffer(((1 << bits) - 1).to_bytes(8 * word_shape[0], "little"),
                          dtype="<u8")
+
+
+@functools.lru_cache(maxsize=32)   # so at most 32 recovery tables' bytes
+def _unit_words(word_shape: tuple, lo: int, count: int) -> np.ndarray:
+    """count + 1 packed words of the given shape, read-only: word j has bit
+    lo + j alone set, and the last word is zero."""
+    width = 8 * (word_shape[0] if word_shape else 1)
+    units = b"".join((1 << lo + j).to_bytes(width, "little") for j in range(count))
+    return np.frombuffer(units + bytes(width), dtype="<u8").reshape(
+        (count + 1,) + word_shape)
+
+
+@functools.lru_cache(maxsize=256)
+def _positions(m: int) -> np.ndarray:
+    """The column 0..m-1 as a read-only intp (m, 1) array."""
+    column = np.arange(m)[:, None]
+    column.flags.writeable = False
+    return column
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +324,11 @@ class LinearCode:
     # -- array-level paths (shared with the recovery scan) -----------------
 
     def _syndromes(self, words: np.ndarray) -> np.ndarray:
-        """Packed [H; L] * word for each row of words (B, m), m <= n: the
-        syndrome in bits 0..n-k-1 and L * word above it. Entry (i, b) of the
-        gather index is i where bit i of word b is set, else the sentinel n."""
-        index = np.where(words.T != 0, np.arange(words.shape[1])[:, None], self.n)
+        """Packed [H; L] * word for each row of words, a uint8 0/1 (B, m)
+        array with m <= n: the syndrome in bits 0..n-k-1 and L * word above
+        it. Entry (i, b) of the gather index is i where bit i of word b is
+        set (read through a bool view), else the sentinel n."""
+        index = np.where(words.T.view(bool), _positions(words.shape[1]), self.n)
         return xor_gather(self._cols, index)
 
     def _lookup(self, packed: np.ndarray):
@@ -381,6 +400,7 @@ def bch_code(m_prime: int, t: int) -> LinearCode:
     coset-leader decoder caps the useful range anyway. Not cached: each
     call builds a new code.
     """
+    m_prime, t = _integer("m_prime", m_prime), _integer("t", t)
     if m_prime not in _PRIMITIVE_POLY:
         raise ParameterError(
             f"m_prime must be one of {sorted(_PRIMITIVE_POLY)}, got {m_prime}")
@@ -407,11 +427,13 @@ def bch_code(m_prime: int, t: int) -> LinearCode:
 
 def random_linear_code(n: int, k: int, rng: SeededRng) -> LinearCode:
     """Uniform full-rank n x k generator matrix, decoding radius 0."""
+    n, k = _integer("n", n), _integer("k", k)
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     while True:
-        # fresh 0/1 draws: nothing for the constructor to check
-        G = rng.integers(0, 2, size=(n, k), dtype=np.uint8)
+        # fresh 0/1 draws, nothing for the constructor to check; one flat
+        # draw is the stream of a size (n, k) draw at less cost
+        G = rng.integers(0, 2, size=n * k, dtype=np.uint8).reshape(n, k)
         try:
             return LinearCode._wrap(G, t=0, kind="random", param=rng.seed)
         except ParameterError:

@@ -9,7 +9,6 @@ hamming distance survives the stretch in expectation.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -18,17 +17,9 @@ import numpy as np
 
 from .analysis import RationalLike, _rational
 from .bitcore import (BitString, DimensionError, ParameterError, SeededRng,
-                      hamming_distance)
+                      _integer, hamming_distance)
 
 _CHUNK_TRIALS = 4096
-
-
-def _integer(name: str, value) -> int:
-    """value as an int, or ParameterError if it is not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,27 +12,29 @@ by an experiment holding the ground truth.
 
 Everything up to each coset-table lookup is GF(2)-linear in the candidate,
 so the scan is vectorized over the outer code's packed [H; L] columns.
-The per-call table has one row per source bit, the XOR of the columns at
-the positions that sample it, and a zero row for the padding sentinel.
-One gather per batch of candidates, with the probe's constant word
-[s0 | v0] XORed in, yields each candidate's syndrome and message in one
+The per-call table has one row per source bit j, the XOR of the columns
+at the positions that sample it plus bit n-k*+j, which e'_j flips in the
+inner word, and a zero row for the padding sentinel. One gather per batch
+of candidates, with the probe's constant word ([s0 | v0], w' at bits
+n-k*..n-1) XORed in, yields each candidate's syndrome and message in one
 packed word (one flat uint64 per candidate when the outer n is at most
-64). The outer lookup XORs in the leader's packed word, so one masked
-compare of the result per candidate tests the outer decode and the zero
-prefix together: its syndrome and prefix bits must all be zero. The bits
-above them are the survivor's inner word, and the inner lookup of the
-first survivor that decodes yields the recovered secret from its message
-bits. A schedule that fits in one batch has its gather index cached,
-read-only, by (k*, weights); larger ones stream. A cached index has at
-most 2^15 columns and, its weights being at most k*/2, at most 8 rows:
-2 MiB at most.
+64), w' xor e' in the message's last k* bits, above every bit the outer
+lookup reads. The outer lookup XORs in the leader's packed word, so one
+masked compare of the result per candidate tests the outer decode and the
+zero prefix together: its syndrome and prefix bits must all be zero. The
+bits above them are the survivor's inner word itself, so survivors decode
+from one unpack. The inner lookup of the first survivor that decodes
+yields the recovered secret, and its gather index column, counted without
+the sentinel, the accepted weight. A schedule that fits in one batch has
+its gather index cached, read-only, by (k*, weights); larger ones stream.
+A cached index has at most 2^15 columns and, its weights being at most
+k*/2, at most 8 rows: 2 MiB at most.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -41,8 +43,8 @@ import numpy as np
 
 from .analysis import RationalLike, _rational, fixed_weight
 from .bitcore import (_BLOCK_ROWS, BitString, DimensionError, ParameterError,
-                      support_batches, xor_gather)
-from .codes import LinearCode, _field, _fold, _low_mask
+                      _integer, support_batches, xor_gather)
+from .codes import LinearCode, _field, _fold, _low_mask, _unit_words
 from .sketch import Sketch, _eps_violation
 
 
@@ -101,24 +103,29 @@ def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
 
     With c'0 = ss xor sample_bits(w') and S the 0/1 sampling matrix of N,
     a candidate e' has the outer packed word [s0 | v0] xor [H S | L S] e'
-    (syndrome, then message), and the outer lookup XORs in its leader's
-    word. Bits 0..n-n*-1 of the result are the syndrome and the zero
-    prefix, which must all vanish; bits n-n*..n-1 are the message suffix
-    that, with (zero pad || w' xor e') XORed in, the inner code decodes.
+    (syndrome, then message) with w' xor e' XORed into bits n-k*..n-1 by
+    the constant word and the table, and the outer lookup XORs in its
+    leader's word. Bits 0..n-n*-1 of the result are the syndrome and the
+    zero prefix, which must all vanish; bits n-n*..n-1 are the message
+    suffix xor (zero pad || w' xor e'): the inner word, unpacked once.
     """
     t0 = time.perf_counter()
     p = sk.params
     k_star, n_star, n = p.k_star, p.n_star, outer.n
+    if not isinstance(w_prime, BitString):
+        w_prime = BitString(w_prime)
     if len(w_prime) != k_star:
         raise DimensionError(f"w' length {len(w_prime)} != k* = {k_star}")
     if inner != p.inner or outer != p.outer:
         raise ParameterError("code handles inconsistent with the sketch params")
     idx0 = sk.N.indices.astype(np.intp) - 1
-    c0 = np.flatnonzero(sk.ss.bits ^ w_prime.bits[idx0])
-    const = xor_gather(outer._cols, c0[:, None])   # [s0 | v0]
-    # row j is the XOR of the columns at every position sampling source bit
-    # j, so row k* stays zero for the sentinel
-    table = np.zeros((k_star + 1,) + outer._cols.shape[1:], dtype=np.uint64)
+    units = _unit_words(outer._cols.shape[1:], n - k_star, k_star)
+    # [s0 | v0], and w' at bits n-k*..n-1, where the inner word takes it
+    const = xor_gather(outer._cols, (sk.ss.bits ^ w_prime.bits[idx0]).nonzero()[0])
+    const ^= xor_gather(units, w_prime.bits.nonzero()[0])
+    # row j: bit n-k*+j, which e'_j flips, and the XOR of the columns at
+    # every position sampling source bit j; row k* stays zero for the sentinel
+    table = units.copy()
     np.bitwise_xor.at(table, idx0, outer._cols[:-1])
     checked = _low_mask(outer._cols.shape[1:], n - n_star)   # syndrome and prefix
 
@@ -128,16 +135,11 @@ def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
         words = xor_gather(table, index)
         words ^= const
         hit, fixed = outer._lookup(words)
-        survivors = np.flatnonzero(_fold(fixed & checked) == 0)
+        survivors = (_fold(fixed & checked) == 0).nonzero()[0]
         first = len(survivors)   # becomes the first survivor the inner code decodes
         if first:
-            e = np.zeros((first, k_star + 1), dtype=np.uint8)
-            e[np.arange(first), index[:, survivors]] = 1
-            e = e[:, :k_star]   # the e' bits, the sentinel column dropped
-            # inner word: the message suffix xor (zero pad || w' xor e')
-            corrupted = _field(fixed[survivors], n - n_star, n)
-            corrupted[:, n_star - k_star:] ^= w_prime.bits ^ e
-            decoded, secret = inner._lookup(inner._syndromes(corrupted))
+            decoded, secret = inner._lookup(
+                inner._syndromes(_field(fixed[survivors], n - n_star, n)))
             if decoded.any():
                 first = int(np.argmax(decoded))
         # every candidate before `stop` and every survivor before `first` failed
@@ -146,7 +148,8 @@ def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
         outer_fails += stop - int(np.count_nonzero(hit[:stop]))
         inner_fails += first
         if first < len(survivors):
-            accepted_weight = int(np.count_nonzero(e[first]))
+            # candidate stop-1 accepts; its entries below k* are its support
+            accepted_weight = int(np.count_nonzero(index[:, stop - 1] < k_star))
             outcome = BitString._wrap(
                 _field(secret[first:first + 1], inner.n - k_star, inner.n)[0])
             break
@@ -183,11 +186,7 @@ def recover_sweep(sk: Sketch, w_prime: BitString, inner: LinearCode,
     cap = sk.params.k_star // 2
     if max_weight is None:
         max_weight = cap
-    try:
-        max_weight = operator.index(max_weight)
-    except TypeError:
-        raise ParameterError(
-            f"max_weight {max_weight!r} is not an integer") from None
+    max_weight = _integer("max_weight", max_weight)
     if not 0 <= max_weight <= cap:
         raise ParameterError(f"max_weight {max_weight} outside [0, {cap}]")
     return _recover(sk, w_prime, inner, outer, range(max_weight + 1))

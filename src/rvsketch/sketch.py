@@ -172,6 +172,8 @@ def make_sketch(w: BitString, N: IndexVector, eps_ss: RationalLike,
     eps_ss = _rational("eps_ss", eps_ss)
     if eps_ss != params.eps_ss:
         params = dataclasses.replace(params, eps_ss=eps_ss)
+    if not isinstance(w, BitString):
+        w = BitString(w)
     if len(w) != params.k_star:
         raise DimensionError(
             f"secret length {len(w)} != k* = {params.k_star}")

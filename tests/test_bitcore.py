@@ -186,6 +186,21 @@ class TestSeededRng:
         assert base.spawn(3).seed == 10
         assert base.spawn(3).random_bits(16) == SeededRng(10).random_bits(16)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "abc", "1", None])
+    def test_seed_must_be_an_integer(self, seed):
+        # 1.5 used to become seed 1 and "abc" a bare ValueError
+        with pytest.raises(ParameterError, match="^seed .* is not an integer"):
+            SeededRng(seed)
+
+    def test_numpy_integer_seeds(self):
+        assert SeededRng(np.int64(5)).random_bits(16) == SeededRng(5).random_bits(16)
+        assert SeededRng(np.uint64(2 ** 64 - 1)).seed == 2 ** 64 - 1
+        assert SeededRng(7).spawn(np.int8(3)).seed == 10
+
+    def test_stream_id_must_be_an_integer(self):
+        with pytest.raises(ParameterError, match="^stream_id .* is not an integer"):
+            SeededRng(7).spawn(1.5)
+
     def test_subset_distinct(self):
         rng = SeededRng(5)
         for _ in range(50):

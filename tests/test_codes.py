@@ -108,6 +108,14 @@ class TestBchConstruction:
         with pytest.raises(ParameterError):
             bch_code(4, 0)
 
+    @pytest.mark.parametrize("m,t", [(4.0, 2), (4, 2.0), ("4", 2), (4, None)])
+    def test_arguments_must_be_integers(self, m, t):
+        with pytest.raises(ParameterError, match="is not an integer"):
+            bch_code(m, t)
+
+    def test_numpy_integer_arguments(self, bch15):
+        assert bch_code(np.int64(4), np.int32(2)) == bch15
+
     def test_weight_le_3_exhaustive_correction(self, bch31):
         # every pattern of weight <= 3 on random codewords decodes back
         rng = SeededRng(77)
@@ -605,6 +613,28 @@ class TestCosetTable:
         assert decode(c, _flip(encode(c, BitString("1011")), (2,))) is None
 
 
+class TestUnitWords:
+    """The read-only unit words the recovery table starts from."""
+
+    @pytest.mark.parametrize("shape,lo,count", [((), 5, 8), ((2,), 62, 8),
+                                                ((3,), 120, 20)])
+    def test_word_j_holds_bit_lo_plus_j(self, shape, lo, count):
+        units = codes._unit_words(shape, lo, count)
+        assert units.shape == (count + 1,) + shape and not units.flags.writeable
+        bits = codes._field(units, 0, 64 * (shape[0] if shape else 1))
+        expect = np.zeros_like(bits)
+        expect[np.arange(count), lo + np.arange(count)] = 1
+        assert np.array_equal(bits, expect)
+
+    def test_cache_is_bounded(self):
+        codes._unit_words.cache_clear()
+        size = codes._unit_words.cache_info().maxsize
+        for lo in range(size + 5):
+            codes._unit_words((), lo, 1)
+        info = codes._unit_words.cache_info()
+        assert info.currsize == info.maxsize == size == 32
+
+
 class TestRandomCode:
     @pytest.mark.parametrize("n,k", [(1, 1), (10, 8), (13, 13), (70, 30)])
     def test_equals_the_checked_constructor(self, n, k):
@@ -676,6 +706,15 @@ class TestRandomCode:
     def test_k_greater_than_n(self):
         with pytest.raises(ParameterError):
             random_linear_code(4, 5, SeededRng(0))
+
+    @pytest.mark.parametrize("n,k", [(10.5, 8), (10, 8.0), ("10", 8), (10, None)])
+    def test_dimensions_must_be_integers(self, n, k):
+        with pytest.raises(ParameterError, match="is not an integer"):
+            random_linear_code(n, k, SeededRng(0))
+
+    def test_numpy_integer_dimensions(self):
+        code = random_linear_code(np.int64(10), np.uint8(8), SeededRng(3))
+        assert code == random_linear_code(10, 8, SeededRng(3))
 
 
 class TestBuiltArraysArePinned:

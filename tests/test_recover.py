@@ -270,6 +270,32 @@ class TestRecoverSweep:
             recover_sweep(sk, w, *codes, max_weight=max_weight)
 
 
+class TestProbeInput:
+    """A probe may be anything BitString takes; it is converted once."""
+
+    @pytest.mark.parametrize("like", [str, lambda w: w.bits.tolist(),
+                                      lambda w: w.bits.copy(),
+                                      lambda w: w.bits.astype(bool)])
+    def test_bitstring_like_probes(self, codes, like):
+        w, sk = _sketch(codes, seed=21)
+        probe = BitString(w.bits ^ np.eye(1, 7, 3, dtype=np.uint8)[0])
+        assert recover_sweep(sk, like(probe), *codes) == recover_sweep(sk, probe, *codes)
+        eps = Fraction(2, 7)
+        assert (recover_fixed(sk, like(probe), eps, *codes)
+                == recover_fixed(sk, probe, eps, *codes))
+
+    @pytest.mark.parametrize("probe,error", [("01x0101", ParameterError),
+                                             ([0, 1, 2, 0, 1, 0, 1], ParameterError),
+                                             ("010101", DimensionError),
+                                             (np.zeros(8, dtype=np.uint8), DimensionError)])
+    def test_bad_probes(self, codes, probe, error):
+        _, sk = _sketch(codes, seed=21)
+        with pytest.raises(error):
+            recover_sweep(sk, probe, *codes)
+        with pytest.raises(error):
+            recover_fixed(sk, probe, Fraction(2, 7), *codes)
+
+
 class TestAcceptanceSoundness:
     def test_accepted_candidate_reproduces_the_decode_chain(self, codes):
         # for a successful run, rebuild the accepting candidate from the
@@ -471,6 +497,53 @@ class TestScanAgainstOracle:
         assert _counts(report) == scan_report(sk, probe, [3], inner, outer)
 
 
+@st.composite
+def _secret_swaps(draw):
+    """Codes, N, the sketch error e (one seed), a noise d and two secrets."""
+    rng = SeededRng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        inner = bch_code(4, 2)
+        outer = bch_code(*draw(st.sampled_from([(5, 3), (6, 2)])))
+    else:
+        k_star = draw(st.integers(3, 8))
+        inner = random_linear_code(k_star + draw(st.integers(0, 2)), k_star,
+                                   rng.spawn(1))
+        k = inner.n + draw(st.integers(1, 4))
+        n, k = draw(st.sampled_from([(k, k), (k + draw(st.integers(1, 12)), k),
+                                     (70, 60), (140, 70)]))
+        outer = random_linear_code(n, k, rng.spawn(2))
+    k_star = inner.k
+    eps = draw(st.sampled_from([Fraction(1, 2 * k_star), Fraction(1, 4)]))
+    params = SketchParams.from_codes(inner, outer, eps)
+    N = gen_index_vector(k_star, outer.n, rng.spawn(3))
+    d = np.zeros(k_star, dtype=np.uint8)
+    d[list(draw(st.sets(st.integers(0, k_star - 1), max_size=4)))] = 1
+    secrets = rng.spawn(4).random_bits(k_star), rng.spawn(5).random_bits(k_star)
+    return params, N, eps, rng.spawn(6).seed, BitString(d), secrets
+
+
+class TestSecretSwap:
+    """Every stage is GF(2)-linear and a bounded-distance decoder commutes
+    with adding a codeword, so a report depends on the codes, N and the
+    noise d = w' xor w_e alone: two secrets sketched with the same N and e
+    and probed at the same d agree on every count and on outcome xor w."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_secret_swaps())
+    def test_reports_agree_up_to_the_secret(self, case):
+        params, N, eps, seed, d, secrets = case
+        top = min(3, params.k_star // 2)
+        seen = []
+        for w in secrets:
+            sk, dbg = make_sketch(w, N, eps, params, SeededRng(seed), debug=True)
+            r = recover_sweep(sk, dbg.w_e ^ d, params.inner, params.outer,
+                              max_weight=top)
+            seen.append((dbg.e, r.iterations_used, r.accepted_weight,
+                         r.first_decode_failures, r.false_accepts_observed,
+                         None if r.outcome is None else r.outcome ^ w))
+        assert seen[0] == seen[1]
+
+
 class TestScalarAttemptCalls:
     """Accepting and exhausting scans match the scalar scan_report oracle,
     the secret included, on cases the hypothesis strategy does not draw
@@ -529,6 +602,23 @@ class TestScalarAttemptCalls:
         assert _counts(report) == (9, outer_fails, 0, 1, w)
         assert _counts(report) == scan_report(sk, probe, [0, 1], inner, outer)
 
+    @pytest.mark.parametrize("flips", [(1, 6), (0, 1, 2, 3, 4, 5, 6, 7)])
+    def test_folded_bits_straddle_a_word_boundary(self, flips):
+        # outer [70, 60] and k* = 8: w' xor e' is folded into bits 62..69
+        inner = random_linear_code(10, 8, SeededRng(40))
+        outer = random_linear_code(70, 60, SeededRng(41))
+        eps = Fraction(1, 8)
+        params = SketchParams.from_codes(inner, outer, eps)
+        w = SeededRng(42).random_bits(8)
+        N = gen_index_vector(8, 70, SeededRng(43))
+        sk, dbg = make_sketch(w, N, eps, params, SeededRng(44), debug=True)
+        bits = dbg.w_e.bits.copy()
+        bits[list(flips)] ^= 1
+        probe = BitString(bits)
+        report = recover_sweep(sk, probe, inner, outer, max_weight=3)
+        assert (report.outcome == w) is (len(flips) <= 3)
+        assert _counts(report) == scan_report(sk, probe, range(4), inner, outer)
+
     def test_no_scalar_pipeline(self):
         assert not hasattr(recover, "_Pipeline")
 
@@ -547,8 +637,10 @@ class TestScheduleCache:
         assert (info.hits, info.misses) == (1, 1)
         batches = []
         real = recover.xor_gather
+        # a batch index is 2-D; the 1-D ones build the constant word
         monkeypatch.setattr(recover, "xor_gather",
-                            lambda table, index: batches.append(index.shape[1])
+                            lambda table, index: index.ndim == 2
+                            and batches.append(index.shape[1])
                             or real(table, index))
         for rows in (1, 2, 7):
             monkeypatch.setattr(recover, "_BLOCK_ROWS", rows)
@@ -556,9 +648,8 @@ class TestScheduleCache:
             report = recover_fixed(sk, probe, Fraction(3, 8), inner, outer)
             assert report == warm
             assert _counts(report) == scan_report(sk, probe, [3], inner, outer)
-            scanned = batches[1:]   # the first gather is the constant word's
-            assert len(scanned) == -(-report.iterations_used // rows)
-            assert set(scanned[:-1]) <= {rows} and scanned[-1] <= rows
+            assert len(batches) == -(-report.iterations_used // rows)
+            assert set(batches[:-1]) <= {rows} and batches[-1] <= rows
         assert recover._cached_layout.cache_info() == info
 
     @pytest.mark.parametrize("near", [True, False])

@@ -246,6 +246,23 @@ class TestMakeSketch:
             make_sketch(BitString.zeros(7), N_bad, Fraction(1, 14),
                         standard_params, rng)
 
+    @pytest.mark.parametrize("like", [str, lambda w: w.bits.tolist(),
+                                      lambda w: w.bits.copy()])
+    def test_bitstring_like_secrets(self, standard_params, like):
+        w = SeededRng(30).random_bits(7)
+        N = gen_index_vector(7, 31, SeededRng(31))
+        expect = make_sketch(w, N, Fraction(1, 14), standard_params, SeededRng(32))
+        assert make_sketch(like(w), N, Fraction(1, 14), standard_params,
+                           SeededRng(32)) == expect
+
+    @pytest.mark.parametrize("w,error", [("01x0101", ParameterError),
+                                         ([0, 1, 2, 0, 1, 0, 1], ParameterError),
+                                         ("010101", DimensionError)])
+    def test_bad_secrets(self, standard_params, w, error):
+        N = gen_index_vector(7, 31, SeededRng(31))
+        with pytest.raises(error):
+            make_sketch(w, N, Fraction(1, 14), standard_params, SeededRng(32))
+
     def test_out_of_range_eps_rejected(self, standard_params):
         rng = SeededRng(14)
         N = gen_index_vector(7, 31, rng)
