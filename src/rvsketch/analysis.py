@@ -2,9 +2,10 @@
 enumeration support sizes, tolerance thresholds, residual min-entropy and
 the rate bounds they bracket.
 
-Every eps and xi argument is taken as an exact Fraction by _rational, so
-anything that is not a finite rational raises ParameterError, as does every
-other domain error here. Reported exp/log values are floats; the error-floor
+Every eps and xi argument is taken as an exact Fraction by _rational and
+every integer argument as an int by _integer, so anything that is not a
+finite rational or an integer raises ParameterError, as does every other
+domain error here. Reported exp/log values are floats; the error-floor
 decisions are taken in decimal from the exact eps^2 and ln 2, with no float
 path and no hidden slack.
 """
@@ -17,7 +18,7 @@ from decimal import MAX_EMAX, ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 from typing import Tuple, Union
 
-from .bitcore import CapacityError, ParameterError
+from .bitcore import CapacityError, ParameterError, _integer
 
 RationalLike = Union[Fraction, int, str, float]
 
@@ -64,6 +65,7 @@ def hoeffding_bound(n: int, eps: RationalLike) -> float:
     eps fit a float, and otherwise from the exact exponent 2 n eps^2, 0.0
     where exp underflows. error_floor_check decides by exponents instead.
     """
+    n = _integer("n", n)
     if n < 1:
         raise ParameterError("n must be positive")
     eps = _rational("eps", eps)
@@ -101,7 +103,7 @@ def fixed_weight(k_star: int, eps: RationalLike) -> int:
     num, den = eps.numerator, eps.denominator
     if not 0 <= 2 * num <= den:
         raise ParameterError(f"eps = {eps} outside [0, 1/2]")
-    return k_star * num // den
+    return _integer("k_star", k_star) * num // den
 
 
 # math.comb refuses a weight past this, the 2^63 - 1 of its C long long
@@ -135,7 +137,7 @@ def support_size(k_star: int, eps: RationalLike) -> Tuple[int, float]:
     the limit of math.comb, where C(k*, m) is estimated past
     _COMB_BITS_BUDGET bits (2^19), or where k* passes float range;
     ParameterError for a negative k*."""
-    eps = _rational("eps", eps)
+    eps, k_star = _rational("eps", eps), _integer("k_star", k_star)
     if k_star < 0:
         raise ParameterError(f"k* = {k_star} must be non-negative")
     weight = fixed_weight(k_star, eps)
@@ -178,6 +180,7 @@ def thresholds(k_star: int, n: int, xi: RationalLike,
                eps_ss: RationalLike) -> Thresholds:
     """t_max = n(xi-eps), t_min = n(xi+eps) and the k*-space analogues."""
     xi, eps_ss = _rational("xi", xi), _rational("eps_ss", eps_ss)
+    k_star, n = _integer("k_star", k_star), _integer("n", n)
     if not 0 <= eps_ss <= xi <= Fraction(1, 2):
         raise ParameterError(
             f"need 0 <= eps_ss <= xi <= 1/2, got eps_ss={eps_ss}, xi={xi}")
@@ -209,8 +212,8 @@ def efficiency_bound_check(k_star: int, eps_rec: RationalLike,
     against 2^(k-n*) zero-prefix states, which equals n+1 exactly when the
     outer code is a full-length BCH code with k-n* check-symbol groups.
     """
-    lhs = _entropy_bits(k_star, _rational("eps_rec", eps_rec))
-    rhs = k - n_star
+    lhs = _entropy_bits(_integer("k_star", k_star), _rational("eps_rec", eps_rec))
+    rhs = _integer("k", k) - _integer("n_star", n_star)
     return BoundCheck(lhs <= rhs, lhs, _float_or_inf(rhs))
 
 
@@ -222,7 +225,7 @@ def error_floor_check(n: int, eps_ss: RationalLike, k: int,
     (_hoeffding_bits) against k-n*, which is exact at every size; lhs and
     rhs are reported as float values.
     """
-    delta = k - n_star
+    n, delta = _integer("n", n), _integer("k", k) - _integer("n_star", n_star)
     if delta < 1:
         raise ParameterError("need k > n*")
     eps = _rational("eps_ss", eps_ss)
@@ -254,6 +257,7 @@ def min_length_for_error_floor(k: int, n_star: int, eps_ss: RationalLike) -> int
     exact eps^2 = p^2/q^2 and ln 2 to 20 digits beyond the result's; the
     direct-search equality is exercised by the test suite.
     """
+    k, n_star = _integer("k", k), _integer("n_star", n_star)
     if k <= n_star:
         raise ParameterError("need k > n*")
     eps = _rational("eps_ss", eps_ss)
@@ -295,7 +299,8 @@ def rate_bounds(k_star: int, k: int, n_star: int, eps_ss: RationalLike,
 
     R is negative when k-n* > k*: such a sketch is in the below-gv regime.
     """
-    delta = k - n_star
+    k_star = _integer("k_star", k_star)
+    delta = _integer("k", k) - _integer("n_star", n_star)
     if k_star < 1 or delta < 1:
         raise ParameterError(f"need k* >= 1 and k-n* >= 1, got {k_star}, {delta}")
     two_eps = 2 * _rational("eps_ss", eps_ss)
@@ -317,7 +322,7 @@ def residual_entropy_bound(n: int, eps_ss: RationalLike) -> int:
     where this floor claims 1, because every stage of make_sketch is
     GF(2)-linear.
     """
-    return math.floor(_hoeffding_bits(n, _rational("eps_ss", eps_ss)))
+    return math.floor(_hoeffding_bits(_integer("n", n), _rational("eps_ss", eps_ss)))
 
 
 _POW2_DIGITS_MAX_EXPONENT = 10 ** 8   # 2^(10^8): 30,103,000 digits, about 3 s
@@ -326,6 +331,7 @@ _POW2_DIGITS_MAX_EXPONENT = 10 ** 8   # 2^(10^8): 30,103,000 digits, about 3 s
 def false_accept_rate(k: int, n_star: int) -> Fraction:
     """Zero-prefix acceptance rate 2^-(k-n*) for a decoy iteration, up to
     k-n* = _POW2_DIGITS_MAX_EXPONENT; CapacityError beyond it."""
+    k, n_star = _integer("k", k), _integer("n_star", n_star)
     if k <= n_star:
         raise ParameterError(f"need k > n*, got k = {k}, n* = {n_star}")
     if k - n_star > _POW2_DIGITS_MAX_EXPONENT:
@@ -340,6 +346,7 @@ def binom_lower_tail(k: int, n: int, p: float) -> float:
     for the binomial coefficient, log1p(-p) for log q) and scaled back from
     their largest term, so neither a tiny p^i nor a huge C(n, i) overflows.
     """
+    k, n = _integer("k", k), _integer("n", n)
     if n < 0 or not 0.0 <= p <= 1.0:
         raise ParameterError(f"need n >= 0 and p in [0, 1], got n={n}, p={p}")
     if k < 0:
@@ -364,6 +371,7 @@ def min_sketch_len_for_budget(k_star: int, eps_ss: RationalLike) -> Tuple[int, i
     The returned n grows exponentially in k* for any fixed eps_ss > 0,
     which is what makes the poly-in-n efficiency framing vacuous in k*.
     """
-    m_prime = math.ceil(_entropy_bits(k_star, 2 * _rational("eps_ss", eps_ss)))
+    eps_ss = _rational("eps_ss", eps_ss)
+    m_prime = math.ceil(_entropy_bits(_integer("k_star", k_star), 2 * eps_ss))
     m_prime = max(m_prime, 1)
     return m_prime, 2 ** m_prime - 1

@@ -32,12 +32,17 @@ class CapacityError(ParameterError):
 _TEXT_RE = re.compile(r"^[01]+$")
 
 
-def _integer(name: str, value) -> int:
-    """value as an int, or ParameterError if it is not an integer."""
+def _integer(name: str, value, low=-math.inf, high=math.inf) -> int:
+    """value as an int; ParameterError if not one or < low, DimensionError if > high."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ParameterError(f"{name} {value!r} is not an integer") from None
+    if value < low:
+        raise ParameterError(f"{name} = {value} must be at least {low}")
+    if value > high:
+        raise DimensionError(f"{name} = {value} must be at most {high}")
+    return value
 
 
 def bit_array(values, ndim: int, name: str) -> np.ndarray:
@@ -91,11 +96,11 @@ class BitString:
 
     @classmethod
     def zeros(cls, length: int) -> "BitString":
-        return cls._wrap(np.zeros(length, dtype=np.uint8))
+        return cls._wrap(np.zeros(_integer("length", length, 0), dtype=np.uint8))
 
     @classmethod
     def ones(cls, length: int) -> "BitString":
-        return cls._wrap(np.ones(length, dtype=np.uint8))
+        return cls._wrap(np.ones(_integer("length", length, 0), dtype=np.uint8))
 
     @property
     def bits(self) -> np.ndarray:
@@ -113,16 +118,17 @@ class BitString:
 
     def bit(self, i: int) -> int:
         """Value of the i-th bit, 1-based."""
-        if not 1 <= i <= self._bits.size:
+        if not 1 <= _integer("i", i) <= self._bits.size:
             raise DimensionError(f"bit index {i} out of range 1..{self._bits.size}")
         return int(self._bits[i - 1])
 
     def prefix(self, m: int) -> "BitString":
         """First m bits."""
-        return BitString._wrap(self._bits[:m].copy())
+        return BitString._wrap(self._bits[:_integer("m", m, 0, len(self))].copy())
 
     def suffix(self, m: int) -> "BitString":
         """Last m bits."""
+        m = _integer("m", m, 0, len(self))
         return BitString._wrap(self._bits[self._bits.size - m:].copy())
 
     def __xor__(self, other: "BitString") -> "BitString":
@@ -181,82 +187,50 @@ def hamming_distance(a: BitString, b: BitString) -> int:
 
 def zero_pad_prefix(s: BitString, pad_len: int) -> BitString:
     """0^pad_len followed by s."""
-    if pad_len < 0:
-        raise ParameterError("pad_len must be non-negative")
+    pad_len = _integer("pad_len", pad_len, 0)
     out = np.zeros(pad_len + len(s), dtype=np.uint8)
     out[pad_len:] = s.bits
     return BitString._wrap(out)
 
 
 # ---------------------------------------------------------------------------
-# Fixed-weight supports in lexicographic order
-
-_BLOCK_ROWS = 1 << 15   # rows per support block and per recovery batch
-
-
-def _lex_class(n: int, weight: int) -> np.ndarray:
-    """All C(n, weight) supports over range(n), lexicographic.
-
-    Built level by level: each row is extended by every larger position
-    that still leaves room for the remaining ones, which keeps the order.
-    """
-    cols = []
-    last = np.full(1, -1, dtype=np.intp)
-    for level in range(weight):
-        counts = n - weight + level - last
-        parent = np.repeat(np.arange(last.size), counts)
-        first = np.cumsum(counts) - counts
-        last = last[parent] + 1 + np.arange(parent.size) - first[parent]
-        cols = [c[parent] for c in cols] + [last]
-    rows = np.empty((last.size, weight), dtype=np.min_scalar_type(n))
-    for j, col in enumerate(cols):
-        rows[:, j] = col
-    return rows
-
-
-def lex_supports(n: int, weight: int) -> Iterator[np.ndarray]:
-    """All supports of the given weight over range(n).
-
-    Rows hold sorted 0-based positions in lexicographic order (the order of
-    itertools.combinations) and come in blocks of at most _BLOCK_ROWS rows.
-    A class too large to build whole is split by its first position.
-    """
-    if math.comb(n, weight) <= _BLOCK_ROWS:
-        yield _lex_class(n, weight)
-        return
-    for a in range(n - weight + 1):
-        for sub in lex_supports(n - a - 1, weight - 1):
-            block = np.empty((len(sub), weight), dtype=np.min_scalar_type(n))
-            block[:, 0] = a
-            block[:, 1:] = sub
-            block[:, 1:] += a + 1
-            yield block
-
+# Fixed-weight supports in lexicographic order, unranked batch by batch
 
 def support_batches(n: int, weights: Sequence[int], rows: int) -> Iterator[np.ndarray]:
     """The supports of each weight class in turn, `rows` at a time, each
     batch the C-ordered intp (width, B) gather index xor_gather takes.
 
-    Column b is one support, padded to width = max(weights) entries with
-    the sentinel n, so a table with an extra zero row at index n gathers
-    every column alike, and the weight of a column is its count of entries
-    below n. Batches run across weight classes; only the last one may be
-    short.
+    Column b is one support, its sorted positions in lexicographic order
+    (that of itertools.combinations), padded to width = max(weights) with
+    the sentinel n, so a table with a zero row at n gathers every column
+    alike and a column's weight is its count of entries below n. Batches
+    run across weight classes; only the last may be short. Each is
+    unranked: of the weight-w supports sharing a head of i entries that
+    ends at p, cum[v] - cum[p+1] have entry i below v, with cum[v] =
+    C(n, w-i) - C(n-v, w-i), so entry i of every column is one
+    searchsorted in cum. Ranks are int64 below 2^63 supports, else ints.
     """
     width = max(weights, default=0)
-    pending, count = [], 0
-    for weight in weights:
-        for block in lex_supports(n, weight):
-            padded = np.full((width, len(block)), n, dtype=np.intp)
-            padded[:weight] = block.T
-            pending.append(padded)
-            count += len(block)
-            while count >= rows:
-                merged = np.concatenate(pending, axis=1)
-                yield np.ascontiguousarray(merged[:, :rows])
-                pending, count = [merged[:, rows:]], count - rows
-    if count:
-        yield np.concatenate(pending, axis=1)
+    sizes = [math.comb(n, w) for w in weights]
+    total = sum(sizes)
+    rank_type = np.int64 if total < 1 << 63 else object
+    for start in range(0, total, rows):
+        batch = np.full((width, min(rows, total - start)), n, dtype=np.intp)
+        base = 0   # rank of the class's first support in the schedule
+        for weight, size in zip(weights, sizes):
+            lo, hi = max(start, base), min(start + rows, base + size)
+            if lo < hi:
+                rank = np.arange(lo - base, hi - base, dtype=rank_type)
+                pos = np.full(hi - lo, -1, dtype=np.intp)   # entry i-1, or -1
+                for i in range(weight):
+                    cum = np.array([math.comb(n, weight - i) - math.comb(n - v, weight - i)
+                                    for v in range(n + 1)], dtype=rank_type)
+                    rank += cum[pos + 1]
+                    pos = cum.searchsorted(rank, side="right") - 1
+                    batch[i, lo - start:hi - start] = pos
+                    rank -= cum[pos]
+            base += size
+        yield batch
 
 
 def xor_gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -343,12 +317,13 @@ class SeededRng:
 
     def random_bits(self, length: int) -> BitString:
         """Uniform BitString of the given length."""
-        arr = self._gen.integers(0, 2, size=length, dtype=np.uint8)
+        arr = self._gen.integers(0, 2, _integer("length", length, 0), np.uint8)
         return BitString._wrap(np.ascontiguousarray(arr))
 
     def subset(self, n: int, m: int) -> np.ndarray:
         """m distinct 0-based positions drawn uniformly from range(n)."""
-        return self._gen.choice(n, size=m, replace=False)
+        n = _integer("n", n, 0)
+        return self._gen.choice(n, size=_integer("m", m, 0, n), replace=False)
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed})"

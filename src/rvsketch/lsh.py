@@ -114,7 +114,7 @@ def similarity(w: BitString, w_prime: BitString) -> Fraction:
 
 def expected_rv_distance(w: BitString, w_prime: BitString, n: int) -> Fraction:
     """Exact expectation of the RV distance under uniform index draws: n*d/k*."""
-    if n < 1:
+    if _integer("n", n) < 1:
         raise ParameterError("n must be positive")
     return Fraction(n * hamming_distance(w, w_prime), len(w))
 
@@ -132,6 +132,7 @@ def rv_distance_samples(w: BitString, w_prime: BitString, n: int,
     k_star = len(w)
     if k_star < 1:
         raise ParameterError("k_star must be positive")
+    n, trials = _integer("n", n), _integer("trials", trials)
     if n < 1 or trials < 1:
         raise ParameterError("n and trials must be positive")
     diff = (w.bits ^ w_prime.bits)

@@ -42,8 +42,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import RationalLike, _rational, fixed_weight
-from .bitcore import (_BLOCK_ROWS, BitString, DimensionError, ParameterError,
-                      _integer, support_batches, xor_gather)
+from .bitcore import (BitString, DimensionError, ParameterError, _integer,
+                      support_batches, xor_gather)
 from .codes import LinearCode, _field, _fold, _low_mask, _unit_words
 from .sketch import Sketch, _eps_violation
 
@@ -79,6 +79,7 @@ class RecoveryReport:
 # ---------------------------------------------------------------------------
 # Core scan
 
+_BLOCK_ROWS = 1 << 15        # candidates per batch of the scan
 _SCHEDULE_CACHE_SIZE = 32   # cached single-batch schedules, so 64 MiB at most
 
 

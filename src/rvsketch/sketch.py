@@ -31,7 +31,8 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .analysis import RationalLike, _rational, fixed_weight
-from .bitcore import BitString, DimensionError, ParameterError, SeededRng
+from .bitcore import (BitString, DimensionError, ParameterError, SeededRng,
+                      _integer)
 from .codes import LinearCode, code_from_text, code_to_text
 from .lsh import IndexVector
 
@@ -86,24 +87,32 @@ def param_violations(k_star: int, n_star: int, k: int, n: int,
     and (when given) eps_rec in [1/(2k*), 1/2], in that order.
 
     make_sketch, load_sketch and `rvsketch sketch`/`bounds` apply this one
-    list; an eps that is not a finite rational is listed, and the eps
-    ranges are checked once k* >= 1.
+    list. A dimension that is not an integer and an eps that is not a
+    finite rational are listed; the order rules are checked once the four
+    dimensions are integers, and the eps ranges once k* >= 1 as well.
     """
     violations = []
-    if k_star < 1:
-        violations.append(f"k_star = {k_star} must be at least 1")
-    if not k_star <= n_star:
-        violations.append(f"k* = {k_star} must be <= n* = {n_star}")
-    if not n_star < k:
-        violations.append(f"n* = {n_star} must be < k = {k}")
-    if not k <= n:
-        violations.append(f"k = {k} must be <= n = {n}")
+    for name, value in (("k_star", k_star), ("n_star", n_star), ("k", k), ("n", n)):
+        try:
+            _integer(name, value)
+        except ParameterError as exc:
+            violations.append(str(exc))
+    integral = not violations
+    if integral:
+        if k_star < 1:
+            violations.append(f"k_star = {k_star} must be at least 1")
+        if not k_star <= n_star:
+            violations.append(f"k* = {k_star} must be <= n* = {n_star}")
+        if not n_star < k:
+            violations.append(f"n* = {n_star} must be < k = {k}")
+        if not k <= n:
+            violations.append(f"k = {k} must be <= n = {n}")
     for name, eps, hi in (("eps_ss", eps_ss, 4), ("eps_rec", eps_rec, 2)):
         if eps is None and name == "eps_rec":
             continue
         try:
             eps = _rational(name, eps)
-            problem = k_star >= 1 and _eps_violation(name, eps, k_star, hi)
+            problem = integral and k_star >= 1 and _eps_violation(name, eps, k_star, hi)
         except ParameterError as exc:
             problem = str(exc)
         if problem:
@@ -122,6 +131,7 @@ def _error_bits(k_star: int, eps: RationalLike, rng: SeededRng) -> np.ndarray:
 
 def sample_error(k_star: int, eps: RationalLike, rng: SeededRng) -> BitString:
     """Uniform vector of length k* with weight exactly floor(k* eps)."""
+    k_star = _integer("k_star", k_star, 0)
     return BitString._wrap(_error_bits(k_star, eps, rng))
 
 

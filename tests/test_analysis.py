@@ -9,13 +9,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
+import numpy as np
 from oracles import min_n_direct_search
 from rvsketch import (CapacityError, ParameterError, analysis,
                       binary_entropy, binom_lower_tail, efficiency_bound_check,
                       error_floor_check, false_accept_rate, fixed_weight, h2,
                       hoeffding_bound, min_length_for_error_floor,
                       min_sketch_len_for_budget, rate_bounds,
-                      residual_entropy_bound, support_size, thresholds)
+                      param_violations, residual_entropy_bound,
+                      support_size, thresholds)
 
 
 def _h2_highprec(x: Fraction) -> float:
@@ -575,3 +577,93 @@ class TestEpsInputContract:
         call, _ = _EPS_CALLS[key]
         with pytest.raises(ParameterError):
             call(bad)
+
+
+# Every analysis export that takes an integer, keyed by (function,
+# parameter): a call that varies that one argument, and its valid value.
+_INT_CALLS = {
+    ("hoeffding_bound", "n"): (lambda n: hoeffding_bound(n, Fraction(1, 8)), 512),
+    ("fixed_weight", "k_star"): (lambda k: fixed_weight(k, Fraction(1, 4)), 16),
+    ("support_size", "k_star"): (lambda k: support_size(k, Fraction(1, 4)), 16),
+    ("thresholds", "k_star"): (
+        lambda k: thresholds(k, 64, Fraction(1, 4), Fraction(1, 16)), 16),
+    ("thresholds", "n"): (
+        lambda n: thresholds(16, n, Fraction(1, 4), Fraction(1, 16)), 64),
+    ("efficiency_bound_check", "k_star"): (
+        lambda k: efficiency_bound_check(k, Fraction(1, 8), 19, 15), 16),
+    ("efficiency_bound_check", "k"): (
+        lambda k: efficiency_bound_check(16, Fraction(1, 8), k, 15), 19),
+    ("efficiency_bound_check", "n_star"): (
+        lambda n: efficiency_bound_check(16, Fraction(1, 8), 19, n), 15),
+    ("error_floor_check", "n"): (
+        lambda n: error_floor_check(n, Fraction(1, 8), 19, 15), 512),
+    ("error_floor_check", "k"): (
+        lambda k: error_floor_check(512, Fraction(1, 8), k, 15), 19),
+    ("error_floor_check", "n_star"): (
+        lambda n: error_floor_check(512, Fraction(1, 8), 19, n), 15),
+    ("min_length_for_error_floor", "k"): (
+        lambda k: min_length_for_error_floor(k, 15, Fraction(1, 8)), 19),
+    ("min_length_for_error_floor", "n_star"): (
+        lambda n: min_length_for_error_floor(19, n, Fraction(1, 8)), 15),
+    ("rate_bounds", "k_star"): (
+        lambda k: rate_bounds(k, 19, 15, Fraction(1, 16), Fraction(1, 4)), 16),
+    ("rate_bounds", "k"): (
+        lambda k: rate_bounds(16, k, 15, Fraction(1, 16), Fraction(1, 4)), 19),
+    ("rate_bounds", "n_star"): (
+        lambda n: rate_bounds(16, 19, n, Fraction(1, 16), Fraction(1, 4)), 15),
+    ("residual_entropy_bound", "n"): (
+        lambda n: residual_entropy_bound(n, Fraction(1, 8)), 512),
+    ("false_accept_rate", "k"): (lambda k: false_accept_rate(k, 15), 19),
+    ("false_accept_rate", "n_star"): (lambda n: false_accept_rate(19, n), 15),
+    ("binom_lower_tail", "k"): (lambda k: binom_lower_tail(k, 16, 0.5), 4),
+    ("binom_lower_tail", "n"): (lambda n: binom_lower_tail(4, n, 0.5), 16),
+    ("min_sketch_len_for_budget", "k_star"): (
+        lambda k: min_sketch_len_for_budget(k, Fraction(1, 8)), 16),
+}
+_NOT_INTEGER = [7.5, 16.0, Fraction(33, 2), Fraction(16), "16", None]
+
+
+class TestIntegerInputContract:
+    """Every integer argument is taken through _integer: an int in any
+    integer type gives the same value, anything else raises ParameterError."""
+
+    def test_table_covers_every_integer_parameter(self):
+        found = {(fn.__name__, param)
+                 for name, fn in vars(analysis).items()
+                 if inspect.isfunction(fn) and not name.startswith("_")
+                 and fn.__module__ == analysis.__name__
+                 for param in inspect.signature(fn).parameters
+                 if param not in ("x", "xi", "p") and not param.startswith("eps")}
+        assert found == set(_INT_CALLS)
+
+    @pytest.mark.parametrize("key", list(_INT_CALLS), ids=".".join)
+    def test_integer_types_agree(self, key):
+        call, value = _INT_CALLS[key]
+        assert call(value) == call(np.int64(value))
+
+    @pytest.mark.parametrize("bad", _NOT_INTEGER, ids=repr)
+    @pytest.mark.parametrize("key", list(_INT_CALLS), ids=".".join)
+    def test_not_an_integer(self, key, bad):
+        call, _ = _INT_CALLS[key]
+        with pytest.raises(ParameterError, match="is not an integer"):
+            call(bad)
+
+    def test_fixed_weight_of_a_half_integer(self):
+        # floor(7.5 / 4) came back as the float 1.0
+        with pytest.raises(ParameterError, match="^k_star 7.5 is not an integer"):
+            fixed_weight(7.5, Fraction(1, 4))
+
+    @pytest.mark.parametrize("dims, listed", [
+        ((7.5, 15, 51, 63), ["k_star 7.5 is not an integer"]),
+        ((7, 15.0, 51, 63), ["n_star 15.0 is not an integer"]),
+        ((7, 15, "51", None), ["k '51' is not an integer",
+                               "n None is not an integer"]),
+        ((7, 15, 51, 63), []),
+        ((np.int64(7), 15, 51, np.uint16(63)), []),
+    ])
+    def test_param_violations_list_a_non_integer_dimension(self, dims, listed):
+        assert param_violations(*dims, Fraction(1, 14)) == listed
+
+    def test_param_violations_still_list_a_bad_eps(self):
+        assert param_violations(7.5, 15, 51, 63, "abc") == [
+            "k_star 7.5 is not an integer", "eps_ss = 'abc' is not a finite rational"]

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import rvsketch
 from rvsketch import (BitString, DimensionError, ParameterError, SeededRng,
-                      hamming_distance, hamming_weight, xor, zero_pad_prefix)
+                      empirical_rv_distance, expected_rv_distance,
+                      hamming_distance, hamming_weight, rv_distance_samples,
+                      sample_error, xor, zero_pad_prefix)
 
 bitstrings = st.text(alphabet="01", min_size=1, max_size=64).map(BitString)
 
@@ -167,6 +169,57 @@ class TestBitString:
     def test_from_packed_length_check(self):
         with pytest.raises(DimensionError):
             BitString.from_packed(b"\x00", 9)
+
+
+_W = BitString("0101")
+_RNG = SeededRng(0)   # no case draws from it
+# (function, arguments, the error the call must raise)
+_LENGTH_CASES = [
+    (_RNG.random_bits, (8.5,), ParameterError),
+    (_RNG.random_bits, (-1,), ParameterError),
+    (_RNG.subset, (8.5, 2), ParameterError),
+    (_RNG.subset, (8, 2.5), ParameterError),
+    (_RNG.subset, (8, -1), ParameterError),
+    (_RNG.subset, (3, 4), DimensionError),
+    (BitString.zeros, (3.5,), ParameterError),
+    (BitString.zeros, (-1,), ParameterError),
+    (BitString.ones, (3.5,), ParameterError),
+    (zero_pad_prefix, (_W, 2.5), ParameterError),
+    (sample_error, (7.5, 0.25, _RNG), ParameterError),
+    (sample_error, (-3, 0.25, _RNG), ParameterError),
+    (BitString("01").bit, (1.5,), ParameterError),
+    (_W.prefix, (-1,), ParameterError),
+    (_W.suffix, (-1,), ParameterError),
+    (_W.prefix, (1.5,), ParameterError),
+    (_W.suffix, (1.5,), ParameterError),
+    (_W.prefix, (9,), DimensionError),
+    (_W.suffix, (9,), DimensionError),
+    (expected_rv_distance, (_W, _W, 2.5), ParameterError),
+    (rv_distance_samples, (_W, _W, 2.5, 4, _RNG), ParameterError),
+    (rv_distance_samples, (_W, _W, 4, 2.5, _RNG), ParameterError),
+    (empirical_rv_distance, (_W, _W, 4, 1.5, _RNG), ParameterError),
+]
+
+
+class TestLengthContract:
+    """A length, count or position that is not an integer, or a negative
+    length, raises ParameterError; a position or length past the word
+    raises DimensionError; numpy's errors never surface."""
+
+    @pytest.mark.parametrize("fn, args, error", _LENGTH_CASES, ids=[
+        f"{fn.__name__}{args}" for fn, args, _ in _LENGTH_CASES])
+    def test_raises(self, fn, args, error):
+        with pytest.raises(error) as info:
+            fn(*args)
+        assert type(info.value) is error
+
+    def test_integer_forms_and_bounds_pass(self):
+        assert _W.prefix(np.int64(4)) == _W.suffix(4) == _W
+        assert _W.prefix(0) == _W.suffix(0) == BitString("")
+        assert _W.bit(np.int64(2)) == 1
+        assert BitString.zeros(np.int64(3)) == BitString("000")
+        assert len(SeededRng(0).subset(np.int64(3), 3)) == 3
+        assert SeededRng(0).random_bits(np.int64(5)) == SeededRng(0).random_bits(5)
 
 
 class TestSeededRng:

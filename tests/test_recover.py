@@ -1,7 +1,7 @@
 import hashlib
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from unittest import mock
 
 import numpy as np
@@ -16,7 +16,8 @@ from rvsketch import (BitString, DimensionError, IndexVector, LinearCode,
                       gen_index_vector, make_sketch, random_linear_code,
                       recover_fixed, recover_sweep)
 from rvsketch import recover
-from rvsketch.bitcore import _BLOCK_ROWS, lex_supports, support_batches
+from rvsketch.bitcore import support_batches
+from rvsketch.recover import _BLOCK_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -71,22 +72,68 @@ class TestErrorVectorAtRank:
             error_vector_at_rank(5, 2, 10)
 
 
-class TestSplitEnumeration:
-    """Classes above _BLOCK_ROWS rows are split by their first position."""
+def _padded_supports(n, weights):
+    """Every support of each weight class in turn, as one (width, total)
+    gather index from itertools.combinations, padded with the sentinel n."""
+    width = max(weights)
+    columns = [list(c) + [n] * (width - w)
+               for w in weights for c in combinations(range(n), w)]
+    return np.array(columns, dtype=np.intp).reshape(len(columns), width).T
+
+
+class TestUnranking:
+    """Each batch is unranked from its ranks and matches
+    itertools.combinations, within a class and across classes."""
 
     @pytest.mark.parametrize("n,w", [(18, 9), (20, 7), (22, 6)])
-    def test_split_class_against_combinations(self, n, w):
+    def test_class_across_batches_against_combinations(self, n, w):
         assert math.comb(n, w) > _BLOCK_ROWS
-        blocks = list(lex_supports(n, w))
-        assert max(len(b) for b in blocks) <= _BLOCK_ROWS
         expect = np.array(list(combinations(range(n), w)))
-        assert np.array_equal(np.concatenate(blocks), expect)
         batches = list(support_batches(n, [w - 1, w], _BLOCK_ROWS))
         assert all(b.shape[1] == _BLOCK_ROWS for b in batches[:-1])
         padded = np.full((math.comb(n, w - 1), w), n)
         padded[:, :w - 1] = list(combinations(range(n), w - 1))
         assert np.array_equal(np.concatenate(batches, axis=1).T,
                               np.concatenate([padded, expect]))
+
+    @pytest.mark.parametrize("n,weights,rows", [
+        (10, [2, 0, 3], 7),     # boundaries inside and across classes
+        (7, [0, 1, 2, 3], 5),
+        (6, [3, 1], 1),         # one support per batch
+        (12, [4], 1),
+        (5, [0], 1),            # width 0, one batch
+        (5, [0, 0, 0], 2),      # width 0, a short last batch
+    ])
+    def test_batch_boundaries(self, n, weights, rows):
+        batches = list(support_batches(n, weights, rows))
+        assert [b.shape[1] for b in batches[:-1]] == [rows] * (len(batches) - 1)
+        assert 1 <= batches[-1].shape[1] <= rows
+        assert np.array_equal(np.concatenate(batches, axis=1),
+                              _padded_supports(n, weights))
+
+    def test_class_past_int64_ranks(self):
+        # C(80, 40) > 2^63: the ranks are Python ints, the index is intp
+        n, w, rows = 80, 40, 50
+        assert math.comb(n, w) >= 1 << 63
+        batches = support_batches(n, [w], rows)
+        first = next(batches)
+        later = next(islice(batches, 3, None))   # ranks 200..249
+        expect = islice(combinations(range(n), w), 0, 250)
+        expect = np.array(list(expect), dtype=np.intp).T
+        for index, lo in ((first, 0), (later, 200)):
+            _assert_gather_index(index, w)
+            assert np.array_equal(index, expect[:, lo:lo + rows])
+        assert np.array_equal(later[:, -1], np.nonzero(
+            error_vector_at_rank(n, w, 249).bits)[0])
+
+    def test_schedule_past_int64_ranks_across_classes(self):
+        # the weight-1 class fills 80 columns, then the weight-40 class starts
+        index = next(support_batches(80, [1, 40], 100))
+        _assert_gather_index(index, 40)
+        assert np.array_equal(index[0, :80], np.arange(80))
+        assert (index[1:, :80] == 80).all()
+        expect = list(islice(combinations(range(80), 40), 20))
+        assert np.array_equal(index[:, 80:], np.array(expect).T)
 
 
 def _assert_gather_index(index, width):
@@ -100,8 +147,10 @@ class TestGatherIndexLayout:
 
     @pytest.mark.parametrize("n,weights,rows", [
         (7, [0, 1, 2, 3], 10),          # runs across weight classes
-        (20, [6, 7], _BLOCK_ROWS),      # the weight-7 class is split
+        (20, [6, 7], _BLOCK_ROWS),      # the weight-7 class spans batches
         (5, [0], 4),                    # width 0
+        (5, [0], 1),                    # width 0, one column per batch
+        (10, [2, 0, 3], 7),             # boundaries inside and across classes
     ])
     def test_support_batches(self, n, weights, rows):
         batches = list(support_batches(n, weights, rows))
