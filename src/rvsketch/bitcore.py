@@ -161,6 +161,7 @@ class BitString:
 
     @classmethod
     def from_packed(cls, data: bytes, length: int) -> "BitString":
+        length = _integer("length", length, 0)
         if len(data) != (length + 7) // 8:
             raise DimensionError(
                 f"packed payload is {len(data)} bytes, expected {(length + 7) // 8}")

@@ -19,9 +19,10 @@ syndrome s, zero where there is none (8 * 2^(n-k) bytes for n <= 64). A
 lookup XORs in the entry of a packed word's syndrome: the syndrome bits
 of the result are zero exactly when the lookup hit, and its message bits
 are then L times the corrected word; a miss XORs in zero and keeps its
-own nonzero syndrome. A t = 0 code's table is {0}: every word looks up
-entry 0, so decoding is exact membership. The lookup serves decode and,
-a whole batch of packed words at a time, the recovery scan. Codewords are
+own nonzero syndrome. A t = 0 code's table is {0}: its lookup skips the
+table, tests the syndrome bits alone and returns the input words
+themselves, so decoding is exact membership. The lookup serves decode
+and, a whole batch of packed words at a time, the recovery scan. Codewords are
 BitStrings of length n; position i of a word is coefficient x^(i-1) in
 the polynomial view used by the BCH construction.
 
@@ -335,10 +336,13 @@ class LinearCode:
         """(hit, fixed) per packed word of a batch: whether its syndrome is in
         the table, and the word XOR the table entry of its syndrome. On a hit
         the syndrome bits of fixed are zero and its message bits are L times
-        the corrected word; a miss XORs in zero, so its syndrome stays set."""
-        # keys are below 2^24, so their int64 view is exact
-        fixed = packed ^ self._table[_fold(packed & self._key_mask).view(np.int64)]
-        return _fold(fixed & self._syn_mask) == 0, fixed
+        the corrected word; a miss XORs in zero, so its syndrome stays set.
+        A t = 0 table is {0}, so fixed is then packed itself, not a copy:
+        no caller writes to it."""
+        if self.t:
+            # keys are below 2^24, so their int64 view is exact
+            packed = packed ^ self._table[_fold(packed & self._key_mask).view(np.int64)]
+        return _fold(packed & self._syn_mask) == 0, packed
 
     # -- read on first use ------------------------------------------------
 

@@ -86,10 +86,10 @@ class IndexVector:
 
 def gen_index_vector(k_star: int, n: int, rng: SeededRng) -> IndexVector:
     """n i.i.d. uniform draws from [1, k_star]; ParameterError unless k_star
-    and n are positive integers."""
-    k_star, n = _integer("k_star", k_star), _integer("n", n)
-    if k_star < 1 or n < 1:
-        raise ParameterError("k_star and n must be positive")
+    and n are positive integers, DimensionError if k_star passes the
+    uint32 draw's 2^32 - 1."""
+    k_star = _integer("k_star", k_star, 1, 2 ** 32 - 1)
+    n = _integer("n", n, 1)
     # fresh in-range uint32 draws: nothing for the constructor to check
     draws = rng.integers(1, k_star + 1, size=n, dtype=np.uint32)
     return IndexVector._wrap(draws, k_star)

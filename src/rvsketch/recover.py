@@ -14,12 +14,15 @@ Everything up to each coset-table lookup is GF(2)-linear in the candidate,
 so the scan is vectorized over the outer code's packed [H; L] columns.
 The per-call table has one row per source bit j, the XOR of the columns
 at the positions that sample it plus bit n-k*+j, which e'_j flips in the
-inner word, and a zero row for the padding sentinel. One gather per batch
-of candidates, with the probe's constant word ([s0 | v0], w' at bits
-n-k*..n-1) XORed in, yields each candidate's syndrome and message in one
-packed word (one flat uint64 per candidate when the outer n is at most
-64), w' xor e' in the message's last k* bits, above every bit the outer
-lookup reads. The outer lookup XORs in the leader's packed word, so one
+inner word, and a zero row for the padding sentinel. The table is built
+first, and the probe's constant word ([s0 | v0], w' at bits n-k*..n-1)
+is the columns at ss's set bits XORed with the table rows at w''s: those
+rows add the columns sampling w', and w' itself. One gather per batch
+of candidates, with the constant word XORed in, yields each candidate's
+syndrome and message in one packed word (one flat uint64 per candidate
+when the outer n is at most 64), w' xor e' in the message's last k*
+bits, above every bit the outer lookup reads. The outer lookup XORs in
+the leader's packed word (a t = 0 code has none to XOR), so one
 masked compare of the result per candidate tests the outer decode and the
 zero prefix together: its syndrome and prefix bits must all be zero. The
 bits above them are the survivor's inner word itself, so survivors decode
@@ -91,10 +94,17 @@ def _cached_layout(k_star: int, weights: tuple) -> np.ndarray:
     return index
 
 
+@functools.lru_cache(maxsize=256)
+def _candidates(k_star: int, weights: tuple) -> int:
+    """The schedule's candidate count, the sum of C(k*, w) over its weights."""
+    return sum(math.comb(k_star, w) for w in weights)
+
+
 def _schedule(k_star: int, weights: Sequence[int]):
     """The gather index of each batch of the weight schedule, in order."""
-    if sum(math.comb(k_star, w) for w in weights) <= _BLOCK_ROWS:
-        return [_cached_layout(k_star, tuple(weights))]
+    weights = tuple(weights)
+    if _candidates(k_star, weights) <= _BLOCK_ROWS:
+        return [_cached_layout(k_star, weights)]
     return support_batches(k_star, weights, _BLOCK_ROWS)
 
 
@@ -106,28 +116,30 @@ def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
     a candidate e' has the outer packed word [s0 | v0] xor [H S | L S] e'
     (syndrome, then message) with w' xor e' XORed into bits n-k*..n-1 by
     the constant word and the table, and the outer lookup XORs in its
-    leader's word. Bits 0..n-n*-1 of the result are the syndrome and the
+    leader's word. Row j of the table T is bit n-k*+j plus [H S | L S]'s
+    column j, so the constant word is [H; L] ss xor T w', which is
+    [H; L] c'0 with w' at bits n-k*..n-1. Bits 0..n-n*-1 of the result are the syndrome and the
     zero prefix, which must all vanish; bits n-n*..n-1 are the message
     suffix xor (zero pad || w' xor e'): the inner word, unpacked once.
     """
     t0 = time.perf_counter()
     p = sk.params
     k_star, n_star, n = p.k_star, p.n_star, outer.n
+    weights = tuple(weights)
     if not isinstance(w_prime, BitString):
         w_prime = BitString(w_prime)
     if len(w_prime) != k_star:
         raise DimensionError(f"w' length {len(w_prime)} != k* = {k_star}")
     if inner != p.inner or outer != p.outer:
         raise ParameterError("code handles inconsistent with the sketch params")
-    idx0 = sk.N.indices.astype(np.intp) - 1
-    units = _unit_words(outer._cols.shape[1:], n - k_star, k_star)
-    # [s0 | v0], and w' at bits n-k*..n-1, where the inner word takes it
-    const = xor_gather(outer._cols, (sk.ss.bits ^ w_prime.bits[idx0]).nonzero()[0])
-    const ^= xor_gather(units, w_prime.bits.nonzero()[0])
     # row j: bit n-k*+j, which e'_j flips, and the XOR of the columns at
     # every position sampling source bit j; row k* stays zero for the sentinel
-    table = units.copy()
-    np.bitwise_xor.at(table, idx0, outer._cols[:-1])
+    table = _unit_words(outer._cols.shape[1:], n - k_star, k_star).copy()
+    np.bitwise_xor.at(table, sk.N.indices - 1, outer._cols[:-1])
+    # [s0 | v0], and w' at bits n-k*..n-1, where the inner word takes it:
+    # [H; L] ss xor table w'
+    const = xor_gather(outer._cols, sk.ss.bits.nonzero()[0])
+    const ^= xor_gather(table, w_prime.bits.nonzero()[0])
     checked = _low_mask(outer._cols.shape[1:], n - n_star)   # syndrome and prefix
 
     scanned = outer_fails = inner_fails = 0
@@ -154,7 +166,7 @@ def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
             outcome = BitString._wrap(
                 _field(secret[first:first + 1], inner.n - k_star, inner.n)[0])
             break
-    assert scanned <= sum(math.comb(k_star, w) for w in weights), \
+    assert scanned <= _candidates(k_star, weights), \
         "enumeration overran its counting bound"
     return RecoveryReport(outcome, scanned, accepted_weight, outer_fails,
                           inner_fails, (time.perf_counter() - t0) * 1e3)

@@ -170,6 +170,18 @@ class TestBitString:
         with pytest.raises(DimensionError):
             BitString.from_packed(b"\x00", 9)
 
+    @pytest.mark.parametrize("data,length,error", [
+        (b"\x00", 7.5, ParameterError), (b"\x00", 8.0, ParameterError),
+        (b"\x00", "8", ParameterError), (b"", -1, ParameterError),
+        (b"\x00", 0, DimensionError), (b"", 1, DimensionError)])
+    def test_from_packed_length_contract(self, data, length, error):
+        with pytest.raises(error):
+            BitString.from_packed(data, length)
+
+    @pytest.mark.parametrize("length", [np.int64(8), np.uint8(8)])
+    def test_from_packed_integer_types(self, length):
+        assert BitString.from_packed(b"\x05", length) == BitString("10100000")
+
 
 _W = BitString("0101")
 _RNG = SeededRng(0)   # no case draws from it

@@ -574,7 +574,8 @@ class TestCosetTable:
         words = _as_packed([s | m << r for s, m in zip(syndromes, msgs)], n)
         hit, fixed = c._lookup(words)
         assert hit.tolist() == [s == 0 for s in syndromes]
-        assert np.array_equal(fixed, words)
+        # a t = 0 lookup skips its {0} table: fixed is the input, not a copy
+        assert fixed is words
         if r <= 16:
             every = np.arange(1 << r, dtype=np.uint64)
             words = _as_packed([int(s) | msgs[0] << r for s in every], n)

@@ -87,6 +87,14 @@ class TestGenIndexVector:
         with pytest.raises(ParameterError):
             gen_index_vector(4, 0, SeededRng(0))
 
+    @pytest.mark.parametrize("k_star,error", [
+        (0, ParameterError), (-1, ParameterError), (-2 ** 40, ParameterError),
+        (2 ** 32, DimensionError), (2 ** 32 + 1, DimensionError),
+        (2 ** 64, DimensionError), (np.uint64(2 ** 32), DimensionError)])
+    def test_k_star_within_the_uint32_draw(self, k_star, error):
+        with pytest.raises(error, match="^k_star = "):
+            gen_index_vector(k_star, 3, SeededRng(0))
+
     @pytest.mark.parametrize("k_star, n, name", [
         (4.5, 10, "k_star"), (7, 10.0, "n"), ("7", 10, "k_star"),
         (Fraction(7), 10, "k_star"), (7, None, "n")])

@@ -719,6 +719,24 @@ class TestScheduleCache:
         with pytest.raises(ValueError, match="read-only"):
             index[0, 0] = 1
 
+    @pytest.mark.parametrize("s", [0, 5])   # accepts, exhausts
+    def test_warm_calls_count_no_binomials(self, s, codes, monkeypatch):
+        # the candidate count is cached with the schedule, so a warm call
+        # neither sizes its schedule nor checks its bound with math.comb
+        sk, probe, inner, outer = _decoy_case(s)
+        w, sketch = _sketch(codes, seed=s)
+        calls = [
+            lambda: recover_fixed(sk, probe, Fraction(3, 8), inner, outer),
+            lambda: recover_sweep(sketch, w, *codes),
+            lambda: recover_sweep(sketch, BitString(1 - w.bits), *codes)]
+        cold = [call() for call in calls]
+        comb = math.comb
+        counted = []
+        monkeypatch.setattr(math, "comb",
+                            lambda *args: counted.append(args) or comb(*args))
+        assert [call() for call in calls] == cold
+        assert counted == []
+
     def test_cache_is_bounded(self):
         recover._cached_layout.cache_clear()
         for k_star in range(4, 4 + recover._SCHEDULE_CACHE_SIZE + 5):
