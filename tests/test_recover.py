@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, islice
 from unittest import mock
@@ -718,6 +719,20 @@ class TestScheduleCache:
         assert index.shape == (3, 64)
         with pytest.raises(ValueError, match="read-only"):
             index[0, 0] = 1
+
+    def test_cached_index_is_gathered_without_a_copy(self):
+        # exhaust_scan's schedule: a copy of the read-only index would add
+        # its 175 KB to the peak of every scan
+        index, = recover._schedule(16, (5,))
+        table = np.arange(17, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            words = recover.xor_gather(table, index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert words.shape == (math.comb(16, 5),)
+        assert peak < index.nbytes + 2 * words.nbytes
 
     @pytest.mark.parametrize("s", [0, 5])   # accepts, exhausts
     def test_warm_calls_count_no_binomials(self, s, codes, monkeypatch):
