@@ -243,10 +243,9 @@ def xor_gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     (width, B, words) and the reduction runs over whole slices; a C-ordered
     index keeps the gather sequential. The gather indexes table with index
     as it is: take would first copy a read-only index, such as a cached
-    schedule's. Padded columns need a zero row at
-    their sentinel index; a width of 0 gives B zero words. A 1-D index of m
-    rows is one column: the result is one word, the XOR of those rows, and
-    zero for m = 0.
+    schedule's. Padded columns need a zero row at their sentinel index; a
+    width of 0 gives B zero words. A 1-D index of m rows is one column: the
+    result is one word, the XOR of those rows, and zero for m = 0.
     """
     return np.bitwise_xor.reduce(table[index], axis=0)
 

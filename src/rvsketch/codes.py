@@ -22,9 +22,9 @@ are then L times the corrected word; a miss XORs in zero and keeps its
 own nonzero syndrome. A t = 0 code's table is {0}: its lookup skips the
 table, tests the syndrome bits alone and returns the input words
 themselves, so decoding is exact membership. The lookup serves decode
-and, a whole batch of packed words at a time, the recovery scan. Codewords are
-BitStrings of length n; position i of a word is coefficient x^(i-1) in
-the polynomial view used by the BCH construction.
+and, a whole batch of packed words at a time, the recovery scan.
+Codewords are BitStrings of length n; position i of a word is
+coefficient x^(i-1) in the polynomial view used by the BCH construction.
 
 A built code is immutable: every array it holds is read-only, and it
 renders its text once and keeps it. So codes can be shared.

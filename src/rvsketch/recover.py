@@ -118,9 +118,10 @@ def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
     the constant word and the table, and the outer lookup XORs in its
     leader's word. Row j of the table T is bit n-k*+j plus [H S | L S]'s
     column j, so the constant word is [H; L] ss xor T w', which is
-    [H; L] c'0 with w' at bits n-k*..n-1. Bits 0..n-n*-1 of the result are the syndrome and the
-    zero prefix, which must all vanish; bits n-n*..n-1 are the message
-    suffix xor (zero pad || w' xor e'): the inner word, unpacked once.
+    [H; L] c'0 with w' at bits n-k*..n-1. Bits 0..n-n*-1 of the result
+    are the syndrome and the zero prefix, which must all vanish; bits
+    n-n*..n-1 are the message suffix xor (zero pad || w' xor e'): the
+    inner word, unpacked once.
     """
     t0 = time.perf_counter()
     p = sk.params
@@ -136,8 +137,7 @@ def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
     # every position sampling source bit j; row k* stays zero for the sentinel
     table = _unit_words(outer._cols.shape[1:], n - k_star, k_star).copy()
     np.bitwise_xor.at(table, sk.N.indices - 1, outer._cols[:-1])
-    # [s0 | v0], and w' at bits n-k*..n-1, where the inner word takes it:
-    # [H; L] ss xor table w'
+    # [s0 | v0], and w' at bits n-k*..n-1, where the inner word takes it
     const = xor_gather(outer._cols, sk.ss.bits.nonzero()[0])
     const ^= xor_gather(table, w_prime.bits.nonzero()[0])
     checked = _low_mask(outer._cols.shape[1:], n - n_star)   # syndrome and prefix
