@@ -330,7 +330,8 @@ _POW2_DIGITS_MAX_EXPONENT = 10 ** 8   # 2^(10^8): 30,103,000 digits, about 3 s
 
 def false_accept_rate(k: int, n_star: int) -> Fraction:
     """Zero-prefix acceptance rate 2^-(k-n*) for a decoy iteration, up to
-    k-n* = _POW2_DIGITS_MAX_EXPONENT; CapacityError beyond it."""
+    k-n* = _POW2_DIGITS_MAX_EXPONENT; CapacityError beyond it, where
+    `rvsketch bounds` prints a power of two as 2^e."""
     k, n_star = _integer("k", k), _integer("n_star", n_star)
     if k <= n_star:
         raise ParameterError(f"need k > n*, got k = {k}, n* = {n_star}")
@@ -340,7 +341,7 @@ def false_accept_rate(k: int, n_star: int) -> Fraction:
 
 
 def binom_lower_tail(k: int, n: int, p: float) -> float:
-    """P(X <= k) for X ~ Bin(n, p): the one-sided binomial test's p-value.
+    """P(X <= k), X ~ Bin(n, p): the correctness experiment's one-sided p-value.
 
     The terms C(n, i) p^i q^(n-i), i = 0..k, are summed in log space (lgamma
     for the binomial coefficient, log1p(-p) for log q) and scaled back from

@@ -67,7 +67,9 @@ class BitString:
     """Immutable word over {0,1}^L.
 
     Construct from a text string of '0'/'1', an iterable of ints, or a
-    numpy array. Equality, hashing and xor are value-based.
+    numpy array. Equality, hashing and xor are value-based. A non-integer
+    length, count or bit position, or a negative length, is a ParameterError;
+    one past the word, or a packed payload of the wrong size, a DimensionError.
     """
 
     __slots__ = ("_bits",)
@@ -292,9 +294,10 @@ class SeededRng:
     Philox4x64 with key (seed mod 2^64, 0) and counter 0, the state of
     numpy's Philox(key=seed); no OS entropy is drawn. Philox gets its key
     words from _KeySeq and its counter as one shared read-only zero array,
-    so building a generator converts neither. The same seed
-    yields the same stream on every platform. Instances are single-owner;
-    further generators come from :meth:`spawn` (seed + stream_id).
+    so building a generator converts neither. The same seed yields the
+    same stream on every platform. A seed or stream_id that is not an
+    integer (numpy integers are) raises ParameterError. Instances are
+    single-owner; further generators come from :meth:`spawn`.
     """
 
     algo_id = RNG_ALGO_ID

@@ -242,11 +242,13 @@ class LinearCode:
 
     t is the decoding radius honored by `decode`; the coset-leader table is
     built up to that radius at construction. G is copied; it must be a 2-D
-    bool, integer or float array of 0s and 1s, else ParameterError.
+    bool, integer or float array of 0s and 1s, and t an integer >= 0,
+    else ParameterError.
     """
 
     def __init__(self, G: np.ndarray, t: int, kind: str, param: Optional[int] = None):
-        self._build(bit_array(G, 2, "generator matrix"), t, kind, param)
+        self._build(bit_array(G, 2, "generator matrix"), _integer("t", t),
+                    kind, param)
 
     @classmethod
     def _wrap(cls, G: np.ndarray, t: int, kind: str,
@@ -287,17 +289,16 @@ class LinearCode:
         _table spans every syndrome, 2^(n-k) packed words, so n-k is capped
         where that would pass _CODE_CACHE_BYTES: at 24 for one word (128 MB
         at n <= 64), 23 for two. The syndrome then lies in the first word,
-        which _key_mask picks, and every key is below 2^24. Patterns of
+        which _syn_mask picks, and every key is below 2^24. Patterns of
         one syndrome differ by a nonzero codeword, so their message bits
         differ: a collision leaves some pattern's word unstored. A t = 0
-        table is {0} with a zero _key_mask: a word hits iff its syndrome is zero.
+        table is {0}, which _lookup skips.
         """
         n, r, t = self.n, self.n - self.k, self.t
         if t == 0:
             # the table {0}, without the batch machinery: fresh random codes
             # are built once per use, so their construction cost counts
             self._table = np.zeros((1,) + self._cols.shape[1:], dtype=np.uint64)
-            self._key_mask = _low_mask(self._cols.shape[1:], 0)
             return
         limit = (_CODE_CACHE_BYTES // (8 * math.prod(self._cols.shape[1:]))
                  ).bit_length() - 1
@@ -314,8 +315,7 @@ class LinearCode:
         if total > 1 << r:   # more patterns than syndromes: pigeonhole
             raise collision
         packed = xor_gather(self._cols, next(support_batches(n, weights, total)))
-        self._key_mask = self._syn_mask
-        syn = _fold(packed & self._key_mask)
+        syn = _fold(packed & self._syn_mask)
         table = np.zeros((1 << r,) + packed.shape[1:], dtype=np.uint64)
         table[syn] = packed
         if (table[syn] != packed).any():
@@ -341,7 +341,7 @@ class LinearCode:
         no caller writes to it."""
         if self.t:
             # keys are below 2^24, so their int64 view is exact
-            packed = packed ^ self._table[_fold(packed & self._key_mask).view(np.int64)]
+            packed = packed ^ self._table[_fold(packed & self._syn_mask).view(np.int64)]
         return _fold(packed & self._syn_mask) == 0, packed
 
     # -- read on first use ------------------------------------------------
@@ -401,8 +401,8 @@ def bch_code(m_prime: int, t: int) -> LinearCode:
     union of the cyclotomic cosets of 1..2t, which equals the lcm of the
     minimal polynomials of alpha^1..alpha^2t; so n - k <= m'*t and the
     design distance is at least 2t + 1. Supported m' are 3..6; the
-    coset-leader decoder caps the useful range anyway. Not cached: each
-    call builds a new code.
+    coset-leader decoder caps the useful range anyway. m' and t must be
+    integers, else ParameterError. Not cached: each call builds a new code.
     """
     m_prime, t = _integer("m_prime", m_prime), _integer("t", t)
     if m_prime not in _PRIMITIVE_POLY:
@@ -430,13 +430,14 @@ def bch_code(m_prime: int, t: int) -> LinearCode:
 
 
 def random_linear_code(n: int, k: int, rng: SeededRng) -> LinearCode:
-    """Uniform full-rank n x k generator matrix, decoding radius 0."""
+    """Uniform full-rank n x k generator matrix, decoding radius 0; n and
+    k must be integers, else ParameterError. Each try is one flat draw,
+    the stream of a size (n, k) draw at less cost, of fresh 0/1 entries
+    that the constructor does not check again."""
     n, k = _integer("n", n), _integer("k", k)
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     while True:
-        # fresh 0/1 draws, nothing for the constructor to check; one flat
-        # draw is the stream of a size (n, k) draw at less cost
         G = rng.integers(0, 2, size=n * k, dtype=np.uint8).reshape(n, k)
         try:
             return LinearCode._wrap(G, t=0, kind="random", param=rng.seed)
@@ -481,7 +482,8 @@ def syndrome(code: LinearCode, word: BitString) -> BitString:
 def decode(code: LinearCode, word: BitString) -> Optional[BitString]:
     """Unique codeword within distance t, or None if there is none.
 
-    For t = 0 codes this is an exact membership test.
+    For t = 0 codes this is an exact membership test. On a hit the result
+    is the encoding of the corrected word's message bits.
     """
     if len(word) != code.n:
         raise DimensionError(f"word length {len(word)} != n = {code.n}")

@@ -3,7 +3,9 @@
 A resilient vector is built by reading the input word at n public random
 positions (sampling with replacement). Each output position collides for
 two inputs with probability equal to their similarity, so the normalized
-hamming distance survives the stretch in expectation.
+hamming distance survives the stretch in expectation. Integer arguments
+are taken by _integer, and xi and eps by analysis's _rational: anything
+else raises ParameterError, as do empty words.
 """
 
 from __future__ import annotations
@@ -71,18 +73,6 @@ class IndexVector:
     def __hash__(self) -> int:
         return hash((self.source_len, self.indices.tobytes()))
 
-    def to_text(self) -> str:
-        """Comma-separated 1-based integers."""
-        return ",".join(str(int(i)) for i in self.indices)
-
-    @classmethod
-    def from_text(cls, text: str, source_len: int) -> "IndexVector":
-        try:
-            parts = [int(p) for p in text.strip().split(",")]
-        except ValueError as exc:
-            raise ParameterError(f"bad index vector text: {exc}") from exc
-        return cls(np.array(parts), source_len)
-
 
 def gen_index_vector(k_star: int, n: int, rng: SeededRng) -> IndexVector:
     """n i.i.d. uniform draws from [1, k_star]; ParameterError unless k_star
@@ -109,6 +99,8 @@ def sample_bits(w: BitString, N: IndexVector) -> BitString:
 
 def similarity(w: BitString, w_prime: BitString) -> Fraction:
     """Collision probability of one sampled position: 1 - d/k*."""
+    if not len(w):
+        raise ParameterError("k_star must be positive")
     return 1 - Fraction(hamming_distance(w, w_prime), len(w))
 
 
@@ -116,7 +108,7 @@ def expected_rv_distance(w: BitString, w_prime: BitString, n: int) -> Fraction:
     """Exact expectation of the RV distance under uniform index draws: n*d/k*."""
     if _integer("n", n) < 1:
         raise ParameterError("n must be positive")
-    return Fraction(n * hamming_distance(w, w_prime), len(w))
+    return n * (1 - similarity(w, w_prime))
 
 
 def rv_distance_samples(w: BitString, w_prime: BitString, n: int,
@@ -127,15 +119,13 @@ def rv_distance_samples(w: BitString, w_prime: BitString, n: int,
     drawn index lands in the support of w xor w', so only that support is
     consulted.
     """
-    if len(w) != len(w_prime):
-        raise DimensionError(f"length mismatch: {len(w)} vs {len(w_prime)}")
+    diff = (w ^ w_prime).bits   # DimensionError unless the lengths agree
     k_star = len(w)
     if k_star < 1:
         raise ParameterError("k_star must be positive")
     n, trials = _integer("n", n), _integer("trials", trials)
     if n < 1 or trials < 1:
         raise ParameterError("n and trials must be positive")
-    diff = (w.bits ^ w_prime.bits)
     out = np.empty(trials, dtype=np.int64)
     done = 0
     while done < trials:
@@ -189,16 +179,11 @@ def exceedance_frequencies(k_star: int, n: int, xi: RationalLike,
     if d_far > k_star:
         raise ParameterError("far distance exceeds k_star")
 
-    w = BitString.zeros(k_star)
-    far = np.zeros(k_star, dtype=np.uint8)
-    far[:d_far] = 1
-    near = np.zeros(k_star, dtype=np.uint8)
-    near[:d_near] = 1
-
+    w, position = BitString.zeros(k_star), np.arange(k_star)
     lo = float(n * (xi - eps))
     hi = float(n * (xi + eps))
-    far_samples = rv_distance_samples(w, BitString(far), n, trials, rng)
-    near_samples = rv_distance_samples(w, BitString(near), n, trials, rng)
+    far_samples = rv_distance_samples(w, BitString(position < d_far), n, trials, rng)
+    near_samples = rv_distance_samples(w, BitString(position < d_near), n, trials, rng)
     return ExceedanceResult(
         similar_given_far=float(np.mean(far_samples <= lo)),
         distant_given_near=float(np.mean(near_samples >= hi)),

@@ -31,7 +31,8 @@ yields the recovered secret, and its gather index column, counted without
 the sentinel, the accepted weight. A schedule that fits in one batch has
 its gather index cached, read-only, by (k*, weights); larger ones stream.
 A cached index has at most 2^15 columns and, its weights being at most
-k*/2, at most 8 rows: 2 MiB at most.
+k*/2, at most 8 rows: 2 MiB at most. The table starts from cached
+read-only unit words, and the probe w' may be anything BitString takes.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ def _cached_layout(k_star: int, weights: tuple) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _candidates(k_star: int, weights: tuple) -> int:
-    """The schedule's candidate count, the sum of C(k*, w) over its weights."""
+    """The schedule's candidate count, the sum of C(k*, w) over its weights,
+    cached for _schedule and the closing bound check alike."""
     return sum(math.comb(k_star, w) for w in weights)
 
 

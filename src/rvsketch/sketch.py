@@ -87,9 +87,10 @@ def param_violations(k_star: int, n_star: int, k: int, n: int,
     and (when given) eps_rec in [1/(2k*), 1/2], in that order.
 
     make_sketch, load_sketch and `rvsketch sketch`/`bounds` apply this one
-    list. A dimension that is not an integer and an eps that is not a
-    finite rational are listed; the order rules are checked once the four
-    dimensions are integers, and the eps ranges once k* >= 1 as well.
+    list; its range checks are exact integer compares. A dimension that is
+    not an integer and an eps (a Fraction, int, str or float) that is not
+    a finite rational are listed; the order rules are checked once the
+    four dimensions are integers, and the eps ranges once k* >= 1 as well.
     """
     violations = []
     for name, value in (("k_star", k_star), ("n_star", n_star), ("k", k), ("n", n)):
@@ -130,7 +131,8 @@ def _error_bits(k_star: int, eps: RationalLike, rng: SeededRng) -> np.ndarray:
 
 
 def sample_error(k_star: int, eps: RationalLike, rng: SeededRng) -> BitString:
-    """Uniform vector of length k* with weight exactly floor(k* eps)."""
+    """Uniform vector of length k* with weight exactly floor(k* eps);
+    ParameterError unless k* is a non-negative integer."""
     k_star = _integer("k_star", k_star, 0)
     return BitString._wrap(_error_bits(k_star, eps, rng))
 
@@ -174,10 +176,11 @@ def make_sketch(w: BitString, N: IndexVector, eps_ss: RationalLike,
     only for the debug bundle, whose seven fields wrap the arrays the
     sketch was computed from.
 
-    Returns the Sketch, or (Sketch, SketchDebug) when debug is requested.
-    The eps_ss argument is the one actually used and is recorded in the
-    returned sketch's params: params itself when it already holds that
-    value, otherwise a copy with eps_ss replaced.
+    w may be anything BitString takes. Returns the Sketch, or (Sketch,
+    SketchDebug) when debug is requested. The eps_ss argument is the one
+    actually used and is recorded in the returned sketch's params: params
+    itself when it already holds that value, otherwise a copy with eps_ss
+    replaced.
     """
     eps_ss = _rational("eps_ss", eps_ss)
     if eps_ss != params.eps_ss:
@@ -258,6 +261,7 @@ def load_sketch(data: bytes) -> Sketch:
     offset. Each code text is looked up in code_from_text's cache before
     it is parsed, so a sketch whose codes were loaded before costs two
     dict lookups for them; any other text is parsed and checked in full.
+    N is checked on its u16 payload by the IndexVector constructor.
     """
     try:
         return _parse_sketch(data)

@@ -1,7 +1,9 @@
+import ast
 import contextlib
 import hashlib
 import io
 import os
+import re
 import resource
 import shlex
 import subprocess
@@ -183,6 +185,23 @@ class TestRecoverCommand:
         assert main(args + ["--sweep"]) == 2   # above floor(k*/2): rejected
         assert "max_weight 99 outside [0, 3]" in capsys.readouterr().err
         assert main(args[:-1] + ["0", "--sweep"]) == 0
+
+
+class TestReadmeNamesEveryExport:
+    """Every name rvsketch/__init__.py imports appears in the README's
+    inline code, so a shortened module row cannot drop a public name."""
+
+    def test_every_export_in_inline_code(self):
+        root = Path(__file__).resolve().parents[1]
+        tree = ast.parse((root / "src" / "rvsketch" / "__init__.py").read_text())
+        names = [alias.asname or alias.name for node in tree.body
+                 if isinstance(node, ast.ImportFrom) for alias in node.names]
+        readme = re.sub(r"```.*?```", "", (root / "README.md").read_text(),
+                        flags=re.S)
+        spans = re.findall(r"`([^`]+)`", readme)
+        assert "LinearCode" in names
+        assert [name for name in names if not any(
+            re.search(rf"\b{name}\b", span) for span in spans)] == []
 
 
 class TestReadmeExample:

@@ -610,7 +610,7 @@ class TestCosetTable:
 
     def test_zero_radius_table_is_zero_only(self, hamming7):
         c = LinearCode(hamming7.G, 0, "bch")
-        assert c._table.tolist() == [0] and c._key_mask == 0
+        assert c._table.tolist() == [0]
         assert decode(c, _flip(encode(c, BitString("1011")), (2,))) is None
 
 
@@ -771,6 +771,17 @@ class TestInputContracts:
             LinearCode(np.ones((3, 4), dtype=np.uint8), 0, "random")
         with pytest.raises(ParameterError, match="must be non-negative"):
             LinearCode(hamming7.G, -1, "bch")
+
+    @pytest.mark.parametrize("t", [1.0, None, "1", 0.5])
+    def test_non_integer_radius_rejected(self, hamming7, t):
+        with pytest.raises(ParameterError, match="^t .* is not an integer"):
+            LinearCode(hamming7.G, t, "bch", 3)
+
+    @pytest.mark.parametrize("t", [True, np.int64(1)])
+    def test_integer_radius_renders_a_loadable_text(self, hamming7, t):
+        c = LinearCode(hamming7.G, t, "bch", 3)
+        assert type(c.t) is int and c.t == 1
+        assert code_from_text(code_to_text(c)) == c == hamming7
 
     @pytest.mark.parametrize("op", [syndrome, decode, invert_message])
     def test_word_of_the_wrong_length(self, hamming7, op):

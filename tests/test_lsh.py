@@ -19,22 +19,11 @@ class TestIndexVector:
         with pytest.raises(ParameterError):
             IndexVector(np.array([1, 5]), 4)
 
-    def test_text_round_trip(self):
-        iv = IndexVector(np.array([1, 1, 3, 4, 2]), 4)
-        assert iv.to_text() == "1,1,3,4,2"
-        assert np.array_equal(IndexVector.from_text(iv.to_text(), 4).indices,
-                              iv.indices)
-
     @pytest.mark.parametrize("indices", [np.array([2 ** 32 + 1]), [-1, 2],
                                          [1.5, 2]])
     def test_range_checked_before_the_uint32_cast(self, indices):
         with pytest.raises(ParameterError):
             IndexVector(indices, 3)
-
-    @pytest.mark.parametrize("text", ["-1,2", "1,x", "", "4294967297"])
-    def test_bad_text_raises_parameter_error(self, text):
-        with pytest.raises(ParameterError):
-            IndexVector.from_text(text, 3)
 
     def test_value_equality_and_hash(self):
         a = IndexVector(np.array([1, 2, 3]), 3)
@@ -120,7 +109,6 @@ class TestGenIndexVector:
         assert iv.indices.flags.c_contiguous and not iv.indices.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             iv.indices[0] = 1
-        assert IndexVector.from_text(iv.to_text(), k_star) == iv
 
     def test_deterministic(self):
         a = gen_index_vector(9, 40, SeededRng(2))
@@ -273,3 +261,11 @@ class TestExceedance:
         empty = BitString.zeros(0)
         with pytest.raises(ParameterError, match="k_star must be positive"):
             rv_distance_samples(empty, empty, 64, 10, SeededRng(8))
+
+    @pytest.mark.parametrize("law", [similarity,
+                                     lambda w, wp: expected_rv_distance(w, wp, 64)],
+                             ids=["similarity", "expected_rv_distance"])
+    def test_empty_words_rejected(self, law):
+        empty = BitString.zeros(0)
+        with pytest.raises(ParameterError, match="k_star must be positive"):
+            law(empty, empty)

@@ -14,8 +14,8 @@ from oracles import (enumerate_errors, error_vector_at_rank,
                      first_accepting_candidate, scan_report, scan_supports)
 from rvsketch import (BitString, DimensionError, IndexVector, LinearCode,
                       ParameterError, SeededRng, SketchParams, bch_code,
-                      gen_index_vector, make_sketch, random_linear_code,
-                      recover_fixed, recover_sweep)
+                      decode, encode, gen_index_vector, make_sketch,
+                      random_linear_code, recover_fixed, recover_sweep)
 from rvsketch import recover
 from rvsketch.bitcore import support_batches
 from rvsketch.recover import _BLOCK_ROWS
@@ -126,6 +126,16 @@ class TestUnranking:
             assert np.array_equal(index, expect[:, lo:lo + rows])
         assert np.array_equal(later[:, -1], np.nonzero(
             error_vector_at_rank(n, w, 249).bits)[0])
+
+    @pytest.mark.parametrize("n,w", [(66, 33), (67, 33)])
+    def test_first_batch_either_side_of_int64_ranks(self, n, w):
+        # C(66, 33) < 2^63 <= C(67, 33) < 2^64: int64 ranks, then Python ints
+        assert (math.comb(n, w) < 1 << 63) == (n == 66)
+        assert math.comb(n, w) < 1 << 64
+        index = next(support_batches(n, [w], 64))
+        _assert_gather_index(index, w)
+        expect = list(islice(combinations(range(n), w), 64))
+        assert np.array_equal(index, np.array(expect).T)
 
     def test_schedule_past_int64_ranks_across_classes(self):
         # the weight-1 class fills 80 columns, then the weight-40 class starts
@@ -545,6 +555,45 @@ class TestScanAgainstOracle:
         sk, probe, inner, outer = _decoy_case(s)
         report = recover_fixed(sk, probe, Fraction(3, 8), inner, outer)
         assert _counts(report) == scan_report(sk, probe, [3], inner, outer)
+
+
+def _two_word_code():
+    """A [70, 60], t = 1 code G = [I_60; P], P's columns the first 60 10-bit
+    words of weight >= 2: H = [P | I_10] has 70 distinct nonzero columns."""
+    cols = [v for v in range(1 << 10) if v & (v - 1)][:60]
+    P = np.array([[(v >> i) & 1 for v in cols] for i in range(10)])
+    return LinearCode(np.vstack([np.eye(60, dtype=np.uint8), P]), 1, "x")
+
+
+class TestTwoWordDecodingOuter:
+    """A t > 0 code whose packed words span two uint64s (n > 64)."""
+
+    def test_decodes_every_single_error(self):
+        code = _two_word_code()
+        cw = encode(code, SeededRng(1).random_bits(60))
+        assert decode(code, cw) == cw
+        for i in range(70):
+            bits = cw.bits.copy()
+            bits[i] ^= 1
+            assert decode(code, BitString(bits)) == cw
+
+    def test_sweeps_match_the_oracle(self):
+        outer = _two_word_code()
+        inner = random_linear_code(10, 8, SeededRng(1))
+        params = SketchParams.from_codes(inner, outer, Fraction(1, 8))
+        recovered = 0
+        for s in range(20):
+            rng = SeededRng(s)
+            w = rng.spawn(1).random_bits(8)
+            N = gen_index_vector(8, 70, rng.spawn(2))
+            sk = make_sketch(w, N, Fraction(1, 8), params, rng.spawn(3))
+            bits = w.bits.copy()
+            bits[rng.spawn(4).subset(8, s % 4)] ^= 1
+            probe = BitString(bits)
+            report = recover_sweep(sk, probe, inner, outer, max_weight=3)
+            assert _counts(report) == scan_report(sk, probe, range(4), inner, outer)
+            recovered += report.outcome == w
+        assert 0 < recovered < 20
 
 
 @st.composite
