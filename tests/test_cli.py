@@ -1,6 +1,5 @@
 import ast
 import contextlib
-import hashlib
 import io
 import os
 import re
@@ -16,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden import bounds_argv
 from rvsketch import (BitString, ExperimentConfig, RecoveryReport, SeededRng,
                       Sketch, SketchParams, analysis, bch_code, cli,
                       code_from_spec, gen_index_vector, load_sketch_file,
@@ -84,33 +84,6 @@ class TestSketchCommand:
 
     def test_missing_w_file(self, workdir):
         assert main(_sketch_args(workdir, **{"--w": str(workdir / "nope.txt")})) == 2
-
-    @pytest.mark.parametrize("inner, outer, eps, w, out_digest, file_digest", [
-        ("bch:4:2", "bch:5:3", "1/7", "1011001",
-         "2154e0b5aa5ed0599e3ccc6d9184266405ae802db55c41f5c32e3984fb6a6e0b",
-         "70750e6f9f4fadbb18c6353e3832c6968e864c3ee9fea2d58fc3e4605976fcdf"),
-        # the enumeration budget at eps_rec = 2 eps_ss holds
-        ("random:11:8", "bch:5:3", "1/16", "10110010",
-         "0e6b573f420b628ef5e2e7cf69d81337331b5f414dd487bda7240677b100f1f0",
-         "77f53b5414dd8b8aa771f13f418e0164e4ac747da2815f294509c5e8475e37b5"),
-        # n = 2 k*^2: the error floor holds
-        ("bch:4:2", "random:98:16", "1/14", "1011001",
-         "6fd1c905a8e09b07bb0e63e120616e1badbb48827a0bd490a647c8e05e289d3f",
-         "4f1589d59d7324d07ed20c6d655c52de811801ac1d45af79f33a9938d8268cec"),
-    ])
-    def test_report_is_pinned(self, tmp_path, monkeypatch, capsys, inner, outer,
-                              eps, w, out_digest, file_digest):
-        # sha256 of stdout and of the sketch file; a relative --out keeps
-        # the printed path fixed
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "w.txt").write_text(w)
-        assert main(["sketch", "--w", "w.txt", "--inner", inner, "--outer", outer,
-                     "--eps-ss", eps, "--seed", "11", "--out", "sk.bin"]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        assert hashlib.sha256(captured.out.encode()).hexdigest() == out_digest
-        assert hashlib.sha256((tmp_path / "sk.bin").read_bytes()).hexdigest() \
-            == file_digest
 
 
 class TestRecoverCommand:
@@ -228,15 +201,8 @@ class TestReadmeExample:
         assert [argv[1] for argv in self._commands() if argv[0] == "rvsketch"] \
             == ["sketch", "recover", "recover"]
         assert [err for _, err in outs] == ["", "", ""]
-        assert outs[0].out == (
-            "n = 31\n"
-            "k - n* = 1\n"
-            "eps_ss = 1/14\n"
-            "error floor holds: False (0.728821 vs 0.5)\n"
-            "enumeration budget holds: False (4.14171 vs 1 at eps_rec = 1/7)\n"
-            "sketch written to sk.bin\n")
-        assert hashlib.sha256(Path("sk.bin").read_bytes()).hexdigest() == (
-            "ab12fe9fa496bf4414cec9ac6969a10ac3dfd8076723ad0f1f8b2348207b8c04")
+        # golden.json freezes the sketch's stdout and file
+        assert outs[0].out.endswith("sketch written to sk.bin\n")
         # the sweep accepts the secret at weight 1, its 8th candidate
         assert outs[1].out == outs[2].out == "0011101\n"
         header, row = Path("report.csv").read_text().splitlines()
@@ -260,13 +226,6 @@ class TestReadmeExample:
         assert report == RecoveryReport(BitString("0011101"), 7, 1, 6, 0)
         row = Path("fixed.csv").read_text().splitlines()[1]
         assert row.rsplit(",", 1)[0] == report.csv_row().rsplit(",", 1)[0]
-
-
-def _bounds_argv(dims, eps_ss, eps_rec=None):
-    """The bounds argv for (k*, n*, k, n); flag=value lets a value start with '-'."""
-    argv = ["bounds"] + [f"{flag}={val}" for flag, val in zip(
-        ("--k-star", "--n-star", "--k", "--n"), dims)] + [f"--eps-ss={eps_ss}"]
-    return argv if eps_rec is None else argv + [f"--eps-rec={eps_rec}"]
 
 
 def _bounds_in_child(argv):
@@ -305,35 +264,6 @@ class TestBoundsCommand:
         assert main(self.ARGS + ["--xi", "1/7"]) == 0
         assert "t_max" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("argv, digest", [
-        (ARGS, "6aa475af904ded445ecdefe7f7ea12f5c3579fd6eb862c9af2c30ec5f5684a4d"),
-        (ARGS + ["--format", "csv", "--xi", "1/7"],
-         "6159620667e52e2bd8f9d26f4dba8140a27b1a496fe854244cc3c2a7bb918887"),
-        # an explicit eps_rec equal to the default 2 eps_ss prints the same table
-        (ARGS + ["--eps-rec", "1/7"],
-         "6aa475af904ded445ecdefe7f7ea12f5c3579fd6eb862c9af2c30ec5f5684a4d"),
-        (["bounds", "--k-star", "11", "--n-star", "15", "--k", "16",
-          "--n", "63", "--eps-ss", "1/8"],
-         "859798422be9bfe64e7e89cb29ec1dfc3c2e66d4b4e058139bb8deb0f74a81c8"),
-        (["bounds", "--k-star", "24", "--n-star", "40", "--k", "50",
-          "--n", "200", "--eps-ss", "1/10", "--eps-rec", "1/6", "--xi", "1/5",
-          "--format", "csv"],
-         "abe40610effbba81de9d2d171ce262e06d1ff4ea2341042875554ce7e17fdd76"),
-        # the budget holds and 2^(k-n*) == n+1: the full-length BCH regime
-        (["bounds", "--k-star", "8", "--n-star", "11", "--k", "16",
-          "--n", "31", "--eps-ss", "1/16"],
-         "bc28ceb595679d0787c0810e9d2c3d97f3b08303a5412fbd02dd93a1563b8b82"),
-        # the exhaust_scan sketch: 2^20 prefix states against n+1 = 64
-        (_bounds_argv((16, 31, 51, 63), "1/8"),
-         "6510efee6d1a5afa458a91168b6b3c0c7a411692dbb5ecbc9b720519461810a6"),
-    ])
-    def test_table_is_pinned(self, capsys, argv, digest):
-        # sha256 of the whole stdout: any change to a printed bound shows here
-        assert main(argv) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
-
     @pytest.mark.parametrize("eps", ["3/2", "-1/7"])
     def test_eps_rec_outside_bound_domain(self, capsys, eps):
         assert main(self.ARGS + [f"--eps-rec={eps}"]) == 2
@@ -362,7 +292,7 @@ class TestBoundsCommand:
         ((7, 15, 51, 63), "1/7"),    # the enroll_recover sketch, k - n* = 36
     ])
     def test_zero_pad_wider_than_k_star(self, capsys, dims, eps_ss):
-        assert main(_bounds_argv(dims, eps_ss)) == 0
+        assert main(bounds_argv(dims, eps_ss)) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         assert "rate regime" in captured.out and "below-gv" in captured.out
@@ -380,7 +310,7 @@ class TestBoundsCommand:
 
     def test_integers_beyond_the_str_digit_limit(self, capsys):
         # 2^(k-n*) = 2^15000 has 4,516 digits, past str(int)'s default limit
-        assert main(_bounds_argv((15000, 15000, 30000, 30000), "1/30000")) == 0
+        assert main(bounds_argv((15000, 15000, 30000, 30000), "1/30000")) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         rows = dict(line.split("  ", 1) for line in captured.out.splitlines())
@@ -391,7 +321,7 @@ class TestBoundsCommand:
     @pytest.mark.parametrize("delta", [1, 5, 20, 64, 1074, 1075, 3000])
     def test_power_of_two_rows_by_exponent(self, capsys, delta):
         # k - n* = delta and n = 31: n+1 = 2^delta only at delta = 5
-        assert main(_bounds_argv((7, 15, 15 + delta, max(31, 15 + delta)),
+        assert main(bounds_argv((7, 15, 15 + delta, max(31, 15 + delta)),
                                  "1/14")) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -415,7 +345,7 @@ class TestBoundsCommand:
     def test_exponent_past_memory(self):
         # k - n* = 9 * 10^200: 2^(k-n*) itself cannot be built
         big = 10 ** 200
-        done = _bounds_in_child(_bounds_argv(
+        done = _bounds_in_child(bounds_argv(
             (big, big, 10 * big + 1, 10 * big + 1), f"1/{2 * big}"))
         assert (done.returncode, done.stderr) == (0, "")
         rows = dict(line.split("  ", 1) for line in done.stdout.splitlines())
@@ -429,7 +359,7 @@ class TestBoundsCommand:
         # comes from the exact exponent, and k-n* past float range reads
         # inf.
         big = 10 ** 200
-        done = _bounds_in_child(_bounds_argv(
+        done = _bounds_in_child(bounds_argv(
             (big, big, big * big, big * big), f"1/{2 * big}"))
         assert (done.returncode, done.stderr) == (0, "")
         rows = dict(line.split("  ", 1) for line in done.stdout.splitlines())
@@ -446,7 +376,7 @@ class TestBoundsCommand:
         # floor(k* eps_rec) = 5 * 10^29 passes 2^63, where math.comb cannot
         # count: one error line and exit 2, as for any parameter error
         big = 10 ** 30
-        done = _bounds_in_child(_bounds_argv(
+        done = _bounds_in_child(bounds_argv(
             (big, big + 1, big + 3001, big + 3002), "1/4"))
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == (
@@ -456,14 +386,14 @@ class TestBoundsCommand:
     def test_k_star_past_float_range(self):
         # k* h2(eps_rec) takes k* as a float: one error line and exit 2
         big = 10 ** 400
-        done = _bounds_in_child(_bounds_argv(
+        done = _bounds_in_child(bounds_argv(
             (big, big, big + 1, big + 1), f"1/{2 * big}"))
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: k* h2(eps) is past float range\n"
 
     def test_error_floor_boundary(self, capsys):
         # the float exponent judged the floor to hold one n too early
-        argv = _bounds_argv((205195, 205195, 205477, 205477), "1/410390")
+        argv = bounds_argv((205195, 205195, 205477, 205477), "1/410390")
         assert main(argv) == 0
         captured = capsys.readouterr()
         rows = dict(line.split("  ", 1) for line in captured.out.splitlines())
@@ -472,7 +402,7 @@ class TestBoundsCommand:
     def test_min_length_beyond_float_range(self, capsys):
         # eps_ss^2 = 1/(4e400) underflows a float, and n = ceil(2e400 ln 2)
         big = 10 ** 200
-        assert main(_bounds_argv((big, big, big + 1, big + 1),
+        assert main(bounds_argv((big, big, big + 1, big + 1),
                                  f"1/{2 * big}")) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -485,7 +415,7 @@ class TestBoundsCommand:
         big = 10 ** 3000
         eps_ss = Fraction(big + 3, 14 * (big + 3) - 1)
         xi = Fraction(big + 7, 7 * (big + 7) - 1)
-        argv = _bounds_argv((7, 15, 16, 31), eps_ss) + [f"--xi={xi}"]
+        argv = bounds_argv((7, 15, 16, 31), eps_ss) + [f"--xi={xi}"]
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -523,7 +453,7 @@ class TestRuleAgreement:
         dims, eps_ss, eps_rec = inputs
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(_bounds_argv(dims, eps_ss, eps_rec))
+            code = main(bounds_argv(dims, eps_ss, eps_rec))
         violations = param_violations(*dims, eps_ss, eps_rec)
         if violations:
             assert (code, out.getvalue()) == (2, "")
@@ -617,32 +547,6 @@ class TestUnopenablePaths:
 
 
 class TestExperimentFlags:
-    HELP = """\
-usage: rvsketch experiment [-h] --kind
-                           {lsh,correctness,false_accept,complexity}
-                           [--trials TRIALS] [--seed SEED] [--out OUT]
-                           [--k-star K_STAR] [--distance DISTANCE] [--n N]
-                           [--inner INNER] [--outer OUTER] [--eps-ss EPS_SS]
-                           [--w-prime-distance W_PRIME_DISTANCE]
-                           [--deltas DELTAS] [--min-iterations MIN_ITERATIONS]
-
-options:
-  -h, --help            show this help message and exit
-  --kind {lsh,correctness,false_accept,complexity}
-  --trials TRIALS
-  --seed SEED
-  --out OUT
-  --k-star K_STAR
-  --distance DISTANCE
-  --n N
-  --inner INNER
-  --outer OUTER
-  --eps-ss EPS_SS
-  --w-prime-distance W_PRIME_DISTANCE
-  --deltas DELTAS       comma-separated k-n* values for false_accept
-  --min-iterations MIN_ITERATIONS
-"""
-
     @pytest.fixture()
     def configs(self, monkeypatch):
         seen = []
@@ -650,12 +554,11 @@ options:
                             lambda cfg: seen.append(cfg) or [])
         return seen
 
-    def test_help_text(self, monkeypatch, capsys):
-        monkeypatch.setenv("COLUMNS", "80")
-        with pytest.raises(SystemExit) as exc:
+    def test_help_text(self, capsys):
+        with pytest.raises(SystemExit) as exc:   # golden.json freezes the text
             main(["experiment", "--help"])
         assert exc.value.code == 0
-        assert capsys.readouterr().out == self.HELP
+        assert capsys.readouterr().out.startswith("usage: rvsketch experiment")
 
     @pytest.mark.parametrize("kind", tuple(_KINDS))
     def test_defaults_are_the_config_defaults(self, configs, kind):

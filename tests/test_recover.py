@@ -1,4 +1,3 @@
-import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -824,62 +823,3 @@ class TestScheduleCache:
                     largest = max(largest, index.nbytes)
         assert largest == math.comb(18, 7) * 7 * 8   # k* = 18 at weight 7
         assert largest * recover._SCHEDULE_CACHE_SIZE < 64 << 20
-
-
-# (reports, accepts of the secret, wrong secrets, failures) and the digest
-DIGEST_SHAPE = (205, 71, 27, 107)
-DIGEST = "22bb8c8ab51505bf362cb0e22880f6f9bc892d22476a6f26fb9b708722446bd7"
-
-
-def _pinned_reports():
-    """(secret, report) for 205 seeded scans: sweeps from near probes and
-    fixed scans from far ones over BCH [15,7] and [31,16] inners with the
-    [63,51] outer (the last five exhaust C(16,5) = 4368 candidates), and
-    decoy-shaped scans over square random t = 0 outers."""
-    out = []
-    for s in range(40):
-        for inner in (bch_code(4, 2), bch_code(5, 3)):
-            outer = bch_code(6, 2)
-            k_star = inner.k
-            eps = Fraction(1, 2 * k_star)
-            params = SketchParams.from_codes(inner, outer, eps)
-            rng = SeededRng(1000 + s)
-            w = rng.spawn(1).random_bits(k_star)
-            N = gen_index_vector(k_star, outer.n, rng.spawn(2))
-            sk = make_sketch(w, N, eps, params, rng.spawn(3))
-            near = w.bits.copy()
-            near[rng.spawn(4).integers(0, k_star, size=s % 4)] ^= 1
-            far = BitString(1 - w.bits)
-            out.append((w, recover_sweep(sk, BitString(near), inner, outer,
-                                         max_weight=2)))
-            out.append((w, recover_fixed(sk, far, Fraction(2, k_star),
-                                         inner, outer)))
-            if k_star == 16 and s % 8 == 0:
-                out.append((w, recover_fixed(sk, far, Fraction(5, 16),
-                                             inner, outer)))
-        inner = random_linear_code(10, 8, SeededRng(s))
-        outer = random_linear_code(11 + s % 6, 11 + s % 6, SeededRng(100 + s))
-        params = SketchParams.from_codes(inner, outer, Fraction(1, 16))
-        w = SeededRng(200 + s).random_bits(8)
-        N = gen_index_vector(8, outer.n, SeededRng(300 + s))
-        sk = make_sketch(w, N, Fraction(1, 16), params, SeededRng(400 + s))
-        out.append((w, recover_fixed(sk, BitString(1 - w.bits),
-                                     Fraction(3, 8), inner, outer)))
-    return out
-
-
-def test_pinned_report_digest():
-    """One SHA-256 over the counts and outcomes of _pinned_reports: a change
-    to the table lookups or the scan that moves any report shows here."""
-    reports = _pinned_reports()
-    digest = hashlib.sha256()
-    for _, r in reports:
-        digest.update(repr((None if r.outcome is None else str(r.outcome),
-                            r.iterations_used, r.accepted_weight,
-                            r.first_decode_failures,
-                            r.false_accepts_observed)).encode())
-    outcomes = [None if r.outcome is None else r.outcome == w
-                for w, r in reports]
-    assert (len(reports), outcomes.count(True), outcomes.count(False),
-            outcomes.count(None)) == DIGEST_SHAPE
-    assert digest.hexdigest() == DIGEST

