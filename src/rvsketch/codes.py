@@ -241,9 +241,9 @@ class LinearCode:
     """[n, k] binary linear code with bounded-distance syndrome decoding.
 
     t is the decoding radius honored by `decode`; the coset-leader table is
-    built up to that radius at construction. G is copied; it must be a 2-D
-    bool, integer or float array of 0s and 1s, and t an integer >= 0,
-    else ParameterError.
+    built up to that radius at construction. G is copied; it must be an
+    n x k bool, integer or float array of 0s and 1s with 1 <= k <= n, and
+    t an integer >= 0, else ParameterError.
     """
 
     def __init__(self, G: np.ndarray, t: int, kind: str, param: Optional[int] = None):
@@ -265,6 +265,8 @@ class LinearCode:
         n, k = G.shape
         if k > n:
             raise ParameterError(f"dimension k={k} exceeds blocklength n={n}")
+        if k < 1:
+            raise ParameterError(f"code dimensions need 1 <= k <= n, got n={n}, k={k}")
         if t < 0:
             raise ParameterError("decoding radius must be non-negative")
         self._cols = _parity_and_left_inverse(G)
@@ -277,13 +279,15 @@ class LinearCode:
         # bits 0..n-k-1 of a packed word: its syndrome, nonzero iff a miss
         # once the looked-up leader's word is XORed in
         self._syn_mask = _low_mask(self._cols.shape[1:], n - k)
-        self._build_table()
         # memoized codes are shared, so nothing they hold may change
-        self._arrays = (self.G, self._cols, self._table)
+        self._arrays = (self.G, self._cols)
+        if t:
+            self._table = self._build_table()
+            self._arrays += (self._table,)
         for a in self._arrays:
             a.flags.writeable = False
 
-    def _build_table(self):
+    def _build_table(self) -> np.ndarray:
         """_table[s]: the packed word of the leader of syndrome s, or zero.
 
         _table spans every syndrome, 2^(n-k) packed words, so n-k is capped
@@ -291,15 +295,10 @@ class LinearCode:
         at n <= 64), 23 for two. The syndrome then lies in the first word,
         which _syn_mask picks, and every key is below 2^24. Patterns of
         one syndrome differ by a nonzero codeword, so their message bits
-        differ: a collision leaves some pattern's word unstored. A t = 0
-        table is {0}, which _lookup skips.
+        differ: a collision leaves some pattern's word unstored. Built for
+        t > 0 only: a t = 0 code has no table, and _lookup reads none.
         """
         n, r, t = self.n, self.n - self.k, self.t
-        if t == 0:
-            # the table {0}, without the batch machinery: fresh random codes
-            # are built once per use, so their construction cost counts
-            self._table = np.zeros((1,) + self._cols.shape[1:], dtype=np.uint64)
-            return
         limit = (_CODE_CACHE_BYTES // (8 * math.prod(self._cols.shape[1:]))
                  ).bit_length() - 1
         if r > limit:
@@ -320,7 +319,7 @@ class LinearCode:
         table[syn] = packed
         if (table[syn] != packed).any():
             raise collision
-        self._table = table
+        return table
 
     # -- array-level paths (shared with the recovery scan) -----------------
 
@@ -337,8 +336,8 @@ class LinearCode:
         the table, and the word XOR the table entry of its syndrome. On a hit
         the syndrome bits of fixed are zero and its message bits are L times
         the corrected word; a miss XORs in zero, so its syndrome stays set.
-        A t = 0 table is {0}, so fixed is then packed itself, not a copy:
-        no caller writes to it."""
+        A t = 0 code has no table, so fixed is then packed itself, not a
+        copy: no caller writes to it."""
         if self.t:
             # keys are below 2^24, so their int64 view is exact
             packed = packed ^ self._table[_fold(packed & self._syn_mask).view(np.int64)]

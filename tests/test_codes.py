@@ -180,6 +180,10 @@ class TestElimination:
         H, L = expect
         cols = codes._parity_and_left_inverse(G)
         assert np.array_equal(cols, _packed_cols(np.vstack([H, L])))
+        if G.shape[1] == 0:   # H = I, no L rows: a [n, 0] code is refused
+            with pytest.raises(ParameterError, match="need 1 <= k <= n"):
+                LinearCode(G, 0, "random")
+            return
         c = LinearCode(G, 0, "random")
         assert np.array_equal(c.H, H) and np.array_equal(c._L, L)
 
@@ -189,6 +193,12 @@ class TestElimination:
     @example(np.eye(5, 3, dtype=np.uint8))
     def test_parity_and_left_inverse_against_span_oracle(self, G):
         n, k = G.shape
+        if k == 0:   # H = I, no L rows: a [n, 0] code is refused
+            assert np.array_equal(codes._parity_and_left_inverse(G),
+                                  _packed_cols(np.eye(n, dtype=np.uint8)))
+            with pytest.raises(ParameterError, match="need 1 <= k <= n"):
+                LinearCode(G, 0, "random")
+            return
         free = non_pivot_rows(G)
         if n - len(free) < k:
             with pytest.raises(ParameterError, match="rank deficient"):
@@ -258,7 +268,7 @@ def _text(G, t=0, kind="random", param=None):
 
 
 class TestMemoization:
-    ARRAYS = ("G", "H", "_L", "_cols", "_table")
+    ARRAYS = ("G", "H", "_L", "_cols")   # and _table when t > 0
 
     def test_texts_differing_in_g_give_distinct_codes(self, bch15):
         # a coordinate permutation keeps the BCH distance, so t = 2 still fits
@@ -395,10 +405,11 @@ class TestMemoization:
     def test_lazy_h_and_l_keep_the_byte_count(self):
         code = random_linear_code(40, 24, SeededRng(3))
         before = code._nbytes
+        assert not hasattr(code, "_table")   # t = 0: no coset table
         assert before == sum(getattr(code, name).nbytes for name in self.ARRAYS)
         assert code._nbytes == before
 
-    @pytest.mark.parametrize("name", ARRAYS)
+    @pytest.mark.parametrize("name", ARRAYS + ("_table",))
     def test_cached_arrays_are_read_only(self, bch15, name):
         for code in (bch15, code_from_text(code_to_text(bch15))):
             arr = getattr(code, name)
@@ -472,7 +483,7 @@ class TestPackedTable:
         every = np.arange(1 << 9, dtype=np.uint64)
         hit, fixed = c._lookup(every)
         assert hit.all() and np.array_equal(fixed, every)
-        assert c._table.tolist() == [0]
+        assert not hasattr(c, "_table")   # t = 0: no coset table
 
 
 class TestCosetTable:
@@ -592,7 +603,7 @@ class TestCosetTable:
 
     def test_zero_radius_table_is_zero_only(self, hamming7):
         c = LinearCode(hamming7.G, 0, "bch")
-        assert c._table.tolist() == [0]
+        assert not hasattr(c, "_table")   # t = 0: no coset table
         assert decode(c, _flip(encode(c, BitString("1011")), (2,))) is None
 
 
@@ -629,6 +640,7 @@ class TestRandomCode:
             got = getattr(code, name)
             assert np.array_equal(got, getattr(built, name))
             assert not got.flags.writeable
+        assert not hasattr(code, "_table") and not hasattr(built, "_table")
         assert code.G.dtype == np.uint8 and code.G.flags.c_contiguous
 
     def test_square_code_is_bijective(self):
