@@ -63,6 +63,23 @@ def differing(names, pinned):
             or digest(REGISTRY[name]()) != pinned.get(name)]
 
 
+def pins():
+    """The manifest: each entry's name and the SHA-256 of its rendering."""
+    return json.loads(MANIFEST.read_text())
+
+
+def assert_pinned(*names):
+    """Fail unless each named entry renders to its pin, naming every entry
+    that does not and showing its new rendering."""
+    differ = differing(names, pins())
+    assert not differ, (
+        f"{len(differ)} entries differ from golden.json; if the change is "
+        f"intended, re-record them:\n  python tests/golden.py {' '.join(differ)}\n"
+        + "".join(f"--- {name} now renders (first 2000 bytes):\n"
+                  f"{REGISTRY[name]()[:2000].decode(errors='backslashreplace')}\n"
+                  for name in differ if name in REGISTRY))
+
+
 # every bch_code(m', t) that builds: t up to 3, 7, 5 and 4 for m' = 3..6
 BCH = [(m, t) for m, top in {3: 3, 4: 7, 5: 5, 6: 4}.items() for t in range(1, top + 1)]
 # square codes are redrawn about 70% of the time: these pin the rejection loop
@@ -296,7 +313,7 @@ def demo_transcripts():
 
 def main(names) -> int:
     """List the entries that differ, or re-record the named ones."""
-    pinned = json.loads(MANIFEST.read_text())
+    pinned = pins()
     unknown = set(names) - REGISTRY.keys() - pinned.keys()
     if unknown:
         print("no such entry:", *sorted(unknown), file=sys.stderr)

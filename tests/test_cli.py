@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golden import bounds_argv
+from golden import BOUNDS_ARGV, SKETCH_ARGV, bounds_argv, digest, pins
 from rvsketch import (BitString, ExperimentConfig, RecoveryReport, SeededRng,
                       Sketch, SketchParams, analysis, bch_code, cli,
                       code_from_spec, gen_index_vector, load_sketch_file,
@@ -84,6 +84,23 @@ class TestSketchCommand:
 
     def test_missing_w_file(self, workdir):
         assert main(_sketch_args(workdir, **{"--w": str(workdir / "nope.txt")})) == 2
+
+    @pytest.mark.parametrize("inner, outer, eps, w, out_digest, file_digest", [
+        (inner, outer, eps, w, pins()[f"cli/sketch/{label}/stdout"],
+         pins()[f"cli/sketch/{label}/file"])
+        for label, (w, inner, outer, eps) in SKETCH_ARGV.items() if label != "readme"])
+    def test_report_is_pinned(self, tmp_path, monkeypatch, capsys, inner, outer,
+                              eps, w, out_digest, file_digest):
+        # stdout and the sketch file against golden.json; a relative --out
+        # keeps the printed path fixed
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "w.txt").write_text(w)
+        assert main(["sketch", "--w", "w.txt", "--inner", inner, "--outer", outer,
+                     "--eps-ss", eps, "--seed", "11", "--out", "sk.bin"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert digest(captured.out.encode()) == out_digest
+        assert digest((tmp_path / "sk.bin").read_bytes()) == file_digest
 
 
 class TestRecoverCommand:
@@ -263,6 +280,15 @@ class TestBoundsCommand:
     def test_thresholds_included_with_xi(self, capsys):
         assert main(self.ARGS + ["--xi", "1/7"]) == 0
         assert "t_max" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, out_digest", [
+        (argv, pins()[f"cli/bounds/{label}"]) for label, argv in BOUNDS_ARGV.items()])
+    def test_table_is_pinned(self, capsys, argv, out_digest):
+        # the whole stdout against golden.json: any change to a printed bound
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert digest(captured.out.encode()) == out_digest
 
     @pytest.mark.parametrize("eps", ["3/2", "-1/7"])
     def test_eps_rec_outside_bound_domain(self, capsys, eps):

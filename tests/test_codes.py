@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import golden
 from oracles import (all_codewords_matrix, codewords_packed,
                      gauss_jordan_parity_and_left_inverse,
                      min_distance_bruteforce, min_distance_exhaustive,
@@ -679,6 +680,11 @@ class TestRandomCode:
             c = random_linear_code(12, 9, SeededRng(seed))
             assert len({int(x) for x in codewords_packed(c)}) == 1 << 9
 
+    # square codes are redrawn about 70% of the time: these pin the rejection loop
+    @pytest.mark.parametrize("n,k,seed", golden.DRAWS)
+    def test_draws_are_pinned(self, n, k, seed):
+        golden.assert_pinned(f"code/random:{n}:{k}/{seed}")
+
     def test_k_greater_than_n(self):
         with pytest.raises(ParameterError):
             random_linear_code(4, 5, SeededRng(0))
@@ -691,6 +697,18 @@ class TestRandomCode:
     def test_numpy_integer_dimensions(self):
         code = random_linear_code(np.int64(10), np.uint8(8), SeededRng(3))
         assert code == random_linear_code(10, 8, SeededRng(3))
+
+
+class TestBuiltArraysArePinned:
+    """The text and every array of built codes against golden.json; a random
+    code's entry also takes its source's next draw, so the count of redraws."""
+
+    @pytest.mark.parametrize("n,k", sorted(golden.ARRAY_DIMS))
+    def test_random_codes(self, n, k):
+        golden.assert_pinned(f"arrays/random:{n}:{k}")
+
+    def test_every_buildable_bch_code(self):
+        golden.assert_pinned("arrays/bch")
 
 
 class TestInputContracts:

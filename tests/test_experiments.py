@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from scipy.stats import binomtest
 
+import golden
 import rvsketch
 from rvsketch import ExperimentConfig, ParameterError, run_experiment
 from rvsketch.experiments import CSV_SCHEMA
@@ -185,6 +186,10 @@ class TestCsvOutput:
         run_experiment(ExperimentConfig(out=p1, **cfg))
         run_experiment(ExperimentConfig(out=p2, **cfg))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("kind", sorted(golden.EXPERIMENTS))
+    def test_csv_is_pinned(self, kind):
+        golden.assert_pinned(f"experiment/{kind}.csv")
 
     def test_false_accept_csv_sections(self, tmp_path):
         path = tmp_path / "fa.csv"

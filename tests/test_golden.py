@@ -9,20 +9,12 @@ import golden
 
 @pytest.mark.parametrize("group", list(golden.GROUPS))
 def test_matches_the_manifest(group):
-    differ = golden.differing(golden.GROUPS[group],
-                              json.loads(golden.MANIFEST.read_text()))
-    shown = {name: golden.REGISTRY[name]()[:2000] for name in differ}
-    assert not differ, (
-        f"{len(differ)} entries differ from golden.json; if the change is "
-        f"intended, re-record them:\n  python tests/golden.py {' '.join(differ)}\n"
-        + "".join(f"--- {name} now renders (first 2000 bytes):\n"
-                  f"{text.decode(errors='backslashreplace')}\n"
-                  for name, text in shown.items()))
+    golden.assert_pinned(*golden.GROUPS[group])
 
 
 def test_every_entry_is_pinned_once():
     assert sum(map(len, golden.GROUPS.values())) == len(golden.REGISTRY)
-    assert sorted(golden.REGISTRY) == sorted(json.loads(golden.MANIFEST.read_text()))
+    assert sorted(golden.REGISTRY) == sorted(golden.pins())
 
 
 def test_a_repin_rewrites_only_the_named_entries(tmp_path, monkeypatch, capsys):
