@@ -295,7 +295,7 @@ def experiment_csvs():
             yield path.read_bytes()
 
 
-DEMOS = ["bound_tables.py", "recovery_cost_grid.py", "sketch_and_recover.py"]
+DEMOS = [path.name for path in sorted((ROOT / "demos").glob("*.py"))]
 
 
 @_group([f"demo/{demo}" for demo in DEMOS])
