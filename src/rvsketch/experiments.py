@@ -27,7 +27,7 @@ import numpy as np
 
 from .analysis import (_rational, binom_lower_tail, false_accept_rate,
                        fixed_weight, support_size)
-from .bitcore import BitString, ParameterError, SeededRng
+from .bitcore import BitString, ParameterError, SeededRng, _integer
 from .codes import code_from_spec, random_linear_code
 from .lsh import gen_index_vector, rv_distance_samples
 from .recover import RecoveryReport, recover_fixed, recover_sweep
@@ -84,8 +84,11 @@ class ExperimentConfig:
         return self.trials or _KINDS[self.kind][1]
 
     def validate(self):
+        """Raise ParameterError on a bad field; store the integer fields as ints."""
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown experiment kind {self.kind!r}")
+        for name in ("trials", "seed", "distance", "min_iterations"):
+            setattr(self, name, _integer(name, getattr(self, name)))
         if self.trials < 0:
             raise ParameterError("trials must be >= 1 (or 0 for the default)")
         if self.kind == "false_accept" and self.trials:

@@ -38,37 +38,30 @@ from .lsh import IndexVector
 
 @dataclass(frozen=True)
 class SketchParams:
-    """Dimension bookkeeping for one sketch configuration.
+    """The inner [n*, k*] code, the outer [n, k] code and eps_ss; k*, n*, k
+    and n are read off the codes. param_violations lists the rules beyond
+    k* <= n* and k <= n, which every code keeps: n* < k and eps_ss range."""
 
-    Pure data carrier: nothing is enforced here beyond the codes matching
-    the stated dimensions, so k* <= n* and k <= n hold (a code has k <= n).
-    param_violations lists the rest of the rules: n* < k and eps_ss range.
-    """
-
-    k_star: int
-    n_star: int
-    k: int
-    n: int
-    eps_ss: Fraction
     inner: LinearCode
     outer: LinearCode
+    eps_ss: Fraction
 
     def __post_init__(self):
+        for name, code in (("inner", self.inner), ("outer", self.outer)):
+            if not isinstance(code, LinearCode):
+                raise ParameterError(
+                    f"{name} code is a {type(code).__name__}, not a LinearCode")
         object.__setattr__(self, "eps_ss", _rational("eps_ss", self.eps_ss))
-        if (self.inner.k, self.inner.n) != (self.k_star, self.n_star):
-            raise ParameterError(
-                f"inner code is [{self.inner.n},{self.inner.k}], "
-                f"params say [{self.n_star},{self.k_star}]")
-        if (self.outer.k, self.outer.n) != (self.k, self.n):
-            raise ParameterError(
-                f"outer code is [{self.outer.n},{self.outer.k}], "
-                f"params say [{self.n},{self.k}]")
+
+    k_star = property(lambda self: self.inner.k)
+    n_star = property(lambda self: self.inner.n)
+    k = property(lambda self: self.outer.k)
+    n = property(lambda self: self.outer.n)
 
     @classmethod
     def from_codes(cls, inner: LinearCode, outer: LinearCode,
                    eps_ss: RationalLike) -> "SketchParams":
-        return cls(k_star=inner.k, n_star=inner.n, k=outer.k, n=outer.n,
-                   eps_ss=eps_ss, inner=inner, outer=outer)
+        return cls(inner, outer, eps_ss)
 
 
 def _eps_violation(name: str, eps: Fraction, k_star: int,
@@ -261,7 +254,8 @@ def load_sketch(data: bytes) -> Sketch:
     offset. Each code text is looked up in code_from_text's cache before
     it is parsed, so a sketch whose codes were loaded before costs two
     dict lookups for them; any other text is parsed and checked in full.
-    N is checked on its u16 payload by the IndexVector constructor.
+    N is checked on its u16 payload by the IndexVector constructor, and
+    last the header's (n*, k*) and (n, k) against the parsed codes.
     """
     try:
         return _parse_sketch(data)
@@ -316,10 +310,13 @@ def _parse_sketch(data: bytes) -> Sketch:
     ss = BitString.from_packed(data[start:end], n)
     if end != len(data):
         raise SketchFormatError("trailing bytes after sketch payload")
-    params = SketchParams(k_star=k_star, n_star=n_star, k=k, n=n,
-                          eps_ss=eps_ss, inner=inner, outer=outer)
-    return Sketch(ss=ss, params=params, N=IndexVector(idx, k_star),
-                  rng_algo_id=algo)
+    for name, code, dims in (("inner", inner, (n_star, k_star)),
+                             ("outer", outer, (n, k))):
+        if (code.n, code.k) != dims:
+            raise ParameterError(f"{name} code is [{code.n},{code.k}], "
+                                 f"params say [{dims[0]},{dims[1]}]")
+    return Sketch(ss=ss, params=SketchParams(inner, outer, eps_ss),
+                  N=IndexVector(idx, k_star), rng_algo_id=algo)
 
 
 def save_sketch(sk: Sketch, path: Union[str, Path]) -> None:

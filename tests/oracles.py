@@ -346,8 +346,13 @@ def load_sketch_reference(data: bytes):
         ss = BitString.from_packed(take_raw((n + 7) // 8), n)
         if len(view):
             raise SketchFormatError("trailing bytes after sketch payload")
-        params = SketchParams(k_star=k_star, n_star=n_star, k=k, n=n,
-                              eps_ss=eps_ss, inner=inner, outer=outer)
+        if (inner.n, inner.k) != (n_star, k_star):
+            raise ParameterError(f"inner code is [{inner.n},{inner.k}], "
+                                 f"params say [{n_star},{k_star}]")
+        if (outer.n, outer.k) != (n, k):
+            raise ParameterError(f"outer code is [{outer.n},{outer.k}], "
+                                 f"params say [{n},{k}]")
+        params = SketchParams(inner, outer, eps_ss)
         return Sketch(ss=ss, params=params, N=IndexVector(idx, k_star),
                       rng_algo_id=algo)
 

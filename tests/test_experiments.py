@@ -6,6 +6,7 @@ import textwrap
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.stats import binomtest
 
@@ -39,6 +40,21 @@ class TestConfig:
     def test_min_iterations_must_be_positive(self):
         with pytest.raises(ParameterError, match="min_iterations must be >= 1"):
             run_experiment(ExperimentConfig(kind="false_accept", min_iterations=0))
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("lsh", "trials", 2.5), ("lsh", "trials", "3"), ("lsh", "seed", 1.5),
+        ("lsh", "distance", 2.5), ("false_accept", "min_iterations", 10.5)])
+    def test_field_not_an_integer(self, kind, field, value):
+        cfg = ExperimentConfig(kind=kind, **{field: value})
+        with pytest.raises(ParameterError, match=f"^{field} {value!r} is not an integer$"):
+            run_experiment(cfg)
+
+    def test_numpy_integer_seed_runs_as_its_int(self):
+        # validate stores plain ints, which the 64-bit seed mix needs
+        cfg = ExperimentConfig(kind="lsh", trials=5, seed=np.int64(3))
+        assert run_experiment(cfg) == run_experiment(
+            ExperimentConfig(kind="lsh", trials=5, seed=3))
+        assert type(cfg.seed) is int
 
     @pytest.mark.parametrize("distance", [-1, 17])
     def test_lsh_distance_outside_k_star(self, distance):

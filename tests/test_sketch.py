@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import struct
 from fractions import Fraction
@@ -125,12 +126,59 @@ class TestValidateParams:
         assert floor.holds
         assert math.isclose(floor.lhs, math.exp(-1), rel_tol=1e-12)
 
-    def test_code_dimension_mismatch_rejected(self):
-        inner = bch_code(4, 2)
-        outer = bch_code(5, 3)
-        with pytest.raises(ParameterError):
-            SketchParams(k_star=8, n_star=15, k=16, n=31, eps_ss=Fraction(1, 16),
-                         inner=inner, outer=outer)
+    def test_code_dimension_mismatch_rejected(self, standard_params):
+        # the dimensions are the codes', so only a sketch file's header can
+        # disagree with them: n* = 14, then k = 17, on a [15,7]/[31,16] sketch
+        sk = Sketch(BitString.zeros(31), standard_params,
+                    gen_index_vector(7, 31, SeededRng(6)), SeededRng.algo_id)
+        for field, value, message in (
+                (1, 14, "inner code is [15,7], params say [14,7]"),
+                (2, 17, "outer code is [31,16], params say [31,17]")):
+            blob = bytearray(dump_sketch(sk))
+            struct.pack_into("<I", blob, struct.calcsize("<4sH") + 4 * field, value)
+            for load in (load_sketch, load_sketch_reference):
+                with pytest.raises(SketchFormatError) as exc:
+                    load(bytes(blob))
+                assert str(exc.value) == f"malformed sketch: {message}"
+
+
+@functools.cache
+def _bch_codes():
+    return [bch_code(m, t) for m, t in golden.BCH]
+
+
+def _code(data, min_k):
+    """A BCH code or a seeded random code, of dimension at least min_k."""
+    bch = [code for code in _bch_codes() if code.k >= min_k]
+    if bch and data.draw(st.booleans()):
+        return data.draw(st.sampled_from(bch))
+    k = data.draw(st.integers(min_k, min_k + 8))
+    n = data.draw(st.integers(k, k + 12))
+    return random_linear_code(n, k, SeededRng(data.draw(st.integers(0, 2 ** 32))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_params_are_the_codes_and_eps(data):
+    inner = _code(data, 2)
+    outer = _code(data, inner.n + 1)
+    eps = Fraction(1, data.draw(st.integers(4, 2 * inner.k)))
+    params = SketchParams.from_codes(inner, outer, eps)
+    assert [f.name for f in dataclasses.fields(params)] == ["inner", "outer", "eps_ss"]
+    assert (params.k_star, params.n_star, params.k, params.n) == (
+        inner.k, inner.n, outer.k, outer.n)
+    other = _code(data, 1)
+    moved = dataclasses.replace(params, outer=other)
+    assert (moved.k_star, moved.n_star, moved.k, moved.n) == (
+        inner.k, inner.n, other.k, other.n)
+    sk = Sketch(BitString.zeros(outer.n), params,
+                gen_index_vector(inner.k, outer.n, SeededRng(0)), SeededRng.algo_id)
+    assert load_sketch(dump_sketch(sk)).params == params
+    for bad in ("x", inner.G, None):
+        with pytest.raises(ParameterError, match="^inner code is a .*, not a LinearCode$"):
+            SketchParams.from_codes(bad, outer, eps)
+        with pytest.raises(ParameterError, match="^outer code is a .*, not a LinearCode$"):
+            SketchParams(inner, bad, eps)
 
 
 class TestEpsConversion:
