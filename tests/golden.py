@@ -205,6 +205,15 @@ def _cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _recover_cli(flags):
+    """The exit code, stdout and --out CSV of one recover argv, the CSV's
+    closing wall_time_ms masked."""
+    code, out, err = _cli(["recover", *flags])
+    assert err == "", err
+    csv = Path(flags[flags.index("--out") + 1]).read_text()
+    return f"exit {code}\n{out}{csv.rsplit(',', 1)[0]},<t>\n".encode()
+
+
 SKETCH_ARGV = {   # label -> the secret in w.txt, --inner, --outer, --eps-ss
     "bch:4:2+bch:5:3": ("1011001", "bch:4:2", "bch:5:3", "1/7"),
     # the enumeration budget at eps_rec = 2 eps_ss holds
@@ -255,12 +264,15 @@ def _bounds_corpus(count=200, seed=19):
             flag for flag in flags if rng.random() < 0.5]
 
 
-@_group([f"cli/sketch/{label}/{part}" for label in SKETCH_ARGV
-         for part in ("stdout", "file")] + ["cli/experiment/help"]
+@_group([f"cli/{part}" for label in SKETCH_ARGV for part in (
+    f"sketch/{label}/stdout", f"sketch/{label}/file", f"recover/{label}/sweep",
+    f"recover/{label}/fixed")] + ["cli/experiment/help"]
         + [f"cli/bounds/{label}" for label in BOUNDS_ARGV] + ["cli/bounds/corpus"])
 def cli_outputs():
     """Each sketch argv's stdout, the scratch directory cut from the --out
-    path it prints, and its file; the experiment help at 80 columns, which
+    path it prints, and its file, then a recover --sweep and a recover
+    --eps-rec 1/k* of that sketch from its secret with bit 0 flipped; the
+    experiment help at 80 columns, which
     argparse wraps to; each bounds table; then each corpus argv with its
     exit code and both streams."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -272,6 +284,10 @@ def cli_outputs():
             assert (code, err) == (0, ""), err
             yield out.replace(f"{tmp}/", "").encode()
             yield Path(tmp, "sk.bin").read_bytes()
+            Path(tmp, "wp.txt").write_text(str(1 - int(w[0])) + w[1:])
+            for mode in (["--sweep"], ["--eps-rec", f"1/{len(w)}"]):
+                yield _recover_cli([*mode, "--sketch", f"{tmp}/sk.bin", "--w-prime",
+                                    f"{tmp}/wp.txt", "--out", f"{tmp}/rec.csv"])
     with mock.patch.dict(os.environ, COLUMNS="80"):
         yield _cli(["experiment", "--help"])[1].encode()
     for argv in BOUNDS_ARGV.values():
@@ -293,6 +309,20 @@ def experiment_csvs():
             path = Path(tmp) / f"{kind}.csv"
             run_experiment(ExperimentConfig(kind=kind, seed=3, out=path, **flags))
             yield path.read_bytes()
+
+
+@_group([f"cli/experiment/{kind}/stdout" for kind in EXPERIMENTS])
+def cli_experiments():
+    """Each of EXPERIMENTS run through the CLI: its stdout, the scratch
+    directory cut from the CSV path it prints."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind, flags in EXPERIMENTS.items():
+            argv = ["experiment", "--kind", kind, "--seed", "3", "--out", f"{tmp}/out.csv"]
+            for flag, value in flags.items():
+                argv += [f"--{flag.replace('_', '-')}", str(value)]
+            code, out, err = _cli(argv)
+            assert (code, err) == (0, ""), err
+            yield out.replace(f"{tmp}/", "").encode()
 
 
 DEMOS = [path.name for path in sorted((ROOT / "demos").glob("*.py"))]
