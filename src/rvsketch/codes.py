@@ -150,7 +150,6 @@ def _field(packed: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=1, count=hi, bitorder="little")[:, lo:]
 
 
-@functools.lru_cache(maxsize=256)
 def _low_mask(word_shape: tuple, bits: int):
     """Bits 0..bits-1 set in one packed word of the given shape: a uint64
     for the flat shape (), else a read-only (words,) array."""
@@ -158,16 +157,6 @@ def _low_mask(word_shape: tuple, bits: int):
         return np.uint64((1 << bits) - 1)
     return np.frombuffer(((1 << bits) - 1).to_bytes(8 * word_shape[0], "little"),
                          dtype="<u8")
-
-
-@functools.lru_cache(maxsize=32)   # so at most 32 recovery tables' bytes
-def _unit_words(word_shape: tuple, lo: int, count: int) -> np.ndarray:
-    """count + 1 packed words of the given shape, read-only: word j has bit
-    lo + j alone set, and the last word is zero."""
-    width = 8 * (word_shape[0] if word_shape else 1)
-    units = b"".join((1 << lo + j).to_bytes(width, "little") for j in range(count))
-    return np.frombuffer(units + bytes(width), dtype="<u8").reshape(
-        (count + 1,) + word_shape)
 
 
 @functools.lru_cache(maxsize=256)

@@ -87,8 +87,11 @@ class ExperimentConfig:
         """Raise ParameterError on a bad field; store the integer fields as ints."""
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown experiment kind {self.kind!r}")
-        for name in ("trials", "seed", "distance", "min_iterations"):
+        for name in ("trials", "seed", "k_star", "distance", "n", "w_prime_distance",
+                     "min_iterations"):
             setattr(self, name, _integer(name, getattr(self, name)))
+        for name in ("deltas", "grid_k"):   # stored as tuples of ints
+            setattr(self, name, tuple(_integer(name, v) for v in getattr(self, name)))
         if self.trials < 0:
             raise ParameterError("trials must be >= 1 (or 0 for the default)")
         if self.kind == "false_accept" and self.trials:

@@ -28,11 +28,12 @@ zero prefix together: its syndrome and prefix bits must all be zero. The
 bits above them are the survivor's inner word itself, so survivors decode
 from one unpack. The inner lookup of the first survivor that decodes
 yields the recovered secret, and its gather index column, counted without
-the sentinel, the accepted weight. A schedule that fits in one batch has
-its gather index cached, read-only, by (k*, weights); larger ones stream.
-A cached index has at most 2^15 columns and, its weights being at most
-k*/2, at most 8 rows: 2 MiB at most. The table starts from cached
-read-only unit words, and the probe w' may be anything BitString takes.
+the sentinel, the accepted weight. One cached, read-only plan holds what
+the scan reads that neither the sketch nor the probe changes: the candidate
+count, the table's unit words, the checked mask and, for a schedule that
+fits in one batch, its gather index (larger ones stream): at most 2^15
+columns and, its weights being at most k*/2, 8 rows, so 2 MiB. The probe
+w' may be anything BitString takes.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 from .analysis import RationalLike, _rational, fixed_weight
 from .bitcore import (BitString, DimensionError, ParameterError, _integer,
                       support_batches, xor_gather)
-from .codes import LinearCode, _field, _fold, _low_mask, _unit_words
+from .codes import LinearCode, _field, _fold, _low_mask
 from .sketch import Sketch, _eps_violation
 
 
@@ -84,30 +85,26 @@ class RecoveryReport:
 # Core scan
 
 _BLOCK_ROWS = 1 << 15        # candidates per batch of the scan
-_SCHEDULE_CACHE_SIZE = 32   # cached single-batch schedules, so 64 MiB at most
+_PLAN_CACHE_SIZE = 32        # cached scan plans, so 64 MiB of gather index at most
 
 
-@functools.lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
-def _cached_layout(k_star: int, weights: tuple) -> np.ndarray:
-    """The gather index of a schedule that fits in one batch, read-only."""
-    index = next(support_batches(k_star, weights, _BLOCK_ROWS))
-    index.flags.writeable = False
-    return index
-
-
-@functools.lru_cache(maxsize=256)
-def _candidates(k_star: int, weights: tuple) -> int:
-    """The schedule's candidate count, the sum of C(k*, w) over its weights,
-    cached for _schedule and the closing bound check alike."""
-    return sum(math.comb(k_star, w) for w in weights)
-
-
-def _schedule(k_star: int, weights: Sequence[int]):
-    """The gather index of each batch of the weight schedule, in order."""
-    weights = tuple(weights)
-    if _candidates(k_star, weights) <= _BLOCK_ROWS:
-        return [_cached_layout(k_star, weights)]
-    return support_batches(k_star, weights, _BLOCK_ROWS)
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(k_star: int, weights: tuple, rows: int, word_shape: tuple, n: int,
+          n_star: int):
+    """A scan's inputs that neither sketch nor probe changes, read-only: its
+    candidate count; its one batch's gather index, or None past rows
+    candidates (it streams); k* + 1 packed words, word j with bit n-k*+j
+    alone set, the last zero; and the syndrome-and-prefix mask."""
+    count = sum(math.comb(k_star, w) for w in weights)
+    index = None
+    if count <= rows:
+        index = next(support_batches(k_star, weights, rows))
+        index.flags.writeable = False
+    width = 8 * (word_shape[0] if word_shape else 1)
+    units = b"".join((1 << n - k_star + j).to_bytes(width, "little")
+                     for j in range(k_star)) + bytes(width)
+    return (count, index, np.frombuffer(units, dtype="<u8").reshape(
+        (k_star + 1,) + word_shape), _low_mask(word_shape, n - n_star))
 
 
 def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
@@ -135,18 +132,20 @@ def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
         raise DimensionError(f"w' length {len(w_prime)} != k* = {k_star}")
     if inner != p.inner or outer != p.outer:
         raise ParameterError("code handles inconsistent with the sketch params")
+    count, cached, units, checked = _plan(k_star, weights, _BLOCK_ROWS,
+                                          outer._cols.shape[1:], n, n_star)
     # row j: bit n-k*+j, which e'_j flips, and the XOR of the columns at
     # every position sampling source bit j; row k* stays zero for the sentinel
-    table = _unit_words(outer._cols.shape[1:], n - k_star, k_star).copy()
+    table = units.copy()
     np.bitwise_xor.at(table, sk.N.indices - 1, outer._cols[:-1])
     # [s0 | v0], and w' at bits n-k*..n-1, where the inner word takes it
     const = xor_gather(outer._cols, sk.ss.bits.nonzero()[0])
     const ^= xor_gather(table, w_prime.bits.nonzero()[0])
-    checked = _low_mask(outer._cols.shape[1:], n - n_star)   # syndrome and prefix
 
     scanned = outer_fails = inner_fails = 0
     outcome = accepted_weight = None
-    for index in _schedule(k_star, weights):
+    for index in [cached] if cached is not None else support_batches(
+            k_star, weights, _BLOCK_ROWS):
         words = xor_gather(table, index)
         words ^= const
         hit, fixed = outer._lookup(words)
@@ -168,8 +167,7 @@ def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
             outcome = BitString._wrap(
                 _field(secret[first:first + 1], inner.n - k_star, inner.n)[0])
             break
-    assert scanned <= _candidates(k_star, weights), \
-        "enumeration overran its counting bound"
+    assert scanned <= count, "enumeration overran its counting bound"
     return RecoveryReport(outcome, scanned, accepted_weight, outer_fails,
                           inner_fails, (time.perf_counter() - t0) * 1e3)
 

@@ -264,6 +264,19 @@ def make_sketch_reference(w, N, eps_ss, params, rng):
                                 v_star=v_star, c=c, phi=phi)
 
 
+def sketch_matrix_reference(params, N) -> np.ndarray:
+    """The dense n x 2k* 0/1 matrix M = [G_out[:, k-n*:] G_in | G_out[:, k-k*:]
+    + S_N] mod 2, with ss = M [w; w_e] mod 2 for every secret w and noisy
+    secret w_e = w xor e. S_N is N's 0/1 sampling matrix: row i has its one
+    at column N_i - 1 (N is 1-based)."""
+    g_in, g_out = params.inner.G.astype(np.int64), params.outer.G.astype(np.int64)
+    sampling = np.zeros((params.n, params.k_star), dtype=np.int64)
+    sampling[np.arange(params.n), N.indices - 1] = 1
+    left = g_out[:, params.k - params.n_star:] @ g_in
+    right = g_out[:, params.k - params.k_star:] + sampling
+    return (np.hstack([left, right]) & 1).astype(np.uint8)
+
+
 def first_accepting_candidate(sk, w_prime, weight, inner, outer):
     """(rank, recovered_bitstring) of the first accept in one weight class,
     or None; the single-weight case of scan_report.

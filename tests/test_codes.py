@@ -17,7 +17,7 @@ from rvsketch import (BitString, CapacityError, DimensionError,
                       bch_code, code_from_spec, code_from_text, code_to_text,
                       decode, encode, invert_message, random_linear_code,
                       syndrome)
-from rvsketch import codes
+from rvsketch import codes, recover
 
 
 @pytest.fixture(scope="module")
@@ -609,12 +609,15 @@ class TestCosetTable:
 
 
 class TestUnitWords:
-    """The read-only unit words the recovery table starts from."""
+    """The read-only unit words the recovery table starts from, held by the
+    scan plan: word j has bit n - k* + j alone set."""
 
     @pytest.mark.parametrize("shape,lo,count", [((), 5, 8), ((2,), 62, 8),
                                                 ((3,), 120, 20)])
     def test_word_j_holds_bit_lo_plus_j(self, shape, lo, count):
-        units = codes._unit_words(shape, lo, count)
+        # k* = count over an outer code of length lo + count, so n - k* = lo
+        units = recover._plan(count, (1,), recover._BLOCK_ROWS, shape, lo + count,
+                              count)[2]
         assert units.shape == (count + 1,) + shape and not units.flags.writeable
         bits = codes._field(units, 0, 64 * (shape[0] if shape else 1))
         expect = np.zeros_like(bits)
@@ -622,11 +625,11 @@ class TestUnitWords:
         assert np.array_equal(bits, expect)
 
     def test_cache_is_bounded(self):
-        codes._unit_words.cache_clear()
-        size = codes._unit_words.cache_info().maxsize
+        recover._plan.cache_clear()
+        size = recover._plan.cache_info().maxsize
         for lo in range(size + 5):
-            codes._unit_words((), lo, 1)
-        info = codes._unit_words.cache_info()
+            recover._plan(1, (1,), recover._BLOCK_ROWS, (), lo + 1, 1)
+        info = recover._plan.cache_info()
         assert info.currsize == info.maxsize == size == 32
 
 

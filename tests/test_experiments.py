@@ -43,11 +43,27 @@ class TestConfig:
 
     @pytest.mark.parametrize("kind, field, value", [
         ("lsh", "trials", 2.5), ("lsh", "trials", "3"), ("lsh", "seed", 1.5),
-        ("lsh", "distance", 2.5), ("false_accept", "min_iterations", 10.5)])
+        ("lsh", "distance", 2.5), ("false_accept", "min_iterations", 10.5),
+        ("lsh", "k_star", 16.5), ("lsh", "n", 1.5),
+        ("correctness", "w_prime_distance", 1.5), ("false_accept", "deltas", (1.5,)),
+        ("false_accept", "deltas", (1, 2.5)), ("complexity", "grid_k", ("8",))])
     def test_field_not_an_integer(self, kind, field, value):
         cfg = ExperimentConfig(kind=kind, **{field: value})
-        with pytest.raises(ParameterError, match=f"^{field} {value!r} is not an integer$"):
+        bad = value[-1] if isinstance(value, tuple) else value   # a sequence's entry
+        with pytest.raises(ParameterError, match=f"^{field} {bad!r} is not an integer$"):
             run_experiment(cfg)
+
+    def test_integer_fields_are_stored_as_ints(self):
+        cfg = ExperimentConfig(kind="false_accept", deltas=[np.int64(1), 3],
+                               min_iterations=50, k_star=np.int64(16))
+        plain = ExperimentConfig(kind="false_accept", deltas=(1, 3), min_iterations=50)
+        assert run_experiment(cfg) == run_experiment(plain)
+        assert cfg.deltas == (1, 3) and type(cfg.deltas[0]) is int
+        assert type(cfg.k_star) is int
+        cfg = ExperimentConfig(kind="complexity", trials=1, grid_k=(np.int64(8),))
+        assert run_experiment(cfg) == run_experiment(
+            ExperimentConfig(kind="complexity", trials=1, grid_k=(8,)))
+        assert type(cfg.grid_k[0]) is int
 
     def test_numpy_integer_seed_runs_as_its_int(self):
         # validate stores plain ints, which the 64-bit seed mix needs

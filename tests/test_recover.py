@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, islice
@@ -146,6 +147,15 @@ class TestUnranking:
         assert np.array_equal(index[:, 80:], np.array(expect).T)
 
 
+def _spy_batches(monkeypatch):
+    """A list that collects each 2-D gather index the scan passes xor_gather
+    from now on; the 1-D ones build the constant word."""
+    batches, real = [], recover.xor_gather
+    monkeypatch.setattr(recover, "xor_gather", lambda table, index: index.ndim == 2
+                        and batches.append(index) or real(table, index))
+    return batches
+
+
 def _assert_gather_index(index, width):
     assert index.dtype == np.intp
     assert index.flags.c_contiguous
@@ -170,17 +180,27 @@ class TestGatherIndexLayout:
         assert sum(index.shape[1] for index in batches) == \
             sum(math.comb(n, w) for w in weights)
 
-    def test_cached_and_streamed_schedules(self, monkeypatch):
-        recover._cached_layout.cache_clear()
-        cached, = recover._schedule(7, range(4))
+    def test_cached_and_streamed_schedules(self, codes, monkeypatch):
+        # seed 0's far probe exhausts all 64 candidates of weights 0..3
+        w, sk = _sketch(codes, seed=0)
+        far = BitString(1 - w.bits)
+        recover._plan.cache_clear()
+        batches = _spy_batches(monkeypatch)
+        assert recover_sweep(sk, far, *codes, max_weight=3).iterations_used == 64
+        cached, = batches
         _assert_gather_index(cached, 3)
         assert cached.shape == (3, 64)
+        assert recover._plan(7, (0, 1, 2, 3), _BLOCK_ROWS, (), 31, 15)[:2] == (64, cached)
+        assert recover._plan(7, (0, 1, 2, 3), 64, (), 31, 15)[1].shape == (3, 64)
+        # past rows candidates the plan holds no index, and the scan streams
         monkeypatch.setattr(recover, "_BLOCK_ROWS", 5)
-        streamed = list(recover._schedule(7, range(4)))
-        for index in streamed:
+        batches.clear()
+        assert recover_sweep(sk, far, *codes, max_weight=3).iterations_used == 64
+        assert recover._plan(7, (0, 1, 2, 3), 5, (), 31, 15)[:2] == (64, None)
+        for index in batches:
             _assert_gather_index(index, 3)
-        assert [index.shape[1] for index in streamed] == [5] * 12 + [4]
-        assert np.array_equal(np.concatenate(streamed, axis=1), cached)
+        assert [index.shape[1] for index in batches] == [5] * 12 + [4]
+        assert np.array_equal(np.concatenate(batches, axis=1), cached)
 
 
 class TestRecoverFixed:
@@ -190,6 +210,12 @@ class TestRecoverFixed:
         assert report.outcome == w
         assert report.iterations_used == 1
         assert report.accepted_weight == 0
+
+    def test_wall_time_is_the_call_time(self, codes):
+        w, sk = _sketch(codes, seed=5)
+        start = time.perf_counter()
+        report = recover_fixed(sk, BitString(1 - w.bits), Fraction(2, 7), *codes)
+        assert 0 < report.wall_time_ms <= (time.perf_counter() - start) * 1e3
 
     def test_distance_one_within_seven_iterations(self, codes):
         # weight-1 enumeration over k* = 7 candidates; oracle re-derives the
@@ -722,33 +748,34 @@ class TestScalarAttemptCalls:
 
 
 class TestScheduleCache:
-    """A schedule that fits in one batch has its gather index cached by
-    (k*, weights); larger ones stream batch by batch."""
+    """A scan's plan is cached by (k*, weights, rows, word shape, n, n*); it
+    holds the gather index of a schedule that fits in one batch, and larger
+    ones stream batch by batch."""
 
     @pytest.mark.parametrize("s", [0, 5])   # accepts, exhausts
     def test_smaller_batches_stream_past_a_warm_cache(self, s, monkeypatch):
         sk, probe, inner, outer = _decoy_case(s)
-        recover._cached_layout.cache_clear()
+        recover._plan.cache_clear()
         warm = recover_fixed(sk, probe, Fraction(3, 8), inner, outer)
         assert recover_fixed(sk, probe, Fraction(3, 8), inner, outer) == warm
-        info = recover._cached_layout.cache_info()
+        info = recover._plan.cache_info()
         assert (info.hits, info.misses) == (1, 1)
-        batches = []
-        real = recover.xor_gather
-        # a batch index is 2-D; the 1-D ones build the constant word
-        monkeypatch.setattr(recover, "xor_gather",
-                            lambda table, index: index.ndim == 2
-                            and batches.append(index.shape[1])
-                            or real(table, index))
+        plan = recover._plan(8, (3,), _BLOCK_ROWS, (), 13, 10)   # the warm plan
+        batches = _spy_batches(monkeypatch)
         for rows in (1, 2, 7):
             monkeypatch.setattr(recover, "_BLOCK_ROWS", rows)
             batches.clear()
             report = recover_fixed(sk, probe, Fraction(3, 8), inner, outer)
             assert report == warm
             assert _counts(report) == scan_report(sk, probe, [3], inner, outer)
-            assert len(batches) == -(-report.iterations_used // rows)
-            assert set(batches[:-1]) <= {rows} and batches[-1] <= rows
-        assert recover._cached_layout.cache_info() == info
+            widths = [index.shape[1] for index in batches]
+            assert len(widths) == -(-report.iterations_used // rows)
+            assert set(widths[:-1]) <= {rows} and widths[-1] <= rows
+            assert all(index is not plan[1] for index in batches)
+        # one plan, with no index, per smaller rows; the warm one stays cached
+        info = recover._plan.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 4, 4)
+        assert recover._plan(8, (3,), _BLOCK_ROWS, (), 13, 10) is plan
 
     @pytest.mark.parametrize("near", [True, False])
     def test_weight_zero_schedules(self, codes, near):
@@ -763,15 +790,19 @@ class TestScheduleCache:
     def test_cached_index_is_read_only(self, codes):
         w, sk = _sketch(codes, seed=12)
         recover_sweep(sk, w, *codes)
-        index, = recover._schedule(7, range(4))
-        assert index.shape == (3, 64)
-        with pytest.raises(ValueError, match="read-only"):
-            index[0, 0] = 1
+        count, index, units, checked = recover._plan(7, (0, 1, 2, 3), _BLOCK_ROWS,
+                                                     (), 31, 15)
+        assert (count, index.shape, units.shape, checked) == (64, (3, 64), (8,), 0xffff)
+        # a two-word outer code's plan: its mask is an array too
+        _, _, wide_units, wide_checked = recover._plan(8, (1,), _BLOCK_ROWS, (2,), 70, 10)
+        for array in (index, units, wide_units, wide_checked):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1
 
     def test_cached_index_is_gathered_without_a_copy(self):
         # exhaust_scan's schedule: a copy of the read-only index would add
         # its 175 KB to the peak of every scan
-        index, = recover._schedule(16, (5,))
+        index = recover._plan(16, (5,), _BLOCK_ROWS, (), 63, 31)[1]
         table = np.arange(17, dtype=np.uint64)
         tracemalloc.start()
         try:
@@ -801,25 +832,27 @@ class TestScheduleCache:
         assert counted == []
 
     def test_cache_is_bounded(self):
-        recover._cached_layout.cache_clear()
-        for k_star in range(4, 4 + recover._SCHEDULE_CACHE_SIZE + 5):
-            index, = recover._schedule(k_star, [1, 2])
-        info = recover._cached_layout.cache_info()
-        assert info.currsize == info.maxsize == recover._SCHEDULE_CACHE_SIZE
+        recover._plan.cache_clear()
+        for k_star in range(4, 4 + recover._PLAN_CACHE_SIZE + 5):
+            recover._plan(k_star, (1, 2), _BLOCK_ROWS, (), k_star + 1, k_star)
+        info = recover._plan.cache_info()
+        assert info.currsize == info.maxsize == recover._PLAN_CACHE_SIZE
 
     def test_every_admissible_cached_index_fits_in_two_mib(self):
         # a fixed weight floor(k* eps_rec) and a sweep's top weight both lie
-        # in [0, k*/2]; a schedule of at most _BLOCK_ROWS candidates is cached
+        # in [0, k*/2]; a schedule of at most _BLOCK_ROWS candidates has its
+        # index in its plan (here over a five-word outer code)
         largest = 0
         for k_star in range(1, 301):
             for top in range(k_star // 2 + 1):
                 for weights in ((top,), tuple(range(top + 1))):
                     if sum(math.comb(k_star, w) for w in weights) > _BLOCK_ROWS:
                         continue
-                    index, = recover._schedule(k_star, weights)
+                    index = recover._plan(k_star, weights, _BLOCK_ROWS, (5,), 320,
+                                          k_star)[1]
                     assert not index.flags.writeable   # the cached copy
                     assert index.shape[0] <= 8
                     assert index.nbytes <= 2 << 20
                     largest = max(largest, index.nbytes)
         assert largest == math.comb(18, 7) * 7 * 8   # k* = 18 at weight 7
-        assert largest * recover._SCHEDULE_CACHE_SIZE < 64 << 20
+        assert largest * recover._PLAN_CACHE_SIZE < 64 << 20

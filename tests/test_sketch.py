@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden
-from oracles import load_sketch_reference, make_sketch_reference
+from oracles import (load_sketch_reference, make_sketch_reference,
+                     sketch_matrix_reference)
 from rvsketch import (BitString, DimensionError, ParameterError, SeededRng,
                       Sketch, SketchFormatError, SketchParams, bch_code,
                       dump_sketch, encode, error_floor_check, fixed_weight,
@@ -368,6 +369,41 @@ class TestMakeSketchAgainstReference:
         assert dbg == want
         assert make_sketch(w, N, eps, params, rng.spawn(5)).ss == ss
         assert dbg.e.weight == fixed_weight(k_star, eps)
+
+
+# BCH (inner, outer) pairs with n* < k, the outer n 15, 31 and 63
+_BCH_PAIRS = [((3, 1), (4, 1)), ((4, 2), (5, 3)), ((4, 2), (6, 2)), ((5, 3), (6, 2))]
+
+
+class TestSketchMatrix:
+    """ss = M [w; w_e] mod 2 for oracles.sketch_matrix_reference's dense M:
+    every stage of make_sketch is GF(2)-linear in the secret and the noisy
+    secret together."""
+
+    @pytest.mark.parametrize("outer_n", ["bch", "one word", 70, 140])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_ss_is_m_times_both_secrets(self, outer_n, data, seed):
+        rng = SeededRng(seed)
+        if outer_n == "bch":
+            inner, outer = map(lambda mt: bch_code(*mt), data.draw(st.sampled_from(_BCH_PAIRS)))
+        else:
+            k_star = data.draw(st.integers(2, 12))
+            n_star = data.draw(st.integers(k_star, k_star + 6))
+            inner = random_linear_code(n_star, k_star, rng.spawn(1))
+            n = data.draw(st.integers(n_star + 1, 64)) if outer_n == "one word" else outer_n
+            outer = random_linear_code(n, data.draw(st.integers(n_star + 1, n)), rng.spawn(2))
+        params = SketchParams.from_codes(inner, outer, Fraction(1, 4))
+        k_star = params.k_star
+        # eps spans [1/(2k*), 1/4]; the error weight floor(k* eps) is 0 for eps < 1/k*
+        eps = Fraction(data.draw(st.integers(2, k_star)), 4 * k_star)
+        w = rng.spawn(3).random_bits(k_star)
+        N = gen_index_vector(k_star, params.n, rng.spawn(4))
+        sk, dbg = make_sketch(w, N, eps, params, rng.spawn(5), debug=True)
+        M = sketch_matrix_reference(params, N)
+        assert M.shape == (params.n, 2 * k_star)
+        both = np.concatenate([w.bits, dbg.w_e.bits]).astype(np.int64)
+        assert np.array_equal(M @ both & 1, sk.ss.bits)
 
 
 class TestSketchFile:
