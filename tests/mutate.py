@@ -81,7 +81,8 @@ def mutants(module, qualname):
     """(key, diff, mutated module source) for each edit of the function."""
     source = (ROOT / "src" / "rvsketch" / f"{module}.py").read_text()
     before = ast.unparse(_function(ast.parse(source), qualname)).splitlines()
-    for i in range(len(list(_edits(_function(ast.parse(source), qualname))))):
+    count = len(list(_edits(_function(ast.parse(source), qualname))))
+    for i in range(count):
         tree = ast.parse(source)
         func = _function(tree, qualname)
         node, field, index, value = list(_edits(func))[i]

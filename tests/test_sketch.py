@@ -386,7 +386,8 @@ class TestSketchMatrix:
     def test_ss_is_m_times_both_secrets(self, outer_n, data, seed):
         rng = SeededRng(seed)
         if outer_n == "bch":
-            inner, outer = map(lambda mt: bch_code(*mt), data.draw(st.sampled_from(_BCH_PAIRS)))
+            pair = data.draw(st.sampled_from(_BCH_PAIRS))
+            inner, outer = (bch_code(m, t) for m, t in pair)
         else:
             k_star = data.draw(st.integers(2, 12))
             n_star = data.draw(st.integers(k_star, k_star + 6))
