@@ -91,7 +91,10 @@ class ExperimentConfig:
                      "min_iterations"):
             setattr(self, name, _integer(name, getattr(self, name)))
         for name in ("deltas", "grid_k"):   # stored as tuples of ints
-            setattr(self, name, tuple(_integer(name, v) for v in getattr(self, name)))
+            value = getattr(self, name)
+            if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+                raise ParameterError(f"{name} {value!r} is not a sequence of integers")
+            setattr(self, name, tuple(_integer(name, v) for v in value))
         if self.trials < 0:
             raise ParameterError("trials must be >= 1 (or 0 for the default)")
         if self.kind == "false_accept" and self.trials:
@@ -256,13 +259,10 @@ def run_false_accept_experiment(cfg: ExperimentConfig) -> List[FalseAcceptResult
     trial = 0  # global row index across deltas, used for seed derivation
     for delta in cfg.deltas:
         n = n_star + delta
-        total_iters = 0
-        accepts = 0
-        batch = 0
+        total_iters = accepts = batch = 0
         while total_iters < cfg.min_iterations:
-            report = _decoy_recovery(_trial_rng(cfg.seed, trial), k_star,
-                                     n_star, n, n,
-                                     Fraction(_DECOY_WEIGHT, k_star))
+            report = _decoy_recovery(_trial_rng(cfg.seed, trial), k_star, n_star, n,
+                                     n, Fraction(_DECOY_WEIGHT, k_star))
             events = report.false_accepts_observed + (1 if report.succeeded else 0)
             total_iters += report.iterations_used
             accepts += events

@@ -29,11 +29,10 @@ ROOT = Path(__file__).resolve().parents[1]
 if __name__ == "__main__":   # run as a script: use this checkout's src/
     sys.path.insert(0, str(ROOT / "src"))
 
-from rvsketch import (BitString, ExperimentConfig, SeededRng,  # noqa: E402
-                      SketchParams, bch_code, code_from_spec, code_to_text,
-                      dump_sketch, gen_index_vector, make_sketch,
-                      random_linear_code, recover_fixed, recover_sweep,
-                      run_experiment)
+from rvsketch import (BitString, SeededRng, SketchParams, bch_code,  # noqa: E402
+                      code_from_spec, code_to_text, dump_sketch,
+                      gen_index_vector, make_sketch, random_linear_code,
+                      recover_fixed, recover_sweep)
 from rvsketch.cli import main as cli_main  # noqa: E402
 
 MANIFEST = Path(__file__).with_name("golden.json")
@@ -302,19 +301,11 @@ EXPERIMENTS = {"lsh": dict(trials=40), "correctness": dict(trials=40),
                "complexity": dict(trials=2), "false_accept": dict(min_iterations=500)}
 
 
-@_group([f"experiment/{kind}.csv" for kind in EXPERIMENTS])
+@_group([name for kind in EXPERIMENTS
+         for name in (f"experiment/{kind}.csv", f"cli/experiment/{kind}/stdout")])
 def experiment_csvs():
-    with tempfile.TemporaryDirectory() as tmp:
-        for kind, flags in EXPERIMENTS.items():
-            path = Path(tmp) / f"{kind}.csv"
-            run_experiment(ExperimentConfig(kind=kind, seed=3, out=path, **flags))
-            yield path.read_bytes()
-
-
-@_group([f"cli/experiment/{kind}/stdout" for kind in EXPERIMENTS])
-def cli_experiments():
-    """Each of EXPERIMENTS run through the CLI: its stdout, the scratch
-    directory cut from the CSV path it prints."""
+    """Each of EXPERIMENTS run through the CLI: the CSV it writes to --out,
+    then its stdout, the scratch directory cut from the CSV path it prints."""
     with tempfile.TemporaryDirectory() as tmp:
         for kind, flags in EXPERIMENTS.items():
             argv = ["experiment", "--kind", kind, "--seed", "3", "--out", f"{tmp}/out.csv"]
@@ -322,6 +313,7 @@ def cli_experiments():
                 argv += [f"--{flag.replace('_', '-')}", str(value)]
             code, out, err = _cli(argv)
             assert (code, err) == (0, ""), err
+            yield Path(tmp, "out.csv").read_bytes()
             yield out.replace(f"{tmp}/", "").encode()
 
 

@@ -3,7 +3,7 @@ the given test files against a scratch copy of the tree, and report every
 mutant that no test kills.
 
     python tests/mutate.py --target recover:_plan,_recover tests/test_recover.py
-    python tests/mutate.py --target codes:LinearCode._lookup --workers 1 \\
+    python tests/mutate.py --target codes:LinearCode._lookup \\
         tests/test_codes.py tests/test_recover.py
 
 Each mutant makes exactly one edit inside a target function's body. It
@@ -33,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+WORKERS = 2   # scratch copies, each running one pytest at a time
 COPIED = ("src", "tests", "demos", "pyproject.toml", "README.md")
 SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
@@ -116,7 +117,6 @@ def main(argv=None) -> int:
     parser.add_argument("--target", action="append", required=True,
                         metavar="MODULE:FUNC[,FUNC]",
                         help="e.g. recover:_plan,_recover or codes:LinearCode._lookup")
-    parser.add_argument("--workers", type=int, choices=(1, 2), default=2)
     parser.add_argument("tests", nargs="+", help="test files, relative to the repo root")
     args = parser.parse_args(argv)
 
@@ -127,7 +127,7 @@ def main(argv=None) -> int:
             found += mutants(module, qualname)
     modules = {target.partition(":")[0] for target in args.target}
     with tempfile.TemporaryDirectory(prefix="rvsketch-mutants-") as scratch:
-        workdirs = [Path(scratch, str(i)) for i in range(args.workers)]
+        workdirs = [Path(scratch, str(i)) for i in range(WORKERS)]
         for workdir in workdirs:
             for name in COPIED:
                 path = ROOT / name
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
                 path.write_text(original)
                 idle.put(workdir)
 
-        with ThreadPoolExecutor(args.workers) as pool:
+        with ThreadPoolExecutor(WORKERS) as pool:
             outcomes = list(pool.map(attempt, found))
 
     alive = [(key, diff) for (key, diff, _), outcome in zip(found, outcomes)

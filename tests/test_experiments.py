@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -46,11 +47,19 @@ class TestConfig:
         ("lsh", "distance", 2.5), ("false_accept", "min_iterations", 10.5),
         ("lsh", "k_star", 16.5), ("lsh", "n", 1.5),
         ("correctness", "w_prime_distance", 1.5), ("false_accept", "deltas", (1.5,)),
-        ("false_accept", "deltas", (1, 2.5)), ("complexity", "grid_k", ("8",))])
+        ("false_accept", "deltas", (1, 2.5)), ("complexity", "grid_k", ("8",)),
+        # a sequence field that is no sequence, also for a kind that never reads it
+        ("lsh", "deltas", None), ("lsh", "grid_k", 8), ("complexity", "grid_k", "8"),
+        ("false_accept", "deltas", b"\x01")])
     def test_field_not_an_integer(self, kind, field, value):
         cfg = ExperimentConfig(kind=kind, **{field: value})
-        bad = value[-1] if isinstance(value, tuple) else value   # a sequence's entry
-        with pytest.raises(ParameterError, match=f"^{field} {bad!r} is not an integer$"):
+        if isinstance(value, tuple):   # a sequence's bad entry
+            message = f"{field} {value[-1]!r} is not an integer"
+        elif field in ("deltas", "grid_k"):
+            message = f"{field} {value!r} is not a sequence of integers"
+        else:
+            message = f"{field} {value!r} is not an integer"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             run_experiment(cfg)
 
     def test_integer_fields_are_stored_as_ints(self):
