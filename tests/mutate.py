@@ -2,7 +2,9 @@
 the given test files against a scratch copy of the tree, and report every
 mutant that no test kills.
 
-    python tests/mutate.py --target recover:_plan,_recover tests/test_recover.py
+    python tests/mutate.py \\
+        --target recover:_plan,_subset_words,_recover,codes:LinearCode._fix \\
+        tests/test_recover.py
     python tests/mutate.py --target codes:LinearCode._lookup \\
         tests/test_codes.py tests/test_recover.py
 
@@ -49,6 +51,30 @@ EQUIVALENT = {
     "inner.n - k_star, inner.n)[0]) -> outcome = BitString._wrap(_field("
     "secret[first:first + 2], inner.n - k_star, inner.n)[0])":
         "[0] reads the slice's first row alone, so a second row changes nothing",
+    "recover::_plan: if chunks * (256 + ends[-1]) < len(batch) * ends[-1]: -> "
+    "if chunks * (257 + ends[-1]) < len(batch) * ends[-1]:":
+        "no schedule of at most 2^15 candidates (k* <= 300) reads 1..chunks "
+        "fewer words chunked, so one more subset word per chunk changes no choice",
+    "recover::_plan: member = np.zeros((ends[-1], k_star + 1), dtype=np.uint8) -> "
+    "member = np.zeros((ends[-1], k_star + 2), dtype=np.uint8)":
+        "the columns from the sentinel k* on are cut before packing",
+    "recover::_plan: member[np.arange(ends[-1]), batch] = 1 -> "
+    "member[np.arange(ends[-1]), batch] = 2":
+        "packbits packs every nonzero entry as a 1 bit",
+    "recover::_plan: nibbles = np.where(picked & (pos < k_star), pos, k_star) -> "
+    "nibbles = np.where(picked & (pos <= k_star), pos, k_star)":
+        "a position equal to k* is the sentinel either way",
+    "recover::_subset_words: nib = xor_gather(table, nibbles).reshape((-1, 2, 16) + "
+    "table.shape[1:]) -> nib = xor_gather(table, nibbles).reshape((-2, 2, 16) + "
+    "table.shape[1:])":
+        "numpy infers a dimension given as any negative number",
+    "recover::_subset_words: return (nib[:, 1, :, None] ^ nib[:, 0, None, :])"
+    ".reshape((-1,) + table.shape[1:]) -> return (nib[:, 1, :, None] ^ "
+    "nib[:, 0, None, :]).reshape((-2,) + table.shape[1:])":
+        "numpy infers a dimension given as any negative number",
+    "recover::_subset_words: nib[0, 0] ^= const -> nib[0, 1] ^= const":
+        "every subset word of chunk 0 XORs one word of each nibble, so const "
+        "reaches all 256 from either nibble",
 }
 
 
@@ -115,17 +141,21 @@ def _run(workdir, tests, timeout):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--target", action="append", required=True,
-                        metavar="MODULE:FUNC[,FUNC]",
-                        help="e.g. recover:_plan,_recover or codes:LinearCode._lookup")
+                        metavar="MODULE:FUNC[,FUNC][,MODULE:FUNC]",
+                        help="e.g. recover:_plan,_recover,codes:LinearCode._fix")
     parser.add_argument("tests", nargs="+", help="test files, relative to the repo root")
     args = parser.parse_args(argv)
 
-    found = []
+    found, modules = [], set()
     for target in args.target:
-        module, _, names = target.partition(":")
-        for qualname in names.split(","):
+        module = None
+        for qualname in target.split(","):   # a MODULE: prefix starts a module
+            if ":" in qualname:
+                module, _, qualname = qualname.partition(":")
+                modules.add(module)
+            if module is None:
+                parser.error(f"--target {target} starts with no MODULE:")
             found += mutants(module, qualname)
-    modules = {target.partition(":")[0] for target in args.target}
     with tempfile.TemporaryDirectory(prefix="rvsketch-mutants-") as scratch:
         workdirs = [Path(scratch, str(i)) for i in range(WORKERS)]
         for workdir in workdirs:

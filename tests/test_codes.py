@@ -617,7 +617,7 @@ class TestUnitWords:
     def test_word_j_holds_bit_lo_plus_j(self, shape, lo, count):
         # k* = count over an outer code of length lo + count, so n - k* = lo
         units = recover._plan(count, (1,), recover._BLOCK_ROWS, shape, lo + count,
-                              count)[2]
+                              count)[3]
         assert units.shape == (count + 1,) + shape and not units.flags.writeable
         bits = codes._field(units, 0, 64 * (shape[0] if shape else 1))
         expect = np.zeros_like(bits)

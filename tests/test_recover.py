@@ -190,13 +190,16 @@ class TestGatherIndexLayout:
         cached, = batches
         _assert_gather_index(cached, 3)
         assert cached.shape == (3, 64)
-        assert recover._plan(7, (0, 1, 2, 3), _BLOCK_ROWS, (), 31, 15)[:2] == (64, cached)
+        # class ends, the index, and no nibbles: 64 candidates gather directly
+        assert recover._plan(7, (0, 1, 2, 3), _BLOCK_ROWS, (), 31, 15)[:3] == \
+            ((1, 8, 29, 64), cached, None)
         assert recover._plan(7, (0, 1, 2, 3), 64, (), 31, 15)[1].shape == (3, 64)
         # past rows candidates the plan holds no index, and the scan streams
         monkeypatch.setattr(recover, "_BLOCK_ROWS", 5)
         batches.clear()
         assert recover_sweep(sk, far, *codes, max_weight=3).iterations_used == 64
-        assert recover._plan(7, (0, 1, 2, 3), 5, (), 31, 15)[:2] == (64, None)
+        assert recover._plan(7, (0, 1, 2, 3), 5, (), 31, 15)[:3] == \
+            ((1, 8, 29, 64), None, None)
         for index in batches:
             _assert_gather_index(index, 3)
         assert [index.shape[1] for index in batches] == [5] * 12 + [4]
@@ -504,20 +507,24 @@ def _decoy_case(s):
 
 
 @st.composite
-def _scan_cases(draw):
-    """A sketch, a probe and a weight schedule over one of six code shapes."""
-    shape = draw(st.sampled_from(["square", "random", "bch", "wide", "boundary",
-                                  "straddle"]))
+def _scan_cases(draw, shapes=("square", "random", "bch", "wide", "boundary",
+                              "straddle", "chunked")):
+    """A sketch, a probe and a weight schedule over one of seven code shapes."""
+    shape = draw(st.sampled_from(shapes))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = SeededRng(seed)
     if shape == "bch":
         inner = bch_code(4, 2)
         outer = bch_code(*draw(st.sampled_from([(5, 3), (6, 2), (6, 1)])))
     else:
-        k_star = draw(st.integers(3, 8))
+        k_star = draw(st.integers(10, 12) if shape == "chunked" else st.integers(3, 8))
         inner = random_linear_code(k_star + draw(st.integers(0, 2)), k_star,
                                    rng.spawn(1))
-        if shape == "wide":   # a packed word spans three uint64s
+        if shape == "chunked":   # k* = 12 at weight 4 gathers by chunk keys
+            k = inner.n + draw(st.integers(1, 4))
+            n, k = draw(st.sampled_from([(k + draw(st.integers(1, 12)), k),
+                                         (100, 40)]))
+        elif shape == "wide":   # a packed word spans three uint64s
             n, k = 140, 70
         elif shape == "boundary":   # n at either side of a word boundary
             n = draw(st.sampled_from([64, 65, 128, 129]))
@@ -539,7 +546,7 @@ def _scan_cases(draw):
         bits = w.bits.copy()
         bits[list(draw(st.sets(st.integers(0, k_star - 1), max_size=3)))] ^= 1
         probe = BitString(bits)
-    top = min(3, k_star // 2)
+    top = min(4 if shape == "chunked" else 3, k_star // 2)
     if draw(st.booleans()):
         weights = [draw(st.integers(1, top))]
     else:
@@ -561,6 +568,19 @@ class TestScanAgainstOracle:
             else:
                 report = recover_sweep(sk, probe, inner, outer,
                                        max_weight=weights[-1])
+        assert _counts(report) == scan_report(sk, probe, weights, inner, outer)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_scan_cases(["chunked"]))
+    def test_chunked_reports_match_the_oracle(self, case):
+        # in one batch, k* = 12 at weight 4 or swept to 4 gathers by keys,
+        # and k* = 10 at weight 3 gathers directly
+        sk, probe, weights, inner, outer = case
+        if weights[0]:
+            report = recover_fixed(sk, probe, Fraction(weights[0], sk.params.k_star),
+                                   inner, outer)
+        else:
+            report = recover_sweep(sk, probe, inner, outer, max_weight=weights[-1])
         assert _counts(report) == scan_report(sk, probe, weights, inner, outer)
 
     @pytest.mark.parametrize("rows", [1, 2, 5, 31, 32, 33])
@@ -747,6 +767,42 @@ class TestScalarAttemptCalls:
         assert not hasattr(recover, "_Pipeline")
 
 
+class TestTwoLevelGather:
+    """A large enough cached schedule gathers one subset word per 8 source
+    bits, from subset words built per call, not one table row per bit."""
+
+    @pytest.mark.parametrize("k_star,weights,n,n_star,shape", [
+        (16, (5,), 63, 31, (2, 4368)),       # exhaust_scan: 2 (256 + 4368) < 5 4368
+        (8, (3,), 11, 10, (3, 56)),          # decoy_fresh_codes: 256 + 56 > 3 56
+        (7, (0, 1, 2, 3), 63, 15, (3, 64)),  # enroll_recover: 256 + 64 > 3 64
+        (9, tuple(range(5)), 40, 12, (4, 256)),   # a tie, 2 (256 + 256) = 4 256
+    ])
+    def test_the_plan_gathers_fewer_words(self, k_star, weights, n, n_star, shape):
+        _, batch, nibbles = recover._plan(k_star, weights, _BLOCK_ROWS, (), n,
+                                          n_star)[:3]
+        assert batch.shape == shape
+        assert (nibbles is None) is (shape[0] == max(weights))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(8, range(5)), (12, (4,)), (12, range(5)),
+                            (16, (5,)), (17, (5,)), (18, (7,)), (24, (4,))]),
+           st.sampled_from([(), (2,), (3,)]), st.integers(0, 2 ** 32 - 1))
+    def test_subset_words_equal_the_direct_gather(self, schedule, word_shape, seed):
+        k_star, weights = schedule
+        weights = tuple(weights)
+        _, keys, nibbles = recover._plan(k_star, weights, _BLOCK_ROWS, word_shape,
+                                         64 * (word_shape or (1,))[0], 1)[:3]
+        assert nibbles is not None
+        rng = SeededRng(seed)
+        table = rng.integers(0, 1 << 64, (k_star + 1,) + word_shape, np.uint64)
+        table[k_star] = 0
+        const = rng.integers(0, 1 << 64, word_shape, np.uint64)
+        index = next(support_batches(k_star, weights, _BLOCK_ROWS))
+        assert keys.shape == (-(-k_star // 8), index.shape[1])
+        words = recover.xor_gather(recover._subset_words(table, nibbles, const), keys)
+        assert np.array_equal(words, recover.xor_gather(table, index) ^ const)
+
+
 class TestScheduleCache:
     """A scan's plan is cached by (k*, weights, rows, word shape, n, n*); it
     holds the gather index of a schedule that fits in one batch, and larger
@@ -790,20 +846,25 @@ class TestScheduleCache:
     def test_cached_index_is_read_only(self, codes):
         w, sk = _sketch(codes, seed=12)
         recover_sweep(sk, w, *codes)
-        count, index, units, checked = recover._plan(7, (0, 1, 2, 3), _BLOCK_ROWS,
-                                                     (), 31, 15)
-        assert (count, index.shape, units.shape, checked) == (64, (3, 64), (8,), 0xffff)
+        ends, index, nibbles, units, checked = recover._plan(
+            7, (0, 1, 2, 3), _BLOCK_ROWS, (), 31, 15)
+        assert (ends[-1], index.shape, nibbles, units.shape, checked) == \
+            (64, (3, 64), None, (8,), 0xffff)
         # a two-word outer code's plan: its mask is an array too
-        _, _, wide_units, wide_checked = recover._plan(8, (1,), _BLOCK_ROWS, (2,), 70, 10)
-        for array in (index, units, wide_units, wide_checked):
+        *_, wide_units, wide_checked = recover._plan(8, (1,), _BLOCK_ROWS, (2,), 70, 10)
+        # exhaust_scan's plan holds keys and the nibble index instead
+        _, keys, nibbles = recover._plan(16, (5,), _BLOCK_ROWS, (), 63, 31)[:3]
+        assert (keys.shape, nibbles.shape) == ((2, 4368), (4, 64))
+        for array in (index, units, wide_units, wide_checked, keys, nibbles):
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1
 
     def test_cached_index_is_gathered_without_a_copy(self):
-        # exhaust_scan's schedule: a copy of the read-only index would add
-        # its 175 KB to the peak of every scan
+        # exhaust_scan's schedule: a copy of its read-only keys would add
+        # their 70 KB to the peak of every scan
         index = recover._plan(16, (5,), _BLOCK_ROWS, (), 63, 31)[1]
-        table = np.arange(17, dtype=np.uint64)
+        assert index.shape == (2, math.comb(16, 5))
+        table = np.arange(512, dtype=np.uint64)
         tracemalloc.start()
         try:
             words = recover.xor_gather(table, index)
@@ -841,18 +902,25 @@ class TestScheduleCache:
     def test_every_admissible_cached_index_fits_in_two_mib(self):
         # a fixed weight floor(k* eps_rec) and a sweep's top weight both lie
         # in [0, k*/2]; a schedule of at most _BLOCK_ROWS candidates has its
-        # index in its plan (here over a five-word outer code)
-        largest = 0
+        # index or its keys in its plan (here over a five-word outer code)
+        largest, sizes = 0, {}
         for k_star in range(1, 301):
             for top in range(k_star // 2 + 1):
                 for weights in ((top,), tuple(range(top + 1))):
                     if sum(math.comb(k_star, w) for w in weights) > _BLOCK_ROWS:
                         continue
-                    index = recover._plan(k_star, weights, _BLOCK_ROWS, (5,), 320,
-                                          k_star)[1]
-                    assert not index.flags.writeable   # the cached copy
-                    assert index.shape[0] <= 8
-                    assert index.nbytes <= 2 << 20
-                    largest = max(largest, index.nbytes)
-        assert largest == math.comb(18, 7) * 7 * 8   # k* = 18 at weight 7
+                    _, index, nibbles = recover._plan(k_star, weights, _BLOCK_ROWS,
+                                                      (5,), 320, k_star)[:3]
+                    held = (index,) if nibbles is None else (index, nibbles)
+                    for array in held:
+                        assert not array.flags.writeable   # the cached copy
+                        assert array.shape[0] <= 8
+                    nbytes = sum(array.nbytes for array in held)
+                    assert nbytes <= 2 << 20
+                    largest = max(largest, nbytes)
+                    sizes[k_star, weights] = nbytes
+        # k* = 30 swept to weight 4 gathers directly; k* = 18 at weight 7,
+        # the largest index before keys, holds 3 rows of keys instead of 7
+        assert largest == sum(math.comb(30, w) for w in range(5)) * 4 * 8
+        assert sizes[18, (7,)] == math.comb(18, 7) * 3 * 8 + 4 * 96 * 8
         assert largest * recover._PLAN_CACHE_SIZE < 64 << 20
