@@ -903,7 +903,7 @@ class TestScheduleCache:
         # a fixed weight floor(k* eps_rec) and a sweep's top weight both lie
         # in [0, k*/2]; a schedule of at most _BLOCK_ROWS candidates has its
         # index or its keys in its plan (here over a five-word outer code)
-        largest, sizes = 0, {}
+        largest = 0
         for k_star in range(1, 301):
             for top in range(k_star // 2 + 1):
                 for weights in ((top,), tuple(range(top + 1))):
@@ -918,9 +918,9 @@ class TestScheduleCache:
                     nbytes = sum(array.nbytes for array in held)
                     assert nbytes <= 2 << 20
                     largest = max(largest, nbytes)
-                    sizes[k_star, weights] = nbytes
         # k* = 30 swept to weight 4 gathers directly; k* = 18 at weight 7,
         # the largest index before keys, holds 3 rows of keys instead of 7
         assert largest == sum(math.comb(30, w) for w in range(5)) * 4 * 8
-        assert sizes[18, (7,)] == math.comb(18, 7) * 3 * 8 + 4 * 96 * 8
+        _, keys, nibbles = recover._plan(18, (7,), _BLOCK_ROWS, (5,), 320, 18)[:3]
+        assert keys.nbytes + nibbles.nbytes == math.comb(18, 7) * 3 * 8 + 4 * 96 * 8
         assert largest * recover._PLAN_CACHE_SIZE < 64 << 20
