@@ -172,25 +172,32 @@ class BitString:
         return cls._wrap(np.ascontiguousarray(arr, dtype=np.uint8))
 
 
-def xor(a: BitString, b: BitString) -> BitString:
+def _bitstring(word: BitsLike) -> BitString:
+    """word itself if a BitString, else BitString(word): the word
+    functions take anything BitString takes, with its errors."""
+    return word if isinstance(word, BitString) else BitString(word)
+
+
+def xor(a: BitsLike, b: BitsLike) -> BitString:
     """Elementwise addition modulo two."""
-    return a ^ b
+    return _bitstring(a) ^ _bitstring(b)
 
 
-def hamming_weight(a: BitString) -> int:
-    return a.weight
+def hamming_weight(a: BitsLike) -> int:
+    return _bitstring(a).weight
 
 
-def hamming_distance(a: BitString, b: BitString) -> int:
+def hamming_distance(a: BitsLike, b: BitsLike) -> int:
     """Number of positions where a and b disagree."""
+    a, b = _bitstring(a), _bitstring(b)
     if len(a) != len(b):
         raise DimensionError(f"length mismatch: {len(a)} vs {len(b)}")
     return int(np.count_nonzero(a.bits ^ b.bits))
 
 
-def zero_pad_prefix(s: BitString, pad_len: int) -> BitString:
+def zero_pad_prefix(s: BitsLike, pad_len: int) -> BitString:
     """0^pad_len followed by s."""
-    pad_len = _integer("pad_len", pad_len, 0)
+    s, pad_len = _bitstring(s), _integer("pad_len", pad_len, 0)
     out = np.zeros(pad_len + len(s), dtype=np.uint8)
     out[pad_len:] = s.bits
     return BitString._wrap(out)

@@ -7,10 +7,13 @@ H[i, j] for i < n-k and L[i-(n-k), j] above (bit i % 64 of word i // 64).
 A column takes ceil(n/64) uint64 words, and one word is stored as a flat
 uint64, so for n <= 64 the table is a 1-D array. One XOR of packed
 columns yields a word's syndrome and message in one packed word. One
-GF(2) elimination of [G^T | I_k], its rows Python ints, rejects a
-rank-deficient G and writes each packed column straight from its reduced
-row as a Python int; one step turns those ints into the uint64 table. H
-and L are unpacked from the table on first use.
+GF(2) elimination of [G^T | I_k] builds the table: its rows are Python
+ints, each sliced from one int read from a packbits of G, it rejects a
+rank-deficient G at the first dependent row, and it writes each packed
+column straight from its reduced row as a Python int; one step turns
+those ints into the uint64 table. A random code eliminates each draw
+once and builds a code from the accepted draw's table alone. H and L
+are unpacked from the table on first use.
 
 Every code gets one coset-leader table at construction, built vectorized
 over all patterns of weight <= t from one gather of the packed table:
@@ -48,9 +51,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bitcore import (BitString, CapacityError, DimensionError,
-                      ParameterError, SeededRng, _integer, bit_array,
-                      support_batches, xor_gather)
+from .bitcore import (BitsLike, BitString, CapacityError, DimensionError,
+                      ParameterError, SeededRng, _bitstring, _integer,
+                      bit_array, support_batches, xor_gather)
 
 
 class InversionError(ValueError):
@@ -64,15 +67,19 @@ def _parity_and_left_inverse(G: np.ndarray) -> np.ndarray:
     """The packed [H; L] column table of an n x k generator G, n + 1 rows,
     from one elimination of [G^T | I_k].
 
-    Each row of [G^T | I_k] is a Python int (column c -> bit c). A row
-    joins the basis under its lowest set bit once the basis rows keyed by
-    its lowest bit are XORed away; a lowest bit at n or above means its G^T
-    part vanished, so G has rank below k and ParameterError is raised.
-    Back-substitution from the highest pivot down then leaves the reduced
-    row echelon form, which is unique. Without its pivot bit p, the row
-    holds column p of H at the non-pivot columns and column p of L above
-    bit n; the i-th non-pivot column of H is the unit vector e_i, and of L
-    zero. So H G = 0 and L G = I_k.
+    Each row of [G^T | I_k] is a Python int (column c -> bit c). One
+    packbits of G down its columns, read as one little-endian int, holds
+    column j of G in bits 8 ceil(n/8) j onwards, so row j is one shift and
+    mask of that int with bit n + j set for I_k: no augmented copy of G is
+    made. A row joins the basis under its lowest set bit once the basis
+    rows keyed by its lowest bit are XORed away; a lowest bit at n or
+    above means its G^T part vanished, so G has rank below k and
+    ParameterError is raised at that row. Back-substitution from the
+    highest pivot down then leaves the reduced row echelon form, which is
+    unique. Without its pivot bit p, the row holds column p of H at the
+    non-pivot columns and column p of L above bit n; the i-th non-pivot
+    column of H is the unit vector e_i, and of L zero. So H G = 0 and
+    L G = I_k.
 
     Each column of [H; L] is written from its row as one Python int: the
     L bits are row >> n, and the H bits are the row's non-pivot bits,
@@ -88,15 +95,12 @@ def _parity_and_left_inverse(G: np.ndarray) -> np.ndarray:
     index n. The table is read-only.
     """
     n, k = G.shape
-    words = max(1, -(-(n + k) // 64))
-    augmented = np.eye(k, 64 * words, n, dtype=np.uint8)
-    augmented[:, :n] = G.T
-    packed = np.packbits(augmented, axis=1, bitorder="little").view("<u8")
-    rows = packed[:, 0].tolist()
-    for j in range(1, words):
-        rows = [row | word << 64 * j for row, word in zip(rows, packed[:, j].tolist())]
+    packed = np.packbits(G, axis=0, bitorder="little")
+    columns = int.from_bytes(packed.T.tobytes(), "little")
+    stride, mask = 8 * len(packed), (1 << n) - 1
     basis = {}   # lowest set bit -> row
-    for row in rows:
+    for j in range(k):
+        row = columns >> stride * j & mask | 1 << n + j
         low = row & -row
         while low in basis:
             row ^= basis[low]
@@ -237,21 +241,7 @@ class LinearCode:
     """
 
     def __init__(self, G: np.ndarray, t: int, kind: str, param: Optional[int] = None):
-        self._build(bit_array(G, 2, "generator matrix"), _integer("t", t),
-                    kind, param)
-
-    @classmethod
-    def _wrap(cls, G: np.ndarray, t: int, kind: str,
-              param: Optional[int] = None) -> "LinearCode":
-        # Internal fast path: G must already be a fresh C-ordered 2-D uint8
-        # array of 0s and 1s.
-        code = cls.__new__(cls)
-        code._build(G, t, kind, param)
-        return code
-
-    # -- construction internals ------------------------------------------
-
-    def _build(self, G: np.ndarray, t: int, kind: str, param: Optional[int]):
+        G, t = bit_array(G, 2, "generator matrix"), _integer("t", t)
         n, k = G.shape
         if k > n:
             raise ParameterError(f"dimension k={k} exceeds blocklength n={n}")
@@ -259,7 +249,25 @@ class LinearCode:
             raise ParameterError(f"code dimensions need 1 <= k <= n, got n={n}, k={k}")
         if t < 0:
             raise ParameterError("decoding radius must be non-negative")
-        self._cols = _parity_and_left_inverse(G)
+        self._build(G, _parity_and_left_inverse(G), t, kind, param)
+
+    @classmethod
+    def _wrap(cls, G: np.ndarray, cols: np.ndarray, t: int, kind: str,
+              param: Optional[int] = None) -> "LinearCode":
+        """Internal fast path for a G already eliminated: G must be a fresh
+        C-ordered n x k uint8 array of 0s and 1s with 1 <= k <= n, cols its
+        _parity_and_left_inverse table and t an int >= 0. Nothing is checked
+        or eliminated again."""
+        code = cls.__new__(cls)
+        code._build(G, cols, t, kind, param)
+        return code
+
+    # -- construction internals ------------------------------------------
+
+    def _build(self, G: np.ndarray, cols: np.ndarray, t: int, kind: str,
+               param: Optional[int]):
+        n, k = G.shape
+        self._cols = cols
         self.G = G
         self.n = n
         self.k = k
@@ -428,17 +436,19 @@ def random_linear_code(n: int, k: int, rng: SeededRng) -> LinearCode:
     """Uniform full-rank n x k generator matrix, decoding radius 0; n and
     k must be integers, else ParameterError. Each try is one flat draw,
     the stream of a size (n, k) draw at less cost, of fresh 0/1 entries
-    that the constructor does not check again."""
+    that are not checked again. Each draw is eliminated once; a
+    rank-deficient one is dropped there, and only the accepted draw
+    becomes a code, built from the table that elimination made."""
     n, k = _integer("n", n), _integer("k", k)
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     while True:
         G = rng.integers(0, 2, size=n * k, dtype=np.uint8).reshape(n, k)
         try:
-            return LinearCode._wrap(G, t=0, kind="random", param=rng.seed)
-        except ParameterError:
-            # with t = 0 and k <= n the only rejection is rank deficiency
+            cols = _parity_and_left_inverse(G)
+        except ParameterError:   # rank deficient: draw again
             continue
+        return LinearCode._wrap(G, cols, t=0, kind="random", param=rng.seed)
 
 
 def code_from_spec(spec: str, rng: SeededRng) -> LinearCode:
@@ -459,27 +469,30 @@ def code_from_spec(spec: str, rng: SeededRng) -> LinearCode:
 # ---------------------------------------------------------------------------
 # Operations
 
-def encode(code: LinearCode, msg: BitString) -> BitString:
+def encode(code: LinearCode, msg: BitsLike) -> BitString:
     """G * msg over GF(2)."""
+    msg = _bitstring(msg)
     if len(msg) != code.k:
         raise DimensionError(f"message length {len(msg)} != k = {code.k}")
     # uint8 sums wrap mod 256, which keeps their parity
     return BitString._wrap((code.G @ msg.bits) & 1)
 
 
-def syndrome(code: LinearCode, word: BitString) -> BitString:
+def syndrome(code: LinearCode, word: BitsLike) -> BitString:
     """H * word over GF(2); all-zeros exactly for codewords."""
+    word = _bitstring(word)
     if len(word) != code.n:
         raise DimensionError(f"word length {len(word)} != n = {code.n}")
     return BitString._wrap(_field(code._syndromes(word.bits[None]), 0, code.n - code.k)[0])
 
 
-def decode(code: LinearCode, word: BitString) -> Optional[BitString]:
+def decode(code: LinearCode, word: BitsLike) -> Optional[BitString]:
     """Unique codeword within distance t, or None if there is none.
 
     For t = 0 codes this is an exact membership test. On a hit the result
     is the encoding of the corrected word's message bits.
     """
+    word = _bitstring(word)
     if len(word) != code.n:
         raise DimensionError(f"word length {len(word)} != n = {code.n}")
     hit, fixed = code._lookup(code._syndromes(word.bits[None]))
@@ -488,8 +501,9 @@ def decode(code: LinearCode, word: BitString) -> Optional[BitString]:
     return encode(code, BitString._wrap(_field(fixed, code.n - code.k, code.n)[0]))
 
 
-def invert_message(code: LinearCode, codeword: BitString) -> BitString:
+def invert_message(code: LinearCode, codeword: BitsLike) -> BitString:
     """The unique msg with encode(code, msg) == codeword."""
+    codeword = _bitstring(codeword)
     if len(codeword) != code.n:
         raise DimensionError(f"word length {len(codeword)} != n = {code.n}")
     packed = code._syndromes(codeword.bits[None])

@@ -59,8 +59,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import RationalLike, _rational, fixed_weight
-from .bitcore import (BitString, DimensionError, ParameterError, _integer,
-                      support_batches, xor_gather)
+from .bitcore import (BitString, DimensionError, ParameterError, _bitstring,
+                      _integer, support_batches, xor_gather)
 from .codes import LinearCode, _field, _fold, _low_mask
 from .sketch import Sketch, _eps_violation
 
@@ -172,8 +172,7 @@ def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
     p = sk.params
     k_star, n_star, n = p.k_star, p.n_star, outer.n
     weights = tuple(weights)
-    if not isinstance(w_prime, BitString):
-        w_prime = BitString(w_prime)
+    w_prime = _bitstring(w_prime)
     if len(w_prime) != k_star:
         raise DimensionError(f"w' length {len(w_prime)} != k* = {k_star}")
     if inner != p.inner or outer != p.outer:

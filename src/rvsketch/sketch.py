@@ -32,7 +32,7 @@ import numpy as np
 
 from .analysis import RationalLike, _rational, fixed_weight
 from .bitcore import (BitString, DimensionError, ParameterError, SeededRng,
-                      _integer)
+                      _bitstring, _integer)
 from .codes import LinearCode, code_from_text, code_to_text
 from .lsh import IndexVector
 
@@ -178,8 +178,7 @@ def make_sketch(w: BitString, N: IndexVector, eps_ss: RationalLike,
     eps_ss = _rational("eps_ss", eps_ss)
     if eps_ss != params.eps_ss:
         params = dataclasses.replace(params, eps_ss=eps_ss)
-    if not isinstance(w, BitString):
-        w = BitString(w)
+    w = _bitstring(w)
     if len(w) != params.k_star:
         raise DimensionError(
             f"secret length {len(w)} != k* = {params.k_star}")

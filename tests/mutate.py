@@ -75,6 +75,18 @@ EQUIVALENT = {
     "recover::_subset_words: nib[0, 0] ^= const -> nib[0, 1] ^= const":
         "every subset word of chunk 0 XORs one word of each nibble, so const "
         "reaches all 256 from either nibble",
+    "codes::_parity_and_left_inverse: start = (free & -free).bit_length() - 1 -> "
+    "start = (free | -free).bit_length() - 1":
+        "for x > 0, x | -x is -(x & -x), and a negative int's bit_length is "
+        "its magnitude's",
+    "codes::_parity_and_left_inverse: length = (~run & run + 1).bit_length() - 1 -> "
+    "length = (~run | run + 1).bit_length() - 1":
+        "~run is -(run + 1), and y | -y is -(y & -y), so the bit_length is "
+        "that of run + 1's lowest bit, as with &",
+    "codes::_parity_and_left_inverse: length = (~run & run + 1).bit_length() - 1 -> "
+    "length = (~run & run + 2).bit_length() - 1":
+        "run's bit 0 is set, so run + 2, like run + 1, sets run's lowest "
+        "clear bit and changes no bit above it",
 }
 
 

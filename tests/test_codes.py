@@ -15,8 +15,9 @@ from oracles import (all_codewords_matrix, codewords_packed,
 from rvsketch import (BitString, CapacityError, DimensionError,
                       InversionError, LinearCode, ParameterError, SeededRng,
                       bch_code, code_from_spec, code_from_text, code_to_text,
-                      decode, encode, invert_message, random_linear_code,
-                      syndrome)
+                      decode, encode, hamming_distance, hamming_weight,
+                      invert_message, random_linear_code, syndrome, xor,
+                      zero_pad_prefix)
 from rvsketch import codes, recover
 
 
@@ -172,6 +173,14 @@ class TestElimination:
     @example(_invertible(64, 9))                   # square: one full word
     @example(_invertible(65, 10))                  # square: one bit past it
     @example(_invertible(128, 11))                 # square: two full words
+    @example(_invertible(8, 12))       # column stride 8 bits, none padded
+    @example(_seeded_generator(8, 5, 13))
+    @example(_invertible(9, 14))       # stride 16: 7 pad bits per column
+    @example(_seeded_generator(9, 4, 15))
+    @example(_invertible(16, 16))      # stride 16, none padded
+    @example(_seeded_generator(16, 11, 17))
+    @example(_invertible(17, 18))      # stride 24: 7 pad bits per column
+    @example(_seeded_generator(17, 9, 19))
     def test_packed_table_against_gauss_jordan(self, G):
         expect = gauss_jordan_parity_and_left_inverse(G)
         if expect is None:
@@ -231,6 +240,18 @@ class TestElimination:
                                               dtype=np.uint8))):
             draws += 1
         assert draws > 1 and len(calls) == draws
+
+    def test_a_rank_deficient_draw_builds_no_code(self, monkeypatch):
+        eliminate, build = codes._parity_and_left_inverse, LinearCode._build
+        eliminations, builds = [], []
+        monkeypatch.setattr(codes, "_parity_and_left_inverse",
+                            lambda G: eliminations.append(G) or eliminate(G))
+        monkeypatch.setattr(LinearCode, "_build",
+                            lambda self, *a: builds.append(a) or build(self, *a))
+        code = random_linear_code(12, 12, SeededRng(5))
+        assert len(eliminations) > 1 and len(builds) == 1
+        G, cols = builds[0][:2]
+        assert G is eliminations[-1] is code.G and cols is code._cols
 
 
 class TestGeneratorInput:
@@ -733,6 +754,25 @@ class TestInputContracts:
         c = LinearCode(hamming7.G, t, "bch", 3)
         assert type(c.t) is int and c.t == 1
         assert code_from_text(code_to_text(c)) == c == hamming7
+
+    @pytest.mark.parametrize("op,text", [
+        (encode, "1011"),
+        (syndrome, "1011000"),
+        (decode, "1011000"),
+        (invert_message, "1001011"),   # a codeword
+        (lambda code, w: xor(w, "0110011"), "1011000"),
+        (lambda code, w: hamming_distance("0110011", w), "1011000"),
+        (lambda code, w: hamming_weight(w), "1011000"),
+        (lambda code, w: zero_pad_prefix(w, 2), "1011000"),
+    ], ids=["encode", "syndrome", "decode", "invert_message", "xor",
+            "hamming_distance", "hamming_weight", "zero_pad_prefix"])
+    def test_word_given_as_text_or_a_list(self, hamming7, op, text):
+        expect = op(hamming7, BitString(text))
+        assert op(hamming7, text) == expect
+        assert op(hamming7, [int(b) for b in text]) == expect
+        for bad in (text[:-1] + "2", " " + text, "0b" + text):
+            with pytest.raises(ParameterError, match="must match"):
+                op(hamming7, bad)
 
     @pytest.mark.parametrize("op", [syndrome, decode, invert_message])
     def test_word_of_the_wrong_length(self, hamming7, op):
