@@ -134,6 +134,8 @@ class BitString:
         return BitString._wrap(self._bits[self._bits.size - m:].copy())
 
     def __xor__(self, other: "BitString") -> "BitString":
+        if not isinstance(other, BitString):
+            return NotImplemented
         if self._bits.size != other._bits.size:
             raise DimensionError(
                 f"length mismatch: {self._bits.size} vs {other._bits.size}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import RationalLike, _rational
 from .bitcore import (BitString, DimensionError, ParameterError, SeededRng,
-                      _integer, hamming_distance)
+                      BitsLike, _bitstring, _integer, hamming_distance)
 
 _CHUNK_TRIALS = 4096
 
@@ -85,11 +85,13 @@ def gen_index_vector(k_star: int, n: int, rng: SeededRng) -> IndexVector:
     return IndexVector._wrap(draws, k_star)
 
 
-def sample_bits(w: BitString, N: IndexVector) -> BitString:
+def sample_bits(w: BitsLike, N: IndexVector) -> BitString:
     """Resilient vector: output position i holds bit N(i) of w.
 
-    Deterministic and GF(2)-linear in w for fixed N.
+    Deterministic and GF(2)-linear in w for fixed N. w may be anything
+    BitString takes.
     """
+    w = _bitstring(w)
     if len(w) != N.source_len:
         raise DimensionError(
             f"word length {len(w)} != index source length {N.source_len}")
@@ -111,15 +113,16 @@ def expected_rv_distance(w: BitString, w_prime: BitString, n: int) -> Fraction:
     return n * (1 - similarity(w, w_prime))
 
 
-def rv_distance_samples(w: BitString, w_prime: BitString, n: int,
+def rv_distance_samples(w: BitsLike, w_prime: BitsLike, n: int,
                         trials: int, rng: SeededRng) -> np.ndarray:
     """RV distances for `trials` fresh index vectors, as an int64 array.
 
     Each sampled position differs between the two resilient vectors iff the
     drawn index lands in the support of w xor w', so only that support is
-    consulted.
+    consulted. The words may be anything BitString takes.
     """
-    diff = (w ^ w_prime).bits   # DimensionError unless the lengths agree
+    w = _bitstring(w)
+    diff = (w ^ _bitstring(w_prime)).bits   # DimensionError unless the lengths agree
     k_star = len(w)
     if k_star < 1:
         raise ParameterError("k_star must be positive")
@@ -136,7 +139,7 @@ def rv_distance_samples(w: BitString, w_prime: BitString, n: int,
     return out
 
 
-def empirical_rv_distance(w: BitString, w_prime: BitString, n: int,
+def empirical_rv_distance(w: BitsLike, w_prime: BitsLike, n: int,
                           trials: int, rng: SeededRng) -> Tuple[float, float]:
     """Sample mean and stddev of the RV distance over fresh index vectors."""
     samples = rv_distance_samples(w, w_prime, n, trials, rng)

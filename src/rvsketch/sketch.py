@@ -13,20 +13,24 @@ The pipeline, for secret w of length k*:
 Only ss, N and the parameter block are public; e never leaves the debug
 bundle.
 
-make_sketch runs the pipeline in one pass over uint8 arrays. The k-n*
-zeros of v* meet only the first k-n* columns of the outer generator, so
-c is the product of the remaining columns with v_syn, and v* is built for
-the debug bundle alone, which wraps the same arrays.
+make_sketch computes ss in one short chain of uint8 array steps. The k-n*
+zeros of v* meet only the first k-n* columns of the outer generator, so c
+is the remaining columns times v_syn. uint8 sums wrap mod 256 and XOR with
+a 0/1 array flips bit 0 alone, so bit 0 carries the GF(2) value through
+both products and the XORs, and one & 1 at the end reduces ss. The rules
+a SketchParams must keep and its error weight are computed once per
+params object; the debug bundle is built only when asked for.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -57,6 +61,16 @@ class SketchParams:
     n_star = property(lambda self: self.inner.n)
     k = property(lambda self: self.outer.k)
     n = property(lambda self: self.outer.n)
+
+    @functools.cached_property
+    def _rules(self) -> Tuple[Tuple[str, ...], int]:
+        """(param_violations, error weight floor(k* eps_ss)) on first use;
+        the fields never change, and dataclasses.replace makes a new object
+        with its own cache. The weight is 0 while a rule is broken."""
+        violations = tuple(param_violations(self.k_star, self.n_star, self.k,
+                                            self.n, self.eps_ss))
+        return violations, 0 if violations else fixed_weight(self.k_star,
+                                                             self.eps_ss)
 
     @classmethod
     def from_codes(cls, inner: LinearCode, outer: LinearCode,
@@ -114,20 +128,16 @@ def param_violations(k_star: int, n_star: int, k: int, n: int,
     return violations
 
 
-def _error_bits(k_star: int, eps: RationalLike, rng: SeededRng) -> np.ndarray:
-    """e as a fresh uint8 array: one subset draw, made only at weight > 0."""
+def sample_error(k_star: int, eps: RationalLike, rng: SeededRng) -> BitString:
+    """Uniform vector of length k* with weight exactly floor(k* eps): one
+    subset draw, made only at weight > 0. ParameterError unless k* is a
+    non-negative integer."""
+    k_star = _integer("k_star", k_star, 0)
     weight = fixed_weight(k_star, eps)
     out = np.zeros(k_star, dtype=np.uint8)
     if weight:
         out[rng.subset(k_star, weight)] = 1
-    return out
-
-
-def sample_error(k_star: int, eps: RationalLike, rng: SeededRng) -> BitString:
-    """Uniform vector of length k* with weight exactly floor(k* eps);
-    ParameterError unless k* is a non-negative integer."""
-    k_star = _integer("k_star", k_star, 0)
-    return BitString._wrap(_error_bits(k_star, eps, rng))
+    return BitString._wrap(out)
 
 
 @dataclass(frozen=True)
@@ -158,16 +168,33 @@ class Sketch:
         if self.N.length != self.params.n or self.N.source_len != self.params.k_star:
             raise DimensionError("index vector inconsistent with params")
 
+    @classmethod
+    def _wrap(cls, ss: BitString, params: SketchParams, N: IndexVector,
+              rng_algo_id: str) -> "Sketch":
+        # Internal fast path: ss must already have params.n bits and N
+        # params.n entries over params.k_star.
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, "ss", ss)
+        object.__setattr__(obj, "params", params)
+        object.__setattr__(obj, "N", N)
+        object.__setattr__(obj, "rng_algo_id", rng_algo_id)
+        return obj
+
 
 def make_sketch(w: BitString, N: IndexVector, eps_ss: RationalLike,
                 params: SketchParams, rng: SeededRng, debug: bool = False):
-    """Run the sketching pipeline in one pass over uint8 arrays.
+    """Run the sketching pipeline as one short chain over uint8 arrays.
 
-    The error e takes one subset draw from rng, made only when its weight
-    floor(k* eps_ss) is above zero; nothing else is drawn. c is the outer
-    generator's columns past the zero prefix times v_syn, so v* is built
-    only for the debug bundle, whose seven fields wrap the arrays the
-    sketch was computed from.
+    The checks, in order: eps_ss, the secret's length, N against params,
+    then params' rules, which each SketchParams computes once along with
+    its error weight floor(k* eps_ss). The error is one subset draw from
+    rng, made only when that weight is above zero; nothing else is drawn.
+
+    The chain: w_e is a copy of w with the drawn positions flipped;
+    v = G_in w, and v's last k* entries ^= w_e; ss = the outer generator's
+    columns past the zero prefix times v, ss ^= w_e at N, then one & 1,
+    which gives the bits of reducing every stage (see the module
+    docstring). The debug bundle is derived only when requested.
 
     w may be anything BitString takes. Returns the Sketch, or (Sketch,
     SketchDebug) when debug is requested. The eps_ss argument is the one
@@ -175,37 +202,39 @@ def make_sketch(w: BitString, N: IndexVector, eps_ss: RationalLike,
     itself when it already holds that value, otherwise a copy with eps_ss
     replaced.
     """
-    eps_ss = _rational("eps_ss", eps_ss)
-    if eps_ss != params.eps_ss:
-        params = dataclasses.replace(params, eps_ss=eps_ss)
+    if eps_ss is not params.eps_ss:
+        eps_ss = _rational("eps_ss", eps_ss)
+        if eps_ss != params.eps_ss:
+            params = dataclasses.replace(params, eps_ss=eps_ss)
     w = _bitstring(w)
-    if len(w) != params.k_star:
-        raise DimensionError(
-            f"secret length {len(w)} != k* = {params.k_star}")
-    if N.source_len != params.k_star or N.length != params.n:
+    k_star, n_star = params.k_star, params.n_star
+    if len(w) != k_star:
+        raise DimensionError(f"secret length {len(w)} != k* = {k_star}")
+    if N.source_len != k_star or N.length != params.n:
         raise DimensionError("index vector inconsistent with params")
-    violations = param_violations(params.k_star, params.n_star, params.k,
-                                  params.n, params.eps_ss)
+    violations, weight = params._rules
     if violations:
         raise ParameterError("; ".join(violations))
 
-    k_star, n_star = params.k_star, params.n_star
-    e = _error_bits(k_star, params.eps_ss, rng)
-    w_e = w.bits ^ e
-    c_star = params.inner.G @ w.bits & 1   # uint8 sums wrap, parity kept
-    v_syn = c_star.copy()
-    v_syn[n_star - k_star:] ^= w_e
+    w_e = w.bits.copy()
+    if weight:
+        w_e[rng.subset(k_star, weight)] ^= 1
+    v = params.inner.G @ w.bits   # uint8 sums wrap, parity kept in bit 0
+    v[n_star - k_star:] ^= w_e
     # the outer code's columns past its zero prefix meet v_syn itself
-    c = params.outer.G[:, params.k - n_star:] @ v_syn & 1
+    ss = params.outer.G[:, params.k - n_star:] @ v
+    ss ^= w_e[N.indices - 1]
+    ss &= 1
+    sk = Sketch._wrap(BitString._wrap(ss), params, N, rng.algo_id)
+    if not debug:
+        return sk
+    c_star = params.inner.G @ w.bits & 1
+    v_syn = v & 1
+    v_star = np.zeros(params.k, dtype=np.uint8)
+    v_star[params.k - n_star:] = v_syn
     phi = w_e[N.indices - 1]
-    sk = Sketch(ss=BitString._wrap(c ^ phi), params=params, N=N,
-                rng_algo_id=rng.algo_id)
-    if debug:
-        v_star = np.zeros(params.k, dtype=np.uint8)
-        v_star[params.k - n_star:] = v_syn
-        return sk, SketchDebug(*map(BitString._wrap, (
-            e, w_e, c_star, v_syn, v_star, c, phi)))
-    return sk
+    return sk, SketchDebug(*map(BitString._wrap, (
+        w.bits ^ w_e, w_e, c_star, v_syn, v_star, ss ^ phi, phi)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +343,9 @@ def _parse_sketch(data: bytes) -> Sketch:
         if (code.n, code.k) != dims:
             raise ParameterError(f"{name} code is [{code.n},{code.k}], "
                                  f"params say [{dims[0]},{dims[1]}]")
-    return Sketch(ss=ss, params=SketchParams(inner, outer, eps_ss),
-                  N=IndexVector(idx, k_star), rng_algo_id=algo)
+    # ss has n bits and N n entries over k*, the codes' own dimensions
+    return Sketch._wrap(ss, SketchParams(inner, outer, eps_ss),
+                        IndexVector(idx, k_star), algo)
 
 
 def save_sketch(sk: Sketch, path: Union[str, Path]) -> None:

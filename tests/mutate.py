@@ -87,6 +87,10 @@ EQUIVALENT = {
     "length = (~run & run + 2).bit_length() - 1":
         "run's bit 0 is set, so run + 2, like run + 1, sets run's lowest "
         "clear bit and changes no bit above it",
+    "sketch::SketchParams._rules: return (violations, 0 if violations else "
+    "fixed_weight(self.k_star, self.eps_ss)) -> return (violations, 1 if "
+    "violations else fixed_weight(self.k_star, self.eps_ss))":
+        "make_sketch raises on a broken rule before it reads the weight",
 }
 
 

@@ -70,6 +70,15 @@ class TestXor:
         with pytest.raises(DimensionError):
             xor(BitString("1"), BitString("11"))
 
+    @pytest.mark.parametrize("other", ["10", [1, 0], np.array([1, 0], dtype=np.uint8)],
+                             ids=["text", "list", "array"])
+    def test_operator_refuses_a_non_bitstring(self, other):
+        # the ^ operator returns NotImplemented, so Python raises TypeError;
+        # xor() is the function that takes any word
+        with pytest.raises(TypeError, match="unsupported operand"):
+            BitString("01") ^ other
+        assert xor(BitString("01"), other) == BitString("11")
+
     @given(paired())
     def test_commutative(self, pair):
         a, b = pair

@@ -269,3 +269,24 @@ class TestExceedance:
         empty = BitString.zeros(0)
         with pytest.raises(ParameterError, match="k_star must be positive"):
             law(empty, empty)
+
+
+class TestWordInputs:
+    """The sampling laws take a word as anything BitString takes."""
+
+    @pytest.mark.parametrize("op", [
+        lambda w, wp: tuple(sample_bits(word, gen_index_vector(7, 12, SeededRng(3)))
+                            for word in (w, wp)),
+        lambda w, wp: rv_distance_samples(w, wp, 12, 5, SeededRng(4)).tolist(),
+        lambda w, wp: empirical_rv_distance(w, wp, 12, 5, SeededRng(5)),
+    ], ids=["sample_bits", "rv_distance_samples", "empirical_rv_distance"])
+    def test_word_given_as_text_or_a_list(self, op):
+        text, text_prime = "0110100", "1110001"
+        expect = op(BitString(text), BitString(text_prime))
+        assert op(text, text_prime) == expect
+        assert op([int(b) for b in text], [int(b) for b in text_prime]) == expect
+        for bad in (text[:-1] + "2", " " + text, "0b" + text):
+            with pytest.raises(ParameterError, match="must match"):
+                op(bad, text_prime)
+            with pytest.raises(ParameterError, match="must match"):
+                op(text, bad)

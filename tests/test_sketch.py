@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import golden
 from oracles import (load_sketch_reference, make_sketch_reference,
                      sketch_matrix_reference)
-from rvsketch import (BitString, DimensionError, ParameterError, SeededRng,
-                      Sketch, SketchFormatError, SketchParams, bch_code,
+from rvsketch import (BitString, DimensionError, LinearCode, ParameterError,
+                      SeededRng, Sketch, SketchFormatError, SketchParams, bch_code,
                       dump_sketch, encode, error_floor_check, fixed_weight,
                       gen_index_vector, invert_message, load_sketch,
                       param_violations, random_linear_code, recover_fixed,
@@ -53,6 +53,12 @@ class TestSampleError:
             assert e.weight == 1
             seen.add(str(e))
         assert len(seen) == 8
+
+    def test_empty_error(self):
+        # k* = 0 is allowed: the weight is 0 and nothing is drawn
+        rng = SeededRng(4)
+        assert sample_error(0, Fraction(1, 2), rng) == BitString.zeros(0)
+        assert rng.random_bits(16) == SeededRng(4).random_bits(16)
 
     def test_eps_out_of_range(self):
         with pytest.raises(ParameterError):
@@ -325,6 +331,68 @@ class TestMakeSketch:
         N = gen_index_vector(7, 31, rng)
         with pytest.raises(ParameterError, match="outside"):
             make_sketch(BitString.zeros(7), N, eps, standard_params, rng)
+
+
+class TestRulesOncePerParams:
+    """make_sketch lists a SketchParams' rules once per params object."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from rvsketch import sketch
+        real, calls = sketch.param_violations, []
+        monkeypatch.setattr(sketch, "param_violations",
+                            lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    def test_once_per_params_and_once_per_copy(self, calls):
+        p = SketchParams.from_codes(bch_code(4, 2), bch_code(5, 3), Fraction(1, 7))
+        rng = SeededRng(40)
+        w, N = rng.random_bits(7), gen_index_vector(7, 31, rng)
+        first = make_sketch(w, N, p.eps_ss, p, SeededRng(41))
+        for eps in (p.eps_ss, Fraction(1, 7), "1/7", p.eps_ss):
+            assert make_sketch(w, N, eps, p, SeededRng(41)) == first
+        assert len(calls) == 1
+        q = dataclasses.replace(p, eps_ss=Fraction(1, 14))
+        make_sketch(w, N, q.eps_ss, q, rng)
+        make_sketch(w, N, q.eps_ss, q, rng)
+        assert len(calls) == 2
+
+    def test_a_broken_rule_raises_the_same_error_each_call(self, calls):
+        # n* = 31 is not below k = 16, and eps_ss = 3/10 is past 1/4
+        p = SketchParams.from_codes(bch_code(5, 3), bch_code(5, 3), Fraction(3, 10))
+        w, N = BitString.zeros(16), gen_index_vector(16, 31, SeededRng(42))
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ParameterError) as info:
+                make_sketch(w, N, p.eps_ss, p, SeededRng(43))
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == "; ".join(
+            param_violations(16, 31, 16, 31, Fraction(3, 10)))
+        assert len(calls) == 1
+
+
+def test_parity_past_one_byte():
+    # k* = 300: the inner generator's last row is all ones, so for a dense
+    # secret its uint8 sum passes 255 and wraps, and so does every outer
+    # sum over v; the single & 1 must still give the reference's bits
+    rng = SeededRng(44)
+    dense = random_linear_code(309, 300, rng.spawn(1)).G
+    inner = LinearCode(np.vstack([dense, np.ones((1, 300))]), 0, "random")
+    params = SketchParams.from_codes(inner, random_linear_code(340, 320, rng.spawn(2)),
+                                     Fraction(1, 4))
+    N = gen_index_vector(300, 340, rng.spawn(3))
+    for eps, seed in ((Fraction(1, 600), 1), (Fraction(1, 8), 2), (Fraction(1, 4), 3)):
+        # a secret with about 15/16 of its bits set
+        sparse = functools.reduce(np.bitwise_and, (
+            rng.spawn(10 * seed + i).random_bits(300).bits for i in range(4)))
+        w = BitString(1 - sparse)
+        v = inner.G.astype(np.int64) @ w.bits
+        assert v.max() > 255
+        assert (params.outer.G[:, 10:].astype(np.int64) @ v).min() > 255
+        sk, dbg = make_sketch(w, N, eps, params, rng.spawn(100 + seed), debug=True)
+        ss, want = make_sketch_reference(w, N, eps, params, rng.spawn(100 + seed))
+        assert sk.ss == ss
+        assert dbg == want
 
 
 # (inner, outer) code pairs with n* < k, BCH and random, one outer past
