@@ -13,6 +13,7 @@ path and no hidden slack.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from decimal import MAX_EMAX, ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
@@ -65,18 +66,24 @@ def hoeffding_bound(n: int, eps: RationalLike) -> float:
     eps fit a float, and otherwise from the exact exponent 2 n eps^2, 0.0
     where exp underflows. error_floor_check decides by exponents instead.
     """
-    n = _integer("n", n)
-    if n < 1:
-        raise ParameterError("n must be positive")
-    eps = _rational("eps", eps)
-    if eps < 0:
-        raise ParameterError("eps must be non-negative")
+    n, eps = _hoeffding_args(n, eps, "eps")
     try:
         e = float(eps)
         return math.exp(-2.0 * n * e * e)
     except OverflowError:   # n or eps is past float range
         exponent = 2 * n * eps ** 2
         return 0.0 if exponent > _EXP_UNDERFLOW else math.exp(-float(exponent))
+
+
+def _hoeffding_args(n: int, eps: RationalLike, name: str) -> Tuple[int, Fraction]:
+    """(n, eps) checked as hoeffding_bound takes them, eps named name."""
+    n = _integer("n", n)
+    if n < 1:
+        raise ParameterError("n must be positive")
+    eps = _rational(name, eps)
+    if eps < 0:
+        raise ParameterError(f"{name} must be non-negative")
+    return n, eps
 
 
 def _float_or_inf(value: int) -> float:
@@ -103,7 +110,7 @@ def fixed_weight(k_star: int, eps: RationalLike) -> int:
     num, den = eps.numerator, eps.denominator
     if not 0 <= 2 * num <= den:
         raise ParameterError(f"eps = {eps} outside [0, 1/2]")
-    return _integer("k_star", k_star) * num // den
+    return _integer("k_star", k_star, 0) * num // den
 
 
 # math.comb refuses a weight past this, the 2^63 - 1 of its C long long
@@ -180,7 +187,7 @@ def thresholds(k_star: int, n: int, xi: RationalLike,
                eps_ss: RationalLike) -> Thresholds:
     """t_max = n(xi-eps), t_min = n(xi+eps) and the k*-space analogues."""
     xi, eps_ss = _rational("xi", xi), _rational("eps_ss", eps_ss)
-    k_star, n = _integer("k_star", k_star), _integer("n", n)
+    k_star, n = _integer("k_star", k_star, 0), _integer("n", n, 0)
     if not 0 <= eps_ss <= xi <= Fraction(1, 2):
         raise ParameterError(
             f"need 0 <= eps_ss <= xi <= 1/2, got eps_ss={eps_ss}, xi={xi}")
@@ -212,8 +219,8 @@ def efficiency_bound_check(k_star: int, eps_rec: RationalLike,
     against 2^(k-n*) zero-prefix states, which equals n+1 exactly when the
     outer code is a full-length BCH code with k-n* check-symbol groups.
     """
-    lhs = _entropy_bits(_integer("k_star", k_star), _rational("eps_rec", eps_rec))
-    rhs = _integer("k", k) - _integer("n_star", n_star)
+    lhs = _entropy_bits(_integer("k_star", k_star, 0), _rational("eps_rec", eps_rec))
+    rhs = _integer("k", k, 0) - _integer("n_star", n_star, 0)
     return BoundCheck(lhs <= rhs, lhs, _float_or_inf(rhs))
 
 
@@ -225,7 +232,7 @@ def error_floor_check(n: int, eps_ss: RationalLike, k: int,
     (_hoeffding_bits) against k-n*, which is exact at every size; lhs and
     rhs are reported as float values.
     """
-    n, delta = _integer("n", n), _integer("k", k) - _integer("n_star", n_star)
+    n, delta = _integer("n", n), _integer("k", k, 0) - _integer("n_star", n_star, 0)
     if delta < 1:
         raise ParameterError("need k > n*")
     eps = _rational("eps_ss", eps_ss)
@@ -257,7 +264,7 @@ def min_length_for_error_floor(k: int, n_star: int, eps_ss: RationalLike) -> int
     exact eps^2 = p^2/q^2 and ln 2 to 20 digits beyond the result's; the
     direct-search equality is exercised by the test suite.
     """
-    k, n_star = _integer("k", k), _integer("n_star", n_star)
+    k, n_star = _integer("k", k, 0), _integer("n_star", n_star, 0)
     if k <= n_star:
         raise ParameterError("need k > n*")
     eps = _rational("eps_ss", eps_ss)
@@ -300,7 +307,7 @@ def rate_bounds(k_star: int, k: int, n_star: int, eps_ss: RationalLike,
     R is negative when k-n* > k*: such a sketch is in the below-gv regime.
     """
     k_star = _integer("k_star", k_star)
-    delta = _integer("k", k) - _integer("n_star", n_star)
+    delta = _integer("k", k, 0) - _integer("n_star", n_star, 0)
     if k_star < 1 or delta < 1:
         raise ParameterError(f"need k* >= 1 and k-n* >= 1, got {k_star}, {delta}")
     two_eps = 2 * _rational("eps_ss", eps_ss)
@@ -322,7 +329,7 @@ def residual_entropy_bound(n: int, eps_ss: RationalLike) -> int:
     where this floor claims 1, because every stage of make_sketch is
     GF(2)-linear.
     """
-    return math.floor(_hoeffding_bits(_integer("n", n), _rational("eps_ss", eps_ss)))
+    return math.floor(_hoeffding_bits(*_hoeffding_args(n, eps_ss, "eps_ss")))
 
 
 _POW2_DIGITS_MAX_EXPONENT = 10 ** 8   # 2^(10^8): 30,103,000 digits, about 3 s
@@ -332,7 +339,7 @@ def false_accept_rate(k: int, n_star: int) -> Fraction:
     """Zero-prefix acceptance rate 2^-(k-n*) for a decoy iteration, up to
     k-n* = _POW2_DIGITS_MAX_EXPONENT; CapacityError beyond it, where
     `rvsketch bounds` prints a power of two as 2^e."""
-    k, n_star = _integer("k", k), _integer("n_star", n_star)
+    k, n_star = _integer("k", k, 0), _integer("n_star", n_star, 0)
     if k <= n_star:
         raise ParameterError(f"need k > n*, got k = {k}, n* = {n_star}")
     if k - n_star > _POW2_DIGITS_MAX_EXPONENT:
@@ -348,8 +355,8 @@ def binom_lower_tail(k: int, n: int, p: float) -> float:
     their largest term, so neither a tiny p^i nor a huge C(n, i) overflows.
     """
     k, n = _integer("k", k), _integer("n", n)
-    if n < 0 or not 0.0 <= p <= 1.0:
-        raise ParameterError(f"need n >= 0 and p in [0, 1], got n={n}, p={p}")
+    if n < 0 or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+        raise ParameterError(f"need n >= 0 and p in [0, 1], got n={n}, p={p!r}")
     if k < 0:
         return 0.0
     if k >= n or p == 0.0:
@@ -373,6 +380,6 @@ def min_sketch_len_for_budget(k_star: int, eps_ss: RationalLike) -> Tuple[int, i
     which is what makes the poly-in-n efficiency framing vacuous in k*.
     """
     eps_ss = _rational("eps_ss", eps_ss)
-    m_prime = math.ceil(_entropy_bits(_integer("k_star", k_star), 2 * eps_ss))
+    m_prime = math.ceil(_entropy_bits(_integer("k_star", k_star, 0), 2 * eps_ss))
     m_prime = max(m_prime, 1)
     return m_prime, 2 ** m_prime - 1

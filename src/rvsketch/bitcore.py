@@ -174,10 +174,14 @@ class BitString:
         return cls._wrap(np.ascontiguousarray(arr, dtype=np.uint8))
 
 
-def _bitstring(word: BitsLike) -> BitString:
-    """word itself if a BitString, else BitString(word): the word
-    functions take anything BitString takes, with its errors."""
-    return word if isinstance(word, BitString) else BitString(word)
+def _bitstring(word: BitsLike, length=None, what="word", dim="n") -> BitString:
+    """word itself if a BitString, else BitString(word): the word functions
+    take anything BitString takes, with its errors. A word of a length other
+    than length raises DimensionError "{what} length {len} != {dim} = {length}"."""
+    word = word if isinstance(word, BitString) else BitString(word)
+    if length is not None and len(word) != length:
+        raise DimensionError(f"{what} length {len(word)} != {dim} = {length}")
+    return word
 
 
 def xor(a: BitsLike, b: BitsLike) -> BitString:
@@ -191,10 +195,7 @@ def hamming_weight(a: BitsLike) -> int:
 
 def hamming_distance(a: BitsLike, b: BitsLike) -> int:
     """Number of positions where a and b disagree."""
-    a, b = _bitstring(a), _bitstring(b)
-    if len(a) != len(b):
-        raise DimensionError(f"length mismatch: {len(a)} vs {len(b)}")
-    return int(np.count_nonzero(a.bits ^ b.bits))
+    return (_bitstring(a) ^ _bitstring(b)).weight
 
 
 def zero_pad_prefix(s: BitsLike, pad_len: int) -> BitString:

@@ -10,10 +10,10 @@ columns yields a word's syndrome and message in one packed word. One
 GF(2) elimination of [G^T | I_k] builds the table: its rows are Python
 ints, each sliced from one int read from a packbits of G, it rejects a
 rank-deficient G at the first dependent row, and it writes each packed
-column straight from its reduced row as a Python int; one step turns
-those ints into the uint64 table. A random code eliminates each draw
-once and builds a code from the accepted draw's table alone. H and L
-are unpacked from the table on first use.
+column straight from its reduced row as a Python int; _words, the one
+builder of packed words from Python ints, turns them into the table. A
+random code eliminates each draw once and builds a code from the accepted
+draw's table alone. H and L are unpacked from the table on first use.
 
 Every code gets one coset-leader table at construction, built vectorized
 over all patterns of weight <= t from one gather of the packed table:
@@ -51,9 +51,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bitcore import (BitsLike, BitString, CapacityError, DimensionError,
-                      ParameterError, SeededRng, _bitstring, _integer,
-                      bit_array, support_batches, xor_gather)
+from .bitcore import (BitsLike, BitString, CapacityError, ParameterError,
+                      SeededRng, _bitstring, _integer, bit_array,
+                      support_batches, xor_gather)
 
 
 class InversionError(ValueError):
@@ -88,11 +88,11 @@ def _parity_and_left_inverse(G: np.ndarray) -> np.ndarray:
     check, so a rejected draw costs its elimination alone.
 
     Column j of [H; L] is packed contiguously, row i -> bit i % 64 of word
-    i // 64, in ceil(n/64) words, at least one; the n + 1 ints become
-    uint64 words in one step, for every word count. A single word is a
-    flat uint64, so the table is (n + 1,) for n <= 64 and (n + 1, words)
-    beyond. The zero last row serves supports padded with the sentinel
-    index n. The table is read-only.
+    i // 64, in ceil(n/64) words; _words makes the n + 1 ints uint64 words
+    in one step, for every word count. A single word is a flat uint64, so
+    the table is (n + 1,) for n <= 64 and (n + 1, words) beyond. The zero
+    last row serves supports padded with the sentinel index n. The table
+    is read-only.
     """
     n, k = G.shape
     packed = np.packbits(G, axis=0, bitorder="little")
@@ -136,10 +136,7 @@ def _parity_and_left_inverse(G: np.ndarray) -> np.ndarray:
         for start, mask, offset in runs:
             col |= (row >> start & mask) << offset
         cols[p.bit_length() - 1] = col
-    width = max(1, -(-n // 64))
-    table = np.frombuffer(b"".join(c.to_bytes(8 * width, "little") for c in cols),
-                          dtype="<u8")
-    return table if width == 1 else table.reshape(n + 1, width)
+    return _words(cols, () if n <= 64 else (-(-n // 64),))
 
 
 def _fold(packed: np.ndarray) -> np.ndarray:
@@ -155,18 +152,18 @@ def _field(packed: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=1, count=hi, bitorder="little")[:, lo:]
 
 
-def _low_mask(word_shape: tuple, bits: int):
-    """Bits 0..bits-1 set in one packed word of the given shape: a uint64
-    for the flat shape (), else a read-only (words,) array."""
-    if not word_shape:
-        return np.uint64((1 << bits) - 1)
-    return np.frombuffer(((1 << bits) - 1).to_bytes(8 * word_shape[0], "little"),
-                         dtype="<u8")
+def _words(ints: list, word_shape: tuple) -> np.ndarray:
+    """Python ints as a read-only (len(ints),) + word_shape batch of packed
+    words, bit i of an int in bit i % 64 of word i // 64; a word of shape
+    () is one flat uint64."""
+    width = 8 * math.prod(word_shape)
+    raw = b"".join([v.to_bytes(width, "little") for v in ints])
+    return np.frombuffer(raw, dtype="<u8").reshape((len(ints),) + word_shape)
 
 
 @functools.lru_cache(maxsize=256)
 def _positions(m: int) -> np.ndarray:
-    """The column 0..m-1 as a read-only intp (m, 1) array."""
+    """The column 0..m-1, read-only intp (m, 1), shared by codes of length m."""
     column = np.arange(m)[:, None]
     column.flags.writeable = False
     return column
@@ -276,7 +273,7 @@ class LinearCode:
         self.param = param
         # bits 0..n-k-1 of a packed word: its syndrome, nonzero iff a miss
         # once the looked-up leader's word is XORed in
-        self._syn_mask = _low_mask(self._cols.shape[1:], n - k)
+        self._syn_mask = _words([(1 << n - k) - 1], self._cols.shape[1:])[0]
         # memoized codes are shared, so nothing they hold may change
         self._arrays = (self.G, self._cols)
         if t:
@@ -322,11 +319,11 @@ class LinearCode:
     # -- array-level paths (shared with the recovery scan) -----------------
 
     def _syndromes(self, words: np.ndarray) -> np.ndarray:
-        """Packed [H; L] * word for each row of words, a uint8 0/1 (B, m)
-        array with m <= n: the syndrome in bits 0..n-k-1 and L * word above
-        it. Entry (i, b) of the gather index is i where bit i of word b is
-        set (read through a bool view), else the sentinel n."""
-        index = np.where(words.T.view(bool), _positions(words.shape[1]), self.n)
+        """Packed [H; L] * word for each row of words, a uint8 0/1 (B, n)
+        array: the syndrome in bits 0..n-k-1 and L * word above it. Entry
+        (i, b) of the gather index is i where bit i of word b is set (read
+        through a bool view), else the sentinel n."""
+        index = np.where(words.T.view(bool), _positions(self.n), self.n)
         return xor_gather(self._cols, index)
 
     def _fix(self, packed: np.ndarray) -> np.ndarray:
@@ -422,13 +419,11 @@ def bch_code(m_prime: int, t: int) -> LinearCode:
 
     # Systematic encoding: message occupies the high coefficients,
     # parity = (x^(n-k) m(x)) mod g(x) fills the low ones.
-    # Column j is that codeword for m(x) = x^j, bit i of its mask in row i.
+    # Column j is that codeword for m(x) = x^j, bit i of its mask in row i;
+    # n <= 63, so each column is one packed word.
     shift = n - k
-    width = (n + 7) // 8
-    cols = b"".join(((1 << (shift + j)) ^ _polymod(1 << (shift + j), g))
-                    .to_bytes(width, "little") for j in range(k))
-    G = np.unpackbits(np.frombuffer(cols, dtype=np.uint8).reshape(k, width),
-                      axis=1, count=n, bitorder="little").T
+    cols = [(1 << (shift + j)) ^ _polymod(1 << (shift + j), g) for j in range(k)]
+    G = _field(_words(cols, ()), 0, n).T
     return LinearCode(G, t, kind="bch", param=m_prime)
 
 
@@ -471,19 +466,19 @@ def code_from_spec(spec: str, rng: SeededRng) -> LinearCode:
 
 def encode(code: LinearCode, msg: BitsLike) -> BitString:
     """G * msg over GF(2)."""
-    msg = _bitstring(msg)
-    if len(msg) != code.k:
-        raise DimensionError(f"message length {len(msg)} != k = {code.k}")
+    msg = _bitstring(msg, code.k, "message", "k")
     # uint8 sums wrap mod 256, which keeps their parity
     return BitString._wrap((code.G @ msg.bits) & 1)
 
 
+def _packed_word(code: LinearCode, word: BitsLike) -> np.ndarray:
+    """The packed [H; L] word of one word of length n, a batch of one."""
+    return code._syndromes(_bitstring(word, code.n).bits[None])
+
+
 def syndrome(code: LinearCode, word: BitsLike) -> BitString:
     """H * word over GF(2); all-zeros exactly for codewords."""
-    word = _bitstring(word)
-    if len(word) != code.n:
-        raise DimensionError(f"word length {len(word)} != n = {code.n}")
-    return BitString._wrap(_field(code._syndromes(word.bits[None]), 0, code.n - code.k)[0])
+    return BitString._wrap(_field(_packed_word(code, word), 0, code.n - code.k)[0])
 
 
 def decode(code: LinearCode, word: BitsLike) -> Optional[BitString]:
@@ -492,10 +487,7 @@ def decode(code: LinearCode, word: BitsLike) -> Optional[BitString]:
     For t = 0 codes this is an exact membership test. On a hit the result
     is the encoding of the corrected word's message bits.
     """
-    word = _bitstring(word)
-    if len(word) != code.n:
-        raise DimensionError(f"word length {len(word)} != n = {code.n}")
-    hit, fixed = code._lookup(code._syndromes(word.bits[None]))
+    hit, fixed = code._lookup(_packed_word(code, word))
     if not hit[0]:
         return None
     return encode(code, BitString._wrap(_field(fixed, code.n - code.k, code.n)[0]))
@@ -503,10 +495,7 @@ def decode(code: LinearCode, word: BitsLike) -> Optional[BitString]:
 
 def invert_message(code: LinearCode, codeword: BitsLike) -> BitString:
     """The unique msg with encode(code, msg) == codeword."""
-    codeword = _bitstring(codeword)
-    if len(codeword) != code.n:
-        raise DimensionError(f"word length {len(codeword)} != n = {code.n}")
-    packed = code._syndromes(codeword.bits[None])
+    packed = _packed_word(code, codeword)
     if _fold(packed & code._syn_mask)[0]:
         raise InversionError("input is not a codeword")
     return BitString._wrap(_field(packed, code.n - code.k, code.n)[0])

@@ -104,20 +104,18 @@ class ExperimentConfig:
             raise ParameterError("min_iterations must be >= 1")
 
 
-def _config_comment(cfg: ExperimentConfig, extra: str = "") -> List[str]:
-    base = (f"kind={cfg.kind} seed={cfg.seed} trials={cfg.resolved_trials()}")
-    return [base + (" " + extra if extra else "")]
-
-
-def _write_csv(path, comments: List[str], header: List[str], rows: List[list]):
-    path = Path(path)
-    with path.open("w", newline="") as f:
+def _write_csv(cfg, extra: str, header: List[str], rows: List[list]):
+    """When cfg.out is set, write there the schema line, a comment naming the
+    config and extra, the header, and rows padded with empty cells to its width."""
+    if not cfg.out:
+        return
+    with Path(cfg.out).open("w", newline="") as f:
         f.write(f"# {CSV_SCHEMA}\n")
-        for line in comments:
-            f.write(f"# {line}\n")
+        f.write(f"# kind={cfg.kind} seed={cfg.seed} "
+                f"trials={cfg.resolved_trials()} {extra}\n")
         writer = csv.writer(f)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(row + [""] * (len(header) - len(row)) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +146,12 @@ def run_lsh_experiment(cfg: ExperimentConfig) -> LshResult:
     mean = float(samples.mean())
     result = LshResult(trials=trials, mean=mean, expected=expected,
                        tolerance=tolerance, passed=abs(mean - expected) <= tolerance)
-    if cfg.out:
-        rows = [[t, int(s), "", "", "", ""] for t, s in enumerate(samples)]
-        rows.append(["summary", "", f"{mean:.6f}", f"{expected:.6f}",
-                     f"{tolerance:.6f}", int(result.passed)])
-        _write_csv(cfg.out, _config_comment(
-            cfg, f"k_star={k_star} distance={d} n={n}"),
-            ["trial", "rv_distance", "mean", "expected", "tolerance", "passed"],
-            rows)
+    rows = [[t, int(s)] for t, s in enumerate(samples)]
+    rows.append(["summary", "", f"{mean:.6f}", f"{expected:.6f}",
+                 f"{tolerance:.6f}", int(result.passed)])
+    _write_csv(cfg, f"k_star={k_star} distance={d} n={n}",
+               ["trial", "rv_distance", "mean", "expected", "tolerance", "passed"],
+               rows)
     return result
 
 
@@ -199,23 +195,21 @@ def run_correctness_experiment(cfg: ExperimentConfig) -> CorrectnessResult:
         successes += ok
         rows.append([t, int(ok), report.iterations_used,
                      "" if report.accepted_weight is None else report.accepted_weight,
-                     report.false_accepts_observed, "", "", "", ""])
+                     report.false_accepts_observed])
 
     rate = successes / trials
     pvalue_below = binom_lower_tail(successes, trials, floor)
     passed = rate >= floor or pvalue_below > 0.01
     result = CorrectnessResult(trials=trials, successes=successes, rate=rate,
                                floor=floor, pvalue_below=pvalue_below, passed=passed)
-    if cfg.out:
-        rows.append(["summary", successes, "", "", "", f"{rate:.6f}",
-                     f"{floor:.6f}", f"{pvalue_below:.6g}", int(passed)])
-        _write_csv(cfg.out, _config_comment(
-            cfg, f"inner={cfg.inner_spec} outer={cfg.outer_spec} "
-                 f"eps_ss={eps_ss} w_prime_distance={cfg.w_prime_distance} "
-                 f"k_minus_n_star={delta}"),
-            ["trial", "success", "iterations", "accepted_weight",
-             "false_accepts", "rate", "floor", "pvalue_below", "passed"],
-            rows)
+    rows.append(["summary", successes, "", "", "", f"{rate:.6f}",
+                 f"{floor:.6f}", f"{pvalue_below:.6g}", int(passed)])
+    _write_csv(cfg, f"inner={cfg.inner_spec} outer={cfg.outer_spec} "
+                    f"eps_ss={eps_ss} w_prime_distance={cfg.w_prime_distance} "
+                    f"k_minus_n_star={delta}",
+               ["trial", "success", "iterations", "accepted_weight",
+                "false_accepts", "rate", "floor", "pvalue_below", "passed"],
+               rows)
     return result
 
 
@@ -266,8 +260,7 @@ def run_false_accept_experiment(cfg: ExperimentConfig) -> List[FalseAcceptResult
             events = report.false_accepts_observed + (1 if report.succeeded else 0)
             total_iters += report.iterations_used
             accepts += events
-            rows.append([delta, batch, report.iterations_used, events,
-                         "", "", ""])
+            rows.append([delta, batch, report.iterations_used, events])
             trial += 1
             batch += 1
         rate = accepts / total_iters
@@ -278,13 +271,11 @@ def run_false_accept_experiment(cfg: ExperimentConfig) -> List[FalseAcceptResult
                                          expected=expected, passed=passed))
         rows.append([delta, "summary", total_iters, accepts,
                      f"{rate:.6f}", f"{expected:.6f}", int(passed)])
-    if cfg.out:
-        _write_csv(cfg.out, _config_comment(
-            cfg, f"k_star={k_star} n_star={n_star} deltas={list(cfg.deltas)} "
-                 f"decoy_weight={_DECOY_WEIGHT} min_iterations={cfg.min_iterations}"),
-            ["delta", "batch", "iterations", "prefix_accepts",
-             "rate", "expected", "passed"],
-            rows)
+    _write_csv(cfg, f"k_star={k_star} n_star={n_star} deltas={list(cfg.deltas)} "
+                    f"decoy_weight={_DECOY_WEIGHT} min_iterations={cfg.min_iterations}",
+               ["delta", "batch", "iterations", "prefix_accepts",
+                "rate", "expected", "passed"],
+               rows)
     return results
 
 
@@ -323,8 +314,7 @@ def run_complexity_experiment(cfg: ExperimentConfig) -> List[ComplexityCell]:
                                          eps)
                 worst = max(worst, report.iterations_used)
                 rows.append([k_star, str(eps), weight, r,
-                             report.iterations_used, expected,
-                             f"{bound:.3f}", ""])
+                             report.iterations_used, expected, f"{bound:.3f}"])
                 trial += 1
             passed = (worst == expected) and (expected <= bound)
             cells.append(ComplexityCell(k_star=k_star, eps_rec=eps, weight=weight,
@@ -332,12 +322,11 @@ def run_complexity_experiment(cfg: ExperimentConfig) -> List[ComplexityCell]:
                                         entropy_bound=bound, passed=passed))
             rows.append([k_star, str(eps), weight, "summary", worst,
                          expected, f"{bound:.3f}", int(passed)])
-    if cfg.out:
-        _write_csv(cfg.out, _config_comment(
-            cfg, f"grid_k={list(cfg.grid_k)} grid_eps={[str(e) for e in cfg.grid_eps]}"),
-            ["k_star", "eps_rec", "weight", "trial", "iterations",
-             "expected", "entropy_bound", "passed"],
-            rows)
+    _write_csv(cfg, f"grid_k={list(cfg.grid_k)} "
+                    f"grid_eps={[str(e) for e in cfg.grid_eps]}",
+               ["k_star", "eps_rec", "weight", "trial", "iterations",
+                "expected", "entropy_bound", "passed"],
+               rows)
     return cells
 
 

@@ -59,9 +59,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import RationalLike, _rational, fixed_weight
-from .bitcore import (BitString, DimensionError, ParameterError, _bitstring,
-                      _integer, support_batches, xor_gather)
-from .codes import LinearCode, _field, _fold, _low_mask
+from .bitcore import (BitString, ParameterError, _bitstring, _integer,
+                      support_batches, xor_gather)
+from .codes import LinearCode, _field, _fold, _words
 from .sketch import Sketch, _eps_violation
 
 
@@ -136,11 +136,9 @@ def _plan(k_star: int, weights: tuple, rows: int, word_shape: tuple, n: int,
             nibbles = np.where(picked & (pos < k_star), pos, k_star)
             nibbles.flags.writeable = False
         batch.flags.writeable = False
-    width = 8 * (word_shape[0] if word_shape else 1)
-    units = b"".join((1 << n - k_star + j).to_bytes(width, "little")
-                     for j in range(k_star)) + bytes(width)
-    return (ends, batch, nibbles, np.frombuffer(units, dtype="<u8").reshape(
-        (k_star + 1,) + word_shape), _low_mask(word_shape, n - n_star))
+    units = [1 << n - k_star + j for j in range(k_star)] + [0]
+    return (ends, batch, nibbles, _words(units, word_shape),
+            _words([(1 << n - n_star) - 1], word_shape)[0])
 
 
 def _subset_words(table: np.ndarray, nibbles: np.ndarray, const) -> np.ndarray:
@@ -172,9 +170,7 @@ def _recover(sk: Sketch, w_prime: BitString, inner: LinearCode,
     p = sk.params
     k_star, n_star, n = p.k_star, p.n_star, outer.n
     weights = tuple(weights)
-    w_prime = _bitstring(w_prime)
-    if len(w_prime) != k_star:
-        raise DimensionError(f"w' length {len(w_prime)} != k* = {k_star}")
+    w_prime = _bitstring(w_prime, k_star, "w'", "k*")
     if inner != p.inner or outer != p.outer:
         raise ParameterError("code handles inconsistent with the sketch params")
     ends, cached, nibbles, units, checked = _plan(

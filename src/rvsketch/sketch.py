@@ -206,10 +206,8 @@ def make_sketch(w: BitString, N: IndexVector, eps_ss: RationalLike,
         eps_ss = _rational("eps_ss", eps_ss)
         if eps_ss != params.eps_ss:
             params = dataclasses.replace(params, eps_ss=eps_ss)
-    w = _bitstring(w)
     k_star, n_star = params.k_star, params.n_star
-    if len(w) != k_star:
-        raise DimensionError(f"secret length {len(w)} != k* = {k_star}")
+    w = _bitstring(w, k_star, "secret", "k*")
     if N.source_len != k_star or N.length != params.n:
         raise DimensionError("index vector inconsistent with params")
     violations, weight = params._rules

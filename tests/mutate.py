@@ -16,9 +16,11 @@ written back with ast.unparse, so first the unedited round trip must pass
 the tests. A mutant is killed when pytest fails, errors or times out.
 
 A mutant that lives is printed with its diff, unless EQUIVALENT lists it
-with the reason no test can tell it from the original. The exit status is
-1 when a mutant lives that EQUIVALENT does not list. Pytest does not
-collect this file.
+with the reason no test can tell it from the original. An EQUIVALENT entry of a
+targeted function that matches none of its mutants is stale, as after an
+edit of the line it names, and is printed before the run. The exit status
+is 1 when a mutant lives that EQUIVALENT does not list, or when an entry
+is stale. Pytest does not collect this file.
 """
 
 import argparse
@@ -162,7 +164,7 @@ def main(argv=None) -> int:
     parser.add_argument("tests", nargs="+", help="test files, relative to the repo root")
     args = parser.parse_args(argv)
 
-    found, modules = [], set()
+    found, modules, functions = [], set(), set()
     for target in args.target:
         module = None
         for qualname in target.split(","):   # a MODULE: prefix starts a module
@@ -171,7 +173,13 @@ def main(argv=None) -> int:
                 modules.add(module)
             if module is None:
                 parser.error(f"--target {target} starts with no MODULE:")
+            functions.add(f"{module}::{qualname}")
             found += mutants(module, qualname)
+    keys = {key for key, _, _ in found}
+    stale = [key for key in EQUIVALENT
+             if key.partition(": ")[0] in functions and key not in keys]
+    for key in stale:
+        print(f"STALE: {key}\n  no mutant of the targeted function matches it")
     with tempfile.TemporaryDirectory(prefix="rvsketch-mutants-") as scratch:
         workdirs = [Path(scratch, str(i)) for i in range(WORKERS)]
         for workdir in workdirs:
@@ -219,8 +227,9 @@ def main(argv=None) -> int:
         print(f"ALIVE: {key}\n{diff}\n")
     print(f"{len(found)} mutants: {len(found) - len(alive)} killed "
           f"({outcomes.count('timeout')} by timeout), {len(alive)} alive "
-          f"({len(alive) - len(new)} listed as equivalent, {len(new)} not)")
-    return 1 if new else 0
+          f"({len(alive) - len(new)} listed as equivalent, {len(new)} not), "
+          f"{len(stale)} stale")
+    return 1 if new or stale else 0
 
 
 if __name__ == "__main__":

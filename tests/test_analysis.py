@@ -667,3 +667,63 @@ class TestIntegerInputContract:
     def test_param_violations_still_list_a_bad_eps(self):
         assert param_violations(7.5, 15, 51, 63, "abc") == [
             "k_star 7.5 is not an integer", "eps_ss = 'abc' is not a finite rational"]
+
+
+# The least value of each integer of _INT_CALLS that has one; every value
+# below it raises ParameterError. binom_lower_tail's k has none: P(X <= k)
+# is 0 for every k < 0.
+_INT_LEAST = {
+    ("hoeffding_bound", "n"): 1,
+    ("fixed_weight", "k_star"): 0,
+    ("support_size", "k_star"): 0,
+    ("thresholds", "k_star"): 0,
+    ("thresholds", "n"): 0,
+    ("efficiency_bound_check", "k_star"): 0,
+    ("efficiency_bound_check", "k"): 0,
+    ("efficiency_bound_check", "n_star"): 0,
+    ("error_floor_check", "n"): 1,
+    ("error_floor_check", "k"): 0,
+    ("error_floor_check", "n_star"): 0,
+    ("min_length_for_error_floor", "k"): 0,
+    ("min_length_for_error_floor", "n_star"): 0,
+    ("rate_bounds", "k_star"): 1,
+    ("rate_bounds", "k"): 0,
+    ("rate_bounds", "n_star"): 0,
+    ("residual_entropy_bound", "n"): 1,
+    ("false_accept_rate", "k"): 0,
+    ("false_accept_rate", "n_star"): 0,
+    ("binom_lower_tail", "n"): 0,
+    ("min_sketch_len_for_budget", "k_star"): 0,
+}
+
+
+class TestSignContract:
+    """A count below its least value raises ParameterError; several were
+    computed with the wrong sign instead: fixed_weight(-3, 1/4) was -1."""
+
+    def test_table_covers_every_bounded_integer(self):
+        assert set(_INT_LEAST) == set(_INT_CALLS) - {("binom_lower_tail", "k")}
+
+    @pytest.mark.parametrize("key", list(_INT_LEAST), ids=".".join)
+    def test_below_the_least_value(self, key):
+        call, _ = _INT_CALLS[key]
+        for bad in (_INT_LEAST[key] - 1, -5, -(10 ** 400)):
+            with pytest.raises(ParameterError):
+                call(bad)
+
+    def test_residual_entropy_bound_checks_as_hoeffding_bound(self):
+        for n, eps, message in [(0, Fraction(1, 8), "n must be positive"),
+                                (-10, Fraction(1, 8), "n must be positive"),
+                                (10, Fraction(-1, 8), "eps_ss must be non-negative")]:
+            with pytest.raises(ParameterError, match=f"^{message}$"):
+                residual_entropy_bound(n, eps)
+        assert residual_entropy_bound(1, 0) == 0
+
+    @pytest.mark.parametrize("p", ["0.5", None, 1j, b"1"], ids=repr)
+    def test_binom_lower_tail_rejects_a_non_number_p(self, p):
+        with pytest.raises(ParameterError, match="p in \\[0, 1\\]"):
+            binom_lower_tail(2, 5, p)
+
+    def test_binom_lower_tail_takes_any_real_p(self):
+        assert binom_lower_tail(2, 4, Fraction(1, 2)) == binom_lower_tail(2, 4, 0.5)
+        assert binom_lower_tail(2, 4, np.float64(0.5)) == binom_lower_tail(2, 4, 0.5)

@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from fractions import Fraction
 from itertools import chain, combinations
 
 import numpy as np
@@ -14,10 +16,11 @@ from oracles import (all_codewords_matrix, codewords_packed,
                      nearest_codeword, non_pivot_rows, pack_rows)
 from rvsketch import (BitString, CapacityError, DimensionError,
                       InversionError, LinearCode, ParameterError, SeededRng,
-                      bch_code, code_from_spec, code_from_text, code_to_text,
-                      decode, encode, hamming_distance, hamming_weight,
-                      invert_message, random_linear_code, syndrome, xor,
-                      zero_pad_prefix)
+                      SketchParams, bch_code, code_from_spec, code_from_text,
+                      code_to_text, decode, encode, gen_index_vector,
+                      hamming_distance, hamming_weight, invert_message,
+                      make_sketch, random_linear_code, recover_sweep,
+                      syndrome, xor, zero_pad_prefix)
 from rvsketch import codes, recover
 
 
@@ -496,6 +499,20 @@ class TestPackedTable:
     def test_word_boundary_codes(self, n, k):
         self._check(random_linear_code(n, k, SeededRng(n * k)))
 
+    @pytest.mark.parametrize("shape", [(), (2,), (3,)])
+    def test_words_round_trip(self, shape):
+        # bit i of each int lands in bit i % 64 of word i // 64, where
+        # _field reads it back; row 0 sets the last word's top bit
+        bits = 64 * (shape[0] if shape else 1)
+        rows = SeededRng(bits).integers(0, 2, size=(5, bits), dtype=np.uint8)
+        rows[0] = 1
+        words = codes._words([sum(int(b) << i for i, b in enumerate(row))
+                              for row in rows], shape)
+        assert words.shape == (5,) + shape and words.dtype == np.uint64
+        assert not words.flags.writeable
+        assert np.array_equal(codes._field(words, 0, bits), rows)
+        assert codes._words([], shape).shape == (0,) + shape
+
     def test_square_code_has_one_zero_syndrome_word(self):
         # no syndrome bits: the one word per column is all L, and every
         # packed word hits
@@ -735,6 +752,20 @@ class TestBuiltArraysArePinned:
         golden.assert_pinned("arrays/bch")
 
 
+def _sketch_with_inner(inner, w):
+    """make_sketch of w with inner as the inner code and a [15, 11] outer."""
+    params = SketchParams.from_codes(inner, bch_code(4, 1), Fraction(1, 8))
+    rng = SeededRng(1)
+    return make_sketch(w, gen_index_vector(inner.k, 15, rng), params.eps_ss,
+                       params, rng)
+
+
+def _recover_with_inner(inner, w_prime):
+    """recover_sweep of w_prime against a sketch of zeros, as above."""
+    sk = _sketch_with_inner(inner, BitString.zeros(inner.k))
+    return recover_sweep(sk, w_prime, inner, sk.params.outer)
+
+
 class TestInputContracts:
     """The documented errors of the constructor and the word operations."""
 
@@ -774,10 +805,20 @@ class TestInputContracts:
             with pytest.raises(ParameterError, match="must match"):
                 op(hamming7, bad)
 
-    @pytest.mark.parametrize("op", [syndrome, decode, invert_message])
-    def test_word_of_the_wrong_length(self, hamming7, op):
-        for length in (6, 8):
-            with pytest.raises(DimensionError, match=f"word length {length} != n = 7"):
+    # every word entry that checks a length, with its exact message
+    @pytest.mark.parametrize("op, size, message", [
+        (syndrome, 7, "word length {} != n = 7"),
+        (decode, 7, "word length {} != n = 7"),
+        (invert_message, 7, "word length {} != n = 7"),
+        (encode, 4, "message length {} != k = 4"),
+        (_recover_with_inner, 4, "w' length {} != k* = 4"),
+        (_sketch_with_inner, 4, "secret length {} != k* = 4"),
+    ], ids=["syndrome", "decode", "invert_message", "encode", "recover",
+            "make_sketch"])
+    def test_word_of_the_wrong_length(self, hamming7, op, size, message):
+        for length in (size - 1, size + 1):
+            with pytest.raises(DimensionError,
+                               match=f"^{re.escape(message.format(length))}$"):
                 op(hamming7, BitString.zeros(length))
 
 
