@@ -83,9 +83,7 @@ class BitString:
             arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
         else:
             arr = bit_array(bits, 1, "bits")
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
-        if arr.flags.writeable:
-            arr.flags.writeable = False
+        arr.flags.writeable = False
         self._bits = arr
 
     @classmethod
@@ -171,7 +169,7 @@ class BitString:
                 f"packed payload is {len(data)} bytes, expected {(length + 7) // 8}")
         arr = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
                             count=length, bitorder="little")
-        return cls._wrap(np.ascontiguousarray(arr, dtype=np.uint8))
+        return cls._wrap(arr)
 
 
 def _bitstring(word: BitsLike, length=None, what="word", dim="n") -> BitString:
@@ -336,7 +334,7 @@ class SeededRng:
     def random_bits(self, length: int) -> BitString:
         """Uniform BitString of the given length."""
         arr = self._gen.integers(0, 2, _integer("length", length, 0), np.uint8)
-        return BitString._wrap(np.ascontiguousarray(arr))
+        return BitString._wrap(arr)
 
     def subset(self, n: int, m: int) -> np.ndarray:
         """m distinct 0-based positions drawn uniformly from range(n)."""

@@ -161,14 +161,6 @@ def _words(ints: list, word_shape: tuple) -> np.ndarray:
     return np.frombuffer(raw, dtype="<u8").reshape((len(ints),) + word_shape)
 
 
-@functools.lru_cache(maxsize=256)
-def _positions(m: int) -> np.ndarray:
-    """The column 0..m-1, read-only intp (m, 1), shared by codes of length m."""
-    column = np.arange(m)[:, None]
-    column.flags.writeable = False
-    return column
-
-
 # ---------------------------------------------------------------------------
 # Polynomial arithmetic over GF(2), ints as coefficient masks (bit i = x^i)
 
@@ -320,11 +312,12 @@ class LinearCode:
 
     def _syndromes(self, words: np.ndarray) -> np.ndarray:
         """Packed [H; L] * word for each row of words, a uint8 0/1 (B, n)
-        array: the syndrome in bits 0..n-k-1 and L * word above it. Entry
-        (i, b) of the gather index is i where bit i of word b is set (read
-        through a bool view), else the sentinel n."""
-        index = np.where(words.T.view(bool), _positions(self.n), self.n)
-        return xor_gather(self._cols, index)
+        array: the syndrome in bits 0..n-k-1 and L * word above it, the XOR
+        of each packed column times its bit. The product is C-ordered: in
+        numpy's default order its fold would run on the columns' strides."""
+        cols = self._cols[:-1].T   # (n,), or (words, n) for n > 64
+        products = np.multiply(cols[..., None, :], words, order="C")
+        return np.ascontiguousarray(np.bitwise_xor.reduce(products, axis=-1).T)
 
     def _fix(self, packed: np.ndarray) -> np.ndarray:
         """Each packed word of a batch XOR the table entry of its syndrome.
@@ -414,8 +407,6 @@ def bch_code(m_prime: int, t: int) -> LinearCode:
     n = (1 << m_prime) - 1
     g = _bch_generator(m_prime, t)
     k = n - (g.bit_length() - 1)
-    if k < 1:
-        raise ParameterError("generator polynomial consumed the whole blocklength")
 
     # Systematic encoding: message occupies the high coefficients,
     # parity = (x^(n-k) m(x)) mod g(x) fills the low ones.

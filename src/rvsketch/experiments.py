@@ -118,6 +118,14 @@ def _write_csv(cfg, extra: str, header: List[str], rows: List[list]):
         writer.writerows(row + [""] * (len(header) - len(row)) for row in rows)
 
 
+def _check(cfg: ExperimentConfig, kind: str):
+    """Every runner's entry: cfg must be a config of the runner's kind, and
+    validate then checks its fields and stores the integer fields as ints."""
+    if cfg.kind != kind:
+        raise ParameterError(f"the {kind} runner got a {cfg.kind!r} config")
+    cfg.validate()
+
+
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -130,6 +138,7 @@ class LshResult:
 
 
 def run_lsh_experiment(cfg: ExperimentConfig) -> LshResult:
+    _check(cfg, "lsh")
     trials = cfg.resolved_trials()
     k_star, d, n = cfg.k_star, cfg.distance, cfg.n
     if not 0 <= d <= k_star:
@@ -168,6 +177,7 @@ class CorrectnessResult:
 
 
 def run_correctness_experiment(cfg: ExperimentConfig) -> CorrectnessResult:
+    _check(cfg, "correctness")
     trials = cfg.resolved_trials()
     eps_ss = _rational("eps_ss", cfg.eps_ss)
     base = SeededRng(cfg.seed)
@@ -247,6 +257,7 @@ def run_false_accept_experiment(cfg: ExperimentConfig) -> List[FalseAcceptResult
     every iteration exercises the zero-prefix test. The probe string sits at
     maximum distance from the sketched secret, so acceptances are decoys.
     """
+    _check(cfg, "false_accept")
     k_star, n_star = 8, 10
     results = []
     rows = []
@@ -298,6 +309,7 @@ def run_complexity_experiment(cfg: ExperimentConfig) -> List[ComplexityCell]:
     Codes are sized so that stray completions are out of reach (outer
     membership rate 2^-16), making the full C(k*, m) sweep observable.
     """
+    _check(cfg, "complexity")
     repeats = cfg.resolved_trials()
     cells = []
     rows = []
@@ -341,5 +353,5 @@ _KINDS = {   # kind: (runner, default trials)
 
 
 def run_experiment(cfg: ExperimentConfig):
-    cfg.validate()
+    cfg.validate()   # names an unknown kind; the kind's runner checks cfg again
     return _KINDS[cfg.kind][0](cfg)

@@ -43,7 +43,7 @@ class IndexVector:
                 or (raw.dtype.kind == "f" and (raw % 1).any())):
             raise ParameterError(
                 f"indices must be integers in [1, {self.source_len}]")
-        arr = np.ascontiguousarray(raw, dtype=np.uint32)
+        arr = np.array(raw, dtype=np.uint32)   # a copy: raw may be the caller's
         arr.flags.writeable = False
         object.__setattr__(self, "indices", arr)
 
@@ -95,8 +95,7 @@ def sample_bits(w: BitsLike, N: IndexVector) -> BitString:
     if len(w) != N.source_len:
         raise DimensionError(
             f"word length {len(w)} != index source length {N.source_len}")
-    out = w.bits[N.indices - 1]
-    return BitString._wrap(np.ascontiguousarray(out, dtype=np.uint8))
+    return BitString._wrap(w.bits[N.indices - 1])
 
 
 def similarity(w: BitString, w_prime: BitString) -> Fraction:

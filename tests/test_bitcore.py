@@ -159,6 +159,11 @@ class TestBitString:
         src[0] = 0
         assert t == BitString("101")
 
+    def test_from_a_bitstring(self):
+        s = BitString("0110")
+        t = BitString(s)
+        assert t == s and str(t) == "0110" and not t.bits.flags.writeable
+
     def test_hash_and_eq(self):
         assert BitString("101") == BitString([1, 0, 1])
         assert BitString("101") != BitString("1010")
@@ -176,8 +181,10 @@ class TestBitString:
         assert BitString.from_packed(s.to_packed(), s.length) == s
 
     def test_from_packed_length_check(self):
-        with pytest.raises(DimensionError):
-            BitString.from_packed(b"\x00", 9)
+        for length in (9, 16):
+            with pytest.raises(DimensionError,
+                               match="^packed payload is 1 bytes, expected 2$"):
+                BitString.from_packed(b"\x00", length)
 
     @pytest.mark.parametrize("data,length,error", [
         (b"\x00", 7.5, ParameterError), (b"\x00", 8.0, ParameterError),

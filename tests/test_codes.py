@@ -87,12 +87,25 @@ class TestBchConstruction:
             key: (CapacityError, f"coset-leader table needs n-k <= 24, got {r}")
             for key, r in self.TOO_LONG.items() if key[0] == m}
 
+    def test_generator_leaves_a_message_bit(self):
+        # 1 <= t < 2^(m'-1) gives 2t <= n-1, and n is odd, so alpha^0 lies
+        # in no cyclotomic coset of 1..2t: deg g <= n-1 and k >= 1
+        degrees = {(m, t): codes._bch_generator(m, t).bit_length() - 1
+                   for m in (3, 4, 5, 6) for t in range(1, 2 ** (m - 1))}
+        assert len(degrees) == 56
+        assert all(d <= 2 ** m - 2 for (m, t), d in degrees.items())
+        assert any(d == 2 ** m - 2 for (m, t), d in degrees.items())
+
+    def test_repr(self):
+        assert repr(bch_code(4, 2)) == "LinearCode[15,7,t=2](bch)"
+
     def test_parameter_errors(self):
-        with pytest.raises(ParameterError):
+        message = r"^need 1 <= t < 2\^\(m_prime-1\) = 8, got {}$"
+        with pytest.raises(ParameterError, match=message.format(8)):
             bch_code(4, 8)          # t >= 2^(m'-1)
         with pytest.raises(ParameterError):
             bch_code(7, 1)          # unsupported field
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=message.format(0)):
             bch_code(4, 0)
 
     @pytest.mark.parametrize("m,t", [(4.0, 2), (4, 2.0), ("4", 2), (4, None)])
@@ -513,6 +526,21 @@ class TestPackedTable:
         assert np.array_equal(codes._field(words, 0, bits), rows)
         assert codes._words([], shape).shape == (0,) + shape
 
+    @pytest.mark.parametrize("n", [15, 63, 64, 65, 128, 129, 200])
+    @pytest.mark.parametrize("batch", [0, 1, 4, 28])
+    def test_syndromes_are_the_matrix_product(self, n, batch):
+        # one to four words per column; the result is C-ordered (B,) for
+        # one word, (B, words) beyond
+        c = bch_code(4, 2) if n == 15 else random_linear_code(n, n // 2, SeededRng(n))
+        words = SeededRng(batch).integers(0, 2, size=(batch, n), dtype=np.uint8)
+        packed = c._syndromes(words)
+        shape = (batch,) if n <= 64 else (batch, -(-n // 64))
+        assert packed.shape == shape and packed.dtype == np.uint64
+        assert packed.flags.c_contiguous
+        expect = words.astype(np.int64) @ np.vstack([c.H, c._L]).T % 2
+        if batch:
+            assert np.array_equal(codes._field(packed, 0, n), expect)
+
     def test_square_code_has_one_zero_syndrome_word(self):
         # no syndrome bits: the one word per column is all L, and every
         # packed word hits
@@ -635,6 +663,25 @@ class TestCosetTable:
                 LinearCode(G, 1, "random")
             with pytest.raises(CapacityError, match=message):
                 code_from_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_pattern_cap(self, monkeypatch):
+        # n-k = 24 fits one word's table, but the 8,303,633 patterns of
+        # weight <= 5 in 64 bits pass the cap: rejected before any pattern
+        # is enumerated or any table allocated
+        G = random_linear_code(64, 40, SeededRng(64)).G
+
+        def unreachable(*args):
+            raise AssertionError("patterns enumerated")
+        monkeypatch.setattr(codes, "support_batches", unreachable)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError,
+                               match="^8303633 correctable patterns exceed the table cap$"):
+                LinearCode(G, 5, "random")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -974,6 +1021,10 @@ class TestMinDistance:
 
 
 class TestSerialization:
+    def test_not_equal_to_a_non_code(self, bch31):
+        assert bch31.__eq__(bch31.G) is NotImplemented
+        assert not bch31 == "bch31" and bch31 != bch31.G.tolist()
+
     def test_equal_codes_hash_equal(self, bch31):
         again = code_from_text(code_to_text(bch31))
         assert again is not bch31 and hash(again) == hash(bch31)

@@ -13,7 +13,9 @@ from scipy.stats import binomtest
 
 import golden
 import rvsketch
-from rvsketch import ExperimentConfig, ParameterError, run_experiment
+from rvsketch import (ExperimentConfig, ParameterError, SeededRng, SketchParams,
+                      code_from_spec, gen_index_vector, make_sketch, run_experiment)
+from rvsketch import experiments
 from rvsketch.experiments import CSV_SCHEMA
 
 
@@ -62,6 +64,26 @@ class TestConfig:
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("runner, cfg, message", [
+        ("run_lsh_experiment", ExperimentConfig(kind="lsh", trials="3"),
+         "^trials '3' is not an integer$"),
+        ("run_lsh_experiment", ExperimentConfig(kind="lsh", trials=-2),
+         r"^trials must be >= 1 \(or 0 for the default\)$"),
+        ("run_false_accept_experiment",
+         ExperimentConfig(kind="false_accept", deltas=(1,), min_iterations=0),
+         "^min_iterations must be >= 1$"),
+        ("run_correctness_experiment",
+         ExperimentConfig(kind="correctness", trials=2.0),
+         "^trials 2.0 is not an integer$"),
+        ("run_lsh_experiment", ExperimentConfig(kind="complexity", trials=2),
+         "^the lsh runner got a 'complexity' config$")],
+        ids=["text-trials", "negative-trials", "zero-min-iterations",
+             "float-trials", "wrong-kind"])
+    def test_runners_check_their_config(self, runner, cfg, message):
+        # each public runner checks cfg as run_experiment does
+        with pytest.raises(ParameterError, match=message):
+            getattr(rvsketch, runner)(cfg)
+
     def test_integer_fields_are_stored_as_ints(self):
         cfg = ExperimentConfig(kind="false_accept", deltas=[np.int64(1), 3],
                                min_iterations=50, k_star=np.int64(16))
@@ -101,6 +123,12 @@ class TestLsh:
         r = run_experiment(ExperimentConfig(kind="lsh", trials=800, seed=2))
         assert r.passed
         assert abs(r.mean - r.expected) <= r.tolerance
+
+    @pytest.mark.parametrize("distance", [0, 16])
+    def test_zero_variance_run_passes(self, distance):
+        # p = 0 or 1: every sample is exactly n p, and the tolerance is zero
+        r = run_experiment(ExperimentConfig(kind="lsh", trials=3, distance=distance))
+        assert (r.mean, r.tolerance, r.passed) == (r.expected, 0.0, True)
 
     def test_seed_changes_samples_not_expectation(self):
         a = run_experiment(ExperimentConfig(kind="lsh", trials=300, seed=1))
@@ -146,6 +174,31 @@ class TestCorrectness:
                                             w_prime_distance=distance))
         assert r.trials == 3
 
+    def test_trial_streams(self, monkeypatch):
+        # the codes come from streams 101 and 102 of the seed; trial t draws
+        # w, N, the sketch's error and w' from streams 1-4 of its generator
+        # (eps_ss = 1/7 gives the error weight 1 of k* = 7)
+        calls, sweep = [], experiments.recover_sweep
+        monkeypatch.setattr(experiments, "recover_sweep",
+                            lambda *args: calls.append(args) or sweep(*args))
+        cfg = ExperimentConfig(kind="correctness", trials=2, seed=3,
+                               eps_ss=Fraction(1, 7), inner_spec="random:15:7",
+                               outer_spec="random:26:18")
+        run_experiment(cfg)
+        inner = code_from_spec(cfg.inner_spec, SeededRng(3).spawn(101))
+        outer = code_from_spec(cfg.outer_spec, SeededRng(3).spawn(102))
+        params = SketchParams.from_codes(inner, outer, cfg.eps_ss)
+        assert len(calls) == 2
+        for t, (sk, w_prime, got_inner, got_outer) in enumerate(calls):
+            rng = experiments._trial_rng(3, t)
+            w = rng.spawn(1).random_bits(7)
+            N = gen_index_vector(7, 26, rng.spawn(2))
+            expect = make_sketch(w, N, cfg.eps_ss, params, rng.spawn(3))
+            assert (sk.ss, sk.N) == (expect.ss, expect.N)
+            flip = rng.spawn(4).subset(7, 1)
+            assert np.flatnonzero(w.bits ^ w_prime.bits).tolist() == flip.tolist()
+            assert (got_inner, got_outer) == (inner, outer)
+
     @pytest.mark.parametrize("outer", ["bch:5:3", "random:26:18"])
     def test_csv_pvalue_matches_scipy(self, tmp_path, outer):
         path = tmp_path / "c.csv"
@@ -188,6 +241,17 @@ class TestFalseAccept:
         assert r.expected == 0.25
         assert 0.125 <= r.rate <= 0.5
 
+    # (seed, delta, min_iterations) -> (prefix_accepts, iterations, passed):
+    # one batch each, its rate on the band's upper edge, on its lower edge,
+    # below it and above it; the first batch reaches min_iterations exactly
+    @pytest.mark.parametrize("seed, delta, least, expect", [
+        (0, 1, 2, (2, 2, True)), (33, 1, 1, (4, 16, True)),
+        (4, 1, 1, (3, 13, False)), (3, 2, 1, (4, 6, False))])
+    def test_passed_is_the_factor_two_band(self, seed, delta, least, expect):
+        (r,) = run_experiment(ExperimentConfig(
+            kind="false_accept", seed=seed, deltas=(delta,), min_iterations=least))
+        assert (r.prefix_accepts, r.iterations, r.passed) == expect
+
 
 class TestComplexity:
     def test_tiny_grid_exact(self):
@@ -197,6 +261,17 @@ class TestComplexity:
         for cell in cells:
             assert cell.passed
             assert cell.iterations_max == cell.expected
+
+    def test_trial_generators_and_code_sizes(self, monkeypatch):
+        # repeat after repeat, cell after cell, each on the next trial
+        # generator, with [k*+8, k*] inner and [k*+28, k*+12] outer codes
+        calls, decoy = [], experiments._decoy_recovery
+        monkeypatch.setattr(experiments, "_decoy_recovery", lambda rng, *sizes: (
+            calls.append((rng.seed,) + sizes[:4]) or decoy(rng, *sizes)))
+        run_experiment(ExperimentConfig(kind="complexity", trials=2, seed=5,
+                                        grid_k=(8,), grid_eps=("1/8", "1/4")))
+        assert calls == [(experiments._trial_rng(5, t).seed, 8, 16, 36, 20)
+                         for t in range(4)]
 
     def test_eps_above_half_is_a_parameter_error(self):
         with pytest.raises(ParameterError, match="3/4"):

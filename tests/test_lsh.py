@@ -36,6 +36,16 @@ class TestIndexVector:
         assert a != "1,2,3"
 
 
+    def test_keeps_a_copy_of_the_callers_array(self):
+        idx = np.array([1, 2, 3], np.uint32)
+        view = idx[:]
+        N = IndexVector(idx, 3)
+        assert N.indices is not idx and not N.indices.flags.writeable
+        idx[0] = 2
+        view[1] = 3
+        assert N.indices.tolist() == [1, 2, 3]
+        assert idx.tolist() == [2, 3, 3]
+
     def test_empty_vector_and_empty_source_rejected(self):
         with pytest.raises(ParameterError, match="non-empty 1-d sequence"):
             IndexVector(np.array([], dtype=np.uint32), 4)
@@ -46,6 +56,9 @@ class TestIndexVector:
     def test_non_integer_source_len_rejected(self, source_len):
         with pytest.raises(ParameterError, match="is not an integer"):
             IndexVector(np.array([1, 2]), source_len)
+
+    def test_whole_float_indices_accepted(self):
+        assert IndexVector(np.array([1.0, 3.0]), 3) == IndexVector(np.array([1, 3]), 3)
 
     @pytest.mark.parametrize("source_len", [np.int64(3), np.uint8(3), True])
     def test_integer_types_accepted(self, source_len):
@@ -166,6 +179,12 @@ class TestExpectedRvDistance:
         w = BitString.zeros(16)
         wp = BitString("1111" + "0" * 12)
         assert expected_rv_distance(w, wp, 64) == 16
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_must_be_positive(self, n):
+        w = BitString.zeros(4)
+        with pytest.raises(ParameterError, match="^n must be positive$"):
+            expected_rv_distance(w, BitString("0110"), n)
 
     def test_monte_carlo_agreement(self):
         # oracle: the exact expectation; binomial sigma^2 = n p (1-p)
