@@ -7,13 +7,12 @@ H[i, j] for i < n-k and L[i-(n-k), j] above (bit i % 64 of word i // 64).
 A column takes ceil(n/64) uint64 words, and one word is stored as a flat
 uint64, so for n <= 64 the table is a 1-D array. One XOR of packed
 columns yields a word's syndrome and message in one packed word. One
-GF(2) elimination of [G^T | I_k] builds the table: its rows are Python
-ints, each sliced from one int read from a packbits of G, it rejects a
-rank-deficient G at the first dependent row, and it writes each packed
-column straight from its reduced row as a Python int; _words, the one
-builder of packed words from Python ints, turns them into the table. A
-random code eliminates each draw once and builds a code from the accepted
-draw's table alone. H and L are unpacked from the table on first use.
+GF(2) elimination, _eliminate, of [G^T | I_k] as bit-reversed int rows,
+so that bit_length() finds each pivot, serves every code and stops at a
+rank-deficient G's first dependent row. Each packed column is one Python
+int from a reduced row; _words, the one builder of packed words, makes
+them the table. A random code eliminates each draw once and builds the
+accepted draw's table alone. H and L are unpacked on first use.
 
 Every code gets one coset-leader table at construction, built vectorized
 over all patterns of weight <= t from one gather of the packed table:
@@ -63,79 +62,87 @@ class InversionError(ValueError):
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra
 
-def _parity_and_left_inverse(G: np.ndarray) -> np.ndarray:
-    """The packed [H; L] column table of an n x k generator G, n + 1 rows,
-    from one elimination of [G^T | I_k].
+_POWERS = 1 << np.arange(62, -1, -1, dtype=np.int64)   # 2^62, ..., 2^0
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))   # bits of b reversed
 
-    Each row of [G^T | I_k] is a Python int (column c -> bit c). One
-    packbits of G down its columns, read as one little-endian int, holds
-    column j of G in bits 8 ceil(n/8) j onwards, so row j is one shift and
-    mask of that int with bit n + j set for I_k: no augmented copy of G is
-    made. A row joins the basis under its lowest set bit once the basis
-    rows keyed by its lowest bit are XORed away; a lowest bit at n or
-    above means its G^T part vanished, so G has rank below k and
-    ParameterError is raised at that row. Back-substitution from the
-    highest pivot down then leaves the reduced row echelon form, which is
-    unique. Without its pivot bit p, the row holds column p of H at the
-    non-pivot columns and column p of L above bit n; the i-th non-pivot
-    column of H is the unit vector e_i, and of L zero. So H G = 0 and
-    L G = I_k.
 
-    Each column of [H; L] is written from its row as one Python int: the
-    L bits are row >> n, and the H bits are the row's non-pivot bits,
-    compacted run by run of consecutive non-pivot columns: one shift and
-    mask per run, not per bit. No output work starts before the rank
-    check, so a rejected draw costs its elimination alone.
-
-    Column j of [H; L] is packed contiguously, row i -> bit i % 64 of word
-    i // 64, in ceil(n/64) words; _words makes the n + 1 ints uint64 words
-    in one step, for every word count. A single word is a flat uint64, so
-    the table is (n + 1,) for n <= 64 and (n + 1, words) beyond. The zero
-    last row serves supports padded with the sentinel index n. The table
-    is read-only.
+def _eliminate(G: np.ndarray) -> Optional[tuple]:
+    """The reduced row echelon form of [G^T | I_k] for an n x k G: (rows by
+    ascending pivot bit, mask of their pivot bits), or None at the first
+    dependent row when G has rank below k. Rows are Python ints stored
+    bit-reversed, G^T column c at bit k + n - 1 - c and I_k column j at
+    bit j, so a row's pivot, its lowest column, is n + k - bit_length().
+    Column j of G is int j of one exact int64 product [2^62 ... 2^0] @ G
+    per 63 rows. A row joins the basis, a list by bit_length, once the rows
+    of its bit_length are XORed away; at bit_length <= k its G^T part has
+    vanished. Back-substitution from the lowest pivot bit up leaves the
+    unique reduced form, its pivots the lowest columns, as in Gauss-Jordan.
     """
     n, k = G.shape
-    packed = np.packbits(G, axis=0, bitorder="little")
-    columns = int.from_bytes(packed.T.tobytes(), "little")
-    stride, mask = 8 * len(packed), (1 << n) - 1
-    basis = {}   # lowest set bit -> row
-    for j in range(k):
-        row = columns >> stride * j & mask | 1 << n + j
-        low = row & -row
-        while low in basis:
-            row ^= basis[low]
-            low = row & -row
-        if low >> n:
-            raise ParameterError("generator matrix is rank deficient")
-        basis[low] = row
-    pivots = sum(basis)
-    for p in sorted(basis, reverse=True):
-        row = basis[p]
-        higher = row & pivots ^ p   # rows keyed above p are already reduced
-        while higher:
-            q = higher & -higher
-            row ^= basis[q]
-            higher ^= q
-        basis[p] = row
-    r = n - k
+    ints = _POWERS[-min(n, 63):].dot(G[:63]).tolist()
+    for lo in range(63, n, 63):   # G[c, j] ends at bit n - 1 - c of int j
+        block = G[lo:lo + 63]
+        low = _POWERS[-len(block):].dot(block).tolist()
+        ints = [a << len(block) | b for a, b in zip(ints, low)]
+    basis = [0] * (n + k + 1)   # bit_length -> the basis row with it
+    for j, v in enumerate(ints):
+        row = v << k | 1 << j
+        top = row.bit_length()
+        while basis[top]:
+            row ^= basis[top]
+            top = row.bit_length()
+        if top <= k:
+            return None
+        basis[top] = row
+    rows, pivots = [], 0
+    for top, row in enumerate(basis):   # rows of lower pivot bits are reduced
+        if row:
+            while b := (row & pivots).bit_length():
+                row ^= basis[b]
+            basis[top] = row
+            rows.append(row)
+            pivots |= 1 << top - 1
+    return rows, pivots
+
+
+def _parity_and_left_inverse(G: np.ndarray, reduced: Optional[tuple] = None) -> np.ndarray:
+    """The packed [H; L] column table of an n x k generator G, n + 1 rows
+    with a zero last row for the sentinel index n, from _eliminate's
+    reduced [G^T | I_k] (made here unless given); ParameterError if G has
+    rank below k. Without its pivot bit, the reduced row of pivot column p
+    holds column p of H at the non-pivot columns and column p of L in its
+    low k bits; the i-th non-pivot column of H is e_i, and of L zero, so
+    H G = 0 and L G = I_k. A column is one int: the L bits above the n - k
+    H bits, taken run by run of consecutive non-pivot columns (one shift
+    and mask per run) from the row read back in column order by one bytes
+    translate, which a square G never needs. _words packs the table.
+    """
+    n, k = G.shape
+    if reduced is None and (reduced := _eliminate(G)) is None:
+        raise ParameterError("generator matrix is rank deficient")
+    rows, pivots = reduced
+    r, ones = n - k, (1 << k) - 1
+    nb, pad = (n + k + 7) // 8, -(n + k) % 8   # reversed, column c is at bit c + pad
+    free = int.from_bytes(pivots.to_bytes(nb, "big").translate(_REVERSED),
+                          "little") ^ (1 << n) - 1 << pad
     cols = [0] * (n + 1)
-    runs = []   # (first column, mask of its length, index of its first bit)
-    free = ~pivots & (1 << n) - 1
-    done = 0
+    runs, done = [], 0   # (first column + pad, mask of its length, its first bit)
     while free:
         start = (free & -free).bit_length() - 1
         run = free >> start
         length = (~run & run + 1).bit_length() - 1
         runs.append((start, (1 << length) - 1, done))
         for i in range(length):
-            cols[start + i] = 1 << done + i
+            cols[start - pad + i] = 1 << done + i
         done += length
         free = run >> length << start + length
-    for p, row in basis.items():
-        col = row >> n << r
-        for start, mask, offset in runs:
-            col |= (row >> start & mask) << offset
-        cols[p.bit_length() - 1] = col
+    for row in rows:
+        col = (row & ones) << r
+        if runs:
+            bits = int.from_bytes(row.to_bytes(nb, "big").translate(_REVERSED), "little")
+            for start, mask, offset in runs:
+                col |= (bits >> start & mask) << offset
+        cols[n + k - row.bit_length()] = col
     return _words(cols, () if n <= 64 else (-(-n // 64),))
 
 
@@ -156,6 +163,10 @@ def _words(ints: list, word_shape: tuple) -> np.ndarray:
     """Python ints as a read-only (len(ints),) + word_shape batch of packed
     words, bit i of an int in bit i % 64 of word i // 64; a word of shape
     () is one flat uint64."""
+    if word_shape == ():
+        words = np.array(ints, dtype=np.uint64)
+        words.flags.writeable = False
+        return words
     width = 8 * math.prod(word_shape)
     raw = b"".join([v.to_bytes(width, "little") for v in ints])
     return np.frombuffer(raw, dtype="<u8").reshape((len(ints),) + word_shape)
@@ -423,18 +434,17 @@ def random_linear_code(n: int, k: int, rng: SeededRng) -> LinearCode:
     k must be integers, else ParameterError. Each try is one flat draw,
     the stream of a size (n, k) draw at less cost, of fresh 0/1 entries
     that are not checked again. Each draw is eliminated once; a
-    rank-deficient one is dropped there, and only the accepted draw
-    becomes a code, built from the table that elimination made."""
+    rank-deficient one is dropped there, and only the accepted draw's
+    table and code are built."""
     n, k = _integer("n", n), _integer("k", k)
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     while True:
         G = rng.integers(0, 2, size=n * k, dtype=np.uint8).reshape(n, k)
-        try:
-            cols = _parity_and_left_inverse(G)
-        except ParameterError:   # rank deficient: draw again
-            continue
-        return LinearCode._wrap(G, cols, t=0, kind="random", param=rng.seed)
+        reduced = _eliminate(G)
+        if reduced is not None:   # else rank deficient: draw again
+            return LinearCode._wrap(G, _parity_and_left_inverse(G, reduced),
+                                    t=0, kind="random", param=rng.seed)
 
 
 def code_from_spec(spec: str, rng: SeededRng) -> LinearCode:

@@ -25,7 +25,6 @@ params object; the debug bundle is built only when asked for.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +38,21 @@ from .bitcore import (BitString, DimensionError, ParameterError, SeededRng,
                       _bitstring, _integer)
 from .codes import LinearCode, code_from_text, code_to_text
 from .lsh import IndexVector
+
+
+class _memo:
+    """A method read as an attribute: the first read on an object stores
+    its value in the object's dict, where every later read finds it as a
+    plain attribute. A non-data descriptor like functools.cached_property,
+    but it takes no lock (Python 3.11's takes one on each first read)."""
+
+    def __init__(self, func):
+        self.func = func
+
+    def __get__(self, obj, cls=None):
+        value = obj.__dict__[self.func.__name__] = self.func(obj)
+        return value
+
 
 @dataclass(frozen=True)
 class SketchParams:
@@ -62,11 +76,11 @@ class SketchParams:
     k = property(lambda self: self.outer.k)
     n = property(lambda self: self.outer.n)
 
-    @functools.cached_property
+    @_memo
     def _rules(self) -> Tuple[Tuple[str, ...], int]:
         """(param_violations, error weight floor(k* eps_ss)) on first use;
         the fields never change, and dataclasses.replace makes a new object
-        with its own cache. The weight is 0 while a rule is broken."""
+        with its own memo. The weight is 0 while a rule is broken."""
         violations = tuple(param_violations(self.k_star, self.n_star, self.k,
                                             self.n, self.eps_ss))
         return violations, 0 if violations else fixed_weight(self.k_star,

@@ -89,6 +89,13 @@ EQUIVALENT = {
     "length = (~run & run + 2).bit_length() - 1":
         "run's bit 0 is set, so run + 2, like run + 1, sets run's lowest "
         "clear bit and changes no bit above it",
+    "codes::_eliminate: ints = _POWERS[-min(n, 63):].dot(G[:63]).tolist() -> "
+    "ints = _POWERS[-min(n, 64):].dot(G[:63]).tolist()":
+        "_POWERS has 63 entries, so a slice from -64 clamps to all 63, as "
+        "one from -63 does",
+    "codes::_eliminate: basis = [0] * (n + k + 1) -> basis = [0] * (n + k + 2)":
+        "a row's bit_length is at most n + k, so the extra last entry stays "
+        "zero, and the back-substitution skips zero entries",
     "sketch::SketchParams._rules: return (violations, 0 if violations else "
     "fixed_weight(self.k_star, self.eps_ss)) -> return (violations, 1 if "
     "violations else fixed_weight(self.k_star, self.eps_ss))":

@@ -163,6 +163,14 @@ def _split_pivots(n, k, seed):
     return G
 
 
+def _last_dependent(n, k, seed):
+    """An n x k generator whose last column is the XOR of the others, which
+    are independent: the first dependent row of [G^T | I_k] is its last."""
+    G = _invertible(n, seed)[:, :k]
+    G[:, -1] = G[:, :-1].sum(axis=1) % 2
+    return G
+
+
 @st.composite
 def _wide_generators(draw):
     """n x k generators up to n = 200, so H and L each take one to four
@@ -197,6 +205,18 @@ class TestElimination:
     @example(_seeded_generator(16, 11, 17))
     @example(_invertible(17, 18))      # stride 24: 7 pad bits per column
     @example(_seeded_generator(17, 9, 19))
+    # the int64 product reads G in blocks of 63 rows
+    @example(_invertible(62, 20))
+    @example(_seeded_generator(62, 30, 21))
+    @example(_invertible(63, 22))      # one full block
+    @example(_seeded_generator(63, 50, 23))
+    @example(_seeded_generator(64, 33, 24))   # one row past it
+    @example(_invertible(126, 25))     # two full blocks
+    @example(_seeded_generator(126, 70, 26))
+    @example(_invertible(127, 27))
+    @example(_seeded_generator(127, 100, 28))
+    @example(_last_dependent(12, 5, 29))
+    @example(_last_dependent(63, 63, 30))
     def test_packed_table_against_gauss_jordan(self, G):
         expect = gauss_jordan_parity_and_left_inverse(G)
         if expect is None:
@@ -239,9 +259,9 @@ class TestElimination:
         assert not c._L[:, free].any()
 
     def test_one_elimination_per_code_and_per_draw(self, monkeypatch):
-        real = codes._parity_and_left_inverse
+        real = codes._eliminate
         calls = []
-        monkeypatch.setattr(codes, "_parity_and_left_inverse",
+        monkeypatch.setattr(codes, "_eliminate",
                             lambda G: calls.append(G) or real(G))
         bch_code(4, 2)
         assert len(calls) == 1
@@ -258,9 +278,9 @@ class TestElimination:
         assert draws > 1 and len(calls) == draws
 
     def test_a_rank_deficient_draw_builds_no_code(self, monkeypatch):
-        eliminate, build = codes._parity_and_left_inverse, LinearCode._build
+        eliminate, build = codes._eliminate, LinearCode._build
         eliminations, builds = [], []
-        monkeypatch.setattr(codes, "_parity_and_left_inverse",
+        monkeypatch.setattr(codes, "_eliminate",
                             lambda G: eliminations.append(G) or eliminate(G))
         monkeypatch.setattr(LinearCode, "_build",
                             lambda self, *a: builds.append(a) or build(self, *a))
