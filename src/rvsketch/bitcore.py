@@ -290,6 +290,9 @@ class _KeySeq:
 _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
 _ZERO_COUNTER.flags.writeable = False
 
+_TOP_BITS = bytes(byte >> 7 for byte in range(256))   # bytes.translate table
+_NUMPY = -1   # SeededRng._half: a Generator call may have left a half
+
 
 @functools.cache
 def _register_key_seq() -> None:
@@ -309,6 +312,11 @@ class SeededRng:
     same stream on every platform. A seed or stream_id that is not an
     integer (numpy integers are) raises ParameterError. Instances are
     single-owner; further generators come from :meth:`spawn`.
+
+    Bits and subsets of m <= 5 are computed from Philox's raw words with
+    the values and stream position of numpy's Generator, which draws the
+    rest. _half is a raw word's pending high half, None, or _NUMPY after a
+    Generator call; _last is the uinteger Philox's state lacks, or None.
     """
 
     algo_id = RNG_ALGO_ID
@@ -318,6 +326,7 @@ class SeededRng:
         _register_key_seq()
         self._gen = np.random.Generator(
             np.random.Philox(_KeySeq(self.seed), counter=_ZERO_COUNTER))
+        self._half = self._last = None
 
     def spawn(self, stream_id: int) -> "SeededRng":
         """Generator with seed + stream_id (mod 2^64).
@@ -327,19 +336,81 @@ class SeededRng:
         """
         return SeededRng(self.seed + _integer("stream_id", stream_id))
 
+    def _to_numpy(self) -> np.random.Generator:
+        """numpy's Generator, its Philox state first brought up to date."""
+        if self._last is not None:
+            philox = self._gen.bit_generator
+            philox.state = {**philox.state, "uinteger": self._last,
+                            "has_uint32": int(self._half is not None)}
+            self._last = None
+        self._half = _NUMPY
+        return self._gen
+
+    def _take_half(self):
+        """The pending half or None, taken back from numpy if it may hold one."""
+        half, self._half = self._half, None
+        if half == _NUMPY:
+            state = self._gen.bit_generator.state
+            half = self._last = state["uinteger"] if state["has_uint32"] else None
+        return half
+
+    def _bits(self, count: int) -> np.ndarray:
+        """count 0/1 uint8 entries, read-only, numpy's integers(0, 2, count,
+        uint8): entry i is bit 7 of byte i of the next ceil(count/4) uint32s."""
+        if not count:
+            return np.empty(0, np.uint8)
+        half = self._take_half()
+        need = (count + 3) // 4 - (half is not None)   # uint32s of new raw words
+        raw = self._gen.bit_generator.random_raw((need + 1) // 2)
+        data = raw.astype("<u8", copy=False).tobytes()
+        if half is not None:
+            data = half.to_bytes(4, "little") + data
+        if need:
+            self._last = int(raw[-1]) >> 32
+            self._half = self._last if need & 1 else None
+        return np.frombuffer(data[:count].translate(_TOP_BITS), np.uint8)
+
+    def _bounded(self, r: int) -> int:
+        """Uniform in [0, r], r < 2^32, by numpy's Lemire method: m = u (r + 1)
+        for the stream's next uint32 u, drawn again while m mod 2^32 <
+        (2^32 - 1 - r) mod (r + 1), gives m >> 32. bounded(0) draws nothing."""
+        threshold = (0xFFFFFFFF - r) % (r + 1)
+        while r:
+            u = self._take_half()
+            if u is None:
+                word = self._gen.bit_generator.random_raw()
+                self._half = self._last = word >> 32
+                u = word & 0xFFFFFFFF
+            product = u * (r + 1)
+            if product & 0xFFFFFFFF >= threshold:
+                return product >> 32
+        return 0
+
     def integers(self, low: int, high: int, size=None, dtype=np.int64):
         """Uniform integers in [low, high), numpy semantics."""
-        return self._gen.integers(low, high, size=size, dtype=dtype)
+        return self._to_numpy().integers(low, high, size=size, dtype=dtype)
 
     def random_bits(self, length: int) -> BitString:
-        """Uniform BitString of the given length."""
-        arr = self._gen.integers(0, 2, _integer("length", length, 0), np.uint8)
-        return BitString._wrap(arr)
+        """Uniform BitString of the given length: numpy's 0/1 uint8 draw."""
+        return BitString._wrap(self._bits(_integer("length", length, 0)))
 
     def subset(self, n: int, m: int) -> np.ndarray:
-        """m distinct 0-based positions drawn uniformly from range(n)."""
+        """m distinct 0-based positions drawn uniformly from range(n), an
+        int64 array: numpy's choice(n, m, replace=False). For m <= 5 and n <=
+        2^32 Python runs its Floyd draws: bounded(j), or j if taken, for j =
+        n-m..n-1, then swaps of positions i and bounded(i) for i = m-1..1."""
         n = _integer("n", n, 0)
-        return self._gen.choice(n, size=_integer("m", m, 0, n), replace=False)
+        m = _integer("m", m, 0, n)
+        if m > 5 or n > 1 << 32:   # numpy's one call is faster past m = 5
+            return self._to_numpy().choice(n, size=m, replace=False)
+        picks = []
+        for j in range(n - m, n):
+            value = self._bounded(j)
+            picks.append(j if value in picks else value)
+        for i in range(m - 1, 0, -1):
+            value = self._bounded(i)
+            picks[i], picks[value] = picks[value], picks[i]
+        return np.array(picks, dtype=np.int64)
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed})"

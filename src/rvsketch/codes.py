@@ -431,16 +431,16 @@ def bch_code(m_prime: int, t: int) -> LinearCode:
 
 def random_linear_code(n: int, k: int, rng: SeededRng) -> LinearCode:
     """Uniform full-rank n x k generator matrix, decoding radius 0; n and
-    k must be integers, else ParameterError. Each try is one flat draw,
-    the stream of a size (n, k) draw at less cost, of fresh 0/1 entries
-    that are not checked again. Each draw is eliminated once; a
+    k must be integers, else ParameterError. Each try is rng._bits(n k),
+    numpy's integers(0, 2, n k, uint8) from Philox's raw words, fresh 0/1
+    entries that are not checked again. Each draw is eliminated once; a
     rank-deficient one is dropped there, and only the accepted draw's
     table and code are built."""
     n, k = _integer("n", n), _integer("k", k)
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     while True:
-        G = rng.integers(0, 2, size=n * k, dtype=np.uint8).reshape(n, k)
+        G = rng._bits(n * k).reshape(n, k)
         reduced = _eliminate(G)
         if reduced is not None:   # else rank deficient: draw again
             return LinearCode._wrap(G, _parity_and_left_inverse(G, reduced),

@@ -14,6 +14,9 @@ is not, in and not in), swaps + and -, * and //, << and >>, & and |, turns
 ^ into |, or adds 1 to an int constant. The module is parsed with ast and
 written back with ast.unparse, so first the unedited round trip must pass
 the tests. A mutant is killed when pytest fails, errors or times out.
+Each pytest runs under a 2 GB address-space limit (the unedited tests
+peak near 0.6 GB), so a mutant that grows a list or an int without bound
+dies of MemoryError, and is killed, before it can use up the host's memory.
 
 A mutant that lives is printed with its diff, unless EQUIVALENT lists it
 with the reason no test can tell it from the original. An EQUIVALENT entry of a
@@ -39,6 +42,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKERS = 2   # scratch copies, each running one pytest at a time
 COPIED = ("src", "tests", "demos", "pyproject.toml", "README.md")
+MEMORY = 2 << 30   # RLIMIT_AS of each pytest, in bytes
+# the child sets its own limit: preexec_fn is unsafe in _run's worker threads
+PYTEST = ("import resource, sys, pytest; "
+          f"resource.setrlimit(resource.RLIMIT_AS, ({MEMORY}, {MEMORY})); "
+          "sys.exit(pytest.main(sys.argv[1:]))")
 SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
          ast.In: ast.NotIn, ast.NotIn: ast.In, ast.Add: ast.Sub, ast.Sub: ast.Add,
@@ -176,7 +184,7 @@ def _run(workdir, tests, timeout):
            "PYTHONPATH": str(workdir / "src")}
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            [sys.executable, "-c", PYTEST, "-x", "-q", "-p", "no:cacheprovider", *tests],
             cwd=workdir, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return "timeout"

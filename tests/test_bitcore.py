@@ -3,6 +3,7 @@ import pickle
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import rvsketch
 from rvsketch import (BitString, DimensionError, ParameterError, SeededRng,
-                      empirical_rv_distance, expected_rv_distance,
+                      bitcore, empirical_rv_distance, expected_rv_distance,
                       hamming_distance, hamming_weight, rv_distance_samples,
                       sample_error, xor, zero_pad_prefix)
 
@@ -316,7 +317,8 @@ class TestPhiloxKeying:
                               gen.integers(0, 2, size=40, dtype=np.uint8))
         assert np.array_equal(rng.subset(30, 5),
                               gen.choice(30, size=5, replace=False))
-        assert (_philox_state(rng._gen.bit_generator)
+        # a pending half may sit in Python: hand it to Philox's state first
+        assert (_philox_state(rng._to_numpy().bit_generator)
                 == _philox_state(gen.bit_generator))
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -347,3 +349,116 @@ class TestPhiloxKeying:
         assert (clone.integers(0, 2 ** 62, size=16).tolist()
                 == rng.integers(0, 2 ** 62, size=16).tolist())
         assert np.array_equal(clone.subset(50, 9), rng.subset(50, 9))
+
+
+def _numpy_rng(seed):
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+class TestRawSamplers:
+    """random_bits and subset are computed from Philox's raw words, with the
+    values and stream position of numpy's Generator, pending half included."""
+
+    BITS = [0, 1, 7, 8, 9, 31, 32, 33, 80, 121, 169, 256]
+    SUBSETS = [(7, 1), (16, 2), (16, 16), (30, 5), (8, 0), (1, 1), (10000, 3),
+               (10001, 3), (0, 0), (5, 5), (6, 6), (2 ** 32, 5), (2 ** 32 + 1, 1)]
+
+    @staticmethod
+    def _assert_mixed_draws(rng, gen, seed):
+        # one uint32 per int64 entry below 2^32: odd sizes leave a half in numpy
+        size = seed % 4 + 1
+        for i, length in enumerate(TestRawSamplers.BITS):
+            assert np.array_equal(rng.random_bits(length).bits,
+                                  gen.integers(0, 2, length, np.uint8))
+            if i % 3 == seed % 3:
+                assert (rng.integers(0, 1000, size=size).tolist()
+                        == gen.integers(0, 1000, size=size).tolist())
+        for i, (n, m) in enumerate(TestRawSamplers.SUBSETS):
+            got, want = rng.subset(n, m), gen.choice(n, size=m, replace=False)
+            assert got.dtype == want.dtype == np.int64
+            assert got.tolist() == want.tolist()
+            if i % 3 == seed % 3:
+                assert (rng.integers(0, 5, size=size, dtype=np.uint8).tolist()
+                        == gen.integers(0, 5, size=size, dtype=np.uint8).tolist())
+
+    def test_mixed_draws_match_numpy_over_1000_seeds(self):
+        for seed in range(1000):
+            rng, gen = SeededRng(seed), _numpy_rng(seed)
+            self._assert_mixed_draws(rng, gen, seed)
+            assert (_philox_state(rng._to_numpy().bit_generator)
+                    == _philox_state(gen.bit_generator))
+
+    def test_known_answers(self):
+        rng = SeededRng(12345)
+        assert str(rng.random_bits(13)) == "0110000100011"   # a half left pending
+        assert rng.subset(16, 4).tolist() == [14, 2, 12, 11]
+        assert str(rng.random_bits(9)) == "101101100"
+        assert rng.subset(30, 5).tolist() == [25, 1, 12, 15, 24]
+        assert rng.integers(0, 1000, size=3).tolist() == [964, 18, 700]
+        assert str(rng.random_bits(6)) == "110111"   # a half taken back from numpy
+
+    def test_rejection_loop_matches_numpy(self):
+        # at r = 2^31 a draw is rejected while its low word is below 2^31 - 1
+        for seed in range(20):
+            rng, gen = SeededRng(seed), _numpy_rng(seed)
+            rng.random_bits(4)   # start on a pending half
+            gen.integers(0, 2, 4, np.uint8)
+            assert ([rng._bounded(2 ** 31) for _ in range(100)]
+                    == gen.integers(0, 2 ** 31 + 1, size=100).tolist())
+            assert (_philox_state(rng._to_numpy().bit_generator)
+                    == _philox_state(gen.bit_generator))
+            # Philox makes 4 raw words per counter step: 100 draws that read
+            # about 200 uint32s rejected about half
+            state = gen.bit_generator.state
+            raw = 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+            assert 150 < 2 * raw - state["has_uint32"] - 1 < 250
+
+    @pytest.mark.parametrize("r,threshold", [(6, 4), (2 ** 31, 2 ** 31 - 1)])
+    def test_rejection_threshold_is_exact(self, r, threshold):
+        # the first word's product has low word threshold - 1 and is drawn
+        # again; the second's has exactly the threshold and is kept
+        assert threshold == 2 ** 32 % (r + 1)
+        below, at = (low * pow(r + 1, -1, 2 ** 32) % 2 ** 32
+                     for low in (threshold - 1, threshold))
+        words = iter([below | at << 32])   # one raw word: its low half first
+        rng = SeededRng(0)
+        rng._gen = SimpleNamespace(
+            bit_generator=SimpleNamespace(random_raw=words.__next__))
+        assert ([rng._bounded(bound) for bound in (0, r, 0)]
+                == [0, at * (r + 1) >> 32, 0])
+        assert next(words, None) is None and rng._half is None
+
+    def test_full_range_bound_reads_numpy_uint32_stream(self):
+        # bounded(2^32 - 1) is the uint32 itself, as in numpy
+        rng, gen = SeededRng(9), _numpy_rng(9)
+        for length in (0, 4, 0, 8, 12, 0, 20, 4, 4):
+            assert np.array_equal(rng.random_bits(length).bits,
+                                  gen.integers(0, 2, length, np.uint8))
+            assert (rng._bounded(2 ** 32 - 1)
+                    == gen.integers(0, 2 ** 32, dtype=np.uint32))
+
+    @pytest.mark.parametrize("n,m,python", [
+        (30, 5, True), (30, 6, False), (2 ** 32, 5, True), (2 ** 32 + 1, 1, False)])
+    def test_python_draws_m_up_to_5_of_n_up_to_2_to_32(self, n, m, python):
+        # past m = 5 numpy's one call is faster; past n = 2^32 numpy draws
+        # j >= 2^32 from a raw 64-bit word
+        rng = SeededRng(4)
+        rng.subset(n, m)
+        assert (rng._half == bitcore._NUMPY) != python
+
+    @pytest.mark.parametrize("prefix", ["none", "python", "numpy"])
+    def test_pickle_round_trips_each_pending_state(self, prefix):
+        rng, gen = SeededRng(77), _numpy_rng(77)
+        if prefix == "python":   # one uint32 read: Python holds the high half
+            rng.random_bits(3)
+            gen.integers(0, 2, 3, np.uint8)
+        elif prefix == "numpy":   # one uint32 read by numpy itself
+            rng.integers(0, 9, size=1)
+            gen.integers(0, 9, size=1)
+        else:   # two uint32s: no half pending
+            rng.random_bits(8)
+            gen.integers(0, 2, 8, np.uint8)
+        clone = pickle.loads(pickle.dumps(rng))
+        self._assert_mixed_draws(clone, gen, 5)
+        assert (_philox_state(clone._to_numpy().bit_generator)
+                == _philox_state(gen.bit_generator))

@@ -752,6 +752,23 @@ class TestRandomCode:
         assert not hasattr(code, "_table") and not hasattr(built, "_table")
         assert code.G.dtype == np.uint8 and code.G.flags.c_contiguous
 
+    @pytest.mark.parametrize("n,k", [(10, 8), (11, 11), (13, 13)])
+    def test_tries_match_numpy_draws(self, n, k):
+        # each try is numpy's integers(0, 2, n k, uint8), an odd uint32 count
+        # at 11 x 11 and 13 x 13, and the last is the first of full rank
+        for seed in range(40):
+            rng = SeededRng(seed)
+            code = random_linear_code(n, k, rng)
+            gen = np.random.Generator(np.random.Philox(key=seed))
+            while True:
+                G = gen.integers(0, 2, n * k, np.uint8).reshape(n, k)
+                if len(non_pivot_rows(G.T)) == 0:
+                    break
+            assert np.array_equal(code.G, G)
+            # the same stream after, a pending half included
+            assert (rng.integers(0, 2 ** 32, size=3, dtype=np.uint32).tolist()
+                    == gen.integers(0, 2 ** 32, size=3, dtype=np.uint32).tolist())
+
     def test_square_code_is_bijective(self):
         c = random_linear_code(8, 8, SeededRng(1))
         rng = SeededRng(2)
