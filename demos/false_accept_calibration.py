@@ -5,9 +5,9 @@ one rolls the zero-prefix dice. Probes sit at maximum distance from the
 sketched secret; any acceptance is a decoy event.
 """
 
-from rvsketch import ExperimentConfig, run_false_accept_experiment
+from rvsketch import ExperimentConfig, run_experiment
 
-results = run_false_accept_experiment(ExperimentConfig(
+results = run_experiment(ExperimentConfig(
     kind="false_accept", seed=17, deltas=(1, 2, 3, 4, 6),
     min_iterations=8_000))
 

@@ -10,10 +10,9 @@ code forces the sketch length to grow exponentially in the input size.
 
 from fractions import Fraction
 
-from rvsketch import (ExperimentConfig, min_sketch_len_for_budget,
-                      run_complexity_experiment)
+from rvsketch import ExperimentConfig, min_sketch_len_for_budget, run_experiment
 
-cells = run_complexity_experiment(ExperimentConfig(
+cells = run_experiment(ExperimentConfig(
     kind="complexity", trials=2, seed=5,
     grid_k=(8, 12, 16), grid_eps=(Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))))
 

@@ -44,9 +44,6 @@ def binary_entropy(x: RationalLike) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-h2 = binary_entropy
-
-
 def _entropy_bits(k_star: int, eps: Fraction) -> float:
     """k* h2(eps) in floats, or CapacityError once k* passes float range."""
     try:

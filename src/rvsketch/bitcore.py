@@ -187,10 +187,6 @@ def xor(a: BitsLike, b: BitsLike) -> BitString:
     return _bitstring(a) ^ _bitstring(b)
 
 
-def hamming_weight(a: BitsLike) -> int:
-    return _bitstring(a).weight
-
-
 def hamming_distance(a: BitsLike, b: BitsLike) -> int:
     """Number of positions where a and b disagree."""
     return (_bitstring(a) ^ _bitstring(b)).weight

@@ -20,8 +20,8 @@ from .codes import code_from_spec
 from .experiments import _KINDS, ExperimentConfig, run_experiment
 from .lsh import gen_index_vector
 from .recover import RecoveryReport, recover_fixed, recover_sweep
-from .sketch import (SketchParams, load_sketch_file, make_sketch,
-                     param_violations, save_sketch)
+from .sketch import (SketchParams, dump_sketch, load_sketch, make_sketch,
+                     param_violations)
 
 EXIT_OK = 0
 EXIT_RECOVERY_FAILED = 1
@@ -137,7 +137,7 @@ def cmd_sketch(args) -> int:
         return EXIT_USAGE
     N = gen_index_vector(p.k_star, p.n, rng.spawn(3))
     sk = make_sketch(w, N, args.eps_ss, p, rng.spawn(4))
-    save_sketch(sk, args.out)
+    Path(args.out).write_bytes(dump_sketch(sk))
     eps_rec = 2 * p.eps_ss
     ef = analysis.error_floor_check(p.n, p.eps_ss, p.k, p.n_star)
     eb = analysis.efficiency_bound_check(p.k_star, eps_rec, p.k, p.n_star)
@@ -154,7 +154,7 @@ def cmd_sketch(args) -> int:
 def cmd_recover(args) -> int:
     if args.max_weight is not None and not args.sweep:
         raise ParameterError("--max-weight applies only with --sweep")
-    sk = load_sketch_file(args.sketch)
+    sk = load_sketch(Path(args.sketch).read_bytes())
     w_prime = _read_bitstring(args.w_prime)
     inner, outer = sk.params.inner, sk.params.outer
     if args.sweep:

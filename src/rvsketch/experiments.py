@@ -1,6 +1,7 @@
 """Seeded Monte-Carlo experiments with CSV output.
 
-Four kinds:
+run_experiment is the one entry point: it validates an ExperimentConfig
+once and runs the config's kind, one of four:
 
   lsh          lsh.rv_distance_samples against the exact expectation n*d/k*
   correctness  sketch/recover round-trips against the 1 - 2^-(k-n*) floor
@@ -81,20 +82,22 @@ class ExperimentConfig:
     grid_eps: Sequence[Union[str, Fraction]] = ("1/8", "1/4", "1/2")
 
     def resolved_trials(self) -> int:
-        return self.trials or _KINDS[self.kind][1]
+        return self.trials or _kind(self.kind)[1]
 
     def validate(self):
-        """Raise ParameterError on a bad field; store the integer fields as ints."""
-        if self.kind not in _KINDS:
-            raise ParameterError(f"unknown experiment kind {self.kind!r}")
+        """Raise ParameterError on a bad field; store the integer fields as
+        ints and the sequence fields as tuples."""
+        _kind(self.kind)
         for name in ("trials", "seed", "k_star", "distance", "n", "w_prime_distance",
                      "min_iterations"):
             setattr(self, name, _integer(name, getattr(self, name)))
-        for name in ("deltas", "grid_k"):   # stored as tuples of ints
+        for name, of in (("deltas", "integers"), ("grid_k", "integers"),
+                         ("grid_eps", "rationals")):
             value = getattr(self, name)
             if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
-                raise ParameterError(f"{name} {value!r} is not a sequence of integers")
-            setattr(self, name, tuple(_integer(name, v) for v in value))
+                raise ParameterError(f"{name} {value!r} is not a sequence of {of}")
+            setattr(self, name, tuple(_integer(name, v) if of == "integers" else v
+                                      for v in value))
         if self.trials < 0:
             raise ParameterError("trials must be >= 1 (or 0 for the default)")
         if self.kind == "false_accept" and self.trials:
@@ -118,14 +121,6 @@ def _write_csv(cfg, extra: str, header: List[str], rows: List[list]):
         writer.writerows(row + [""] * (len(header) - len(row)) for row in rows)
 
 
-def _check(cfg: ExperimentConfig, kind: str):
-    """Every runner's entry: cfg must be a config of the runner's kind, and
-    validate then checks its fields and stores the integer fields as ints."""
-    if cfg.kind != kind:
-        raise ParameterError(f"the {kind} runner got a {cfg.kind!r} config")
-    cfg.validate()
-
-
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -137,8 +132,7 @@ class LshResult:
     passed: bool
 
 
-def run_lsh_experiment(cfg: ExperimentConfig) -> LshResult:
-    _check(cfg, "lsh")
+def _run_lsh(cfg: ExperimentConfig) -> LshResult:
     trials = cfg.resolved_trials()
     k_star, d, n = cfg.k_star, cfg.distance, cfg.n
     if not 0 <= d <= k_star:
@@ -176,8 +170,7 @@ class CorrectnessResult:
     passed: bool
 
 
-def run_correctness_experiment(cfg: ExperimentConfig) -> CorrectnessResult:
-    _check(cfg, "correctness")
+def _run_correctness(cfg: ExperimentConfig) -> CorrectnessResult:
     trials = cfg.resolved_trials()
     eps_ss = _rational("eps_ss", cfg.eps_ss)
     base = SeededRng(cfg.seed)
@@ -250,14 +243,13 @@ class FalseAcceptResult:
     passed: bool             # within a factor of two of expected
 
 
-def run_false_accept_experiment(cfg: ExperimentConfig) -> List[FalseAcceptResult]:
+def _run_false_accept(cfg: ExperimentConfig) -> List[FalseAcceptResult]:
     """Decoy recoveries against fresh random codes, one section per delta.
 
     The outer code is square (k = n), so the first decode always returns and
     every iteration exercises the zero-prefix test. The probe string sits at
     maximum distance from the sketched secret, so acceptances are decoys.
     """
-    _check(cfg, "false_accept")
     k_star, n_star = 8, 10
     results = []
     rows = []
@@ -303,13 +295,12 @@ class ComplexityCell:
     passed: bool
 
 
-def run_complexity_experiment(cfg: ExperimentConfig) -> List[ComplexityCell]:
+def _run_complexity(cfg: ExperimentConfig) -> List[ComplexityCell]:
     """Exhaust the enumeration on unrecoverable probes and count iterations.
 
     Codes are sized so that stray completions are out of reach (outer
     membership rate 2^-16), making the full C(k*, m) sweep observable.
     """
-    _check(cfg, "complexity")
     repeats = cfg.resolved_trials()
     cells = []
     rows = []
@@ -345,13 +336,21 @@ def run_complexity_experiment(cfg: ExperimentConfig) -> List[ComplexityCell]:
 # ---------------------------------------------------------------------------
 
 _KINDS = {   # kind: (runner, default trials)
-    "lsh": (run_lsh_experiment, 10_000),
-    "correctness": (run_correctness_experiment, 1_000),
-    "false_accept": (run_false_accept_experiment, 0),
-    "complexity": (run_complexity_experiment, 3),
+    "lsh": (_run_lsh, 10_000),
+    "correctness": (_run_correctness, 1_000),
+    "false_accept": (_run_false_accept, 0),
+    "complexity": (_run_complexity, 3),
 }
 
 
+def _kind(kind: str):
+    """kind's (runner, default trials); ParameterError for an unknown kind."""
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ParameterError(f"unknown experiment kind {kind!r}")
+    return _KINDS[kind]
+
+
 def run_experiment(cfg: ExperimentConfig):
-    cfg.validate()   # names an unknown kind; the kind's runner checks cfg again
+    """Validate cfg once, then run its kind: the one entry to every kind."""
+    cfg.validate()
     return _KINDS[cfg.kind][0](cfg)

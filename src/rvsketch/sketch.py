@@ -28,8 +28,7 @@ import dataclasses
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -140,18 +139,6 @@ def param_violations(k_star: int, n_star: int, k: int, n: int,
         if problem:
             violations.append(problem)
     return violations
-
-
-def sample_error(k_star: int, eps: RationalLike, rng: SeededRng) -> BitString:
-    """Uniform vector of length k* with weight exactly floor(k* eps): one
-    subset draw, made only at weight > 0. ParameterError unless k* is a
-    non-negative integer."""
-    k_star = _integer("k_star", k_star, 0)
-    weight = fixed_weight(k_star, eps)
-    out = np.zeros(k_star, dtype=np.uint8)
-    if weight:
-        out[rng.subset(k_star, weight)] = 1
-    return BitString._wrap(out)
 
 
 @dataclass(frozen=True)
@@ -358,11 +345,3 @@ def _parse_sketch(data: bytes) -> Sketch:
     # ss has n bits and N n entries over k*, the codes' own dimensions
     return Sketch._wrap(ss, SketchParams(inner, outer, eps_ss),
                         IndexVector(idx, k_star), algo)
-
-
-def save_sketch(sk: Sketch, path: Union[str, Path]) -> None:
-    Path(path).write_bytes(dump_sketch(sk))
-
-
-def load_sketch_file(path: Union[str, Path]) -> Sketch:
-    return load_sketch(Path(path).read_bytes())

@@ -113,17 +113,17 @@ EQUIVALENT = {
     "range(k)]":
         "the remainder mod g has degree below shift, so it shares no bit with "
         "x^(shift + j), and | adds as ^ does",
-    "experiments::run_correctness_experiment: passed = rate >= floor or "
+    "experiments::_run_correctness: passed = rate >= floor or "
     "pvalue_below > 0.01 -> passed = rate > floor or pvalue_below > 0.01":
         "rate == floor makes successes the binomial mean trials * floor, an "
         "integer and so the median: the lower tail there is at least 1/2",
-    "experiments::run_correctness_experiment: passed = rate >= floor or "
+    "experiments::_run_correctness: passed = rate >= floor or "
     "pvalue_below > 0.01 -> passed = rate >= floor or pvalue_below >= 0.01":
         "the tail would have to round to exactly the double nearest 0.01, "
         "which no config is known to give",
-    "experiments::run_complexity_experiment: worst = 0 -> worst = 1":
+    "experiments::_run_complexity: worst = 0 -> worst = 1":
         "every report counts at least one candidate, C(k*, m) >= 1",
-    "experiments::run_complexity_experiment: passed = worst == expected and "
+    "experiments::_run_complexity: passed = worst == expected and "
     "expected <= bound -> passed = worst == expected and expected < bound":
         "for every eps in [1/(2k*), 1/2] that recovery accepts, C(k*, m) sits "
         "below 2^(k* h2(eps)) by a factor of sqrt(2) or more, which no float "

@@ -243,17 +243,21 @@ def scan_supports(sk, w_prime, candidates, inner, outer):
 
 def make_sketch_reference(w, N, eps_ss, params, rng):
     """(ss, SketchDebug) of the sketching pipeline run stage by stage:
-    sample_error, encode, zero_pad_prefix, sample_bits and XOR, each a
-    public function on BitStrings, with v* built in full.
+    one subset draw for e, then encode, zero_pad_prefix, sample_bits and
+    XOR, each a public function on BitStrings, with v* built in full.
 
     It draws from rng exactly as make_sketch does, so the two agree for
     generators in the same state.
     """
-    from rvsketch import (SketchDebug, encode, sample_bits, sample_error,
-                          zero_pad_prefix)
+    from rvsketch import (BitString, SketchDebug, encode, fixed_weight,
+                          sample_bits, zero_pad_prefix)
 
     p = params
-    e = sample_error(p.k_star, eps_ss, rng)
+    bits = np.zeros(p.k_star, dtype=np.uint8)
+    weight = fixed_weight(p.k_star, eps_ss)
+    if weight:   # e: weight floor(k* eps_ss), uniform over its supports
+        bits[rng.subset(p.k_star, weight)] = 1
+    e = BitString(bits)
     w_e = w ^ e
     c_star = encode(p.inner, w)
     v_syn = c_star ^ zero_pad_prefix(w_e, p.n_star - p.k_star)

@@ -15,9 +15,7 @@ from rvsketch import (BitString, ExperimentConfig, SeededRng, SketchParams,
                       efficiency_bound_check, exceedance_frequencies,
                       gen_index_vector, hoeffding_bound, make_sketch,
                       min_sketch_len_for_budget, random_linear_code,
-                      recover_fixed, run_correctness_experiment,
-                      run_false_accept_experiment, run_lsh_experiment,
-                      run_complexity_experiment, thresholds)
+                      recover_fixed, run_experiment, thresholds)
 
 
 def _criterion(num: int, name: str, passed: bool, detail: str = ""):
@@ -32,8 +30,8 @@ def test_criterion_1_rv_distance_expectation():
     # k* = 16, distance 4, n = 512, 1e4 fresh index vectors:
     # mean within 3 sigma/sqrt(trials) of 128, under 5 seconds
     t0 = time.perf_counter()
-    r = run_lsh_experiment(ExperimentConfig(kind="lsh", trials=10_000, seed=5,
-                                            k_star=16, distance=4, n=512))
+    r = run_experiment(ExperimentConfig(kind="lsh", trials=10_000, seed=5,
+                                        k_star=16, distance=4, n=512))
     elapsed = time.perf_counter() - t0
     ok = r.passed and abs(r.mean - 128.0) <= r.tolerance and elapsed < 5.0
     _criterion(1, "RV distance expectation", ok,
@@ -64,11 +62,11 @@ def test_criterion_3_recovery_success_floors():
     # 1e3 seeded round-trips against the 1 - 2^-(k-n*) floors, one-sided
     # binomial gate at 99%, under 2 minutes
     t0 = time.perf_counter()
-    a = run_correctness_experiment(ExperimentConfig(
+    a = run_experiment(ExperimentConfig(
         kind="correctness", trials=1_000, seed=7,
         inner_spec="bch:4:2", outer_spec="bch:5:3",
         eps_ss=Fraction(1, 14), w_prime_distance=1))
-    b = run_correctness_experiment(ExperimentConfig(
+    b = run_experiment(ExperimentConfig(
         kind="correctness", trials=1_000, seed=7,
         inner_spec="bch:4:2", outer_spec="random:26:18",
         eps_ss=Fraction(1, 14), w_prime_distance=1))
@@ -91,7 +89,7 @@ def test_criterion_3_recovery_success_floors():
 def test_criterion_4_false_accept_rate():
     # decoy iterations with fresh random codes: observed zero-prefix
     # acceptance within a factor of two of 2^-(k-n*) for each delta
-    results = run_false_accept_experiment(ExperimentConfig(
+    results = run_experiment(ExperimentConfig(
         kind="false_accept", seed=9, deltas=(1, 3, 6), min_iterations=10_000))
     ok = all(r.passed and r.iterations >= 10_000 for r in results)
     detail = "; ".join(f"d={r.delta}: {r.rate:.4f} vs {r.expected:.4f}"
@@ -102,7 +100,7 @@ def test_criterion_4_false_accept_rate():
 def test_criterion_5_enumeration_accounting():
     # exhausted enumerations hit C(k*, floor(k* eps)) exactly and stay
     # inside the 2^(k* h2(eps)) envelope across the grid
-    cells = run_complexity_experiment(ExperimentConfig(
+    cells = run_experiment(ExperimentConfig(
         kind="complexity", trials=3, seed=5,
         grid_k=(8, 12, 16), grid_eps=(Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))))
     ok = all(c.passed and c.iterations_max == c.expected

@@ -13,7 +13,7 @@ import numpy as np
 from oracles import min_n_direct_search
 from rvsketch import (CapacityError, ParameterError, analysis,
                       binary_entropy, binom_lower_tail, efficiency_bound_check,
-                      error_floor_check, false_accept_rate, fixed_weight, h2,
+                      error_floor_check, false_accept_rate, fixed_weight,
                       hoeffding_bound, min_length_for_error_floor,
                       min_sketch_len_for_budget, rate_bounds,
                       param_violations, residual_entropy_bound,
@@ -46,9 +46,6 @@ class TestBinaryEntropy:
             binary_entropy(1.5)
         with pytest.raises(ValueError):
             binary_entropy(-0.1)
-
-    def test_alias(self):
-        assert h2 is binary_entropy
 
     @given(st.fractions(min_value=0, max_value=1, max_denominator=1000))
     def test_symmetry(self, x):

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import importlib
 import io
 import os
 import re
@@ -16,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden import BOUNDS_ARGV, SKETCH_ARGV, bounds_argv, digest, pins
+import rvsketch
 from rvsketch import (BitString, ExperimentConfig, RecoveryReport, SeededRng,
                       Sketch, SketchParams, analysis, bch_code, cli,
-                      code_from_spec, gen_index_vector, load_sketch_file,
-                      param_violations, recover_fixed, save_sketch)
+                      code_from_spec, dump_sketch, gen_index_vector,
+                      load_sketch, param_violations, recover_fixed)
 from rvsketch.cli import main
 from rvsketch.experiments import _KINDS
 
@@ -155,9 +157,9 @@ class TestRecoverCommand:
         rng = SeededRng(5)
         inner = code_from_spec("random:20:7", rng.spawn(1))
         params = SketchParams.from_codes(inner, bch_code(5, 3), Fraction(1, 7))
-        save_sketch(Sketch(BitString.zeros(31), params,
-                           gen_index_vector(7, 31, rng.spawn(2)), rng.algo_id),
-                    workdir / "bad.bin")
+        (workdir / "bad.bin").write_bytes(dump_sketch(Sketch(
+            BitString.zeros(31), params, gen_index_vector(7, 31, rng.spawn(2)),
+            rng.algo_id)))
         code = main(["recover", "--sketch", str(workdir / "bad.bin"),
                      "--w-prime", str(workdir / "w.txt"), "--sweep"])
         assert code == 2
@@ -179,7 +181,8 @@ class TestRecoverCommand:
 
 class TestReadmeNamesEveryExport:
     """Every name rvsketch/__init__.py imports appears in the README's
-    inline code, so a shortened module row cannot drop a public name."""
+    inline code, so a shortened module row cannot drop a public name; and
+    every name the layout table lists exists, so a removed name cannot stay."""
 
     def test_every_export_in_inline_code(self):
         root = Path(__file__).resolve().parents[1]
@@ -192,6 +195,24 @@ class TestReadmeNamesEveryExport:
         assert "LinearCode" in names
         assert [name for name in names if not any(
             re.search(rf"\b{name}\b", span) for span in spans)] == []
+
+    def test_every_layout_name_exists(self):
+        # each plain identifier in a row's contents is an attribute of rvsketch
+        # or of the row's module; experiment kinds and the command are not names
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("## Library layout\n\n", 1)[1].split("\n\n", 1)[0]
+        rows, unknown = table.splitlines()[2:], []
+        assert len(rows) >= 8   # one row per module
+        for row in rows:
+            module, contents = re.fullmatch(r"\| `(\w+)` +\| (.*) \|", row).groups()
+            for span in re.findall(r"`([^`]+)`", contents):
+                if (re.fullmatch(r"[A-Za-z_]\w*", span) and span not in _KINDS
+                        and (module, span) != ("cli", "rvsketch")
+                        and not hasattr(rvsketch, span)
+                        and not hasattr(importlib.import_module(
+                            f"rvsketch.{module}"), span)):
+                    unknown.append(f"{module}: {span}")
+        assert unknown == []
 
 
 class TestReadmeExample:
@@ -236,7 +257,7 @@ class TestReadmeExample:
             elif argv[1] == "sketch":
                 assert main(argv[1:]) == 0
         assert capsys.readouterr().out.endswith("sketch written to sk.bin\n0011101\n")
-        sk = load_sketch_file("sk.bin")
+        sk = load_sketch(Path("sk.bin").read_bytes())
         report = recover_fixed(sk, BitString("0011100"), Fraction(1, 7),
                                sk.params.inner, sk.params.outer)
         # weight floor(7/7) = 1: the 7th candidate decodes, after 6 outer misses

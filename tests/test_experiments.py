@@ -21,8 +21,13 @@ from rvsketch.experiments import CSV_SCHEMA
 
 class TestConfig:
     def test_unknown_kind(self):
-        with pytest.raises(ParameterError):
+        message = "^unknown experiment kind 'nope'$"
+        with pytest.raises(ParameterError, match=message):
             run_experiment(ExperimentConfig(kind="nope"))
+        with pytest.raises(ParameterError, match=message):
+            ExperimentConfig(kind="nope").resolved_trials()
+        with pytest.raises(ParameterError, match=r"^unknown experiment kind \['lsh'\]$"):
+            run_experiment(ExperimentConfig(kind=["lsh"]))   # unhashable
 
     def test_defaults_per_kind(self):
         assert ExperimentConfig(kind="lsh").resolved_trials() == 10_000
@@ -52,37 +57,35 @@ class TestConfig:
         ("false_accept", "deltas", (1, 2.5)), ("complexity", "grid_k", ("8",)),
         # a sequence field that is no sequence, also for a kind that never reads it
         ("lsh", "deltas", None), ("lsh", "grid_k", 8), ("complexity", "grid_k", "8"),
-        ("false_accept", "deltas", b"\x01")])
+        ("false_accept", "deltas", b"\x01"), ("complexity", "grid_eps", "1/8")])
     def test_field_not_an_integer(self, kind, field, value):
         cfg = ExperimentConfig(kind=kind, **{field: value})
         if isinstance(value, tuple):   # a sequence's bad entry
             message = f"{field} {value[-1]!r} is not an integer"
         elif field in ("deltas", "grid_k"):
             message = f"{field} {value!r} is not a sequence of integers"
+        elif field == "grid_eps":
+            message = f"{field} {value!r} is not a sequence of rationals"
         else:
             message = f"{field} {value!r} is not an integer"
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             run_experiment(cfg)
 
-    @pytest.mark.parametrize("runner, cfg, message", [
-        ("run_lsh_experiment", ExperimentConfig(kind="lsh", trials="3"),
+    @pytest.mark.parametrize("cfg, message", [
+        (ExperimentConfig(kind="lsh", trials="3"),
          "^trials '3' is not an integer$"),
-        ("run_lsh_experiment", ExperimentConfig(kind="lsh", trials=-2),
+        (ExperimentConfig(kind="lsh", trials=-2),
          r"^trials must be >= 1 \(or 0 for the default\)$"),
-        ("run_false_accept_experiment",
-         ExperimentConfig(kind="false_accept", deltas=(1,), min_iterations=0),
+        (ExperimentConfig(kind="false_accept", deltas=(1,), min_iterations=0),
          "^min_iterations must be >= 1$"),
-        ("run_correctness_experiment",
-         ExperimentConfig(kind="correctness", trials=2.0),
-         "^trials 2.0 is not an integer$"),
-        ("run_lsh_experiment", ExperimentConfig(kind="complexity", trials=2),
-         "^the lsh runner got a 'complexity' config$")],
+        (ExperimentConfig(kind="correctness", trials=2.0),
+         "^trials 2.0 is not an integer$")],
         ids=["text-trials", "negative-trials", "zero-min-iterations",
-             "float-trials", "wrong-kind"])
-    def test_runners_check_their_config(self, runner, cfg, message):
-        # each public runner checks cfg as run_experiment does
+             "float-trials"])
+    def test_runners_check_their_config(self, cfg, message):
+        # run_experiment, the one entry to every runner, checks cfg first
         with pytest.raises(ParameterError, match=message):
-            getattr(rvsketch, runner)(cfg)
+            run_experiment(cfg)
 
     def test_integer_fields_are_stored_as_ints(self):
         cfg = ExperimentConfig(kind="false_accept", deltas=[np.int64(1), 3],
@@ -216,7 +219,7 @@ _NO_SCIPY = textwrap.dedent("""
     sys.modules["scipy"] = None   # any scipy import now raises ImportError
     import rvsketch
     from rvsketch.cli import main
-    r = rvsketch.run_correctness_experiment(
+    r = rvsketch.run_experiment(
         rvsketch.ExperimentConfig(kind="correctness", trials=3, seed=3))
     assert r.trials == 3
     assert main(["bounds", "--k-star", "7", "--n-star", "15", "--k", "16",

@@ -17,7 +17,7 @@ from rvsketch import (BitString, DimensionError, LinearCode, ParameterError,
                       dump_sketch, encode, error_floor_check, fixed_weight,
                       gen_index_vector, invert_message, load_sketch,
                       param_violations, random_linear_code, recover_fixed,
-                      sample_bits, sample_error, make_sketch, support_size,
+                      sample_bits, make_sketch, support_size,
                       zero_pad_prefix, code_to_text)
 
 
@@ -28,17 +28,39 @@ def standard_params():
     return SketchParams.from_codes(inner, outer, Fraction(1, 14))
 
 
+@functools.lru_cache(maxsize=None)
+def _smallest_sketch(k_star):
+    """(params, N) for a [k*, k*] inner and a [k*+1, k*+1] outer random code,
+    the smallest dimensions that keep k* <= n* < k <= n."""
+    rng = SeededRng(k_star)
+    params = SketchParams.from_codes(
+        random_linear_code(k_star, k_star, rng.spawn(1)),
+        random_linear_code(k_star + 1, k_star + 1, rng.spawn(2)), Fraction(1, 4))
+    return params, gen_index_vector(k_star, k_star + 1, rng.spawn(3))
+
+
+def _masking_error(k_star, eps_ss, rng):
+    """The error e make_sketch draws from rng, read from its debug bundle."""
+    params, N = _smallest_sketch(k_star)
+    return make_sketch(BitString.zeros(k_star), N, eps_ss, params, rng,
+                       debug=True)[1].e
+
+
 class TestSampleError:
+    """make_sketch's masking error over its eps_ss range [1/(2k*), 1/4]."""
+
     def test_floor_zero_weight(self):
-        e = sample_error(16, Fraction(1, 32), SeededRng(1))
-        assert e == BitString.zeros(16)
+        # weight floor(16/32) = 0: e = 0 and nothing is drawn
+        rng = SeededRng(1)
+        assert _masking_error(16, Fraction(1, 32), rng) == BitString.zeros(16)
+        assert rng.random_bits(16) == SeededRng(1).random_bits(16)
 
     def test_exact_weight_and_uniformity(self):
         rng = SeededRng(2)
         trials = 10_000
         counts = np.zeros(16)
         for _ in range(trials):
-            e = sample_error(16, Fraction(1, 4), rng)
+            e = _masking_error(16, Fraction(1, 4), rng)
             assert e.weight == 4
             counts += e.bits
         freqs = counts / trials
@@ -49,29 +71,18 @@ class TestSampleError:
         rng = SeededRng(3)
         seen = set()
         for _ in range(1000):
-            e = sample_error(8, Fraction(1, 8), rng)
+            e = _masking_error(8, Fraction(1, 8), rng)
             assert e.weight == 1
             seen.add(str(e))
         assert len(seen) == 8
 
-    def test_empty_error(self):
-        # k* = 0 is allowed: the weight is 0 and nothing is drawn
-        rng = SeededRng(4)
-        assert sample_error(0, Fraction(1, 2), rng) == BitString.zeros(0)
-        assert rng.random_bits(16) == SeededRng(4).random_bits(16)
-
-    def test_eps_out_of_range(self):
-        with pytest.raises(ParameterError):
-            sample_error(8, Fraction(3, 4), SeededRng(0))
-        with pytest.raises(ParameterError):
-            sample_error(8, Fraction(-1, 8), SeededRng(0))
-
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 64), st.fractions(0, Fraction(1, 2), max_denominator=200),
-           st.integers(0, 2**32))
-    def test_weight_is_the_support_class(self, k_star, eps, seed):
-        # one weight rule: the sampled error lies in the class support_size counts
-        weight = sample_error(k_star, eps, SeededRng(seed)).weight
+    @given(st.integers(2, 64), st.integers(0, 2**32), st.data())
+    def test_weight_is_the_support_class(self, k_star, seed, data):
+        # one weight rule: the drawn error lies in the class support_size counts
+        eps = data.draw(st.fractions(Fraction(1, 2 * k_star), Fraction(1, 4),
+                                     max_denominator=200))
+        weight = _masking_error(k_star, eps, SeededRng(seed)).weight
         assert weight == fixed_weight(k_star, eps)
         assert math.comb(k_star, weight) == support_size(k_star, eps)[0]
 
